@@ -165,6 +165,7 @@ def cmd_grape(config: RunConfig, args) -> _Report:
             "lossy_fidelity": lossy,
             "iterations": result.n_iterations,
             "converged": result.converged,
+            "stop_reason": result.stop_reason,
         }
     return report
 
@@ -239,8 +240,8 @@ def _chain_scenarios(config: RunConfig) -> list[sn.Scenario]:
     out = []
     for m, policy in zip(ch["multiplexing"], ch["storage_policy"]):
         out.append(sn.Scenario(
-            name=f"m{int(m)}", loss_ratio=ch["loss_ratio"],
-            nesting_level=ch["nesting_level"], multiplexing=int(m),
+            name=f"m{m}", loss_ratio=ch["loss_ratio"],
+            nesting_level=ch["nesting_level"], multiplexing=m,
             storage_policy=policy,
             emission_probability=li["emission_probability"],
             detection_efficiency=li["detection_efficiency"],
@@ -270,8 +271,6 @@ def _report_rows(scenarios, reports) -> list[list[Any]]:
 
 
 def cmd_rates(config: RunConfig, args) -> _Report:
-    if getattr(args, "figure6", False):
-        return cmd_figure6(config, args)
     report = _Report("rates", config)
     ra = config["rates"]
     lengths = np.linspace(ra["length_min_km"], ra["length_max_km"],
@@ -380,9 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "grape":
             p.add_argument("--iters", type=int, default=None,
                            help="override GRAPE iteration cap")
-        if name == "rates":
-            p.add_argument("--figure6", action="store_true",
-                           help="emit the seven-curve comparison dataset instead")
     return parser
 
 

@@ -38,6 +38,10 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(","))
 
@@ -62,7 +66,7 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any, str]]] = {
         "loss_ratio": (float, 1e3, "K/kappa used when re-scoring under loss"),
         "duration_kt": (float, 0.5, "pulse length in units of 1/K"),
         "n_segments": (int, 64, "piecewise-constant segments"),
-        "max_iters": (int, 400, "gradient-ascent iteration cap"),
+        "max_iters": (int, 400, "L-BFGS-B iteration cap"),
         "amplitude_bound_k": (float, 10.0, "drive bound in units of K"),
         "seed": (str, "", "optional integer seed perturbing the initial guess"),
     },
@@ -106,7 +110,7 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any, str]]] = {
         "loss_ratio": (float, 1e5, "K/kappa row for rate scenarios"),
         "drive_method": (str, "grape", "drive fidelities from grape or adiabatic pulses"),
         "nesting_level": (int, 3, "n; total length is 2^n elementary links"),
-        "multiplexing": (_parse_float_list, (1, 200), "m values to evaluate"),
+        "multiplexing": (_parse_int_list, (1, 200), "m values to evaluate"),
         "swap_probability": (float, 0.81, "P_i per nesting level"),
         "storage_policy": (_parse_str_list, ("transfer", "cat"),
                            "policy per m value: cat, fock or transfer"),
@@ -225,6 +229,13 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     if ch["drive_method"] not in ("grape", "adiabatic"):
         raise ConfigError(
             f"[chain] drive_method must be grape or adiabatic, got {ch['drive_method']!r}")
+    seed = values["grape"]["seed"]
+    if seed:
+        try:
+            int(seed)
+        except ValueError:
+            raise ConfigError(
+                f"[grape] seed must be an integer or empty, got {seed!r}")
     ot = values["link"]["operation_time_s"]
     if ot != "auto":
         try:

@@ -35,7 +35,6 @@ __all__ = [
     "TRANSDUCTION_TIME_S",
     "OperationBudget",
     "operation_budget",
-    "default_operation_time",
     "Scenario",
     "scenario_table",
     "cat_rate_curve",
@@ -56,6 +55,9 @@ TRANSDUCTION_TIME_S = 1e-5      # full conversion sequence, config knob
 # rounded from OperationBudget.operation_time; used where a fixed documented
 # value is preferable to re-simulating the gate inventory.
 DOCUMENTED_OPERATION_TIME_S = 6e-5
+
+# L-BFGS-B iteration cap for the budget's GRAPE drive and undrive pulses.
+GRAPE_MAX_ITERS = 400
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,13 @@ class OperationBudget:
         return total
 
 
-def _grape_schedules(kerr: float, alpha: float, n_segments: int, max_iters: int):
-    """Optimize drive and undrive once per (dimensionless) configuration."""
-    params = cq.CatQubitParams(kerr=kerr, kappa=0.0, alpha=alpha)
-    drive_prob = po.drive_problem(params)
-    undrive_prob = po.undrive_problem(params)
-    res_d = po.grape_optimize(drive_prob, max_iters=max_iters)
-    res_u = po.grape_optimize(undrive_prob, max_iters=max_iters)
-    return (drive_prob, res_d), (undrive_prob, res_u)
-
-
 @lru_cache(maxsize=8)
-def _grape_cache(kerr: float, alpha: float, n_segments: int, max_iters: int):
-    return _grape_schedules(kerr, alpha, n_segments, max_iters)
+def _grape_cache(alpha: float):
+    """Drive and undrive problems at K = 1 with their optimized schedules,
+    computed once per cat amplitude."""
+    params = cq.CatQubitParams(kerr=1.0, kappa=0.0, alpha=alpha)
+    return tuple((prob, po.grape_optimize(prob, max_iters=GRAPE_MAX_ITERS))
+                 for prob in (po.drive_problem(params), po.undrive_problem(params)))
 
 
 def operation_budget(loss_ratio: float,
@@ -104,7 +100,6 @@ def operation_budget(loss_ratio: float,
                      kappa: Optional[float] = None,
                      alpha: float = math.sqrt(2.0),
                      drive_method: str = "grape",
-                     grape_iters: int = 400,
                      amplitude_ratios: Optional[tuple[float, float]] = None) -> OperationBudget:
     """Simulate the full operation inventory at one loss ratio.
 
@@ -135,7 +130,7 @@ def operation_budget(loss_ratio: float,
     durs: dict[str, float] = {}
 
     if drive_method == "grape":
-        (dp, rd), (up, ru) = _grape_cache(1.0, alpha, 64, grape_iters)
+        (dp, rd), (up, ru) = _grape_cache(alpha)
         scaled_kappa = kappa / kerr  # problems are built at K = 1
         fids["drive"] = po.evaluate_pulse(dp, rd.schedule, kappa=scaled_kappa)
         fids["undrive"] = po.evaluate_pulse(up, ru.schedule, kappa=scaled_kappa)
@@ -157,11 +152,6 @@ def operation_budget(loss_ratio: float,
     fids["transduction"] = TRANSDUCTION_FIDELITY
     durs["transduction"] = TRANSDUCTION_TIME_S
     return OperationBudget(params=params, fidelities=fids, durations_s=durs)
-
-
-def default_operation_time(budget: OperationBudget, storage_policy: str = "cat",
-                           transduction_time_s: float = TRANSDUCTION_TIME_S) -> float:
-    return budget.operation_time(storage_policy, transduction_time_s)
 
 
 @dataclass(frozen=True)

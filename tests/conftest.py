@@ -10,8 +10,8 @@ from catlink import scenarios as sn
 @pytest.fixture(scope="session")
 def grape_pair():
     """Optimized drive and undrive schedules at K = 1 (shared by several
-    suites; roughly a minute of optimization)."""
-    return sn._grape_cache(1.0, math.sqrt(2.0), 64, 400)
+    suites; a few seconds of optimization)."""
+    return sn._grape_cache(math.sqrt(2.0))
 
 
 @pytest.fixture(scope="session")

@@ -311,7 +311,8 @@ def test_criterion_10_property_suites(tmp_path):
         d = rng.standard_normal(u.shape)
         d /= np.linalg.norm(d)
         eps = 1e-6
-        fd = (prop.overlap(u + eps * d) - prop.overlap(u - eps * d)) / (2 * eps)
+        fd = (prop.overlap_and_gradient(u + eps * d)[0]
+              - prop.overlap_and_gradient(u - eps * d)[0]) / (2 * eps)
         an = float(np.sum(grad * d))
         worst = max(worst, abs(an - fd) / max(abs(fd), 1e-12))
     results.append(check("10", "GRAPE gradient vs finite differences", worst < 1e-4,

@@ -114,6 +114,21 @@ class TestGrapeCommand:
         lines = open(pulse).read().strip().splitlines()
         assert len(lines) == 17
 
+    def test_summary_reports_stop_reason(self, out_dir):
+        r = run_cli("grape", "--out", out_dir, "--iters", "2",
+                    "--set", "grape.n_segments=16")
+        assert r.returncode == 0
+        summary = json.load(open(os.path.join(out_dir, "grape", "summary.json")))
+        for direction in ("drive", "undrive"):
+            assert summary[direction]["converged"] is False
+            assert "ITERATIONS REACHED LIMIT" in summary[direction]["stop_reason"]
+
+    def test_bad_seed_rejected(self, out_dir):
+        r = run_cli("grape", "--out", out_dir, "--set", "grape.seed=abc")
+        assert r.returncode == 2
+        assert "[grape] seed" in r.stderr
+        assert not os.path.exists(out_dir)
+
     def test_seed_changes_trace_not_contract(self, out_dir):
         r1 = run_cli("grape", "--out", out_dir + "_a", "--iters", "15",
                      "--seed", "1", "--set", "grape.n_segments=16")
@@ -144,6 +159,13 @@ class TestCrossoverCommand:
                     "--set", "chain.drive_method=magic")
         assert r.returncode == 2
         assert "drive_method" in r.stderr
+
+    def test_fractional_multiplexing_rejected(self, out_dir):
+        r = run_cli("crossover", "--out", out_dir,
+                    "--set", "chain.multiplexing=1.5,200")
+        assert r.returncode == 2
+        assert "multiplexing" in r.stderr
+        assert not os.path.exists(out_dir)
 
 
 class TestFigureCommand:

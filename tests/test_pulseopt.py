@@ -5,6 +5,7 @@ import pytest
 
 from catlink import pulseopt as po
 from catlink import qcore as qc
+from catlink import scenarios as sn
 from catlink.catqubit import CatQubitParams
 
 
@@ -39,8 +40,8 @@ class TestGradient:
             direction = rng.standard_normal(u.shape)
             direction /= np.linalg.norm(direction)
             eps = 1e-6
-            fd = (prop.overlap(u + eps * direction)
-                  - prop.overlap(u - eps * direction)) / (2 * eps)
+            fd = (prop.overlap_and_gradient(u + eps * direction)[0]
+                  - prop.overlap_and_gradient(u - eps * direction)[0]) / (2 * eps)
             analytic = float(np.sum(grad * direction))
             assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
@@ -69,6 +70,12 @@ class TestOptimization:
         res = po.grape_optimize(small_problem, max_iters=40)
         gains = np.diff(res.iterations)
         assert np.all(gains >= -1e-12)
+
+    def test_iteration_cap_reported_as_not_converged(self, small_problem):
+        res = po.grape_optimize(small_problem, max_iters=2)
+        assert res.n_iterations == 2
+        assert not res.converged
+        assert "ITERATIONS REACHED LIMIT" in res.stop_reason
 
     def test_seeded_restart_changes_trace_not_outcome(self, small_problem):
         base = po.grape_optimize(small_problem, max_iters=60)
@@ -105,6 +112,11 @@ class TestFullProblem:
         (drive_prob, drive_res), (undrive_prob, undrive_res) = grape_pair
         assert drive_res.fidelity >= 0.999
         assert undrive_res.fidelity >= 0.999
+
+    def test_converges_well_under_the_cap(self, grape_pair):
+        for _, res in grape_pair:
+            assert res.converged, res.stop_reason
+            assert res.n_iterations <= sn.GRAPE_MAX_ITERS // 4
 
     def test_lossy_score_at_1e3(self, grape_pair):
         (drive_prob, drive_res), _ = grape_pair
