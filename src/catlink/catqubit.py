@@ -12,13 +12,15 @@ with the two-photon drive off (Z rotations), and a linear cavity-cavity
 coupling (entangling G rotations); a seven-stage sequence of these composes a
 CNOT.
 
-All gate stages have piecewise-constant Hamiltonians, so lossless evolution
-is propagated exactly through per-stage eigendecompositions.  Lossy gate
-fidelities use a no-jump + one-jump expansion of the master equation (the
-probability of two photon-loss events over a gate is negligible at the loss
-ratios of interest; the truncation is cross-checked against full
-master-equation integration in the test suite).  Driving, with its smooth
-time-dependent pulse, goes through the adaptive master-equation integrator.
+All gate stages have piecewise-constant Hamiltonians, so every gate runs
+through ``dynamics.PiecewiseConstantPropagator``: lossless evolution is exact
+through per-stage eigendecompositions, and lossy gate fidelities use a
+no-jump + one-jump expansion of the master equation (the probability of two
+photon-loss events over a gate is negligible at the loss ratios of interest;
+the test suite cross-checks the truncation against exact master-equation
+propagation for a single X rotation and for a four-stage X/Z sequence).
+Driving, with its smooth time-dependent pulse, goes through the adaptive
+master-equation integrator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from . import qcore as qc
-from .dynamics import TimeDependentHamiltonian, evolve
+from .dynamics import PiecewiseConstantPropagator, TimeDependentHamiltonian, evolve
 from .pulses import PulseSchedule, reversed_schedule
 
 __all__ = [
@@ -288,6 +290,20 @@ def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
     return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
 
 
+def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
+               target: np.ndarray, rel_tol: float) -> DriveResult:
+    """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
+    the Fock truncation, and score the final state against ``target``."""
+    target = qc.QState((params.dim,), target / np.linalg.norm(target))
+    h = _pulse_hamiltonian(params, pulse)
+    collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
+    traj = evolve(h, collapse, state, n_samples=9, rel_tol=rel_tol)
+    _check_truncation(traj.states, params.dim)
+    final = traj.final_state
+    return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
+                       target=target, pulse=pulse)
+
+
 def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
           state: Optional[qc.QState] = None, rel_tol: float = 1e-8,
           target_alpha: Optional[float] = None) -> DriveResult:
@@ -308,16 +324,7 @@ def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
     c0, c1 = _fock_coefficients(state)
     zero = qc.cat_state(target_alpha, "even", params.dim)
     one = qc.cat_state(target_alpha, "odd", params.dim)
-    tvec = c0 * zero.data + c1 * one.data
-    target = qc.QState((params.dim,), tvec / np.linalg.norm(tvec))
-
-    h = _pulse_hamiltonian(params, pulse)
-    collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
-    traj = evolve(h, collapse, state, n_samples=9, rel_tol=rel_tol)
-    _check_truncation(traj.states, params.dim)
-    final = traj.final_state
-    return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                       target=target, pulse=pulse)
+    return _run_pulse(params, pulse, state, c0 * zero.data + c1 * one.data, rel_tol)
 
 
 def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
@@ -345,95 +352,7 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, params.dim).data + c1 * qc.fock_state(1, params.dim).data
-    target = qc.QState((params.dim,), tvec / np.linalg.norm(tvec))
-
-    h = _pulse_hamiltonian(params, rev)
-    collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
-    traj = evolve(h, collapse, state, n_samples=9, rel_tol=rel_tol)
-    _check_truncation(traj.states, params.dim)
-    final = traj.final_state
-    return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                       target=target, pulse=rev)
-
-
-# -- piecewise-constant stage engine -----------------------------------------
-
-
-@dataclass(frozen=True)
-class _Stage:
-    hamiltonian: np.ndarray
-    duration: float
-
-
-class _StageEngine:
-    """Exact lossless propagation and one-jump lossy fidelities over a fixed
-    stage list, with eigendecompositions cached across input states."""
-
-    # quadrature density for the one-jump integral, points per unit K*t
-    GRID_PER_KT = 400
-
-    def __init__(self, stages: Sequence[_Stage], jump_ops: Sequence[tuple[np.ndarray, float]],
-                 kerr: float):
-        self.stages = list(stages)
-        self.jump_ops = [(np.asarray(op), float(rate)) for op, rate in jump_ops]
-        self.kerr = kerr
-        self._herm = None
-        self._eff = None
-
-    @property
-    def duration(self) -> float:
-        return sum(s.duration for s in self.stages)
-
-    def _hermitian_factors(self):
-        if self._herm is None:
-            self._herm = [scipy.linalg.eigh(s.hamiltonian) for s in self.stages]
-        return self._herm
-
-    def _effective_factors(self):
-        if self._eff is None:
-            d = self.stages[0].hamiltonian.shape[0]
-            damp = np.zeros((d, d), dtype=complex)
-            for op, rate in self.jump_ops:
-                damp += 0.5j * rate * (op.conj().T @ op)
-            eff = []
-            for s in self.stages:
-                lam, v = scipy.linalg.eig(s.hamiltonian - damp)
-                eff.append((lam, v, np.linalg.inv(v), s.duration))
-            self._eff = eff
-        return self._eff
-
-    def propagate_pure(self, psi0: np.ndarray) -> np.ndarray:
-        psi = np.asarray(psi0, dtype=complex)
-        for (lam, v), stage in zip(self._hermitian_factors(), self.stages):
-            psi = v @ (np.exp(-1j * lam * stage.duration) * (v.conj().T @ psi))
-        return psi
-
-    def lossy_fidelity(self, psi0: np.ndarray, target: np.ndarray) -> float:
-        """<t|rho(T)|t> to first order in the jump number."""
-        if not self.jump_ops or all(rate == 0 for _, rate in self.jump_ops):
-            return float(abs(np.vdot(target, self.propagate_pure(psi0))) ** 2)
-        eff = self._effective_factors()
-        psis = [np.asarray(psi0, dtype=complex)]
-        for lam, v, w, dur in eff:
-            psis.append(v @ (np.exp(-1j * lam * dur) * (w @ psis[-1])))
-        fid = abs(np.vdot(target, psis[-1])) ** 2
-
-        phis = [np.asarray(target, dtype=complex)]
-        for lam, v, w, dur in reversed(eff):
-            phis.append(w.conj().T @ (np.exp(1j * lam.conj() * dur) * (v.conj().T @ phis[-1])))
-        phis = phis[::-1]
-
-        for k, (lam, v, w, dur) in enumerate(eff):
-            n = max(129, int(self.GRID_PER_KT * dur * self.kerr) + 1)
-            s = np.linspace(0.0, dur, n)
-            coeff = w @ psis[k]
-            psi_grid = v @ (np.exp(-1j * np.outer(lam, s)) * coeff[:, None])
-            ell = v.conj().T @ phis[k + 1]
-            phi_grid = w.conj().T @ (np.exp(1j * np.outer(lam.conj(), dur - s)) * ell[:, None])
-            for op, rate in self.jump_ops:
-                amp = np.einsum("ij,ij->j", phi_grid.conj(), op @ psi_grid)
-                fid += rate * np.trapezoid(np.abs(amp) ** 2, s)
-        return float(min(fid, 1.0))
+    return _run_pulse(params, rev, state, tvec, rel_tol)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -476,38 +395,52 @@ _SINGLE_QUBIT_TEST_STATES = {
 }
 
 
-def _single_qubit_gate(params: CatQubitParams, operation: str,
-                       stages: Sequence[_Stage], ideal: np.ndarray) -> GateResult:
-    dim = params.dim
-    jump = [(qc.annihilation(dim).data, params.kappa)] if params.kappa > 0 else []
-    engine = _StageEngine(stages, jump, params.kerr)
-    zero, one = logical_states(params)
-    basis = np.stack([zero.data, one.data], axis=1)  # dim x 2
+def _run_gate(params: CatQubitParams, operation: str,
+              stages: Sequence[tuple[np.ndarray, float]],
+              jump_ops: Sequence[tuple[np.ndarray, float]], basis: np.ndarray,
+              cases: dict[str, tuple[np.ndarray, np.ndarray]],
+              dims: tuple[int, ...]) -> GateResult:
+    """Propagate each case's logical input through ``stages``.
 
+    ``basis`` holds the logical states as columns; ``cases`` maps a name to
+    (input, ideal output) coefficient vectors in that basis.  Fidelities use
+    the one-jump expansion with ``jump_ops``; final states and manifold
+    leakage come from lossless propagation.
+    """
+    prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr)
     fids: dict[str, float] = {}
     finals: dict[str, qc.QState] = {}
     leakage = 0.0
-    for name, (c0, c1) in _SINGLE_QUBIT_TEST_STATES.items():
-        psi0 = basis @ np.array([c0, c1], dtype=complex)
-        tcoef = ideal @ np.array([c0, c1], dtype=complex)
-        tvec = basis @ tcoef
+    for name, (c_in, c_out) in cases.items():
+        psi0 = basis @ c_in
+        tvec = basis @ c_out
         tvec /= np.linalg.norm(tvec)
-        if params.kappa > 0:
-            fids[name] = engine.lossy_fidelity(psi0, tvec)
-        else:
-            fids[name] = float(abs(np.vdot(tvec, engine.propagate_pure(psi0))) ** 2)
-        psi_f = engine.propagate_pure(psi0)
-        psi_f = psi_f / np.linalg.norm(psi_f)
-        finals[name] = qc.QState((dim,), psi_f, normalize=False)
-        in_manifold = float(np.sum(np.abs(basis.conj().T @ psi_f) ** 2))
-        leakage = max(leakage, 1.0 - in_manifold)
+        fids[name] = prop.lossy_fidelity(psi0, tvec)
+        psi_f = prop.propagate_pure(psi0)
+        psi_f /= np.linalg.norm(psi_f)
+        finals[name] = qc.QState(dims, psi_f, normalize=False)
+        leakage = max(leakage, 1.0 - float(np.sum(np.abs(basis.conj().T @ psi_f) ** 2)))
 
     fid = float(np.mean(list(fids.values())))
     return GateResult(operation=operation, params=params,
-                      duration_s=engine.duration, fidelity=fid,
+                      duration_s=prop.duration, fidelity=fid,
                       state_fidelities=fids, leakage=leakage,
                       leakage_flagged=leakage > LEAKAGE_FLAG_THRESHOLD,
                       final_states=finals)
+
+
+def _single_qubit_gate(params: CatQubitParams, operation: str,
+                       stages: Sequence[tuple[np.ndarray, float]],
+                       ideal: np.ndarray) -> GateResult:
+    dim = params.dim
+    zero, one = logical_states(params)
+    basis = np.stack([zero.data, one.data], axis=1)  # dim x 2
+    cases = {}
+    for name, coeffs in _SINGLE_QUBIT_TEST_STATES.items():
+        c_in = np.array(coeffs, dtype=complex)
+        cases[name] = (c_in, ideal @ c_in)
+    return _run_gate(params, operation, stages, [(qc.annihilation(dim).data, params.kappa)],
+                     basis, cases, (dim,))
 
 
 def gate_x(params: CatQubitParams, theta: float, drive_amplitude: float) -> GateResult:
@@ -523,11 +456,8 @@ def gate_x(params: CatQubitParams, theta: float, drive_amplitude: float) -> Gate
     dur = _x_rotation_duration(params, theta, drive_amplitude)
     sign = 1.0 if theta >= 0 else -1.0
     h = _stabilized_h(params) + sign * drive_amplitude * _single_photon_op(dim)
-    stages = [_Stage(h, dur)] if dur > 0 else []
-    ideal = _ideal_rotation("x", theta)
-    if not stages:
-        stages = [_Stage(_stabilized_h(params), 0.0)]
-    return _single_qubit_gate(params, f"X_{theta/math.pi:.3g}pi", stages, ideal)
+    return _single_qubit_gate(params, f"X_{theta/math.pi:.3g}pi", [(h, dur)],
+                              _ideal_rotation("x", theta))
 
 
 def gate_z(params: CatQubitParams, theta: float) -> GateResult:
@@ -542,9 +472,8 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
     n_op = qc.number_operator(dim).data
     h = -params.kerr * (n_op @ n_op)
     dur = _z_rotation_duration(params, theta)
-    stages = [_Stage(h, dur)]
-    ideal = _ideal_rotation("z", theta)
-    return _single_qubit_gate(params, f"Z_{theta/math.pi:.3g}pi", stages, ideal)
+    return _single_qubit_gate(params, f"Z_{theta/math.pi:.3g}pi", [(h, dur)],
+                              _ideal_rotation("z", theta))
 
 
 def _two_qubit_ops(params: CatQubitParams, dim: int):
@@ -581,35 +510,16 @@ def gate_g(params: CatQubitParams, theta: float, coupling: float,
     sign = 1.0 if theta >= 0 else -1.0
     h = h01 + h02 + sign * coupling * (a1.conj().T @ a2 + a1 @ a2.conj().T)
     dur = _g_rotation_duration(params, theta, coupling)
-    stages = [_Stage(h, dur)]
-    jump = [(a1, params.kappa), (a2, params.kappa)] if params.kappa > 0 else []
-    engine = _StageEngine(stages, jump, params.kerr)
-
-    basis = _two_qubit_logical_basis(params, dim)
-    psi0 = basis[:, 0]
     tcoef = math.cos(theta / 2) * np.array([1, 0, 0, 0], dtype=complex) \
         - 1j * math.sin(theta / 2) * np.array([0, 0, 0, 1], dtype=complex)
-    tvec = basis @ tcoef
-    tvec /= np.linalg.norm(tvec)
-
-    if params.kappa > 0:
-        fid = engine.lossy_fidelity(psi0, tvec)
-    else:
-        fid = float(abs(np.vdot(tvec, engine.propagate_pure(psi0))) ** 2)
-    psi_f = engine.propagate_pure(psi0)
-    psi_f /= np.linalg.norm(psi_f)
-    leakage = 1.0 - float(np.sum(np.abs(basis.conj().T @ psi_f) ** 2))
-    name = f"G_{theta/math.pi:.3g}pi"
-    return GateResult(operation=name, params=params, duration_s=engine.duration,
-                      fidelity=fid, state_fidelities={"even_even": fid},
-                      leakage=leakage,
-                      leakage_flagged=leakage > LEAKAGE_FLAG_THRESHOLD,
-                      final_states={"even_even": qc.QState((dim, dim), psi_f,
-                                                           normalize=False)})
+    return _run_gate(params, f"G_{theta/math.pi:.3g}pi", [(h, dur)],
+                     [(a1, params.kappa), (a2, params.kappa)],
+                     _two_qubit_logical_basis(params, dim),
+                     {"even_even": (np.eye(4)[0], tcoef)}, (dim, dim))
 
 
 def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float,
-                 dim: int) -> list[_Stage]:
+                 dim: int) -> list[tuple[np.ndarray, float]]:
     """Seven-stage decomposition X2(pi/2) X1(-pi/2) Z1(pi/2) G(pi/2)
     X1(-pi/2) Z1(-pi/2) X1(pi/2), rightmost applied first."""
     a1, a2, h01, h02 = _two_qubit_ops(params, dim)
@@ -630,13 +540,13 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     h_g = h01 + h02 + coupling * (a1.conj().T @ a2 + a1 @ a2.conj().T)
 
     return [
-        _Stage(h_x1_plus, t_x),      # X1(+pi/2)
-        _Stage(h_z1, t_z_minus),     # Z1(-pi/2) via 3/4 turn
-        _Stage(h_x1_minus, t_x),     # X1(-pi/2)
-        _Stage(h_g, t_g),            # G(pi/2)
-        _Stage(h_z1, t_z_plus),      # Z1(+pi/2)
-        _Stage(h_x1_minus, t_x),     # X1(-pi/2)
-        _Stage(h_x2_plus, t_x),      # X2(+pi/2)
+        (h_x1_plus, t_x),      # X1(+pi/2)
+        (h_z1, t_z_minus),     # Z1(-pi/2) via 3/4 turn
+        (h_x1_minus, t_x),     # X1(-pi/2)
+        (h_g, t_g),            # G(pi/2)
+        (h_z1, t_z_plus),      # Z1(+pi/2)
+        (h_x1_minus, t_x),     # X1(-pi/2)
+        (h_x2_plus, t_x),      # X2(+pi/2)
     ]
 
 
@@ -656,33 +566,12 @@ def cnot(params: CatQubitParams, drive_amplitude: float, coupling: float,
     duration is the sum of the stage durations.
     """
     dim = dim_per_cavity
-    stages = _cnot_stages(params, drive_amplitude, coupling, dim)
     a1, a2, _, _ = _two_qubit_ops(params, dim)
-    jump = [(a1, params.kappa), (a2, params.kappa)] if params.kappa > 0 else []
-    engine = _StageEngine(stages, jump, params.kerr)
-    basis = _two_qubit_logical_basis(params, dim)
-
-    fids: dict[str, float] = {}
-    finals: dict[str, qc.QState] = {}
-    leakage = 0.0
-    for idx, name in enumerate(_TWO_QUBIT_BASIS_NAMES):
-        psi0 = basis[:, idx]
-        tvec = basis @ _CNOT_IDEAL[:, idx]
-        tvec /= np.linalg.norm(tvec)
-        if params.kappa > 0:
-            fids[name] = engine.lossy_fidelity(psi0, tvec)
-        else:
-            fids[name] = float(abs(np.vdot(tvec, engine.propagate_pure(psi0))) ** 2)
-        psi_f = engine.propagate_pure(psi0)
-        psi_f /= np.linalg.norm(psi_f)
-        finals[name] = qc.QState((dim, dim), psi_f, normalize=False)
-        leakage = max(leakage, 1.0 - float(np.sum(np.abs(basis.conj().T @ psi_f) ** 2)))
-
-    fid = float(np.mean(list(fids.values())))
-    return GateResult(operation="CNOT", params=params, duration_s=engine.duration,
-                      fidelity=fid, state_fidelities=fids, leakage=leakage,
-                      leakage_flagged=leakage > LEAKAGE_FLAG_THRESHOLD,
-                      final_states=finals)
+    cases = {name: (np.eye(4)[idx], _CNOT_IDEAL[:, idx])
+             for idx, name in enumerate(_TWO_QUBIT_BASIS_NAMES)}
+    return _run_gate(params, "CNOT", _cnot_stages(params, drive_amplitude, coupling, dim),
+                     [(a1, params.kappa), (a2, params.kappa)],
+                     _two_qubit_logical_basis(params, dim), cases, (dim, dim))
 
 
 def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: float,

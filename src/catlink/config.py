@@ -220,6 +220,10 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
         raise ConfigError(
             f"[catqubit] kerr_hz must list one value per loss ratio ({n_rows})")
     ch = values["chain"]
+    if any(m < 1 for m in ch["multiplexing"]):
+        raise ConfigError(f"[chain] multiplexing values must be >= 1, got {ch['multiplexing']}")
+    if ch["nesting_level"] < 0:
+        raise ConfigError(f"[chain] nesting_level must be >= 0, got {ch['nesting_level']}")
     if len(ch["storage_policy"]) != len(ch["multiplexing"]):
         raise ConfigError(
             "[chain] storage_policy must list one policy per multiplexing value")

@@ -22,13 +22,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _kerr_op, _two_photon_op, _two_photon_orthogonal_op, \
     adiabatic_drive_pulse
-from .dynamics import evolve
+from .dynamics import PiecewiseConstantPropagator, evolve
 from .pulses import PulseSchedule, piecewise_constant
 
 __all__ = [
@@ -124,23 +123,18 @@ class _Propagation:
 
     def overlap_and_gradient(self, u: np.ndarray):
         """u has shape (2, n_segments); returns (|c|^2, dF/du)."""
-        n, dt = self.n, self.dt
-        evals = []
-        evecs = []
-        fwd = [self.psi0]
-        for k in range(n):
-            h = self.h0 + u[0, k] * self.controls[0] + u[1, k] * self.controls[1]
-            lam, v = scipy.linalg.eigh(h)
-            evals.append(lam)
-            evecs.append(v)
-            phase = np.exp(-1j * lam * dt)
-            fwd.append(v @ (phase * (v.conj().T @ fwd[-1])))
+        dt = self.dt
+        prop = PiecewiseConstantPropagator(
+            [(self.h0 + u[0, k] * self.controls[0] + u[1, k] * self.controls[1], dt)
+             for k in range(self.n)])
+        fwd = prop.forward(self.psi0)
         c = complex(np.vdot(self.target, fwd[-1]))
 
         grad = np.zeros_like(u)
         chi = self.target.copy()
-        for k in range(n - 1, -1, -1):
-            lam, v = evals[k], evecs[k]
+        factors = prop.hermitian_factors()
+        for k in range(self.n - 1, -1, -1):
+            lam, v = factors[k]
             phase = np.exp(-1j * lam * dt)
             # Loewner matrix for f(x) = exp(-i x dt)
             diff = lam[:, None] - lam[None, :]
@@ -200,13 +194,17 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
     if u.shape != (2, problem.n_segments):
         raise ValueError(f"initial guess shape {u.shape} != (2, {problem.n_segments})")
 
-    trace = [prop.overlap_and_gradient(u)[0]]
     if max_iters <= 0:
-        fidelity, converged = trace[0], False
+        fidelity, converged = prop.overlap_and_gradient(u)[0], False
         stop_reason = f"max_iters = {max_iters}: not optimized"
+        trace = [fidelity]
     else:
+        trace = []
+
         def objective(x):
             fid, grad = prop.overlap_and_gradient(x.reshape(u.shape))
+            if not trace:  # L-BFGS-B evaluates the initial guess first
+                trace.append(fid)
             return 1.0 - fid, -grad.ravel()
 
         res = scipy.optimize.minimize(

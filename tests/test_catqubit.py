@@ -5,7 +5,7 @@ import pytest
 
 from catlink import catqubit as cq
 from catlink import qcore as qc
-from catlink.dynamics import evolve_constant
+from catlink.dynamics import PiecewiseConstantPropagator, evolve_constant
 
 ALPHA = math.sqrt(2)
 
@@ -91,11 +91,9 @@ class TestGateX:
         quarter = cq.gate_x(lossless, math.pi / 2, e_x)
         # apply the quarter rotation twice to |0bar> and compare with X_pi
         state = quarter.final_states["zero"]
-        stages = [cq._Stage(cq._stabilized_h(lossless)
-                            + e_x * cq._single_photon_op(lossless.dim),
-                            quarter.duration_s)]
-        engine = cq._StageEngine(stages, [], lossless.kerr)
-        twice = engine.propagate_pure(state.data)
+        stages = [(cq._stabilized_h(lossless) + e_x * cq._single_photon_op(lossless.dim),
+                   quarter.duration_s)]
+        twice = PiecewiseConstantPropagator(stages).propagate_pure(state.data)
         full = cq.gate_x(lossless, math.pi, e_x).final_states["zero"].data
         assert abs(np.vdot(full, twice)) ** 2 >= 0.99
 
@@ -112,6 +110,54 @@ class TestGateX:
                                np.outer(psi0, psi0.conj()), [0.0, res.duration_s])
         exact = float(np.real(np.vdot(target, rhos[-1] @ target)))
         assert res.state_fidelities["zero"] == pytest.approx(exact, abs=5e-5)
+
+
+class TestPiecewiseConstantPropagator:
+    @staticmethod
+    def _sequence(params):
+        """X(+pi/2) Z(-pi/2) X(-pi/2) X(+pi/2); the first X array is reused."""
+        dim = params.dim
+        e_x = params.two_photon_amplitude / 10
+        drive = e_x * cq._single_photon_op(dim)
+        h_xp = cq._stabilized_h(params) + drive
+        h_xm = cq._stabilized_h(params) - drive
+        n_op = qc.number_operator(dim).data
+        t_x = cq._x_rotation_duration(params, math.pi / 2, e_x)
+        t_z = cq._z_rotation_duration(params, -math.pi / 2)
+        return [(h_xp, t_x), (-params.kerr * (n_op @ n_op), t_z), (h_xm, t_x), (h_xp, t_x)]
+
+    def test_multistage_one_jump_matches_liouvillian(self, ratio_1e3):
+        stages = self._sequence(ratio_1e3)
+        a = qc.annihilation(ratio_1e3.dim).data
+        prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        zero, one = cq.logical_states(ratio_1e3)
+        for c0, c1 in ((1, 0), (0, 1), (1, 1j)):
+            psi0 = (c0 * zero.data + c1 * one.data) / np.linalg.norm([c0, c1])
+            target = prop.propagate_pure(psi0)
+            target /= np.linalg.norm(target)
+            rho = np.outer(psi0, psi0.conj())
+            for h, t in stages:
+                rho = evolve_constant(h, [(a, ratio_1e3.kappa)], rho, [0.0, t])[-1]
+            exact = float(np.real(np.vdot(target, rho @ target)))
+            # the one-jump expansion drops two-jump terms, so it may only
+            # undershoot, by about (kappa t)^2 / 2
+            assert -1e-6 <= exact - prop.lossy_fidelity(psi0, target) <= 2e-4
+
+    def test_reused_array_matches_copy(self, ratio_1e3):
+        shared = self._sequence(ratio_1e3)
+        h_z, t_z = shared[1]
+        shared[2] = (h_z, 0.5 * t_z)            # one array at two durations
+        copied = [(h.copy(), t) for h, t in shared]
+        a = qc.annihilation(ratio_1e3.dim).data
+        one_prop = PiecewiseConstantPropagator(shared, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        two_prop = PiecewiseConstantPropagator(copied, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        factors = one_prop.hermitian_factors()
+        assert factors[0] is factors[3] and factors[1] is factors[2]
+        psi0, target = cq.logical_states(ratio_1e3)
+        for x, y in zip(one_prop.forward(psi0.data), two_prop.forward(psi0.data)):
+            assert np.max(np.abs(x - y)) <= 1e-12
+        assert one_prop.lossy_fidelity(psi0.data, target.data) == pytest.approx(
+            two_prop.lossy_fidelity(psi0.data, target.data), abs=1e-12)
 
 
 class TestGateZ:

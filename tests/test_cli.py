@@ -167,6 +167,14 @@ class TestCrossoverCommand:
         assert "multiplexing" in r.stderr
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("setting, key", [("chain.multiplexing=0,200", "multiplexing"),
+                                              ("chain.nesting_level=-1", "nesting_level")])
+    def test_bad_chain_size_rejected(self, out_dir, setting, key):
+        r = run_cli("crossover", "--out", out_dir, "--set", setting)
+        assert r.returncode == 2
+        assert key in r.stderr
+        assert not os.path.exists(out_dir)
+
 
 class TestFigureCommand:
     def test_seven_curves_and_plain_float_csv(self, out_dir):
