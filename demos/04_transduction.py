@@ -5,7 +5,7 @@ ensemble in a quarter Rabi period.  The natural inhomogeneous broadening of
 the spin line is the main loss; this script shows the transfer efficiency at
 the reference parameters, its sensitivity to the broadening, and how the
 overall emission probability p of the rate model is assembled.  Runs in
-about half a minute.
+about a second.
 """
 
 import math
@@ -21,7 +21,7 @@ print(f"transfer time T_S = {params.transfer_time * 1e9:.2f} ns "
 
 result = td.spin_transfer_efficiency(params)
 print(f"\nreference transfer efficiency: {result.efficiency:.5f} "
-      f"(converged: {result.converged})")
+      f"(converged: {result.converged}, bin drift {result.bin_drift:.1e})")
 print(f"  left in cavity : {result.cavity_population:.5f}")
 print(f"  lost           : {result.lost_population:.5f}")
 

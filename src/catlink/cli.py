@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Each subcommand validates the configuration, computes its report entirely in
-memory, and only then writes files, so validation failures never leave
-partial output.  Every invocation writes into ``<out>/<command>/`` a primary
-CSV (or JSON), a ``summary.json`` with the headline numbers and the toolkit
-version, and a ``resolved_config.ini`` snapshot, and prints the summary to
-stdout.  Outputs are byte-identical across reruns with the same
-configuration and seed.
+memory, renders every file to text, and only then writes, each file through a
+temporary file and ``os.replace``, so neither validation nor rendering
+failures leave partial output.  Every invocation writes into
+``<out>/<command>/`` a primary CSV (or JSON), a ``summary.json`` with the
+headline numbers and the toolkit version, and a ``resolved_config.ini``
+snapshot, and prints the summary to stdout.  Outputs are byte-identical
+across reruns with the same configuration and seed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _fmt(value: Any) -> str:
 
 
 class _Report:
-    """In-memory report: tables + summary, written atomically at the end."""
+    """In-memory report: tables + summary, rendered in full, then written."""
 
     def __init__(self, command: str, config: RunConfig):
         self.command = command
@@ -58,27 +59,33 @@ class _Report:
         self.tables[name] = (header, rows)
 
     def write(self, out_root: str, fmt: str) -> str:
-        out_dir = os.path.join(out_root, self.command)
-        os.makedirs(out_dir, exist_ok=True)
+        """Render every file to a string, then replace each one atomically.
+
+        A rendering error (say, an unserialisable summary value) therefore
+        leaves the previous run's files untouched.
+        """
+        files: dict[str, str] = {}
         for name, (header, rows) in self.tables.items():
             if fmt == "csv":
-                path = os.path.join(out_dir, f"{name}.csv")
                 buf = io.StringIO()
                 writer = csv.writer(buf, lineterminator="\n")
                 writer.writerow(header)
                 for row in rows:
                     writer.writerow([_fmt(v) for v in row])
-                _write_text(path, buf.getvalue())
+                files[f"{name}.csv"] = buf.getvalue()
             else:
-                path = os.path.join(out_dir, f"{name}.json")
                 payload = [dict(zip(header, row)) for row in rows]
-                _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                files[f"{name}.json"] = json.dumps(payload, indent=2,
+                                                   sort_keys=True) + "\n"
         self.summary["resolved_config"] = self.config.resolved_ini()
-        _write_text(os.path.join(out_dir, "summary.json"),
-                    json.dumps(self.summary, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
-        _write_text(os.path.join(out_dir, "resolved_config.ini"),
-                    self.config.resolved_ini())
+        files["summary.json"] = json.dumps(self.summary, indent=2, sort_keys=True,
+                                           default=_json_default) + "\n"
+        files["resolved_config.ini"] = self.config.resolved_ini()
+
+        out_dir = os.path.join(out_root, self.command)
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            _write_text(os.path.join(out_dir, name), text)
         return out_dir
 
 
@@ -91,8 +98,17 @@ def _json_default(obj):
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    """Write through a temporary file in the same directory and os.replace it."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _row_params(config: RunConfig) -> list[tuple[float, cq.CatQubitParams, float, float]]:
@@ -224,12 +240,14 @@ def cmd_transduce(config: RunConfig, args) -> _Report:
         result = td.spin_transfer_efficiency(params)
         budget = td.transduction_budget(params, result)
         rows.append([linewidth, result.efficiency, result.cavity_population,
-                     result.lost_population, budget, result.converged])
+                     result.lost_population, budget, result.converged,
+                     result.bin_drift])
     report.add_table("transduce",
                      ["natural_linewidth_hz", "eta_transfer", "cavity_residue",
-                      "lost", "budget_p", "converged"], rows)
+                      "lost", "budget_p", "converged", "bin_drift"], rows)
     report.summary["eta_transfer"] = rows[0][1]
     report.summary["budget_p"] = rows[0][4]
+    report.summary["bin_drift"] = rows[0][6]
     return report
 
 

@@ -1,9 +1,13 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from catlink.cli import _Report, _write_text
+from catlink.config import load_config
 
 CLI = [sys.executable, "-m", "catlink.cli"]
 
@@ -91,6 +95,45 @@ class TestTransduceCommand:
         path = os.path.join(out_dir, "transduce", "transduce.json")
         rows = json.load(open(path))
         assert rows[0]["eta_transfer"] > 0.98
+
+    def test_bin_drift_reported(self, out_dir):
+        r = run_cli("transduce", "--out", out_dir)
+        assert r.returncode == 0
+        assert 0.0 <= json.loads(r.stdout)["bin_drift"] < 1e-3
+        with open(os.path.join(out_dir, "transduce", "transduce.csv"), newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["converged"] == "True"
+        assert 0.0 <= float(row["bin_drift"]) < 1e-3
+
+
+class TestReportWrite:
+    def test_render_failure_keeps_previous_files(self, out_dir):
+        report = _Report("transduce", load_config())
+        report.add_table("transduce", ["a", "b"], [[1, 2.5]])
+        run_dir = report.write(out_dir, "csv")
+        before = {name: open(os.path.join(run_dir, name), "rb").read()
+                  for name in os.listdir(run_dir)}
+
+        report.add_table("transduce", ["a", "b"], [[3, 4.5]])
+        report.summary["bad"] = object()
+        with pytest.raises(TypeError):
+            report.write(out_dir, "csv")
+        after = {name: open(os.path.join(run_dir, name), "rb").read()
+                 for name in os.listdir(run_dir)}
+        assert after == before
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "summary.json"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            _write_text(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 class TestDeviceCommand:

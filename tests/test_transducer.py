@@ -13,6 +13,12 @@ def reference_result():
     return td.spin_transfer_efficiency(td.TransducerParams())
 
 
+@pytest.fixture(scope="module")
+def dephasing_result():
+    return td.spin_transfer_efficiency(td.TransducerParams(gamma2_model="dephasing"),
+                                       check_convergence=False)
+
+
 class TestTransferEfficiency:
     def test_ideal_resonant_swap(self):
         params = td.TransducerParams(natural_linewidth=0.0, spin_decay=0.0,
@@ -28,6 +34,20 @@ class TestTransferEfficiency:
         total = (reference_result.efficiency + reference_result.cavity_population
                  + reference_result.lost_population)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_probability_conservation_dephasing(self, dephasing_result):
+        # the loss model defines its sink as 1 - spin - cavity, but the
+        # density matrix of the dephasing model integrates the sink itself
+        total = (dephasing_result.efficiency + dephasing_result.cavity_population
+                 + dephasing_result.lost_population)
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_bin_drift_reported(self, reference_result):
+        assert reference_result.bin_drift is not None
+        assert 0.0 <= reference_result.bin_drift < 1e-3
+        unchecked = td.spin_transfer_efficiency(td.TransducerParams(n_bins=51),
+                                                check_convergence=False)
+        assert unchecked.bin_drift is None
 
     def test_monotone_in_inhomogeneous_linewidth(self):
         etas = []
@@ -58,11 +78,9 @@ class TestTransferEfficiency:
         p = td.TransducerParams()
         assert p.transfer_time == pytest.approx(math.pi / (2 * p.ensemble_coupling))
 
-    def test_dephasing_variant_available(self):
-        p = td.TransducerParams(gamma2_model="dephasing")
-        res = td.spin_transfer_efficiency(p, check_convergence=False)
+    def test_dephasing_variant_available(self, dephasing_result):
         # pure dephasing conserves spin population, so it scores higher
-        assert res.efficiency > 0.99
+        assert dephasing_result.efficiency > 0.99
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -73,6 +91,27 @@ class TestTransferEfficiency:
             td.TransducerParams(lineshape="boxcar")
         with pytest.raises(ValueError):
             td.TransducerParams(echo_efficiency=1.2)
+
+
+class TestAmplitudeSolver:
+    @pytest.mark.parametrize("lineshape", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("n_bins", [51, 101])
+    def test_matches_density_matrix(self, lineshape, n_bins):
+        p = td.TransducerParams(n_bins=n_bins, lineshape=lineshape)
+        amplitudes = td._transfer_amplitudes(p)
+        density = td._transfer_density_matrix(p)
+        assert amplitudes == pytest.approx(density, abs=1e-8)
+
+    def test_common_decay_closed_form(self):
+        # no inhomogeneous broadening and equal cavity and spin decay: H_eff
+        # is the lossless swap plus -i gamma / 2 on every amplitude
+        gamma = TP * 50e3
+        p = td.TransducerParams(natural_linewidth=0.0, spin_decay=TP * 10e3,
+                                spin_dephasing=TP * 40e3, cavity_decay=gamma)
+        res = td.spin_transfer_efficiency(p, check_convergence=False)
+        assert res.efficiency == pytest.approx(math.exp(-gamma * p.transfer_time),
+                                               abs=1e-8)
+        assert res.cavity_population == pytest.approx(0.0, abs=1e-8)
 
 
 class TestBudget:
