@@ -44,7 +44,6 @@ __all__ = [
     "ProtocolResult",
     "TruncationOverflowError",
     "DRIVE_RAMP_KT",
-    "DEFAULT_AMPLITUDE_RATIOS",
     "logical_states",
     "logical_superposition",
     "adiabatic_drive_pulse",
@@ -62,14 +61,6 @@ __all__ = [
 # adiabatic ramp reproduces the anchored drive fidelity at K/kappa = 1e3
 # while staying adiabatic (>= 0.999) without loss.
 DRIVE_RAMP_KT = 7.2
-
-# (single-photon drive, cavity coupling) expressed as fractions of the
-# two-photon drive amplitude E_p0, per loss ratio K/kappa.
-DEFAULT_AMPLITUDE_RATIOS = {
-    1e3: (10.0, 15.0),
-    1e4: (20.0, 25.0),
-    1e5: (45.0, 55.0),
-}
 
 TWO_QUBIT_DIM = 16  # per-cavity truncation for two-cavity gate simulations
 LEAKAGE_FLAG_THRESHOLD = 0.05
@@ -581,8 +572,9 @@ def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: floa
     configuration.
 
     ``drive_ratio`` and ``coupling_ratio`` divide the two-photon amplitude
-    E_p0 to produce the single-photon drive and the cavity coupling; see
-    ``DEFAULT_AMPLITUDE_RATIOS`` for the conventional choices per loss ratio.
+    E_p0 to produce the single-photon drive and the cavity coupling; the
+    ``[catqubit] drive_ratios`` and ``coupling_ratios`` config keys hold the
+    conventional choices per loss ratio.
     """
     ep0 = params.two_photon_amplitude
     e_x = ep0 / drive_ratio

@@ -31,7 +31,9 @@ from . import scenarios as sn
 from . import transducer as td
 from . import device as dv
 from .config import ConfigError, RunConfig, load_config
-from .repeater import ChainParams, LinkParams, mean_time, monte_carlo_time
+from .repeater import (ChainParams, LinkParams, RateFidelityReport, crossover,
+                       direct_transmission_rate, evaluate_chain, mean_time,
+                       monte_carlo_time, rate_curve)
 
 TWO_PI = 2.0 * math.pi
 CONFIG_ENV_VAR = "CATLINK_CONFIG"
@@ -112,7 +114,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _row_params(config: RunConfig) -> list[tuple[float, cq.CatQubitParams, float, float]]:
-    """(loss ratio, params, drive ratio, coupling ratio) per configured row."""
+    """(loss ratio, params, drive ratio, coupling ratio) per configured row.
+
+    The only reader of the calibrated ``scenarios.TABLE_ROW_DEFAULTS``.
+    """
     sec = config["catqubit"]
     rows = []
     for i, ratio in enumerate(sec["loss_ratios"]):
@@ -120,7 +125,7 @@ def _row_params(config: RunConfig) -> list[tuple[float, cq.CatQubitParams, float
             kerr = TWO_PI * sec["kerr_hz"][i]
         else:
             try:
-                kerr = sn.TABLE_ROW_DEFAULTS[ratio][0]
+                kerr = sn.TABLE_ROW_DEFAULTS[ratio]
             except KeyError:
                 raise ConfigError(
                     f"[catqubit] loss_ratios: no default kerr for {ratio:g}; set kerr_hz")
@@ -128,6 +133,63 @@ def _row_params(config: RunConfig) -> list[tuple[float, cq.CatQubitParams, float
                                    alpha=sec["alpha"], dim=sec["dim"])
         rows.append((ratio, params, sec["drive_ratios"][i], sec["coupling_ratios"][i]))
     return rows
+
+
+def _grape_settings(config: RunConfig) -> sn.GrapeSettings:
+    sec = config["grape"]
+    return sn.GrapeSettings(duration_kt=sec["duration_kt"], n_segments=sec["n_segments"],
+                            amplitude_bound_k=sec["amplitude_bound_k"],
+                            max_iters=sec["max_iters"],
+                            seed=int(sec["seed"]) if sec["seed"] else None)
+
+
+def _link_params(config: RunConfig) -> LinkParams:
+    """The elementary link from every ``[link]`` key.
+
+    Its 50 km length is the one ``mc`` simulates; ``rate_curve`` and
+    ``evaluate_chain`` replace it.  ``operation_time_s = auto`` reads as
+    1e-4 s here; the chain commands replace that with the budget's derived
+    time (see ``_chain_runs``).
+    """
+    li = config["link"]
+    t_o = li["operation_time_s"]
+    return LinkParams(length_km=50.0, attenuation_km=li["attenuation_km"],
+                      emission_probability=li["emission_probability"],
+                      detection_efficiency=li["detection_efficiency"],
+                      operation_time_s=1e-4 if t_o == "auto" else float(t_o),
+                      fiber_speed_km_s=li["fiber_speed_km_s"],
+                      per_round_emission=li["per_round_emission"])
+
+
+def _chain_runs(config: RunConfig, entries: Optional[list[tuple[int, str]]] = None
+                ) -> tuple[sn.OperationBudget, list[tuple[ChainParams, LinkParams]]]:
+    """One (chain, link) pair per (multiplexing, storage policy) entry, by
+    default the ``[chain]`` entries, and the budget of the ``[chain]
+    loss_ratio`` row.
+
+    Every model object is built, and so validated, before the budget runs.
+    """
+    ch, cq_sec = config["chain"], config["catqubit"]
+    rows = {ratio: row for ratio, *row in _row_params(config)}
+    if ch["loss_ratio"] not in rows:
+        raise ConfigError(f"[chain] loss_ratio {ch['loss_ratio']:g} is not one of "
+                          f"[catqubit] loss_ratios {cq_sec['loss_ratios']}")
+    params, drive_ratio, coupling_ratio = rows[ch["loss_ratio"]]
+    chains = [ChainParams(nesting_level=ch["nesting_level"], multiplexing=m,
+                          swap_probability=ch["swap_probability"],
+                          storage_policy=policy,
+                          transfer_lifetime_s=ch["transfer_lifetime_s"],
+                          kappa=params.kappa,
+                          kappa_eff=2.0 * params.kappa * params.alpha**2)
+              for m, policy in (entries or zip(ch["multiplexing"], ch["storage_policy"]))]
+    link = _link_params(config)
+    budget = sn.operation_budget(params, drive_ratio, coupling_ratio, ch["drive_method"],
+                                 _grape_settings(config),
+                                 drive_duration_kt=cq_sec["drive_duration_kt"],
+                                 two_qubit_dim=cq_sec["two_qubit_dim"])
+    auto = config.get("link", "operation_time_s") == "auto"
+    return budget, [(chain, replace(link, operation_time_s=budget.operation_time(
+        chain.storage_policy)) if auto else link) for chain in chains]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -152,27 +214,22 @@ def cmd_gates(config: RunConfig, args) -> _Report:
 
 def cmd_grape(config: RunConfig, args) -> _Report:
     report = _Report("grape", config)
-    sec = config["grape"]
-    ratio = sec["loss_ratio"]
-    max_iters = args.iters if args.iters is not None else sec["max_iters"]
-    seed = args.seed if args.seed is not None else (
-        int(sec["seed"]) if sec["seed"] else None)
-    params = cq.CatQubitParams(kerr=1.0, kappa=1.0 / ratio,
-                               alpha=config.get("catqubit", "alpha"))
-    total_time = sec["duration_kt"]  # K = 1, so K*t is t
-    bound = sec["amplitude_bound_k"]
+    settings = _grape_settings(config)
+    if args.iters is not None:
+        settings = settings._replace(max_iters=args.iters)
+    if args.seed is not None:
+        settings = settings._replace(seed=args.seed)
+    pair = sn.grape_pair(config.get("catqubit", "alpha"), settings)
+    kappa = 1.0 / config.get("grape", "loss_ratio")  # K = 1
 
-    for direction, maker in (("drive", po.drive_problem), ("undrive", po.undrive_problem)):
-        problem = maker(params, total_time=total_time, n_segments=sec["n_segments"],
-                        amplitude_bound=bound)
-        result = po.grape_optimize(problem, max_iters=max_iters, seed=seed)
-        lossy = po.evaluate_pulse(problem, result.schedule)
+    for direction, (problem, result) in zip(("drive", "undrive"), pair):
+        lossy = po.evaluate_pulse(problem, result.schedule, kappa=kappa)
         seg = result.schedule.segment_values
-        dt = result.schedule.duration / sec["n_segments"]
+        dt = result.schedule.duration / settings.n_segments
         rows = [[k * dt, (k + 1) * dt,
                  float(np.real(seg["two_photon"][k])),
                  float(np.real(seg["two_photon_orthogonal"][k]))]
-                for k in range(sec["n_segments"])]
+                for k in range(settings.n_segments)]
         report.add_table(f"pulse_{direction}",
                          ["t_start_over_K", "t_end_over_K", "E_p_over_K",
                           "E_p_perp_over_K"], rows)
@@ -251,73 +308,53 @@ def cmd_transduce(config: RunConfig, args) -> _Report:
     return report
 
 
-def _chain_scenarios(config: RunConfig) -> list[sn.Scenario]:
-    ch, li, ra, co = (config["chain"], config["link"], config["rates"],
-                      config["comparators"])
-    t_o = None if li["operation_time_s"] == "auto" else float(li["operation_time_s"])
-    out = []
-    for m, policy in zip(ch["multiplexing"], ch["storage_policy"]):
-        out.append(sn.Scenario(
-            name=f"m{m}", loss_ratio=ch["loss_ratio"],
-            nesting_level=ch["nesting_level"], multiplexing=m,
-            storage_policy=policy,
-            emission_probability=li["emission_probability"],
-            detection_efficiency=li["detection_efficiency"],
-            swap_probability=ch["swap_probability"],
-            attenuation_km=li["attenuation_km"],
-            transfer_lifetime_s=ch["transfer_lifetime_s"],
-            operation_time_s=t_o,
-            source_rate=co["source_rate_hz"],
-            bracket_km=(ra["bracket_min_km"], ra["bracket_max_km"])))
-    return out
-
-
 _REPORT_HEADER = ["scenario", "L_km", "n", "m", "P0", "mean_time_s", "rate_per_s",
                   "C_R", "F_elem", "F_swap", "F_tot", "storage_policy",
                   "crossover_km"]
 
 
-def _report_rows(scenarios, reports) -> list[list[Any]]:
-    rows = []
-    for sc, rep in zip(scenarios, reports):
-        rows.append([sc.name, rep.length_km, rep.nesting_level, rep.multiplexing,
-                     rep.p0, rep.mean_time_s, rep.rate_per_s,
-                     rep.residual_coherence, rep.elementary_fidelity,
-                     rep.swap_fidelity, rep.final_fidelity, rep.storage_policy,
-                     rep.crossover_km if rep.crossover_km is not None else ""])
-    return rows
+def _report_row(rep: RateFidelityReport) -> list[Any]:
+    return [f"m{rep.multiplexing}", rep.length_km, rep.nesting_level, rep.multiplexing,
+            rep.p0, rep.mean_time_s, rep.rate_per_s, rep.residual_coherence,
+            rep.elementary_fidelity, rep.swap_fidelity, rep.final_fidelity,
+            rep.storage_policy, rep.crossover_km if rep.crossover_km is not None else ""]
+
+
+def _lengths(config: RunConfig) -> np.ndarray:
+    ra = config["rates"]
+    return np.linspace(ra["length_min_km"], ra["length_max_km"], ra["length_steps"])
 
 
 def cmd_rates(config: RunConfig, args) -> _Report:
     report = _Report("rates", config)
-    ra = config["rates"]
-    lengths = np.linspace(ra["length_min_km"], ra["length_max_km"],
-                          ra["length_steps"])
-    scenarios = _chain_scenarios(config)
-    budgets: dict[float, sn.OperationBudget] = {}
-    all_rows = []
-    for sc in scenarios:
-        per_length = [replace(sc, length_km=float(L)) for L in lengths]
-        reports = sn.scenario_table(per_length, budgets=budgets,
-                                    drive_method=config.get("chain", "drive_method"))
-        all_rows.extend(_report_rows(per_length, reports))
-    report.add_table("rates", _REPORT_HEADER, all_rows)
-    report.summary["scenarios"] = [sc.name for sc in scenarios]
+    lengths = _lengths(config)
+    budget, runs = _chain_runs(config)
+    report.add_table("rates", _REPORT_HEADER, [
+        _report_row(evaluate_chain(float(L), chain, link, budget.fidelities))
+        for chain, link in runs for L in lengths])
+    report.summary["scenarios"] = [f"m{chain.multiplexing}" for chain, _ in runs]
     report.summary["lengths_km"] = [float(lengths[0]), float(lengths[-1])]
     return report
 
 
 def cmd_crossover(config: RunConfig, args) -> _Report:
     report = _Report("crossover", config)
-    scenarios = _chain_scenarios(config)
-    budgets: dict[float, sn.OperationBudget] = {}
-    reports = sn.scenario_table(scenarios, budgets=budgets,
-                                drive_method=config.get("chain", "drive_method"))
-    report.add_table("crossover", _REPORT_HEADER, _report_rows(scenarios, reports))
-    report.summary["crossover_km"] = {sc.name: rep.crossover_km
-                                      for sc, rep in zip(scenarios, reports)}
-    report.summary["final_fidelity"] = {sc.name: rep.final_fidelity
-                                        for sc, rep in zip(scenarios, reports)}
+    ra = config["rates"]
+    source_rate = config.get("comparators", "source_rate_hz")
+    budget, runs = _chain_runs(config)
+    reports = []
+    for chain, link in runs:
+        cross = crossover(rate_curve(chain, link),
+                          lambda L: direct_transmission_rate(L, source_rate,
+                                                             link.attenuation_km),
+                          bracket=(ra["bracket_min_km"], ra["bracket_max_km"]))
+        reports.append(evaluate_chain(cross, chain, link, budget.fidelities,
+                                      crossover_km=cross))
+    report.add_table("crossover", _REPORT_HEADER, [_report_row(rep) for rep in reports])
+    report.summary["crossover_km"] = {f"m{rep.multiplexing}": rep.crossover_km
+                                      for rep in reports}
+    report.summary["final_fidelity"] = {f"m{rep.multiplexing}": rep.final_fidelity
+                                        for rep in reports}
     return report
 
 
@@ -326,14 +363,10 @@ def cmd_mc(config: RunConfig, args) -> _Report:
     sec = config["mc"]
     trials = args.trials if args.trials is not None else sec["trials"]
     seed = args.seed if args.seed is not None else sec["seed"]
-    ch, li = config["chain"], config["link"]
-    t_o = 1e-4 if li["operation_time_s"] == "auto" else float(li["operation_time_s"])
+    ch = config["chain"]
+    link = _link_params(config)
     rows = []
     for n in range(ch["nesting_level"] + 1):
-        link = LinkParams(length_km=50.0, attenuation_km=li["attenuation_km"],
-                          emission_probability=li["emission_probability"],
-                          detection_efficiency=li["detection_efficiency"],
-                          operation_time_s=t_o)
         chain = ChainParams(nesting_level=n, swap_probability=ch["swap_probability"])
         mean, stderr = monte_carlo_time(chain, link, trials=int(trials),
                                         seed=int(seed))
@@ -349,12 +382,10 @@ def cmd_mc(config: RunConfig, args) -> _Report:
 
 def cmd_figure6(config: RunConfig, args) -> _Report:
     report = _Report("figure6", config)
-    ra, ch = config["rates"], config["chain"]
-    lengths = np.linspace(ra["length_min_km"], ra["length_max_km"],
-                          ra["length_steps"])
-    curves = sn.figure_rate_curves(lengths, loss_ratio=ch["loss_ratio"],
-                                   nesting_level=ch["nesting_level"],
-                                   drive_method=ch["drive_method"])
+    lengths = _lengths(config)
+    # the cat curves store in the cat basis; the curves set m themselves
+    _, [(chain, link)] = _chain_runs(config, entries=[(1, "cat")])
+    curves = sn.figure_rate_curves(lengths, chain, link, **config["comparators"])
     names = ["L_km", "direct_1GHz", "cat_m200", "re_m200", "dlcz_m200",
              "cat_m1", "re_m1", "dlcz_m1"]
     rows = [[curves[name][i] for name in names] for i in range(len(lengths))]

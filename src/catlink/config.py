@@ -34,16 +34,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _parse_list(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """Comma-separated list parser; blank text is the empty list."""
+    def parse(text: str) -> tuple:
+        return tuple(item(x.strip()) for x in text.split(",")) if text.strip() else ()
+    return parse
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(","))
+_parse_float_list = _parse_list(float)
+_parse_int_list = _parse_list(int)
+_parse_str_list = _parse_list(str)
 
 
 # (type converter, default, documentation)
@@ -101,13 +101,15 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any, str]]] = {
         "emission_probability": (float, 0.8, "photon emission probability p"),
         "detection_efficiency": (float, 0.9, "single-photon detection eta_o"),
         "operation_time_s": (str, "auto",
-                             "local operation time; auto derives it from gate durations"),
+                             "local operation time; auto derives it from gate durations "
+                             "(mc reads auto as 1e-4 s)"),
         "fiber_speed_km_s": (float, 2e5, "light speed in fiber"),
         "per_round_emission": (_parse_bool, False,
                                "square the emission probability (alternative reading)"),
     },
     "chain": {
-        "loss_ratio": (float, 1e5, "K/kappa row for rate scenarios"),
+        "loss_ratio": (float, 1e5,
+                       "[catqubit] loss_ratios row for rates, crossover and figure6"),
         "drive_method": (str, "grape", "drive fidelities from grape or adiabatic pulses"),
         "nesting_level": (int, 3, "n; total length is 2^n elementary links"),
         "multiplexing": (_parse_int_list, (1, 200), "m values to evaluate"),
@@ -233,6 +235,13 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     if ch["drive_method"] not in ("grape", "adiabatic"):
         raise ConfigError(
             f"[chain] drive_method must be grape or adiabatic, got {ch['drive_method']!r}")
+    ra = values["rates"]
+    if ra["length_steps"] < 1:
+        raise ConfigError(f"[rates] length_steps must be >= 1, got {ra['length_steps']}")
+    if ra["bracket_min_km"] >= ra["bracket_max_km"]:
+        raise ConfigError(
+            f"[rates] bracket_min_km must be below bracket_max_km, got "
+            f"{ra['bracket_min_km']} >= {ra['bracket_max_km']}")
     seed = values["grape"]["seed"]
     if seed:
         try:

@@ -41,10 +41,9 @@ __all__ = [
     "swap_fidelity",
     "final_fidelity",
     "direct_transmission_rate",
+    "rate_curve",
     "dlcz_rate_curve",
     "re_rate_curve",
-    "dlcz_report",
-    "re_report",
     "DLCZ_FIDELITY_CEILING",
     "RE_FIDELITY_CEILING",
     "crossover",
@@ -122,22 +121,6 @@ class RateFidelityReport:
     storage_policy: str
     crossover_km: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "L_km": self.length_km,
-            "n": self.nesting_level,
-            "m": self.multiplexing,
-            "P0": self.p0,
-            "mean_time_s": self.mean_time_s,
-            "rate_per_s": self.rate_per_s,
-            "C_R": self.residual_coherence,
-            "F_elem": self.elementary_fidelity,
-            "F_swap": self.swap_fidelity,
-            "F_tot": self.final_fidelity,
-            "storage_policy": self.storage_policy,
-            "crossover_km": self.crossover_km,
-        }
-
 
 # -- rate formulas ------------------------------------------------------------
 
@@ -168,6 +151,19 @@ def mean_time(chain: ChainParams, link: LinkParams) -> float:
 def distribution_rate(chain: ChainParams, link: LinkParams) -> float:
     """Entanglement-distribution rate; m channel sets run in parallel."""
     return chain.multiplexing / mean_time(chain, link)
+
+
+def rate_curve(chain: ChainParams, link: LinkParams) -> Callable[[float], float]:
+    """Distribution rate as a function of the total length 2^n L0.
+
+    ``link.length_km`` is ignored; each call splits the total length into
+    2^n elementary links.
+    """
+    def rate(total_length_km: float) -> float:
+        return distribution_rate(
+            chain, replace(link, length_km=total_length_km / 2**chain.nesting_level))
+
+    return rate
 
 
 def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000,
@@ -307,17 +303,14 @@ def dlcz_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
     (swapping is capped at one half).  Labeled simplified: the reference
     protocol's exact prefactors live in its own literature.
     """
-    def rate(length_km: float) -> float:
-        link = LinkParams(length_km=length_km / 2**nesting_level,
-                          attenuation_km=attenuation_km,
-                          emission_probability=generation_probability,
-                          detection_efficiency=detection_efficiency,
-                          operation_time_s=operation_time_s)
-        chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
-                            swap_probability=0.5 * memory_efficiency**2)
-        return distribution_rate(chain, link)
-
-    return rate
+    # rate_curve sets the elementary length; 1 km is a placeholder
+    link = LinkParams(length_km=1.0, attenuation_km=attenuation_km,
+                      emission_probability=generation_probability,
+                      detection_efficiency=detection_efficiency,
+                      operation_time_s=operation_time_s)
+    chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
+                        swap_probability=0.5 * memory_efficiency**2)
+    return rate_curve(chain, link)
 
 
 def re_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
@@ -328,52 +321,13 @@ def re_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
                   operation_time_s: float = 1e-4) -> Callable[[float], float]:
     """Single rare-earth-ion comparator: cat-scheme link model with a 0.1 ms
     local operation time and deterministic-gate swapping."""
-    def rate(length_km: float) -> float:
-        link = LinkParams(length_km=length_km / 2**nesting_level,
-                          attenuation_km=attenuation_km,
-                          emission_probability=emission_probability,
-                          detection_efficiency=detection_efficiency,
-                          operation_time_s=operation_time_s)
-        chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
-                            swap_probability=swap_probability)
-        return distribution_rate(chain, link)
-
-    return rate
-
-
-def _comparator_report(rate_fn: Callable[[float], float], length_km: float,
-                       nesting_level: int, multiplexing: int,
-                       fidelity_ceiling: float, label: str) -> RateFidelityReport:
-    rate = rate_fn(length_km)
-    return RateFidelityReport(
-        length_km=length_km, nesting_level=nesting_level,
-        multiplexing=multiplexing, p0=math.nan,
-        mean_time_s=multiplexing / rate, rate_per_s=rate,
-        residual_coherence=math.nan, elementary_fidelity=math.nan,
-        swap_fidelity=math.nan, final_fidelity=fidelity_ceiling,
-        storage_policy=label)
-
-
-def dlcz_report(length_km: float, nesting_level: int = 3, multiplexing: int = 1,
-                **kwargs) -> RateFidelityReport:
-    """DLCZ comparator row at one distance.
-
-    The final-fidelity column carries the reported ceiling (0.75), not a
-    computed value; the rate comes from the simplified structural model.
-    """
-    fn = dlcz_rate_curve(nesting_level=nesting_level, multiplexing=multiplexing,
-                         **kwargs)
-    return _comparator_report(fn, length_km, nesting_level, multiplexing,
-                              DLCZ_FIDELITY_CEILING, "dlcz_simplified")
-
-
-def re_report(length_km: float, nesting_level: int = 3, multiplexing: int = 1,
-              **kwargs) -> RateFidelityReport:
-    """Rare-earth-ion comparator row at one distance, ceiling 0.80 attached."""
-    fn = re_rate_curve(nesting_level=nesting_level, multiplexing=multiplexing,
-                       **kwargs)
-    return _comparator_report(fn, length_km, nesting_level, multiplexing,
-                              RE_FIDELITY_CEILING, "re_simplified")
+    link = LinkParams(length_km=1.0, attenuation_km=attenuation_km,
+                      emission_probability=emission_probability,
+                      detection_efficiency=detection_efficiency,
+                      operation_time_s=operation_time_s)
+    chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
+                        swap_probability=swap_probability)
+    return rate_curve(chain, link)
 
 
 def crossover(scheme_rate: Callable[[float], float],

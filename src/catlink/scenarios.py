@@ -1,16 +1,20 @@
-"""End-to-end repeater scenarios: gate budget, rates, and crossovers.
+"""Operation budget and the figure-6 rate curves.
 
-Bridges the gate simulations, the pulse optimizer and the rate model into
-the tables the toolkit emits: per-loss-ratio operation fidelities, the
-derived local-operation time, rate-versus-distance curves with comparator
-overlays, and crossover solving with the full fidelity budget evaluated at
-the crossover distance.
+``operation_budget`` simulates the elementary link's operation inventory
+(drive, undrive, X, Z and CNOT gates, plus a fixed transduction entry) for
+one resolved cat-qubit configuration.  The rate model reads the fidelities
+for its fidelity budget and the durations for the derived local-operation
+time.  The command-line front end builds the cavity parameters, the chains
+and the link from the resolved config and hands them straight to
+``catlink.repeater``; ``figure_rate_curves`` lays the cat scheme's curves
+next to direct transmission and the DLCZ and rare-earth comparators.
 
-Absolute Kerr and loss rates per loss ratio are configuration inputs.  The
-defaults below are calibrated anchors: the 1e3 row pins K through the
-0.04 ms adiabatic drive duration; the 1e4 and 1e5 rows use a common K with
-the ancilla lifetime scaling kappa, chosen so the reported crossover
-fidelities of the reference scenarios are reproduced.
+Absolute Kerr rates per loss ratio are configuration inputs
+(``[catqubit] kerr_hz``).  The defaults below are calibrated anchors: the
+1e3 row pins K through the 0.04 ms adiabatic drive duration; the 1e4 and 1e5
+rows use a common K with the ancilla lifetime scaling kappa = K / ratio,
+chosen so the reported crossover fidelities of the reference scenarios are
+reproduced.
 """
 
 from __future__ import annotations
@@ -18,46 +22,54 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import catqubit as cq
 from . import pulseopt as po
-from .repeater import (ChainParams, LinkParams, RateFidelityReport, crossover,
-                       direct_transmission_rate, distribution_rate,
-                       dlcz_rate_curve, evaluate_chain, re_rate_curve,
-                       OPERATION_INVENTORY, STORAGE_EXTRA_OPS)
+# ``crossover`` is not used here: the benchmark's tracer self-test
+# (perfbench/test_perfbench.py) reaches it as ``scenarios.crossover``.
+from .repeater import (ChainParams, LinkParams, OPERATION_INVENTORY,  # noqa: F401
+                       STORAGE_EXTRA_OPS, crossover, direct_transmission_rate,
+                       dlcz_rate_curve, rate_curve, re_rate_curve)
 
 __all__ = [
     "TABLE_ROW_DEFAULTS",
     "TRANSDUCTION_FIDELITY",
     "TRANSDUCTION_TIME_S",
+    "GrapeSettings",
     "OperationBudget",
+    "grape_pair",
     "operation_budget",
-    "Scenario",
-    "scenario_table",
-    "cat_rate_curve",
     "figure_rate_curves",
 ]
 
-# (kerr, kappa) in rad/s and 1/s per loss ratio K/kappa.
-TABLE_ROW_DEFAULTS: dict[float, tuple[float, float]] = {
-    1e3: (1.8e5, 1.8e2),
-    1e4: (2.46e6, 2.46e2),
-    1e5: (2.46e6, 2.46e1),
+# Kerr rate K in rad/s per loss ratio K/kappa, used when [catqubit] kerr_hz
+# is empty.
+TABLE_ROW_DEFAULTS: dict[float, float] = {
+    1e3: 1.8e5,
+    1e4: 2.46e6,
+    1e5: 2.46e6,
 }
 
 TRANSDUCTION_FIDELITY = 0.9995
-TRANSDUCTION_TIME_S = 1e-5      # full conversion sequence, config knob
+TRANSDUCTION_TIME_S = 1e-5      # full conversion sequence; a constant, no config key
 
 # Serial per-node local-operation time at the 1e5 row defaults (cat storage),
 # rounded from OperationBudget.operation_time; used where a fixed documented
 # value is preferable to re-simulating the gate inventory.
 DOCUMENTED_OPERATION_TIME_S = 6e-5
 
-# L-BFGS-B iteration cap for the budget's GRAPE drive and undrive pulses.
-GRAPE_MAX_ITERS = 400
+
+class GrapeSettings(NamedTuple):
+    """The ``[grape]`` pulse settings, in units of K."""
+
+    duration_kt: float
+    n_segments: int
+    amplitude_bound_k: float
+    max_iters: int
+    seed: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -87,57 +99,50 @@ class OperationBudget:
 
 
 @lru_cache(maxsize=8)
-def _grape_cache(alpha: float):
-    """Drive and undrive problems at K = 1 with their optimized schedules,
-    computed once per cat amplitude."""
-    params = cq.CatQubitParams(kerr=1.0, kappa=0.0, alpha=alpha)
-    return tuple((prob, po.grape_optimize(prob, max_iters=GRAPE_MAX_ITERS))
-                 for prob in (po.drive_problem(params), po.undrive_problem(params)))
+def grape_pair(alpha: float, settings: GrapeSettings):
+    """Lossless drive and undrive problems at K = 1 with their optimized
+    schedules, computed once per amplitude and settings.
 
-
-def operation_budget(loss_ratio: float,
-                     kerr: Optional[float] = None,
-                     kappa: Optional[float] = None,
-                     alpha: float = math.sqrt(2.0),
-                     drive_method: str = "grape",
-                     amplitude_ratios: Optional[tuple[float, float]] = None) -> OperationBudget:
-    """Simulate the full operation inventory at one loss ratio.
-
-    ``drive_method`` selects GRAPE-shaped (0.5/K, the tabulated choice) or
-    adiabatic driving.  Amplitude ratios default to the conventional values
-    for the ratio (nearest standard row when in between).
+    The optimizer never reads kappa; re-score a schedule under loss with
+    ``pulseopt.evaluate_pulse(problem, schedule, kappa=kappa / K)``.
     """
-    if kerr is None or kappa is None:
-        try:
-            kerr_d, kappa_d = TABLE_ROW_DEFAULTS[loss_ratio]
-        except KeyError:
-            raise KeyError(
-                f"no default rates for K/kappa = {loss_ratio:g}; pass kerr and kappa"
-            ) from None
-        kerr = kerr if kerr is not None else kerr_d
-        kappa = kappa if kappa is not None else kappa_d
-    if amplitude_ratios is None:
-        nearest = min(cq.DEFAULT_AMPLITUDE_RATIOS,
-                      key=lambda r: abs(math.log10(r) - math.log10(loss_ratio)))
-        amplitude_ratios = cq.DEFAULT_AMPLITUDE_RATIOS[nearest]
-    x_ratio, c_ratio = amplitude_ratios
+    params = cq.CatQubitParams(kerr=1.0, alpha=alpha)
+    return tuple(
+        (prob, po.grape_optimize(prob, max_iters=settings.max_iters, seed=settings.seed))
+        for prob in (maker(params, total_time=settings.duration_kt,
+                           n_segments=settings.n_segments,
+                           amplitude_bound=settings.amplitude_bound_k)
+                     for maker in (po.drive_problem, po.undrive_problem)))
 
-    params = cq.CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha)
+
+def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
+                     coupling_ratio: float, drive_method: str,
+                     grape: GrapeSettings,
+                     drive_duration_kt: float = cq.DRIVE_RAMP_KT,
+                     two_qubit_dim: int = cq.TWO_QUBIT_DIM) -> OperationBudget:
+    """Simulate the full operation inventory for one cavity configuration.
+
+    ``drive_ratio`` and ``coupling_ratio`` divide the two-photon amplitude
+    E_p0 into the single-photon drive and the cavity coupling.
+    ``drive_method`` selects GRAPE-shaped driving (``grape`` sets the pulse)
+    or the adiabatic ramp of ``drive_duration_kt``.
+    """
     ep0 = params.two_photon_amplitude
-    e_x, e_c = ep0 / x_ratio, ep0 / c_ratio
+    e_x, e_c = ep0 / drive_ratio, ep0 / coupling_ratio
 
     fids: dict[str, float] = {}
     durs: dict[str, float] = {}
 
     if drive_method == "grape":
-        (dp, rd), (up, ru) = _grape_cache(alpha)
-        scaled_kappa = kappa / kerr  # problems are built at K = 1
+        (dp, rd), (up, ru) = grape_pair(params.alpha, grape)
+        scaled_kappa = params.kappa / params.kerr  # problems are built at K = 1
         fids["drive"] = po.evaluate_pulse(dp, rd.schedule, kappa=scaled_kappa)
         fids["undrive"] = po.evaluate_pulse(up, ru.schedule, kappa=scaled_kappa)
-        durs["drive"] = durs["undrive"] = 0.5 / kerr
+        durs["drive"] = durs["undrive"] = grape.duration_kt / params.kerr
     elif drive_method == "adiabatic":
-        d = cq.drive(params)
-        u = cq.undrive(params)
+        pulse = cq.adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
+        d = cq.drive(params, pulse)
+        u = cq.undrive(params, pulse)
         fids["drive"], fids["undrive"] = d.fidelity, u.fidelity
         durs["drive"] = durs["undrive"] = d.duration_s
     else:
@@ -146,7 +151,7 @@ def operation_budget(loss_ratio: float,
     for op, result in (("x_half", cq.gate_x(params, math.pi / 2, e_x)),
                        ("x_pi", cq.gate_x(params, math.pi, e_x)),
                        ("z_half", cq.gate_z(params, math.pi / 2)),
-                       ("cnot", cq.cnot(params, e_x, e_c))):
+                       ("cnot", cq.cnot(params, e_x, e_c, two_qubit_dim))):
         fids[op] = result.fidelity
         durs[op] = result.duration_s
     fids["transduction"] = TRANSDUCTION_FIDELITY
@@ -154,119 +159,40 @@ def operation_budget(loss_ratio: float,
     return OperationBudget(params=params, fidelities=fids, durations_s=durs)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One repeater configuration to evaluate against direct transmission."""
-
-    name: str
-    loss_ratio: float
-    nesting_level: int
-    multiplexing: int
-    storage_policy: str = "fock"
-    kerr: Optional[float] = None
-    kappa: Optional[float] = None
-    emission_probability: float = 0.8
-    detection_efficiency: float = 0.9
-    swap_probability: float = 0.81
-    attenuation_km: float = 22.0
-    transfer_lifetime_s: float = 10.0
-    operation_time_s: Optional[float] = None   # None: derive from the budget
-    source_rate: float = 1e9
-    bracket_km: tuple[float, float] = (60.0, 1500.0)
-    length_km: Optional[float] = None          # None: evaluate at the crossover
-
-
-def _resolve_rates(scenario: Scenario) -> tuple[float, float]:
-    if scenario.kerr is not None and scenario.kappa is not None:
-        return scenario.kerr, scenario.kappa
-    kerr, kappa = TABLE_ROW_DEFAULTS[scenario.loss_ratio]
-    return (scenario.kerr if scenario.kerr is not None else kerr,
-            scenario.kappa if scenario.kappa is not None else kappa)
-
-
-def _chain_and_link(scenario: Scenario, budget: OperationBudget) -> tuple[ChainParams, LinkParams]:
-    kerr, kappa = _resolve_rates(scenario)
-    t_o = scenario.operation_time_s
-    if t_o is None:
-        t_o = budget.operation_time(scenario.storage_policy)
-    link = LinkParams(length_km=100.0,  # placeholder; evaluate_chain replaces it
-                      attenuation_km=scenario.attenuation_km,
-                      emission_probability=scenario.emission_probability,
-                      detection_efficiency=scenario.detection_efficiency,
-                      operation_time_s=t_o)
-    chain = ChainParams(nesting_level=scenario.nesting_level,
-                        multiplexing=scenario.multiplexing,
-                        swap_probability=scenario.swap_probability,
-                        storage_policy=scenario.storage_policy,
-                        transfer_lifetime_s=scenario.transfer_lifetime_s,
-                        kappa=kappa,
-                        kappa_eff=2.0 * kappa * budget.params.alpha**2)
-    return chain, link
-
-
-def cat_rate_curve(scenario: Scenario, budget: OperationBudget) -> Callable[[float], float]:
-    chain, link = _chain_and_link(scenario, budget)
-
-    def rate(length_km: float) -> float:
-        return distribution_rate(chain, replace(link, length_km=length_km / 2**chain.nesting_level))
-
-    return rate
-
-
-def scenario_table(scenarios: Sequence[Scenario],
-                   budgets: Optional[dict[float, OperationBudget]] = None,
-                   drive_method: str = "grape") -> list[RateFidelityReport]:
-    """Evaluate each scenario at its crossover distance (or a fixed length).
-
-    ``budgets`` caches operation budgets by loss ratio across scenarios; they
-    are computed on demand when absent.
-    """
-    budgets = {} if budgets is None else budgets
-    reports = []
-    for sc in scenarios:
-        if sc.loss_ratio not in budgets:
-            kerr, kappa = _resolve_rates(sc)
-            budgets[sc.loss_ratio] = operation_budget(
-                sc.loss_ratio, kerr=kerr, kappa=kappa, drive_method=drive_method)
-        budget = budgets[sc.loss_ratio]
-        chain, link = _chain_and_link(sc, budget)
-        rate_fn = cat_rate_curve(sc, budget)
-        if sc.length_km is not None:
-            length = sc.length_km
-            cross = None
-        else:
-            cross = crossover(rate_fn,
-                              lambda L: direct_transmission_rate(L, sc.source_rate,
-                                                                 sc.attenuation_km),
-                              bracket=sc.bracket_km)
-            length = cross
-        reports.append(evaluate_chain(length, chain, link, budget.fidelities,
-                                      crossover_km=cross))
-    return reports
-
-
-def figure_rate_curves(lengths_km: Sequence[float],
-                       loss_ratio: float = 1e5,
-                       nesting_level: int = 3,
-                       budget: Optional[OperationBudget] = None,
-                       drive_method: str = "grape") -> dict[str, np.ndarray]:
+def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,
+                       link: LinkParams, source_rate_hz: float,
+                       dlcz_generation_probability: float,
+                       dlcz_memory_efficiency: float,
+                       dlcz_detection_efficiency: float,
+                       re_operation_time_s: float) -> dict[str, np.ndarray]:
     """Seven rate-versus-distance curves: direct transmission, the cat scheme
     and the rare-earth comparator (multiplexed and not), and DLCZ
-    (multiplexed and not)."""
-    if budget is None:
-        budget = operation_budget(loss_ratio, drive_method=drive_method)
-    lengths = np.asarray(list(lengths_km), dtype=float)
-    out: dict[str, np.ndarray] = {"L_km": lengths}
+    (multiplexed and not).
 
-    out["direct_1GHz"] = np.array([direct_transmission_rate(L) for L in lengths])
+    The cat curves store in the cat basis at m = 200 and m = 1 on ``chain``'s
+    nesting level, swap probability and decay rates, over ``link``.  The
+    comparators share the chain's nesting level and the link's fiber; the
+    keyword names are the ``[comparators]`` config keys.
+    """
+    lengths = np.asarray(list(lengths_km), dtype=float)
+    n = chain.nesting_level
+    out: dict[str, np.ndarray] = {"L_km": lengths}
+    out["direct_1GHz"] = np.array([direct_transmission_rate(L, source_rate_hz,
+                                                            link.attenuation_km)
+                                   for L in lengths])
     for m, tag in ((200, "m200"), (1, "m1")):
-        sc = Scenario(name=f"cat_{tag}", loss_ratio=loss_ratio,
-                      nesting_level=nesting_level, multiplexing=m,
-                      storage_policy="cat")
-        rate_fn = cat_rate_curve(sc, budget)
-        out[f"cat_{tag}"] = np.array([rate_fn(L) for L in lengths])
-        re_fn = re_rate_curve(nesting_level=nesting_level, multiplexing=m)
-        out[f"re_{tag}"] = np.array([re_fn(L) for L in lengths])
-        dlcz_fn = dlcz_rate_curve(nesting_level=nesting_level, multiplexing=m)
-        out[f"dlcz_{tag}"] = np.array([dlcz_fn(L) for L in lengths])
+        cat = rate_curve(replace(chain, multiplexing=m, storage_policy="cat"), link)
+        re = re_rate_curve(nesting_level=n, multiplexing=m,
+                           emission_probability=link.emission_probability,
+                           detection_efficiency=link.detection_efficiency,
+                           swap_probability=chain.swap_probability,
+                           attenuation_km=link.attenuation_km,
+                           operation_time_s=re_operation_time_s)
+        dlcz = dlcz_rate_curve(nesting_level=n, multiplexing=m,
+                               generation_probability=dlcz_generation_probability,
+                               memory_efficiency=dlcz_memory_efficiency,
+                               detection_efficiency=dlcz_detection_efficiency,
+                               attenuation_km=link.attenuation_km)
+        for name, fn in (("cat", cat), ("re", re), ("dlcz", dlcz)):
+            out[f"{name}_{tag}"] = np.array([fn(L) for L in lengths])
     return out

@@ -66,47 +66,46 @@ def test_criterion_1_formula_exact_reproductions():
     assert all(results)
 
 
-def _crossover_scenarios(operation_time_s=None):
-    return [
-        sn.Scenario(name="m1", loss_ratio=1e5, nesting_level=3, multiplexing=1,
-                    storage_policy="transfer", operation_time_s=operation_time_s),
-        sn.Scenario(name="m200", loss_ratio=1e5, nesting_level=3, multiplexing=200,
-                    storage_policy="cat", operation_time_s=operation_time_s),
-    ]
+# (name, nesting level, multiplexing, storage policy) of the two headline chains
+_CROSSOVER_CHAINS = [("m1", 3, 1, "transfer"), ("m200", 3, 200, "cat")]
+
+
+def _at_crossover(chain, link, budget):
+    """The chain's report at its crossover with the 1 GHz direct source."""
+    cross = rp.crossover(rp.rate_curve(chain, link), rp.direct_transmission_rate,
+                         bracket=(60.0, 1500.0))
+    return rp.evaluate_chain(cross, chain, link, budget.fidelities, crossover_km=cross)
 
 
 def test_criterion_2_crossover_points():
     t0 = time.time()
     results = []
-    for sc, target in zip(_crossover_scenarios(sn.DOCUMENTED_OPERATION_TIME_S),
-                          (387.0, 244.0)):
-        chain_kerr, chain_kappa = sn.TABLE_ROW_DEFAULTS[sc.loss_ratio]
+    for (name, nesting_level, multiplexing, storage_policy), target in zip(
+            _CROSSOVER_CHAINS, (387.0, 244.0)):
+        chain_kappa = sn.TABLE_ROW_DEFAULTS[1e5] / 1e5
         link = rp.LinkParams(length_km=100.0,
                              operation_time_s=sn.DOCUMENTED_OPERATION_TIME_S)
-        chain = rp.ChainParams(nesting_level=sc.nesting_level,
-                               multiplexing=sc.multiplexing,
+        chain = rp.ChainParams(nesting_level=nesting_level,
+                               multiplexing=multiplexing,
                                swap_probability=0.9**2,
-                               storage_policy=sc.storage_policy,
+                               storage_policy=storage_policy,
                                kappa=chain_kappa, kappa_eff=4 * chain_kappa)
-
-        def rate(length, chain=chain, link=link):
-            from dataclasses import replace
-            return rp.distribution_rate(
-                chain, replace(link, length_km=length / 2**chain.nesting_level))
-
-        found = rp.crossover(rate, rp.direct_transmission_rate, bracket=(60, 1500))
+        found = rp.crossover(rp.rate_curve(chain, link), rp.direct_transmission_rate,
+                             bracket=(60, 1500))
         ok = abs(found - target) <= 0.15 * target
-        results.append(check("2", f"crossover {sc.name}", ok,
+        results.append(check("2", f"crossover {name}", ok,
                              f"{found:.1f} km vs {target:.0f} +/- {0.15*target:.1f}"))
     elapsed = time.time() - t0
     results.append(check("2", "runtime", elapsed < 10.0, f"{elapsed:.2f} s"))
     assert all(results)
 
 
-def test_criterion_3_final_fidelities(budgets_1e4_1e5):
+def test_criterion_3_final_fidelities(budgets_1e4_1e5, chain_and_link):
     t0 = time.time()
-    budgets = dict(budgets_1e4_1e5)
-    reports = sn.scenario_table(_crossover_scenarios(), budgets=budgets)
+    budget = budgets_1e4_1e5[1e5]
+    reports = [_at_crossover(*chain_and_link(budget, nesting_level=n, multiplexing=m,
+                                             storage_policy=policy), budget)
+               for _, n, m, policy in _CROSSOVER_CHAINS]
     results = []
     for rep, (name, target) in zip(reports, (("m=1", 0.91), ("m=200", 0.92))):
         ok = abs(rep.final_fidelity - target) <= 0.03
@@ -118,16 +117,12 @@ def test_criterion_3_final_fidelities(budgets_1e4_1e5):
     assert all(results)
 
 
-def test_criterion_4_supplement_scenarios(budgets_1e4_1e5):
+def test_criterion_4_supplement_scenarios(budgets_1e4_1e5, chain_and_link):
     results = []
-    budgets = dict(budgets_1e4_1e5)
-    scs = [
-        sn.Scenario(name="n2_1e4", loss_ratio=1e4, nesting_level=2,
-                    multiplexing=200, storage_policy="fock"),
-        sn.Scenario(name="n2_1e5", loss_ratio=1e5, nesting_level=2,
-                    multiplexing=200, storage_policy="fock"),
-    ]
-    reports = sn.scenario_table(scs, budgets=budgets)
+    reports = [_at_crossover(*chain_and_link(budgets_1e4_1e5[ratio], nesting_level=2,
+                                             multiplexing=200, storage_policy="fock"),
+                             budgets_1e4_1e5[ratio])
+               for ratio in (1e4, 1e5)]
     for rep, (cross_target, fid_target) in zip(reports, ((291.0, 0.6531),
                                                          (292.0, 0.9401))):
         ok_cross = abs(rep.crossover_km - cross_target) <= 0.15 * cross_target
@@ -138,11 +133,11 @@ def test_criterion_4_supplement_scenarios(budgets_1e4_1e5):
                              f"{rep.final_fidelity:.4f} vs {fid_target} +/- 0.05"))
 
     # n=1 crossovers only depend on the rate model
+    budget = budgets_1e4_1e5[1e5]
     for m, target in ((1, 700.0), (200, 450.0)):
-        sc = sn.Scenario(name=f"n1_m{m}", loss_ratio=1e5, nesting_level=1,
-                         multiplexing=m, storage_policy="transfer",
-                         operation_time_s=sn.DOCUMENTED_OPERATION_TIME_S)
-        rep, = sn.scenario_table([sc], budgets=budgets)
+        rep = _at_crossover(*chain_and_link(
+            budget, operation_time_s=sn.DOCUMENTED_OPERATION_TIME_S, nesting_level=1,
+            multiplexing=m, storage_policy="transfer"), budget)
         ok = abs(rep.crossover_km - target) <= 0.15 * target
         results.append(check("4", f"n=1 crossover m={m}", ok,
                              f"{rep.crossover_km:.1f} km vs ~{target:.0f}"))
@@ -152,8 +147,8 @@ def test_criterion_4_supplement_scenarios(budgets_1e4_1e5):
 def test_criterion_5_gate_dynamics_anchors(grape_pair):
     t0 = time.time()
     results = []
-    kerr, kappa = sn.TABLE_ROW_DEFAULTS[1e3]
-    params = cq.CatQubitParams(kerr=kerr, kappa=kappa)
+    kerr = sn.TABLE_ROW_DEFAULTS[1e3]
+    params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
     drive_fid = cq.drive(params).fidelity
     results.append(check("5", "adiabatic drive at 1e3",
                          abs(drive_fid - 0.9962) <= 0.002,

@@ -211,7 +211,10 @@ class TestCrossoverCommand:
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("setting, key", [("chain.multiplexing=0,200", "multiplexing"),
-                                              ("chain.nesting_level=-1", "nesting_level")])
+                                              ("chain.nesting_level=-1", "nesting_level"),
+                                              ("rates.length_steps=0", "length_steps"),
+                                              ("rates.bracket_min_km=1500", "bracket_min_km"),
+                                              ("chain.loss_ratio=3e4", "loss_ratio")])
     def test_bad_chain_size_rejected(self, out_dir, setting, key):
         r = run_cli("crossover", "--out", out_dir, "--set", setting)
         assert r.returncode == 2
@@ -232,6 +235,13 @@ class TestFigureCommand:
         assert "np.float" not in lines[1]
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 100.0
+
+    def test_bad_link_value_rejected(self, out_dir):
+        r = run_cli("figure6", "--out", out_dir,
+                    "--set", "link.emission_probability=1.5")
+        assert r.returncode != 0
+        assert "emission_probability" in r.stderr
+        assert not os.path.exists(out_dir)
 
 
 class TestGatesCommand:

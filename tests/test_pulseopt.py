@@ -5,7 +5,7 @@ import pytest
 
 from catlink import pulseopt as po
 from catlink import qcore as qc
-from catlink import scenarios as sn
+from catlink.config import load_config
 from catlink.catqubit import CatQubitParams
 
 
@@ -116,7 +116,7 @@ class TestFullProblem:
     def test_converges_well_under_the_cap(self, grape_pair):
         for _, res in grape_pair:
             assert res.converged, res.stop_reason
-            assert res.n_iterations <= sn.GRAPE_MAX_ITERS // 4
+            assert res.n_iterations <= load_config().get("grape", "max_iters") // 4
 
     def test_lossy_score_at_1e3(self, grape_pair):
         (drive_prob, drive_res), _ = grape_pair
