@@ -386,7 +386,7 @@ def cmd_figure6(config: RunConfig, args) -> _Report:
     # the cat curves store in the cat basis; the curves set m themselves
     _, [(chain, link)] = _chain_runs(config, entries=[(1, "cat")])
     curves = sn.figure_rate_curves(lengths, chain, link, **config["comparators"])
-    names = ["L_km", "direct_1GHz", "cat_m200", "re_m200", "dlcz_m200",
+    names = ["L_km", "direct", "cat_m200", "re_m200", "dlcz_m200",
              "cat_m1", "re_m1", "dlcz_m1"]
     rows = [[curves[name][i] for name in names] for i in range(len(lengths))]
     report.add_table("figure6", names, rows)
@@ -418,9 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help=f"config file path (default: ${CONFIG_ENV_VAR} if set)")
         p.add_argument("--out", default=None, help="output directory root")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override Monte-Carlo trials")
+        if name in ("mc", "grape"):
+            p.add_argument("--seed", type=int, default=None, help="override seed")
+        if name == "mc":
+            p.add_argument("--trials", type=int, default=None,
+                           help="override Monte-Carlo trials")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="primary table format")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",

@@ -5,12 +5,11 @@
     drho/dt = -i [H(t), rho] + sum_j kappa_j (L_j rho L_j^dag
                                               - 1/2 {L_j^dag L_j, rho})
 
-with an adaptive embedded Runge-Kutta 5(4) scheme (Dormand-Prince) acting on
-the flattened density matrix.  The right-hand side is applied with dense
-matrix products rather than an explicit superoperator matrix, which keeps
-composite systems of a few hundred dimensions tractable.  For constant
-Hamiltonians on small single-mode spaces, ``liouvillian`` plus
-``evolve_constant`` give the exact dense-superoperator route.
+on the column-stacked density matrix with ``integrate_rk45``, which runs
+scipy's adaptive Dormand-Prince 5(4) solver (``scipy.integrate.RK45``).  The
+right-hand side is a sparse generator built by ``liouvillian``, the one place
+the Lindblad form is written; ``evolve_constant`` densifies the same
+Liouvillian for exact expm propagation of small constant problems.
 
 Unitary problems with pure initial states are propagated as state vectors.
 
@@ -24,12 +23,14 @@ sequences.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .qcore import QOperator, QState, expectation, to_density_matrix
 
@@ -48,7 +49,8 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator underflows its step size."""
+    """Raised when the adaptive integrator fails, typically because the step
+    size fell below the floating-point spacing; ``t`` is the failure time."""
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
@@ -62,8 +64,9 @@ class TimeDependentHamiltonian:
     Coefficient functions take a time in seconds and return a (complex)
     amplitude in rad/s.  ``breakpoints`` optionally lists interior times at
     which coefficients are only piecewise smooth (segment edges of
-    piecewise-constant pulses); the integrator restarts there so no step
-    straddles a discontinuity.
+    piecewise-constant pulses); ``integrate_rk45`` starts a fresh solver at
+    each one, so no step straddles a discontinuity and the step-size
+    controller does not have to find the jump by rejecting steps.
     """
 
     static_part: QOperator
@@ -116,21 +119,7 @@ class Trajectory:
                                 [repr(float(self.expectations[n][i])) for n in names])
 
 
-# -- Dormand-Prince RK45 ----------------------------------------------------
-
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# -- ODE integration ---------------------------------------------------------
 
 
 def integrate_rk45(
@@ -140,123 +129,46 @@ def integrate_rk45(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
     breakpoints: Optional[Sequence[float]] = None,
-    max_steps: int = 10_000_000,
 ) -> list[np.ndarray]:
     """Adaptive Dormand-Prince 5(4) integration of a complex ODE system.
 
-    Integrates from ``output_times[0]`` through ``output_times[-1]``, hitting
-    every output time (and every interior breakpoint) exactly, and returns
-    the solution at the output times.  Raises ``IntegrationError`` on
-    step-size underflow, reporting the failure time.
+    Runs ``scipy.integrate.RK45`` from ``output_times[0]`` through
+    ``output_times[-1]``, restarting the solver at every output time and
+    every interior breakpoint so that each is hit exactly and no step
+    straddles one, and returns the solution at the output times.  Raises
+    ``IntegrationError`` when the solver fails, reporting the failure time.
     """
+    # imported here: commands that never integrate skip scipy.integrate
+    from scipy.integrate import RK45
+
     output_times = np.asarray(output_times, dtype=float)
     t = float(output_times[0])
     y = np.array(y0, dtype=complex)
     results = [y.copy()]
 
-    stops = set(float(x) for x in output_times[1:])
+    outputs = set(float(x) for x in output_times[1:])
+    stops = set(outputs)
     if breakpoints is not None:
-        t_end = float(output_times[-1])
-        stops.update(float(b) for b in breakpoints if output_times[0] < b < t_end)
-    stop_list = sorted(stops)
-    out_set = set(float(x) for x in output_times[1:])
+        stops.update(float(b) for b in breakpoints if t < b < output_times[-1])
 
-    if not stop_list:
-        return results
-
-    k = [None] * 7
-    f0 = rhs(t, y)
-    span = stop_list[-1] - t
-    # initial step heuristic, clamped to the integration span
-    norm_y = _rms(y)
-    norm_f = _rms(f0)
-    h = 0.01 * norm_y / norm_f if norm_f > 0 and norm_y > 0 else span / 100.0
-    h = min(max(h, 1e-10 * span), span / 10.0)
-
-    steps = 0
-    min_h_floor = 1e-14 * span
-    for stop in stop_list:
-        while t < stop:
-            steps += 1
-            if steps > max_steps:
-                raise IntegrationError(f"step budget exceeded at t={t:.6e}", t)
-            if h < min_h_floor:
-                raise IntegrationError(f"step size underflow at t={t:.6e}", t)
-            h_try = min(h, stop - t)
-            k[0] = f0
-            for i in range(1, 7):
-                yi = y + h_try * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                k[i] = rhs(t + _DP_C[i] * h_try, yi)
-            y5 = y + h_try * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-            y4 = y + h_try * sum(b * k[j] for j, b in enumerate(_DP_B4) if b != 0.0)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-            err = _rms((y5 - y4) / scale)
-            if err <= 1.0:
-                t = t + h_try
-                y = y5
-                f0 = k[6]  # FSAL
-                factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-                h = h_try * min(5.0, max(0.2, factor))
-            else:
-                h = h_try * max(0.2, 0.9 * err ** -0.2)
-        # exactly at a stop; FSAL derivative may be stale across breakpoints
-        f0 = rhs(t, y)
-        if stop in out_set or math.isclose(stop, float(output_times[-1])):
+    for stop in sorted(stops):
+        solver = RK45(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
+        while solver.status == "running":
+            message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"{message} (t={solver.t:.6e})", solver.t)
+        t, y = solver.t, solver.y
+        # an OdeSolver holds a closure that refers back to it, so only the
+        # cycle collector frees its arrays; without this a run of many
+        # stops grows memory by one solver per stop
+        del solver
+        gc.collect(0)
+        if stop in outputs:
             results.append(y.copy())
     return results
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
-
-
 # -- Lindblad evolution ------------------------------------------------------
-
-
-def _lindblad_rhs_factory(h: TimeDependentHamiltonian,
-                          collapse_ops: Sequence[tuple[QOperator, float]]):
-    h_static = np.asarray(h.static_part.data)
-    drive = [(np.asarray(op.data), fn) for op, fn in h.drive_terms]
-    ls = []
-    for op, rate in collapse_ops:
-        if rate < 0:
-            raise ValueError("collapse rates must be nonnegative")
-        l_mat = np.sqrt(rate) * np.asarray(op.data)
-        ls.append((l_mat, l_mat.conj().T, l_mat.conj().T @ l_mat))
-    dim = h_static.shape[0]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho = y.reshape(dim, dim)
-        ht = h_static
-        if drive:
-            ht = h_static.copy()
-            for mat, fn in drive:
-                c = complex(fn(t))
-                if c.imag == 0:
-                    ht += c.real * mat
-                else:
-                    ht += c * mat
-        out = -1j * (ht @ rho - rho @ ht)
-        for l_mat, l_dag, ldl in ls:
-            out += l_mat @ rho @ l_dag - 0.5 * (ldl @ rho + rho @ ldl)
-        return out.reshape(-1)
-
-    return rhs
-
-
-def _schrodinger_rhs_factory(h: TimeDependentHamiltonian):
-    h_static = np.asarray(h.static_part.data)
-    drive = [(np.asarray(op.data), fn) for op, fn in h.drive_terms]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        ht = h_static
-        if drive:
-            ht = h_static.copy()
-            for mat, fn in drive:
-                ht += complex(fn(t)) * mat
-        return -1j * (ht @ y)
-
-    return rhs
 
 
 def evolve(
@@ -271,8 +183,12 @@ def evolve(
 
     Collapse operators are passed as (operator, rate) pairs; the rate
     multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op.
-    With no collapse operators and a pure initial state the Schrodinger
-    equation is integrated on the state vector instead.
+    The right-hand side is the sparse generator G(t) = G0 + sum_k f_k(t) G_k
+    applied to the column-stacked density matrix, with G0 the Liouvillian of
+    the static part and the jumps and G_k that of each drive operator alone
+    (the commutator is linear in H, so the split is exact).  With no
+    collapse operators and a pure initial state the Schrodinger equation is
+    integrated on the state vector instead, with G = -iH.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -286,11 +202,20 @@ def evolve(
 
     pure_path = (not collapse_ops) and rho0.kind == "pure"
     if pure_path:
-        rhs = _schrodinger_rhs_factory(hamiltonian)
+        g0 = sp.csr_matrix(-1j * hamiltonian.static_part.data)
+        drive = [(sp.csr_matrix(-1j * op.data), fn) for op, fn in hamiltonian.drive_terms]
         y0 = rho0.data
     else:
-        rhs = _lindblad_rhs_factory(hamiltonian, collapse_ops)
-        y0 = to_density_matrix(rho0).data.reshape(-1)
+        g0 = liouvillian(hamiltonian.static_part.data,
+                         [(op.data, rate) for op, rate in collapse_ops])
+        drive = [(liouvillian(op.data, ()), fn) for op, fn in hamiltonian.drive_terms]
+        y0 = to_density_matrix(rho0).data.reshape(-1, order="F")
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        out = g0 @ y
+        for g, fn in drive:
+            out += complex(fn(t)) * (g @ y)
+        return out
 
     ys = integrate_rk45(rhs, y0, times, rel_tol=rel_tol,
                         abs_tol=rel_tol * 1e-4,
@@ -303,7 +228,7 @@ def evolve(
             nrm = np.linalg.norm(y)
             states.append(QState(hamiltonian.dims, y / nrm, normalize=False))
         else:
-            states.append(QState(hamiltonian.dims, y.reshape(dim, dim),
+            states.append(QState(hamiltonian.dims, y.reshape(dim, dim, order="F"),
                                  normalize=False))
     exp_series: dict[str, np.ndarray] = {}
     if observables:
@@ -313,27 +238,29 @@ def evolve(
     return Trajectory(times, tuple(states), exp_series)
 
 
-# -- dense superoperator route (small constant problems) ---------------------
-
-
 def liouvillian(h_matrix: np.ndarray,
-                collapse_ops: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Column-stacking Liouvillian matrix for a constant-H Lindblad problem.
+                collapse_ops: Sequence[tuple[np.ndarray, float]]) -> sp.csr_matrix:
+    """Sparse Liouvillian of a Lindblad problem with Hamiltonian ``h_matrix``.
 
-    Only sensible for small Hilbert dimensions (d <= ~40); the result is a
-    d^2 x d^2 dense matrix with vec(drho/dt) = L vec(rho) under column
-    stacking (Fortran order).
+    Returns the d^2 x d^2 CSR matrix L with vec(drho/dt) = L vec(rho) under
+    column stacking (Fortran order):
+
+        L = -i (1 x H - H^T x 1)
+            + sum_j (L_j^* x L_j - 1/2 (1 x L_j^dag L_j + (L_j^dag L_j)^T x 1))
+
+    with L_j = sqrt(rate_j) * op_j.  This is the only place the Lindblad form
+    is written; ``evolve`` and ``evolve_constant`` both build on it.
     """
-    h = np.asarray(h_matrix, dtype=complex)
-    d = h.shape[0]
-    eye = np.eye(d)
-    lv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    h = sp.csr_matrix(np.asarray(h_matrix, dtype=complex))
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    lv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
     for op, rate in collapse_ops:
-        l_mat = np.sqrt(rate) * np.asarray(op, dtype=complex)
+        if rate < 0:
+            raise ValueError("collapse rates must be nonnegative")
+        l_mat = sp.csr_matrix(np.sqrt(rate) * np.asarray(op, dtype=complex))
         ldl = l_mat.conj().T @ l_mat
-        lv += np.kron(l_mat.conj(), l_mat)
-        lv -= 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-    return lv
+        lv = lv + sp.kron(l_mat.conj(), l_mat) - 0.5 * (sp.kron(eye, ldl) + sp.kron(ldl.T, eye))
+    return sp.csr_matrix(lv)
 
 
 def evolve_constant(
@@ -346,10 +273,11 @@ def evolve_constant(
 
     ``times`` must be an increasing grid starting at 0; returns the density
     matrix at each time.  Uses a single expm of the step Liouvillian when the
-    grid is uniform, otherwise one expm per distinct step.
+    grid is uniform, otherwise one expm per distinct step.  The Liouvillian
+    is densified, so this suits small Hilbert dimensions (d <= ~40).
     """
     times = np.asarray(times, dtype=float)
-    lv = liouvillian(h_matrix, collapse_ops)
+    lv = liouvillian(h_matrix, collapse_ops).toarray()
     d = np.asarray(h_matrix).shape[0]
     vec = np.asarray(rho0, dtype=complex).reshape(-1, order="F")
     out = [np.asarray(rho0, dtype=complex).copy()]

@@ -165,9 +165,9 @@ def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,
                        dlcz_memory_efficiency: float,
                        dlcz_detection_efficiency: float,
                        re_operation_time_s: float) -> dict[str, np.ndarray]:
-    """Seven rate-versus-distance curves: direct transmission, the cat scheme
-    and the rare-earth comparator (multiplexed and not), and DLCZ
-    (multiplexed and not).
+    """Seven rate-versus-distance curves: direct transmission from a source
+    at ``source_rate_hz`` (key ``direct``), the cat scheme and the rare-earth
+    comparator (multiplexed and not), and DLCZ (multiplexed and not).
 
     The cat curves store in the cat basis at m = 200 and m = 1 on ``chain``'s
     nesting level, swap probability and decay rates, over ``link``.  The
@@ -177,9 +177,9 @@ def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,
     lengths = np.asarray(list(lengths_km), dtype=float)
     n = chain.nesting_level
     out: dict[str, np.ndarray] = {"L_km": lengths}
-    out["direct_1GHz"] = np.array([direct_transmission_rate(L, source_rate_hz,
-                                                            link.attenuation_km)
-                                   for L in lengths])
+    out["direct"] = np.array([direct_transmission_rate(L, source_rate_hz,
+                                                       link.attenuation_km)
+                              for L in lengths])
     for m, tag in ((200, "m200"), (1, "m1")):
         cat = rate_curve(replace(chain, multiplexing=m, storage_policy="cat"), link)
         re = re_rate_curve(nesting_level=n, multiplexing=m,

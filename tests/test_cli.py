@@ -46,6 +46,14 @@ class TestValidation:
         assert r.returncode == 2
         assert "trials" in r.stderr
 
+    @pytest.mark.parametrize("argv", [("device", "--seed", "3"),
+                                      ("crossover", "--trials", "5")])
+    def test_flag_the_command_does_not_read_is_rejected(self, out_dir, argv):
+        r = run_cli(*argv, "--out", out_dir)
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+        assert not os.path.exists(out_dir)
+
     def test_env_var_config(self, tmp_path, out_dir):
         cfg = tmp_path / "env.ini"
         cfg.write_text("[mc]\ntrials = 12000\n")
@@ -229,7 +237,7 @@ class TestFigureCommand:
                     "--set", "rates.length_steps=3")
         assert r.returncode == 0
         lines = open(os.path.join(out_dir, "figure6", "figure6.csv")).read().splitlines()
-        assert lines[0] == ("L_km,direct_1GHz,cat_m200,re_m200,dlcz_m200,"
+        assert lines[0] == ("L_km,direct,cat_m200,re_m200,dlcz_m200,"
                             "cat_m1,re_m1,dlcz_m1")
         assert len(lines) == 4
         assert "np.float" not in lines[1]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catlink import repeater as rp
 
@@ -82,6 +83,19 @@ class TestMeanTime:
                                     swap_probability=0.9)
             assert rp.distribution_rate(chain, link) == pytest.approx(
                 m * rp.distribution_rate(single, link), rel=1e-12)
+
+
+class TestRateCurve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=200),
+           st.sampled_from(("cat", "fock")),
+           st.floats(min_value=1.0, max_value=2000.0),
+           st.floats(min_value=1.0, max_value=2000.0))
+    def test_rate_does_not_increase_with_distance(self, n, m, policy, length_a, length_b):
+        chain = rp.ChainParams(nesting_level=n, multiplexing=m, storage_policy=policy)
+        rate = rp.rate_curve(chain, _link())
+        near, far = sorted((length_a, length_b))
+        assert rate(near) >= rate(far)
 
 
 class TestMonteCarlo:

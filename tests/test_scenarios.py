@@ -90,11 +90,21 @@ class TestFigureCurves:
 
     def test_curve_inventory(self, curves_at):
         curves = curves_at([200.0, 400.0])
-        assert set(curves) == {"L_km", "direct_1GHz", "cat_m1", "cat_m200",
+        assert set(curves) == {"L_km", "direct", "cat_m1", "cat_m200",
                                "re_m1", "re_m200", "dlcz_m1", "dlcz_m200"}
         for key, arr in curves.items():
             assert len(arr) == 2
 
     def test_direct_reference_value(self, curves_at):
         curves = curves_at([220.0])
-        assert curves["direct_1GHz"][0] == pytest.approx(1e9 * math.exp(-10.0))
+        assert curves["direct"][0] == pytest.approx(1e9 * math.exp(-10.0))
+
+    def test_direct_follows_source_rate(self, budgets_1e4_1e5, chain_and_link):
+        chain, link = chain_and_link(budgets_1e4_1e5[1e5], nesting_level=3,
+                                     storage_policy="cat")
+        comparators = load_config()["comparators"]
+        base = sn.figure_rate_curves([220.0, 400.0], chain, link, **comparators)
+        doubled = sn.figure_rate_curves([220.0, 400.0], chain, link,
+                                        **{**comparators, "source_rate_hz": 2e9})
+        assert doubled["direct"] == pytest.approx(2.0 * base["direct"], rel=1e-12)
+        assert doubled["cat_m200"] == pytest.approx(base["cat_m200"], rel=1e-12)
