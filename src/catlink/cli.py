@@ -199,7 +199,7 @@ def cmd_gates(config: RunConfig, args) -> _Report:
     report = _Report("gates", config)
     header = ["operation", "K_rad_per_s", "kappa_per_s", "duration_s",
               "duration_Kt", "fidelity"]
-    rows = []
+    rows, diagnostics = [], []
     for ratio, params, drive_ratio, coupling_ratio in _row_params(config):
         table = cq.gate_report(params, drive_ratio, coupling_ratio,
                                drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
@@ -207,8 +207,12 @@ def cmd_gates(config: RunConfig, args) -> _Report:
         for r in table:
             rows.append([r.operation, r.kerr, r.kappa, r.duration_s,
                          r.duration_kt, r.fidelity])
+        diagnostics.append({"K_over_kappa": ratio, "gates": {
+            r.operation: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap}
+            for r in table if r.leakage is not None}})
     report.add_table("gates", header, rows)
     report.summary["rows"] = len(rows)
+    report.summary["diagnostics"] = diagnostics
     return report
 
 

@@ -16,13 +16,16 @@ Unitary problems with pure initial states are propagated as state vectors.
 ``PiecewiseConstantPropagator`` serves Hamiltonians that are constant over a
 list of stages (the cat-qubit gates and the GRAPE segments): it propagates
 exactly through one eigendecomposition per distinct stage Hamiltonian and
-scores lossy evolution with a no-jump + one-jump expansion, which the test
-suite checks against ``evolve_constant`` on single- and multi-stage
-sequences.
+scores lossy evolution with a no-jump + one-jump expansion, integrating the
+one-jump term over each stage with an n-vs-2n checked Gauss-Legendre rule.
+The test suite checks the expansion against ``evolve_constant`` on single-
+and multi-stage sequences and, for the CNOT, against ``expm_multiply`` of the
+sparse two-cavity Liouvillian.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 from dataclasses import dataclass, field
@@ -49,8 +52,10 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator fails, typically because the step
-    size fell below the floating-point spacing; ``t`` is the failure time."""
+    """Raised when a time integration fails: the adaptive integrator's step
+    size fell below the floating-point spacing, or a one-jump quadrature
+    missed its tolerance; ``t`` is the failure time (the stage start for a
+    quadrature)."""
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
@@ -135,8 +140,11 @@ def integrate_rk45(
     Runs ``scipy.integrate.RK45`` from ``output_times[0]`` through
     ``output_times[-1]``, restarting the solver at every output time and
     every interior breakpoint so that each is hit exactly and no step
-    straddles one, and returns the solution at the output times.  Raises
-    ``IntegrationError`` when the solver fails, reporting the failure time.
+    straddles one, and returns the solution at the output times.  Between
+    stops bounded by a breakpoint, ``rhs`` is called with its time held
+    1e-9 of the interval inside both ends, so piecewise-constant
+    coefficients take one value per interval.  Raises ``IntegrationError``
+    when the solver fails, reporting the failure time.
     """
     # imported here: commands that never integrate skip scipy.integrate
     from scipy.integrate import RK45
@@ -147,12 +155,22 @@ def integrate_rk45(
     results = [y.copy()]
 
     outputs = set(float(x) for x in output_times[1:])
-    stops = set(outputs)
+    edges = set()
     if breakpoints is not None:
-        stops.update(float(b) for b in breakpoints if t < b < output_times[-1])
+        edges = set(float(b) for b in breakpoints if t < b < output_times[-1])
 
-    for stop in sorted(stops):
-        solver = RK45(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
+    for stop in sorted(outputs | edges):
+        fun = rhs
+        if t in edges or stop in edges:
+            # coefficients jump at a breakpoint, and float rounding can put the
+            # breakpoint itself on either side; the first and last RK stages
+            # land on the interval's ends, so hold the coefficient time just
+            # inside it so every stage sees this interval's values
+            lo, hi = t + 1e-9 * (stop - t), stop - 1e-9 * (stop - t)
+
+            def fun(s, y, lo=lo, hi=hi):
+                return rhs(min(max(s, lo), hi), y)
+        solver = RK45(fun, t, y, stop, rtol=rel_tol, atol=abs_tol)
         while solver.status == "running":
             message = solver.step()
         if solver.status == "failed":
@@ -295,26 +313,49 @@ def evolve_constant(
 # -- piecewise-constant propagation -------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _scale_rows(vec: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """diag(vec) @ x for a vector or a (d, c) stack of column vectors."""
+    return (vec * x.T).T
+
+
 class PiecewiseConstantPropagator:
     """Exact lossless propagation and one-jump lossy fidelities over a fixed
     list of (H, duration) stages.
 
     Each distinct H array (by identity) is eigendecomposed once and the stage
     durations are applied afterwards, so a stage list that repeats an array
-    pays for it once; factors are cached across input states.  ``jump_ops``
+    pays for it once; factors are cached across input states.  States are
+    vectors of length d or (d, c) stacks of c column vectors.  ``jump_ops``
     are (L, rate) pairs; rate-0 operators are dropped, and without jumps
-    ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) scales the
-    one-jump quadrature grid.
+    ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets the
+    one-jump quadrature's node count.
     """
 
-    # quadrature density for the one-jump integral, points per unit K*t
-    GRID_PER_KT = 400
+    # one-jump quadrature: Gauss-Legendre on n = max(MIN_NODES,
+    # ceil(NODES_PER_KT K t)) nodes per stage, checked against 2n nodes; a
+    # stage that misses the tolerance doubles n, at most MAX_DOUBLINGS times
+    # (states far off the gate's cat manifold carry fast eigenfrequencies)
+    NODES_PER_KT = 8
+    MIN_NODES = 8
+    MAX_DOUBLINGS = 5
+    # largest |I_n - I_2n| a stage may show; the default gate table stays
+    # about 4x below it
+    QUADRATURE_GAP_TOL = 1e-7
 
     def __init__(self, stages: Sequence[tuple[np.ndarray, float]],
                  jump_ops: Sequence[tuple[np.ndarray, float]] = (), kerr: float = 1.0):
         self.stages = [(np.asarray(h), float(t)) for h, t in stages]
         self.jump_ops = [(np.asarray(op), float(rate)) for op, rate in jump_ops if rate != 0]
         self.kerr = kerr
+        # largest |I_n - I_2n| over the stages and cases of the last lossy_fidelity
+        self.quadrature_gap = 0.0
         self._herm = None
         self._eff = None
 
@@ -356,42 +397,75 @@ class PiecewiseConstantPropagator:
         """Lossless state at every stage boundary, ``psi0`` first."""
         psis = [np.asarray(psi0, dtype=complex)]
         for (lam, v), (_, t) in zip(self.hermitian_factors(), self.stages):
-            psis.append(v @ (np.exp(-1j * lam * t) * (v.conj().T @ psis[-1])))
+            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), v.conj().T @ psis[-1]))
         return psis
 
     def propagate_pure(self, psi0: np.ndarray) -> np.ndarray:
         return self.forward(psi0)[-1]
 
-    def lossy_fidelity(self, psi0: np.ndarray, target: np.ndarray) -> float:
-        """<t|rho(T)|t> to first order in the jump number.
+    def lossy_fidelity(self, psi0: np.ndarray, target: np.ndarray):
+        """<t|rho(T)|t> to first order in the jump number: a float for state
+        vectors, one value per column for (d, c) stacks.
 
         The no-jump term propagates under H_eff; each one-jump term integrates
-        |<t| U_eff(T, s) L U_eff(s, 0) |psi0>|^2 over the jump time s with the
-        trapezoid rule on max(129, 400 K t + 1) points per stage.
+        |<t| U_eff(T, s) L U_eff(s, 0) |psi0>|^2 over the jump time s in each
+        stage with Gauss-Legendre rules on n and 2n nodes, and keeps the 2n
+        value.  ``quadrature_gap`` records the largest accepted |I_n - I_2n|;
+        a stage whose gap still exceeds ``QUADRATURE_GAP_TOL`` after
+        ``MAX_DOUBLINGS`` doublings of n raises ``IntegrationError``.
         """
+        self.quadrature_gap = 0.0
+        target = np.asarray(target, dtype=complex)
         if not self.jump_ops:
-            return float(abs(np.vdot(target, self.propagate_pure(psi0))) ** 2)
+            fid = np.abs(np.sum(target.conj() * self.propagate_pure(psi0), axis=0)) ** 2
+            return fid if fid.ndim else float(fid)
         eff = self._effective_factors()
         psis = [np.asarray(psi0, dtype=complex)]
         for (lam, v, w, _), (_, t) in zip(eff, self.stages):
-            psis.append(v @ (np.exp(-1j * lam * t) * (w @ psis[-1])))
-        fid = abs(np.vdot(target, psis[-1])) ** 2
+            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), w @ psis[-1]))
+        fid = np.abs(np.sum(target.conj() * psis[-1], axis=0)) ** 2
 
-        phis = [np.asarray(target, dtype=complex)]
+        phis = [target]
         for (lam, v, w, _), (_, t) in zip(reversed(eff), reversed(self.stages)):
-            phis.append(w.conj().T @ (np.exp(1j * lam.conj() * t) * (v.conj().T @ phis[-1])))
+            phis.append(w.conj().T @ _scale_rows(np.exp(1j * lam.conj() * t),
+                                                 v.conj().T @ phis[-1]))
         phis = phis[::-1]
 
         for k, ((lam, v, w, jumps), (_, t)) in enumerate(zip(eff, self.stages)):
-            n = max(129, int(self.GRID_PER_KT * t * self.kerr) + 1)
-            s = np.linspace(0.0, t, n)
-            # eigen-coefficients of U_eff(s) psi_k and of <phi_k+1| U_eff(t - s)
-            ket = np.exp(-1j * np.outer(lam, s)) * (w @ psis[k])[:, None]
-            bra = np.exp(-1j * np.outer(lam, t - s)) * (phis[k + 1].conj() @ v)[:, None]
-            for jump, (_, rate) in zip(jumps, self.jump_ops):
-                amp = np.einsum("ij,ij->j", bra, jump @ ket)
-                fid += rate * np.trapezoid(np.abs(amp) ** 2, s)
-        return float(min(fid, 1.0))
+            d = lam.size
+            # eigen-coefficients of psi_k and of <phi_k+1|, cases along axis 1
+            ket0 = (w @ psis[k]).reshape(d, 1, -1)
+            bra0 = (v.T @ phis[k + 1].conj()).reshape(d, 1, -1)
+
+            def one_jump(n):
+                x, wts = _gauss_legendre(n)
+                s = t * x
+                # U_eff(s) psi_k and <phi_k+1| U_eff(t - s) at every node
+                ket = (np.exp(-1j * np.outer(lam, s))[:, :, None] * ket0).reshape(d, -1)
+                bra = (np.exp(-1j * np.outer(lam, t - s))[:, :, None] * bra0).reshape(d, -1)
+                total = 0.0
+                for jump, (_, rate) in zip(jumps, self.jump_ops):
+                    amp = np.sum(bra * (jump @ ket), axis=0).reshape(n, -1)
+                    total = total + rate * t * (wts @ np.abs(amp) ** 2)
+                return total
+
+            n = max(self.MIN_NODES, math.ceil(self.NODES_PER_KT * self.kerr * t))
+            coarse = one_jump(n)
+            for doubling in range(self.MAX_DOUBLINGS + 1):
+                fine = one_jump(2 * n)
+                gap = float(np.max(np.abs(coarse - fine)))
+                if gap <= self.QUADRATURE_GAP_TOL:
+                    break
+                if doubling == self.MAX_DOUBLINGS:
+                    raise IntegrationError(
+                        f"one-jump quadrature of stage {k} not converged: |I_{n} - I_{2 * n}|"
+                        f" = {gap:.3e} > {self.QUADRATURE_GAP_TOL:.1e}",
+                        sum(dt for _, dt in self.stages[:k]))
+                n, coarse = 2 * n, fine
+            self.quadrature_gap = max(self.quadrature_gap, gap)
+            fid = fid + fine.reshape(fid.shape)
+        fid = np.minimum(fid, 1.0)
+        return fid if fid.ndim else float(fid)
 
 
 # -- exponential decay fitting ----------------------------------------------

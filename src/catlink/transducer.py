@@ -28,15 +28,16 @@ The two models use different solvers:
 * ``gamma2_model="dephasing"``: pure dephasing mixes the state, so the
   (n_bins + 2)^2 density matrix (cavity, bins, sink) is evolved with a
   Lindblad right-hand side specialized to diagonal dephasing and
-  rank-one-to-sink decay.  This solver is also the test oracle for the
-  amplitude solver.
+  rank-one-to-sink decay; its commutator with the arrowhead H costs
+  O(n_bins^2), not two dense products.  This solver is also the test oracle
+  for the amplitude solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -151,6 +152,25 @@ def _transfer_amplitudes(params: TransducerParams) -> tuple[float, float, float]
     return spin, cavity, 1.0 - spin - cavity
 
 
+def _arrowhead_commutator(h: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """rho -> h @ rho - rho @ h in O(d^2) for an arrowhead ``h``: a diagonal
+    plus couplings in row 0 and column 0 only."""
+    diag = np.diag(h).copy()
+    row, col = h[0].copy(), h[:, 0].copy()
+    row[0] = col[0] = 0.0
+    spread = diag[:, None] - diag[None, :]
+
+    def commutator(rho: np.ndarray) -> np.ndarray:
+        # h = diag + e0 row^T + col e0^T
+        out = spread * rho
+        out += np.outer(col, rho[0]) - np.outer(rho[:, 0], row)
+        out[0] += row @ rho
+        out[:, 0] -= rho @ col
+        return out
+
+    return commutator
+
+
 def _transfer_density_matrix(params: TransducerParams) -> tuple[float, float, float]:
     """(spin, cavity, sink) populations at T_S from the full density matrix.
 
@@ -182,9 +202,11 @@ def _transfer_density_matrix(params: TransducerParams) -> tuple[float, float, fl
     damp = 0.5 * (decay[:, None] + decay[None, :])
     damp += 0.5 * (dephase[:, None] + dephase[None, :]) - np.diag(dephase)
 
+    commutator = _arrowhead_commutator(h)
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         rho = y.reshape(d, d)
-        out = -1j * (h @ rho - rho @ h)
+        out = -1j * commutator(rho)
         out -= damp * rho
         out[-1, -1] += float(np.sum(decay * np.real(np.diag(rho))))
         return out.reshape(-1)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from catlink import catqubit as cq
 from catlink import qcore as qc
-from catlink.dynamics import PiecewiseConstantPropagator, evolve_constant
+from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator, evolve_constant,
+                              liouvillian)
 
 ALPHA = math.sqrt(2)
 
@@ -159,6 +161,32 @@ class TestPiecewiseConstantPropagator:
         assert one_prop.lossy_fidelity(psi0.data, target.data) == pytest.approx(
             two_prop.lossy_fidelity(psi0.data, target.data), abs=1e-12)
 
+    def test_stacked_cases_match_single_calls(self, ratio_1e3):
+        stages = self._sequence(ratio_1e3)
+        a = qc.annihilation(ratio_1e3.dim).data
+        prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        zero, one = cq.logical_states(ratio_1e3)
+        psi0 = np.stack([zero.data, one.data, (zero.data + 1j * one.data) / math.sqrt(2)],
+                        axis=1)
+        targets = prop.propagate_pure(psi0)
+        stacked = prop.lossy_fidelity(psi0, targets)
+        assert stacked.shape == (3,)
+        for i in range(3):
+            single = prop.lossy_fidelity(psi0[:, i], targets[:, i])
+            assert isinstance(single, float)
+            assert abs(stacked[i] - single) <= 1e-14
+
+    def test_unconverged_quadrature_names_the_stage(self, ratio_1e3, monkeypatch):
+        monkeypatch.setattr(PiecewiseConstantPropagator, "NODES_PER_KT", 0)
+        monkeypatch.setattr(PiecewiseConstantPropagator, "MIN_NODES", 1)
+        monkeypatch.setattr(PiecewiseConstantPropagator, "MAX_DOUBLINGS", 0)
+        stages = self._sequence(ratio_1e3)
+        a = qc.annihilation(ratio_1e3.dim).data
+        prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        zero, one = cq.logical_states(ratio_1e3)
+        with pytest.raises(IntegrationError, match=r"stage 0 .*\|I_1 - I_2\| = "):
+            prop.lossy_fidelity(zero.data, prop.propagate_pure(zero.data))
+
 
 class TestGateZ:
     def test_quarter_duration(self, ratio_1e3):
@@ -210,6 +238,33 @@ class TestCnot:
         t_g = math.pi / (8 * ALPHA**2 * (e / 15))
         t_z = math.pi / (2 * ratio_1e3.kerr) + 3 * math.pi / (2 * ratio_1e3.kerr)
         assert res.duration_s == pytest.approx(4 * t_x + t_z + t_g, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio, drive_ratio, coupling_ratio, low, high",
+                             [(1e3, 10.0, 15.0, 0.0, 1e-3),
+                              (1e5, 45.0, 55.0, -1e-6, 1e-6)])
+    def test_one_jump_against_exact_lindblad(self, ratio, drive_ratio, coupling_ratio,
+                                             low, high):
+        # stage by stage expm_multiply of the sparse two-cavity Liouvillian;
+        # the one-jump expansion drops the nonnegative two-jump terms
+        dim = 8
+        p = cq.CatQubitParams(kerr=1.0, kappa=1.0 / ratio)
+        e = p.two_photon_amplitude
+        res = cq.cnot(p, e / drive_ratio, e / coupling_ratio, dim_per_cavity=dim)
+        a1, a2, _, _ = cq._two_qubit_ops(p, dim)
+        basis = cq._two_qubit_logical_basis(p, dim)
+        names = ("00", "10")
+        psi0 = basis[:, [0, 2]]
+        targets = basis @ cq._CNOT_IDEAL[:, [0, 2]]
+        targets /= np.linalg.norm(targets, axis=0)
+        rhos = np.stack([np.outer(psi0[:, i], psi0[:, i].conj()).reshape(-1, order="F")
+                         for i in range(2)], axis=1)
+        for h, t in cq._cnot_stages(p, e / drive_ratio, e / coupling_ratio, dim):
+            lv = liouvillian(h, [(a1, p.kappa), (a2, p.kappa)])
+            rhos = expm_multiply(lv * t, rhos)
+        for i, name in enumerate(names):
+            rho = rhos[:, i].reshape(dim**2, dim**2, order="F")
+            exact = float(np.real(np.vdot(targets[:, i], rho @ targets[:, i])))
+            assert low <= exact - res.state_fidelities[name] <= high
 
     def test_fidelity_improves_with_loss_ratio(self):
         fids = []

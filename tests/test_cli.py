@@ -274,6 +274,26 @@ class TestGatesCommand:
         lines = open(os.path.join(out_dir, "gates", "gates.csv")).read().splitlines()
         assert len(lines) == 13
 
+    def test_diagnostics_block_and_byte_identical_reruns(self, out_dir):
+        args = ("gates", "--set", "catqubit.loss_ratios=1e3,1e5",
+                "--set", "catqubit.drive_ratios=10,45",
+                "--set", "catqubit.coupling_ratios=15,55",
+                "--set", "catqubit.two_qubit_dim=8")
+        for suffix in ("_a", "_b"):
+            assert run_cli(*args, "--out", out_dir + suffix).returncode == 0
+        for name in ("gates.csv", "summary.json"):
+            a = open(os.path.join(out_dir + "_a", "gates", name), "rb").read()
+            b = open(os.path.join(out_dir + "_b", "gates", name), "rb").read()
+            assert a == b
+        summary = json.load(open(os.path.join(out_dir + "_a", "gates", "summary.json")))
+        diagnostics = summary["diagnostics"]
+        assert [d["K_over_kappa"] for d in diagnostics] == [1e3, 1e5]
+        for d in diagnostics:
+            assert sorted(d["gates"]) == ["CNOT", "G_0.5pi", "X_0.5pi", "Z_0.5pi"]
+            for gate in d["gates"].values():
+                assert 0.0 <= gate["leakage"] < 0.1
+                assert 0.0 <= gate["quadrature_gap"] < 1e-7
+
     def test_mismatched_ratio_lists_rejected(self, out_dir):
         r = run_cli("gates", "--out", out_dir,
                     "--set", "catqubit.loss_ratios=1e3,1e4",

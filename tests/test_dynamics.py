@@ -9,7 +9,7 @@ from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, TimeDependentHamiltonian, evolve,
                               evolve_constant, fit_exponential_decay, integrate_rk45,
                               liouvillian)
-from catlink.pulses import piecewise_constant
+from catlink.pulses import piecewise_constant, reversed_schedule
 
 
 def _zero_h(dim, t1=1.0):
@@ -103,6 +103,30 @@ class TestEvolve:
                             [0.0, 0.5, 1.0], breakpoints=np.linspace(0.0, 1.0, 17)[1:-1])
         assert np.allclose(ys[-1], np.exp(-1j), atol=1e-8)
         assert not [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rhs_sees_one_coefficient_per_interval(self, reverse):
+        # float rounding puts some breakpoints of a piecewise-constant pulse on
+        # the wrong segment; the RK stages on an interval's ends must still see
+        # that interval's value
+        rng = np.random.default_rng(11)
+        for duration in rng.uniform(0.1, 100.0, 4):
+            pulse = piecewise_constant(duration, {"u": rng.uniform(-1.0, 1.0, 64)})
+            if reverse:
+                pulse = reversed_schedule(pulse)
+            fn = pulse.channels["u"]
+            seen = []
+
+            def rhs(t, y):
+                seen.append((t, fn(t)))
+                return -1j * fn(t) * y
+
+            integrate_rk45(rhs, np.ones(1, dtype=complex), [0.0, duration],
+                           breakpoints=pulse.breakpoints)
+            times, values = np.array(seen).T
+            interval = np.searchsorted(pulse.breakpoints, times.real, side="right")
+            for k in range(64):
+                assert len(set(values[interval == k])) == 1
 
     def test_lossy_piecewise_constant_matches_exact_stages(self):
         # a random 64-segment two-photon drive on the Kerr oscillator with

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from catlink import transducer as td
@@ -112,6 +113,18 @@ class TestAmplitudeSolver:
         assert res.efficiency == pytest.approx(math.exp(-gamma * p.transfer_time),
                                                abs=1e-8)
         assert res.cavity_population == pytest.approx(0.0, abs=1e-8)
+
+
+class TestDensityMatrixSolver:
+    def test_arrowhead_commutator_matches_dense(self):
+        rng = np.random.default_rng(5)
+        d = 13
+        h = np.diag(rng.normal(size=d)).astype(complex)
+        h[0, 1:] = rng.normal(size=d - 1) + 1j * rng.normal(size=d - 1)
+        h[1:, 0] = rng.normal(size=d - 1) - 1j * rng.normal(size=d - 1)
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        fast = td._arrowhead_commutator(h)(rho)
+        assert np.max(np.abs(fast - (h @ rho - rho @ h))) <= 1e-12
 
 
 class TestBudget:
