@@ -48,7 +48,6 @@ __all__ = [
     "TruncationOverflowError",
     "DRIVE_RAMP_KT",
     "logical_states",
-    "logical_superposition",
     "adiabatic_drive_pulse",
     "drive",
     "undrive",
@@ -66,7 +65,6 @@ __all__ = [
 DRIVE_RAMP_KT = 7.2
 
 TWO_QUBIT_DIM = 16  # per-cavity truncation for two-cavity gate simulations
-LEAKAGE_FLAG_THRESHOLD = 0.05
 
 
 class TruncationOverflowError(RuntimeError):
@@ -100,10 +98,6 @@ class CatQubitParams:
         """Steady-state two-photon drive E_p0 = K alpha^2 (rad/s)."""
         return self.kerr * self.alpha**2
 
-    @property
-    def loss_ratio(self) -> float:
-        return self.kerr / self.kappa if self.kappa > 0 else math.inf
-
 
 @dataclass(frozen=True)
 class GateReportRow:
@@ -118,16 +112,6 @@ class GateReportRow:
     fidelity: float
     leakage: Optional[float] = None
     quadrature_gap: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "operation": self.operation,
-            "K_rad_per_s": self.kerr,
-            "kappa_per_s": self.kappa,
-            "duration_s": self.duration_s,
-            "duration_Kt": self.duration_kt,
-            "fidelity": self.fidelity,
-        }
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,6 @@ class GateResult:
     fidelity: float
     state_fidelities: dict[str, float]
     leakage: float
-    leakage_flagged: bool
     quadrature_gap: float
     final_states: dict[str, qc.QState] = field(default_factory=dict, repr=False)
 
@@ -183,12 +166,6 @@ def logical_states(params: CatQubitParams) -> tuple[qc.QState, qc.QState]:
     """(logical zero, logical one) = (even cat, odd cat)."""
     return (qc.cat_state(params.alpha, "even", params.dim),
             qc.cat_state(params.alpha, "odd", params.dim))
-
-
-def logical_superposition(params: CatQubitParams, c0: complex, c1: complex) -> qc.QState:
-    zero, one = logical_states(params)
-    vec = complex(c0) * zero.data + complex(c1) * one.data
-    return qc.QState((params.dim,), vec / np.linalg.norm(vec))
 
 
 def _kerr_op(dim: int, kerr: float) -> np.ndarray:
@@ -295,13 +272,13 @@ def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
 
 
 def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
-               target: np.ndarray, rel_tol: float) -> DriveResult:
+               target: np.ndarray) -> DriveResult:
     """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
     the Fock truncation, and score the final state against ``target``."""
     target = qc.QState((params.dim,), target / np.linalg.norm(target))
     h = _pulse_hamiltonian(params, pulse)
     collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
-    traj = evolve(h, collapse, state, n_samples=9, rel_tol=rel_tol)
+    traj = evolve(h, collapse, state, n_samples=9)
     _check_truncation(traj.states, params.dim)
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
@@ -309,30 +286,27 @@ def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
 
 
 def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
-          state: Optional[qc.QState] = None, rel_tol: float = 1e-8,
-          target_alpha: Optional[float] = None) -> DriveResult:
+          state: Optional[qc.QState] = None) -> DriveResult:
     """Map Fock-basis input onto the parity-matched cat superposition.
 
     With input c0 |0> + c1 |1>, the target is c0 |C+> + c1 |C-> (the two cat
     branches stay exactly degenerate along the ramp, so no relative phase
     accumulates).  Evolution includes single-photon loss at ``params.kappa``.
-    The target amplitude follows the final value of the two-photon channel
-    unless ``target_alpha`` overrides it.
+    The target amplitude follows the final value of the two-photon channel.
     """
     if pulse is None:
         pulse = adiabatic_drive_pulse(params)
     if state is None:
         state = qc.fock_state(0, params.dim)
-    if target_alpha is None:
-        target_alpha = _schedule_end_alpha(params, pulse)
+    target_alpha = _schedule_end_alpha(params, pulse)
     c0, c1 = _fock_coefficients(state)
     zero = qc.cat_state(target_alpha, "even", params.dim)
     one = qc.cat_state(target_alpha, "odd", params.dim)
-    return _run_pulse(params, pulse, state, c0 * zero.data + c1 * one.data, rel_tol)
+    return _run_pulse(params, pulse, state, c0 * zero.data + c1 * one.data)
 
 
 def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
-            state: Optional[qc.QState] = None, rel_tol: float = 1e-8) -> DriveResult:
+            state: Optional[qc.QState] = None) -> DriveResult:
     """Time-reversed drive: cat superposition back to the Fock basis.
 
     The input is decomposed in the cat basis at the amplitude where the
@@ -356,7 +330,7 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, params.dim).data + c1 * qc.fock_state(1, params.dim).data
-    return _run_pulse(params, rev, state, tvec, rel_tol)
+    return _run_pulse(params, rev, state, tvec)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -428,7 +402,6 @@ def _run_gate(params: CatQubitParams, operation: str,
     return GateResult(operation=operation, params=params,
                       duration_s=prop.duration, fidelity=fid,
                       state_fidelities=fids, leakage=leakage,
-                      leakage_flagged=leakage > LEAKAGE_FLAG_THRESHOLD,
                       quadrature_gap=prop.quadrature_gap, final_states=finals)
 
 
@@ -623,13 +596,6 @@ class ProtocolResult:
 
     branches: dict[tuple, tuple[float, qc.QState]]
     success_probability: float
-
-    @property
-    def heralded_state(self) -> qc.QState:
-        """State for the first herald pattern (same detector twice, or
-        detector 1 for the one-step variant)."""
-        key = min(self.branches)
-        return self.branches[key][1]
 
 
 def _damping_kraus(transmittance: float) -> list[np.ndarray]:

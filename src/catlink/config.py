@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "CONFIG_SCHEMA",
@@ -160,11 +160,11 @@ class RunConfig:
         """Apply raw-string overrides (flag > file > default precedence)."""
         new_values = {s: dict(kv) for s, kv in self.values.items()}
         for (section, key), raw in overrides.items():
-            if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
+            keys = _schema_section(section)
+            if key not in keys:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            conv = CONFIG_SCHEMA[section][key][0]
             try:
-                new_values[section][key] = conv(raw)
+                new_values[section][key] = keys[key][0](raw)
             except Exception as exc:
                 raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
         _cross_validate(new_values)
@@ -186,29 +186,32 @@ class RunConfig:
 
 
 def load_config(path: Optional[str] = None) -> RunConfig:
-    """Read and validate a config file; ``None`` yields pure defaults."""
-    values = {section: {key: spec[1] for key, spec in keys.items()}
-              for section, keys in CONFIG_SCHEMA.items()}
+    """Read and validate a config file; ``None`` yields pure defaults.
+
+    The file's values go through ``RunConfig.with_overrides``, so a bad value
+    reads the same from a file as from ``--set``.
+    """
+    defaults = RunConfig(values={section: {key: spec[1] for key, spec in keys.items()}
+                                 for section, keys in CONFIG_SCHEMA.items()},
+                         source_path=path)
     if path is None:
-        return RunConfig(values=values)
+        return defaults
 
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
+    overrides = {}
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            conv = CONFIG_SCHEMA[section][key][0]
-            try:
-                values[section][key] = conv(raw)
-            except Exception as exc:
-                raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
-    _cross_validate(values)
-    return RunConfig(values=values, source_path=path)
+        _schema_section(section)  # an unknown section fails even when empty
+        overrides.update({(section, key): raw for key, raw in parser.items(section)})
+    return defaults.with_overrides(overrides)
+
+
+def _schema_section(section: str) -> dict[str, tuple[Callable[[str], Any], Any, str]]:
+    try:
+        return CONFIG_SCHEMA[section]
+    except KeyError:
+        raise ConfigError(f"unknown config section [{section}]") from None
 
 
 def _cross_validate(values: dict[str, dict[str, Any]]) -> None:

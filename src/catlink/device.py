@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -34,10 +34,10 @@ __all__ = [
     "purcell_kappa",
     "kappa_eff",
     "derive_device",
-    "device_table",
 ]
 
 DISPERSIVE_LIMIT = 0.3
+N_FIT_LEVELS = 5              # spacings of |0,0> .. |5,0> enter the Kerr fit
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _two_mode_hamiltonian(params: DeviceParams, cavity_levels: int,
 
 
 def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
-                    qubit_levels: int = 5, n_fit_levels: int = 5) -> DispersiveFit:
+                    qubit_levels: int = 5) -> DispersiveFit:
     """Inherited cavity Kerr from exact diagonalization.
 
     Dressed states |i, 0> are identified by maximum overlap with the bare
@@ -121,12 +121,12 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
     evals, evecs = scipy.linalg.eigh(h)
 
     # overlap of each eigenvector with each bare |i, 0>
-    bare_idx = [i * qubit_levels for i in range(n_fit_levels + 1)]
+    bare_idx = [i * qubit_levels for i in range(N_FIT_LEVELS + 1)]
     overlaps = np.abs(evecs[bare_idx, :]) ** 2  # (n_fit+1, dim)
     row, col = scipy.optimize.linear_sum_assignment(-overlaps)
     assignment = dict(zip(row.tolist(), col.tolist()))
     energies = []
-    for i in range(n_fit_levels + 1):
+    for i in range(N_FIT_LEVELS + 1):
         j = assignment[i]
         if overlaps[i, j] < 0.8:
             raise ValueError(
@@ -151,9 +151,7 @@ def purcell_kappa(cavity_decay: float, qubit_decay: float, coupling: float,
     return (1.0 - ratio2) * cavity_decay + ratio2 * qubit_decay
 
 
-def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0),
-              dim: int = 20, n_samples: int = 40,
-              horizon: float = 0.35) -> KappaEffFit:
+def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> KappaEffFit:
     """Effective decoherence rate of cat-encoded coherence under loss.
 
     Evolves the logical superposition (|C+> + i |C->)/sqrt(2) under the
@@ -162,13 +160,14 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0),
     |<C+|rho|C-> - <C-|rho|C+>|/2; approximately 2 kappa alpha^2.  (Each
     photon jump swaps the two cat components, so only the antisymmetric part
     of the coherence decays; the symmetric part belongs to the loss-immune
-    coherent-state pointer basis.)  ``horizon`` sets the fit window as a
-    fraction of the expected coherence lifetime.
+    coherent-state pointer basis.)  The fit samples 40 times over 0.35 of
+    the expected coherence lifetime at a Fock truncation of 20.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if kappa == 0:
         return KappaEffFit(kappa_eff=0.0, residual=0.0, flagged=False)
+    dim = 20
     cavity = CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha, dim=dim)
     h = _stabilized_h(cavity)
     plus = qc.cat_state(alpha, "even", dim).data
@@ -177,8 +176,8 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0),
     rho0 = np.outer(psi0, psi0.conj())
 
     expected = 2.0 * kappa * alpha**2
-    t_end = horizon / expected
-    times = np.linspace(0.0, t_end, n_samples)
+    t_end = 0.35 / expected
+    times = np.linspace(0.0, t_end, 40)
     rhos = evolve_constant(h, [(qc.annihilation(dim).data, kappa)], rho0, times)
     coherence = np.array([0.5 * abs(np.vdot(plus, r @ minus)
                                     - np.vdot(minus, r @ plus)) for r in rhos])
@@ -206,10 +205,3 @@ def derive_device(params: DeviceParams, cavity_levels: int = 12,
         keff = 2.0 * kap * alpha**2
     return replace(params, kerr=fit.kerr, kappa=kap, kappa_eff=keff)
 
-
-def device_table(rows: Sequence[DeviceParams], cavity_levels: int = 12,
-                 qubit_levels: int = 5, alpha: float = math.sqrt(2.0),
-                 fit_kappa_eff: bool = True) -> list[DeviceParams]:
-    """Map the estimation pipeline over parameter rows."""
-    return [derive_device(r, cavity_levels, qubit_levels, alpha, fit_kappa_eff)
-            for r in rows]

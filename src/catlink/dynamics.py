@@ -28,14 +28,14 @@ from __future__ import annotations
 import functools
 import gc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .qcore import QOperator, QState, expectation, to_density_matrix
+from .qcore import QOperator, QState, to_density_matrix
 
 __all__ = [
     "TimeDependentHamiltonian",
@@ -94,11 +94,10 @@ class TimeDependentHamiltonian:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time evolution with optional observable series."""
+    """Uniformly sampled time evolution."""
 
     times: np.ndarray
     states: tuple[QState, ...]
-    expectations: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -109,19 +108,6 @@ class Trajectory:
     @property
     def final_state(self) -> QState:
         return self.states[-1]
-
-    def to_csv(self, path) -> None:
-        """Write (time, expectation...) rows; states themselves are not
-        serialized."""
-        import csv
-
-        names = sorted(self.expectations)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s"] + names)
-            for i, t in enumerate(self.times):
-                writer.writerow([repr(float(t))] +
-                                [repr(float(self.expectations[n][i])) for n in names])
 
 
 # -- ODE integration ---------------------------------------------------------
@@ -195,7 +181,6 @@ def evolve(
     rho0: QState,
     n_samples: int = 2,
     rel_tol: float = 1e-8,
-    observables: Optional[dict[str, QOperator]] = None,
 ) -> Trajectory:
     """Integrate the master equation and return uniformly sampled states.
 
@@ -248,12 +233,7 @@ def evolve(
         else:
             states.append(QState(hamiltonian.dims, y.reshape(dim, dim, order="F"),
                                  normalize=False))
-    exp_series: dict[str, np.ndarray] = {}
-    if observables:
-        for name, op in observables.items():
-            exp_series[name] = np.array(
-                [np.real(expectation(op, s)) for s in states])
-    return Trajectory(times, tuple(states), exp_series)
+    return Trajectory(times, tuple(states))
 
 
 def liouvillian(h_matrix: np.ndarray,

@@ -224,7 +224,7 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
 
 
 def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
-                   kappa: Optional[float] = None, rel_tol: float = 1e-8) -> float:
+                   kappa: Optional[float] = None) -> float:
     """Re-score a schedule with the master-equation integrator.
 
     ``kappa`` defaults to the problem's loss rate; pass 0 for the unitary
@@ -236,5 +236,5 @@ def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
     params = replace(problem.params, kappa=k, dim=problem.dim)
     h = _pulse_hamiltonian(params, schedule)
     collapse = [(qc.annihilation(params.dim), k)] if k > 0 else []
-    traj = evolve(h, collapse, problem.initial, n_samples=2, rel_tol=rel_tol)
+    traj = evolve(h, collapse, problem.initial, n_samples=2)
     return qc.state_fidelity(traj.final_state, problem.target)

@@ -3,7 +3,7 @@
 A schedule maps named channels (two-photon drive, orthogonal two-photon
 drive, single-photon drive, cavity coupling) to amplitude functions of time.
 Closed-form channels are arbitrary callables; piecewise-constant channels
-carry their segment edges so integrators can align steps with them.
+carry their segment values, from which integrators read the segment edges.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ __all__ = ["PulseSchedule", "piecewise_constant", "reversed_schedule"]
 class PulseSchedule:
     """Named drive amplitudes over [0, duration].
 
-    ``breakpoints`` lists interior times where any channel is only piecewise
-    smooth; ``None`` means all channels are smooth.
+    ``segment_values`` holds each channel's values on equal-length constant
+    segments when the schedule is piecewise constant, and is ``None`` when
+    every channel is smooth.
     """
 
     duration: float
     channels: Mapping[str, Callable[[float], complex]]
-    breakpoints: Optional[tuple[float, ...]] = None
     segment_values: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -34,37 +34,38 @@ class PulseSchedule:
             raise ValueError("pulse duration must be positive")
         object.__setattr__(self, "channels", dict(self.channels))
 
+    @property
+    def breakpoints(self) -> Optional[tuple[float, ...]]:
+        """Interior segment edges k * duration / n_segments, or ``None`` for
+        a smooth schedule."""
+        if self.segment_values is None:
+            return None
+        return _segment_edges(self.duration, len(next(iter(self.segment_values.values()))))
+
     def amplitude(self, channel: str, t: float) -> complex:
         return self.channels[channel](t)
 
-    def sample(self, channel: str, times) -> np.ndarray:
-        fn = self.channels[channel]
-        return np.array([fn(float(t)) for t in np.atleast_1d(times)])
-
     def to_csv(self, path) -> None:
-        """Write segment rows (t_start, t_end, <channel values...>).
-
-        Piecewise-constant schedules emit one row per segment; smooth
-        schedules are sampled on 256 uniform segments.
-        """
+        """Write one row (t_start, t_end, <channel values...>) per segment of
+        a piecewise-constant schedule."""
         import csv
 
-        names = sorted(self.channels)
-        if self.breakpoints is not None:
-            edges = np.concatenate(([0.0], np.asarray(self.breakpoints, dtype=float),
-                                    [self.duration]))
-        else:
-            edges = np.linspace(0.0, self.duration, 257)
-        mids = 0.5 * (edges[:-1] + edges[1:])
+        names = sorted(self.segment_values)
+        edges = (0.0, *self.breakpoints, self.duration)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t_start", "t_end"] + names)
-            for lo, hi, mid in zip(edges[:-1], edges[1:], mids):
+            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
                 row = [repr(float(lo)), repr(float(hi))]
                 for name in names:
-                    val = complex(self.channels[name](float(mid)))
+                    val = complex(self.segment_values[name][k])
                     row.append(repr(val.real) if val.imag == 0 else repr(val))
                 writer.writerow(row)
+
+
+def _segment_edges(duration: float, n: int) -> tuple[float, ...]:
+    dt = duration / n
+    return tuple(float(dt * k) for k in range(1, n))
 
 
 def piecewise_constant(duration: float,
@@ -72,7 +73,8 @@ def piecewise_constant(duration: float,
     """Schedule with equal-length constant segments per channel.
 
     All channels must have the same segment count; segment k covers
-    [k*dt, (k+1)*dt) with dt = duration / n_segments.
+    [edge_k, edge_k+1) with edge_k = float(k * dt), dt = duration / n_segments,
+    so each channel is right-continuous at its own breakpoints.
     """
     lengths = {len(np.atleast_1d(v)) for v in values.values()}
     if len(lengths) != 1:
@@ -80,36 +82,31 @@ def piecewise_constant(duration: float,
     n = lengths.pop()
     if n < 1:
         raise ValueError("need at least one segment")
-    dt = duration / n
     arrays = {k: np.array(v, dtype=complex) for k, v in values.items()}
+    edges = np.array(_segment_edges(duration, n))
 
     def make_fn(arr: np.ndarray):
         def fn(t: float) -> complex:
-            idx = min(int(t / dt), n - 1) if t >= 0 else 0
-            return complex(arr[idx])
+            return complex(arr[np.searchsorted(edges, t, side="right")])
         return fn
 
-    edges = tuple(float(dt * k) for k in range(1, n))
     return PulseSchedule(duration=duration,
                          channels={k: make_fn(v) for k, v in arrays.items()},
-                         breakpoints=edges,
                          segment_values=arrays)
 
 
 def reversed_schedule(pulse: PulseSchedule) -> PulseSchedule:
-    """Time-reversed copy: channel(t) -> channel(duration - t)."""
+    """Time-reversed copy: channel(t) -> channel(duration - t).
+
+    A piecewise-constant schedule reverses its segment order, so the copy is
+    right-continuous at its own breakpoints like any other.
+    """
     dur = pulse.duration
+    if pulse.segment_values is not None:
+        return piecewise_constant(dur, {k: v[::-1] for k, v in pulse.segment_values.items()})
 
     def make_fn(fn):
         return lambda t: fn(dur - t)
 
-    breakpoints = None
-    if pulse.breakpoints is not None:
-        breakpoints = tuple(sorted(dur - b for b in pulse.breakpoints))
-    seg = None
-    if pulse.segment_values is not None:
-        seg = {k: v[::-1].copy() for k, v in pulse.segment_values.items()}
     return PulseSchedule(duration=dur,
-                         channels={k: make_fn(v) for k, v in pulse.channels.items()},
-                         breakpoints=breakpoints,
-                         segment_values=seg)
+                         channels={k: make_fn(v) for k, v in pulse.channels.items()})

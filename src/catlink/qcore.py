@@ -83,12 +83,9 @@ class QOperator:
     def dag(self) -> "QOperator":
         return QOperator(self.dims, self.data.conj().T)
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.data - self.data.conj().T)) <= tol)
-
-    def assert_hermitian(self, tol: float = HERMITICITY_TOL) -> "QOperator":
+    def assert_hermitian(self) -> "QOperator":
         dev = float(np.max(np.abs(self.data - self.data.conj().T)))
-        if dev > tol:
+        if dev > HERMITICITY_TOL:
             raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
         return self
 
@@ -142,7 +139,6 @@ class QState:
     dims: tuple[int, ...]
     data: np.ndarray = field(repr=False)
     normalize: bool = True
-    validation_tol: float = NORM_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -159,11 +155,11 @@ class QState:
         if self.normalize:
             if arr.ndim == 1:
                 nrm = float(np.linalg.norm(arr))
-                if abs(nrm - 1.0) > self.validation_tol:
+                if abs(nrm - 1.0) > NORM_TOL:
                     raise ValueError(f"pure state norm {nrm} deviates from 1")
             else:
                 tr = complex(np.trace(arr))
-                if abs(tr - 1.0) > max(self.validation_tol, 1e-10):
+                if abs(tr - 1.0) > NORM_TOL:
                     raise ValueError(f"density matrix trace {tr} deviates from 1")
                 herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
                 if herm_dev > 1e-8:
@@ -194,9 +190,10 @@ class QState:
         rho = self.density_matrix()
         return float(np.real(np.trace(rho @ rho)))
 
-    def validate(self, eig_tol: float = -1e-9) -> "QState":
-        """Full consistency check, including eigenvalue positivity for
-        density matrices.  Intended for tests; O(dim^3) for mixed states."""
+    def validate(self) -> "QState":
+        """Full consistency check, including eigenvalue positivity (down to
+        -1e-9) for density matrices.  Intended for tests; O(dim^3) for mixed
+        states."""
         if self.kind == "pure":
             nrm = self.norm()
             if abs(nrm - 1.0) > NORM_TOL:
@@ -206,7 +203,7 @@ class QState:
             if abs(tr - 1.0) > NORM_TOL:
                 raise ValueError(f"trace {tr} deviates from 1")
             evals = np.linalg.eigvalsh(self.data)
-            if evals.min() < eig_tol:
+            if evals.min() < -1e-9:
                 raise ValueError(f"negative eigenvalue {evals.min():.3e}")
         return self
 

@@ -32,6 +32,7 @@ __all__ = [
     "RateFidelityReport",
     "OPERATION_INVENTORY",
     "STORAGE_EXTRA_OPS",
+    "operation_counts",
     "p0",
     "mean_time",
     "distribution_rate",
@@ -53,6 +54,7 @@ __all__ = [
 SPEED_OF_LIGHT_FIBER = 2.0e5          # km/s
 DLCZ_FIDELITY_CEILING = 0.75          # reported upper bound, not computed here
 RE_FIDELITY_CEILING = 0.80
+CROSSOVER_TOL_KM = 0.1                # bisection stops below this bracket width
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,15 @@ STORAGE_EXTRA_OPS = {
 }
 
 
+def operation_counts(storage_policy: str) -> dict[str, int]:
+    """Operations per elementary link under a storage policy: the link
+    inventory plus the policy's extra drive and undrive operations."""
+    counts = dict(OPERATION_INVENTORY)
+    for op, extra in STORAGE_EXTRA_OPS[storage_policy].items():
+        counts[op] += extra
+    return counts
+
+
 def residual_coherence(chain: ChainParams, wait_time_s: float) -> float:
     """Storage coherence left after the waiting time, by policy.
 
@@ -241,11 +252,8 @@ def elementary_fidelity(op_fidelities: dict[str, float],
     ``op_fidelities`` must contain every key of ``OPERATION_INVENTORY``;
     Fock/transfer storage adds two more drive and undrive operations.
     """
-    counts = dict(OPERATION_INVENTORY)
-    for op, extra in STORAGE_EXTRA_OPS[storage_policy].items():
-        counts[op] += extra
     fid = 1.0
-    for op, count in counts.items():
+    for op, count in operation_counts(storage_policy).items():
         if op not in op_fidelities:
             raise KeyError(f"missing fidelity for operation {op!r}")
         fid *= op_fidelities[op] ** count
@@ -275,39 +283,35 @@ def final_fidelity(f_elem: float, f_swap: float, nesting_level: int,
 
 
 def direct_transmission_rate(length_km: float, source_rate: float = 1e9,
-                             attenuation_km: float = 22.0,
-                             detection_efficiency: Optional[float] = None) -> float:
+                             attenuation_km: float = 22.0) -> float:
     """Entangled-photon source firing down a fiber: rate * e^(-L/L_att).
 
-    Detector efficiency is excluded by default (the reference is quoted for
-    the source alone); pass a value to weight by eta_o^2.
+    Detector efficiency is excluded: the reference is quoted for the source
+    alone.
     """
     if length_km < 0:
         raise ValueError("length must be nonnegative")
-    rate = source_rate * math.exp(-length_km / attenuation_km)
-    if detection_efficiency is not None:
-        rate *= detection_efficiency**2
-    return rate
+    return source_rate * math.exp(-length_km / attenuation_km)
 
 
 def dlcz_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
                     generation_probability: float = 0.01,
                     memory_efficiency: float = 0.9,
                     detection_efficiency: float = 0.9,
-                    attenuation_km: float = 22.0,
-                    operation_time_s: float = 0.0) -> Callable[[float], float]:
+                    attenuation_km: float = 22.0) -> Callable[[float], float]:
     """Simplified DLCZ comparator with the linear-optics swap bound.
 
     Uses the same structural rate formula with P0 built from the single
-    photon generation probability and detection, and P_i = (1/2) eta_m^2
-    (swapping is capped at one half).  Labeled simplified: the reference
+    photon generation probability and detection, no local operation time,
+    and P_i = (1/2) eta_m^2 (swapping is capped at one half).  Labeled
+    simplified: the reference
     protocol's exact prefactors live in its own literature.
     """
     # rate_curve sets the elementary length; 1 km is a placeholder
     link = LinkParams(length_km=1.0, attenuation_km=attenuation_km,
                       emission_probability=generation_probability,
                       detection_efficiency=detection_efficiency,
-                      operation_time_s=operation_time_s)
+                      operation_time_s=0.0)
     chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
                         swap_probability=0.5 * memory_efficiency**2)
     return rate_curve(chain, link)
@@ -332,12 +336,11 @@ def re_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
 
 def crossover(scheme_rate: Callable[[float], float],
               reference_rate: Callable[[float], float],
-              bracket: tuple[float, float] = (50.0, 1500.0),
-              tol_km: float = 0.1) -> float:
+              bracket: tuple[float, float] = (50.0, 1500.0)) -> float:
     """Distance where the scheme's rate meets the reference rate (bisection).
 
     Requires the sign of (scheme - reference) to differ at the bracket ends;
-    refined to ``tol_km``.
+    refined to ``CROSSOVER_TOL_KM``.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
 
@@ -352,7 +355,7 @@ def crossover(scheme_rate: Callable[[float], float],
     if glo * ghi > 0:
         raise ValueError(
             f"no crossover inside bracket [{lo}, {hi}] km (gap {glo:.3g} to {ghi:.3g})")
-    while hi - lo > tol_km:
+    while hi - lo > CROSSOVER_TOL_KM:
         mid = 0.5 * (lo + hi)
         gm = gap(mid)
         if gm == 0:

@@ -30,9 +30,9 @@ from . import catqubit as cq
 from . import pulseopt as po
 # ``crossover`` is not used here: the benchmark's tracer self-test
 # (perfbench/test_perfbench.py) reaches it as ``scenarios.crossover``.
-from .repeater import (ChainParams, LinkParams, OPERATION_INVENTORY,  # noqa: F401
-                       STORAGE_EXTRA_OPS, crossover, direct_transmission_rate,
-                       dlcz_rate_curve, rate_curve, re_rate_curve)
+from .repeater import crossover  # noqa: F401
+from .repeater import (ChainParams, LinkParams, direct_transmission_rate, dlcz_rate_curve,
+                       operation_counts, rate_curve, re_rate_curve)
 
 __all__ = [
     "TABLE_ROW_DEFAULTS",
@@ -80,21 +80,14 @@ class OperationBudget:
     fidelities: dict[str, float]
     durations_s: dict[str, float]
 
-    def operation_time(self, storage_policy: str = "cat",
-                       transduction_time_s: float = TRANSDUCTION_TIME_S) -> float:
+    def operation_time(self, storage_policy: str = "cat") -> float:
         """Serial duration of one node's local operations per attempt.
 
-        Half the link inventory runs at each node; transduction contributes a
-        configured conversion time per use.
+        Half the link inventory runs at each node.
         """
-        counts = dict(OPERATION_INVENTORY)
-        for op, extra in STORAGE_EXTRA_OPS[storage_policy].items():
-            counts[op] += extra
         total = 0.0
-        for op, count in counts.items():
-            per_node = count / 2
-            dur = transduction_time_s if op == "transduction" else self.durations_s[op]
-            total += per_node * dur
+        for op, count in operation_counts(storage_policy).items():
+            total += count / 2 * self.durations_s[op]
         return total
 
 

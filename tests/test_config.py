@@ -2,10 +2,11 @@
 reaches the code that it documents."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from catlink import cli
 from catlink import scenarios as sn
-from catlink.config import CONFIG_SCHEMA, load_config
+from catlink.config import CONFIG_SCHEMA, ConfigError, RunConfig, load_config
 
 ALL_COMMANDS = frozenset(cli.COMMANDS)
 BUDGET = frozenset({"rates", "crossover", "figure6"})
@@ -130,6 +131,61 @@ class TestRoundTrip:
                               if isinstance(default, tuple)}
         config = load_config().with_overrides(lists)
         assert self.reread(config, tmp_path).values == config.values
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_generated_values(self, tmp_path, data):
+        floats = st.floats(allow_nan=False)
+        values = load_config().values
+        for section, keys in CONFIG_SCHEMA.items():
+            for key, (_, default, _) in keys.items():
+                if isinstance(default, bool):
+                    values[section][key] = data.draw(st.booleans())
+                elif isinstance(default, float):
+                    values[section][key] = data.draw(floats)
+                elif isinstance(default, int):
+                    values[section][key] = data.draw(st.integers(min_value=1))
+        rows = data.draw(st.integers(min_value=1, max_value=3))
+        for key in ("loss_ratios", "drive_ratios", "coupling_ratios", "kerr_hz"):
+            values["catqubit"][key] = tuple(data.draw(st.lists(floats, min_size=rows,
+                                                               max_size=rows)))
+        for key in ("anharmonicity_hz", "coupling_hz", "cavity_decay_hz", "qubit_decay_hz"):
+            values["device"][key] = tuple(data.draw(st.lists(floats, max_size=3)))
+        values["transducer"]["natural_linewidth_hz"] = tuple(data.draw(st.lists(floats)))
+        chain = data.draw(st.lists(st.tuples(st.integers(min_value=1),
+                                             st.sampled_from(("cat", "fock", "transfer"))),
+                                   max_size=3))
+        values["chain"]["multiplexing"] = tuple(m for m, _ in chain)
+        values["chain"]["storage_policy"] = tuple(policy for _, policy in chain)
+        lo, hi = sorted((values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"]))
+        assume(lo < hi)
+        values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"] = lo, hi
+        values["grape"]["seed"] = data.draw(st.sampled_from(("", "0", "-7")))
+        values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "2.5e-05")))
+        config = RunConfig(values=values)
+        assert self.reread(config, tmp_path).values == config.values
+
+
+class TestErrors:
+    def test_bad_value_reads_the_same_from_file_and_flag(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[mc]\ntrials = many\n")
+        with pytest.raises(ConfigError) as from_file:
+            load_config(str(path))
+        with pytest.raises(ConfigError) as from_flag:
+            load_config().with_overrides({("mc", "trials"): "many"})
+        assert str(from_file.value) == str(from_flag.value)
+        assert "[mc] trials" in str(from_flag.value)
+
+    def test_unknown_section_is_named_from_file_and_flag(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[nosuch]\nx = 1\n")
+        with pytest.raises(ConfigError) as from_file:
+            load_config(str(path))
+        with pytest.raises(ConfigError) as from_flag:
+            load_config().with_overrides({("nosuch", "x"): "1"})
+        assert str(from_flag.value) == str(from_file.value) == "unknown config section [nosuch]"
 
 
 def test_every_key_has_readers():

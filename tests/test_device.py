@@ -104,7 +104,7 @@ class TestDeviceTable:
         detuning = TP * 1.5e9
         rows = [dv.DeviceParams(coupling=f * detuning, **BASE)
                 for f in (0.05, 0.1, 0.15)]
-        out = dv.device_table(rows, fit_kappa_eff=False)
+        out = [dv.derive_device(r, fit_kappa_eff=False) for r in rows]
         assert len(out) == 3
         for d in out:
             assert d.kerr is not None and d.kappa is not None

@@ -13,6 +13,20 @@ def test_piecewise_lookup_and_edges():
     assert sched.amplitude("a", 2.0) == 4.0  # clamped to the last segment
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_right_continuous_at_every_edge(reverse):
+    # segment k starts at breakpoints[k - 1] itself, also where float rounding
+    # makes int(t / dt) land on segment k - 1, and in the reversed copy
+    rng = np.random.default_rng(5)
+    for duration in rng.uniform(0.1, 100.0, 200):
+        values = rng.uniform(-1.0, 1.0, 64)
+        sched = piecewise_constant(duration, {"u": values})
+        if reverse:
+            sched, values = reversed_schedule(sched), values[::-1]
+        assert len(sched.breakpoints) == 63
+        assert [sched.amplitude("u", t) for t in sched.breakpoints] == list(values[1:])
+
+
 def test_piecewise_requires_matching_lengths():
     with pytest.raises(ValueError):
         piecewise_constant(1.0, {"a": np.ones(4), "b": np.ones(3)})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from catlink import repeater as rp
@@ -169,6 +170,14 @@ class TestFidelityBudget:
         assert rp.elementary_fidelity(ops, "fock") == pytest.approx(
             0.999**26, abs=1e-12)
 
+    def test_operation_counts(self):
+        assert rp.operation_counts("cat") == rp.OPERATION_INVENTORY
+        for policy in ("fock", "transfer"):
+            counts = rp.operation_counts(policy)
+            assert counts["drive"] == rp.OPERATION_INVENTORY["drive"] + 2
+            assert counts["undrive"] == rp.OPERATION_INVENTORY["undrive"] + 2
+            assert sum(counts.values()) == 26
+
     def test_missing_key_rejected(self):
         ops = {k: 0.999 for k in rp.OPERATION_INVENTORY}
         del ops["cnot"]
@@ -244,6 +253,22 @@ class TestCrossover:
         reference = lambda L: 1e4 * math.exp(-L / 50.0)
         found = rp.crossover(scheme, reference, bracket=(50, 1000))
         assert abs(scheme(found) - reference(found)) / reference(found) < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 200)), st.data())
+    def test_independent_of_bracket(self, m, data):
+        # any bracket inside the configured [60, 1500] km that contains the
+        # root gives the default bracket's distance to within the tolerance
+        chain = rp.ChainParams(nesting_level=3, multiplexing=m, storage_policy="cat")
+        scheme = rp.rate_curve(chain, _link(operation_time_s=6e-5))
+        root = scipy.optimize.brentq(
+            lambda L: math.log(scheme(L)) - math.log(rp.direct_transmission_rate(L)),
+            60.0, 1500.0, xtol=1e-12)
+        lo = data.draw(st.floats(min_value=60.0, max_value=root, exclude_max=True))
+        hi = data.draw(st.floats(min_value=root, max_value=1500.0, exclude_min=True))
+        reference = rp.crossover(scheme, rp.direct_transmission_rate, bracket=(60.0, 1500.0))
+        found = rp.crossover(scheme, rp.direct_transmission_rate, bracket=(lo, hi))
+        assert found == pytest.approx(reference, abs=rp.CROSSOVER_TOL_KM)
 
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError):

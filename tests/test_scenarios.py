@@ -35,6 +35,15 @@ class TestOperationBudget:
         assert fock > cat  # extra drive/undrive pair per node
         assert 1e-5 < cat < 1e-3
 
+    @pytest.mark.parametrize("policy", ["fock", "transfer"])
+    def test_fock_storage_adds_one_drive_and_undrive_per_node(self, policy):
+        # dyadic durations keep the sums exact
+        durations = {op: 2.0 ** -(i + 10) for i, op in enumerate(rp.OPERATION_INVENTORY)}
+        budget = sn.OperationBudget(params=cq.CatQubitParams(kerr=1.0),
+                                    fidelities={}, durations_s=durations)
+        assert budget.operation_time(policy) == \
+            budget.operation_time("cat") + durations["drive"] + durations["undrive"]
+
     def test_adiabatic_drive_method(self):
         kerr = sn.TABLE_ROW_DEFAULTS[1e3]
         params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
