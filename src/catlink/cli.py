@@ -192,6 +192,20 @@ def _chain_runs(config: RunConfig, entries: Optional[list[tuple[int, str]]] = No
         chain.storage_policy)) if auto else link) for chain in chains]
 
 
+def _grape_diagnostics(config: RunConfig, report: _Report,
+                       budget: sn.OperationBudget) -> None:
+    """With ``[chain] drive_method = grape``, put the optimizer statistics of
+    the budget's drive and undrive pulses into the summary's ``diagnostics``
+    block (``grape_pair`` is cached, so nothing is optimized twice)."""
+    if config.get("chain", "drive_method") != "grape":
+        return
+    pair = sn.grape_pair(budget.params.alpha, _grape_settings(config))
+    report.summary["diagnostics"] = {"grape": {
+        direction: {"iterations": result.n_iterations, "evaluations": result.evaluations,
+                    "stop_reason": result.stop_reason, "converged": result.converged}
+        for direction, (_, result) in zip(("drive", "undrive"), pair)}}
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -241,6 +255,7 @@ def cmd_grape(config: RunConfig, args) -> _Report:
             "optimized_fidelity": result.fidelity,
             "lossy_fidelity": lossy,
             "iterations": result.n_iterations,
+            "evaluations": result.evaluations,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
         }
@@ -338,6 +353,7 @@ def cmd_rates(config: RunConfig, args) -> _Report:
         for chain, link in runs for L in lengths])
     report.summary["scenarios"] = [f"m{chain.multiplexing}" for chain, _ in runs]
     report.summary["lengths_km"] = [float(lengths[0]), float(lengths[-1])]
+    _grape_diagnostics(config, report, budget)
     return report
 
 
@@ -359,6 +375,7 @@ def cmd_crossover(config: RunConfig, args) -> _Report:
                                       for rep in reports}
     report.summary["final_fidelity"] = {f"m{rep.multiplexing}": rep.final_fidelity
                                         for rep in reports}
+    _grape_diagnostics(config, report, budget)
     return report
 
 

@@ -14,10 +14,15 @@ Liouvillian for exact expm propagation of small constant problems.
 Unitary problems with pure initial states are propagated as state vectors.
 
 ``PiecewiseConstantPropagator`` serves Hamiltonians that are constant over a
-list of stages (the cat-qubit gates and the GRAPE segments): it propagates
-exactly through one eigendecomposition per distinct stage Hamiltonian and
-scores lossy evolution with a no-jump + one-jump expansion, integrating the
-one-jump term over each stage with an n-vs-2n checked Gauss-Legendre rule.
+list of stages (the cat-qubit gates): it propagates exactly through one
+eigendecomposition per distinct stage Hamiltonian and scores lossy evolution
+with a no-jump + one-jump expansion, integrating the one-jump term over each
+stage with an n-vs-2n checked Gauss-Legendre rule.  Each eigendecomposition
+runs one block at a time over the blocks that ``coupled_blocks`` finds, the
+connected components of the matrix's sparsity pattern: the cat Hamiltonians
+conserve photon-number parity (per cavity, or in total for the coupling), so
+a CNOT stage splits into 2 to 2 * dim blocks.  The split is exact, and a
+connected matrix is one block, the dense case.
 The test suite checks the expansion against ``evolve_constant`` on single-
 and multi-stage sequences and, for the CNOT, against ``expm_multiply`` of the
 sparse two-cavity Liouvillian.
@@ -47,6 +52,7 @@ __all__ = [
     "evolve_constant",
     "fit_exponential_decay",
     "integrate_rk45",
+    "coupled_blocks",
     "PiecewiseConstantPropagator",
 ]
 
@@ -305,17 +311,53 @@ def _scale_rows(vec: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (vec * x.T).T
 
 
+def coupled_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the matrices' joint sparsity
+    pattern, each sorted, ordered by their smallest index.
+
+    No matrix has an entry between two blocks, so any sum of them is block
+    diagonal over these index sets and can be factored one block at a time.
+    """
+    # imported here: commands that never factor a stage skip scipy.sparse.csgraph
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for m in matrices:
+        pattern |= np.asarray(m) != 0
+    n, labels = connected_components(sp.csr_matrix(pattern), directed=False)
+    return [np.flatnonzero(labels == k) for k in range(n)]
+
+
+def _blockwise_eig(m: np.ndarray, hermitian: bool):
+    """Eigendecomposition of ``m`` one ``coupled_blocks`` block at a time,
+    assembled into full-size arrays: (lam, V) from ``eigh`` when
+    ``hermitian``, else (lam, V, V^-1) from ``eig`` and ``inv``.  Eigenvalue j
+    belongs to column j of V, which is zero outside the block of index j."""
+    d = m.shape[0]
+    lam = np.empty(d, dtype=float if hermitian else complex)
+    v = np.zeros((d, d), dtype=m.dtype if hermitian else complex)
+    w = None if hermitian else np.zeros((d, d), dtype=complex)
+    for idx in coupled_blocks(m):
+        block = np.ix_(idx, idx)
+        if hermitian:
+            lam[idx], v[block] = scipy.linalg.eigh(m[block])
+        else:
+            lam[idx], v[block] = scipy.linalg.eig(m[block])
+            w[block] = np.linalg.inv(v[block])
+    return (lam, v) if hermitian else (lam, v, w)
+
+
 class PiecewiseConstantPropagator:
     """Exact lossless propagation and one-jump lossy fidelities over a fixed
     list of (H, duration) stages.
 
-    Each distinct H array (by identity) is eigendecomposed once and the stage
-    durations are applied afterwards, so a stage list that repeats an array
-    pays for it once; factors are cached across input states.  States are
-    vectors of length d or (d, c) stacks of c column vectors.  ``jump_ops``
-    are (L, rate) pairs; rate-0 operators are dropped, and without jumps
-    ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets the
-    one-jump quadrature's node count.
+    Each distinct H array (by identity) is eigendecomposed once, one coupled
+    block at a time, and the stage durations are applied afterwards, so a
+    stage list that repeats an array pays for it once; factors are cached
+    across input states.  States are vectors of length d or (d, c) stacks of
+    c column vectors.  ``jump_ops`` are (L, rate) pairs; rate-0 operators are
+    dropped, and without jumps ``lossy_fidelity`` is the lossless overlap.
+    ``kerr`` (rad/s) sets the one-jump quadrature's node count.
     """
 
     # one-jump quadrature: Gauss-Legendre on n = max(MIN_NODES,
@@ -353,7 +395,7 @@ class PiecewiseConstantPropagator:
     def hermitian_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors) of each stage's H."""
         if self._herm is None:
-            self._herm = self._per_distinct_h(scipy.linalg.eigh)
+            self._herm = self._per_distinct_h(lambda h: _blockwise_eig(h, hermitian=True))
         return self._herm
 
     def _effective_factors(self):
@@ -365,10 +407,11 @@ class PiecewiseConstantPropagator:
             for op, rate in self.jump_ops:
                 damp += 0.5j * rate * (op.conj().T @ op)
 
+            jumps = [sp.csr_array(op) for op, _ in self.jump_ops]
+
             def factorize(h):
-                lam, v = scipy.linalg.eig(h - damp)
-                w = np.linalg.inv(v)
-                return lam, v, w, [w @ op @ v for op, _ in self.jump_ops]
+                lam, v, w = _blockwise_eig(h - damp, hermitian=False)
+                return lam, v, w, [w @ (op @ v) for op in jumps]
 
             self._eff = self._per_distinct_h(factorize)
         return self._eff

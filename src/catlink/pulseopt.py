@@ -8,10 +8,14 @@ photon loss is scored afterwards by re-running the optimized schedule through
 the master-equation integrator (the pulse is shaped unitarily, which is both
 cheaper and matches how the achievable fidelities are loss-dominated).
 
-Gradients are exact: each segment propagator is an eigendecomposition-based
-matrix exponential and its derivative along a control direction uses the
-standard divided-difference (Loewner) construction, so the adjoint gradient
-matches finite differences to solver precision.  The optimizer is scipy's
+The Hamiltonian conserves photon-number parity, so the propagation keeps
+only the parity sector that the initial and target states occupy (half the
+space for the cat problems).  Gradients are exact: all segment propagators
+come from one stacked eigendecomposition, and the derivative along a control
+direction uses the standard divided-difference (Loewner) construction,
+evaluated for every segment at once, so the adjoint gradient matches finite
+differences to solver precision.  Re-scoring also checks that the initial
+and final states stay clear of the Fock cutoff.  The optimizer is scipy's
 L-BFGS-B with the amplitude bound as box constraints, i.e. quasi-Newton
 GRAPE (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)).
 """
@@ -25,9 +29,9 @@ import numpy as np
 import scipy.optimize
 
 from . import qcore as qc
-from .catqubit import CatQubitParams, _kerr_op, _two_photon_op, _two_photon_orthogonal_op, \
-    adiabatic_drive_pulse
-from .dynamics import PiecewiseConstantPropagator, evolve
+from .catqubit import CatQubitParams, _check_truncation, _kerr_op, _two_photon_op, \
+    _two_photon_orthogonal_op, adiabatic_drive_pulse
+from .dynamics import coupled_blocks, evolve
 from .pulses import PulseSchedule, piecewise_constant
 
 __all__ = [
@@ -79,6 +83,7 @@ class GrapeResult:
     iterations: np.ndarray = field(repr=False)  # fidelity trace, index 0 = initial guess
     converged: bool          # L-BFGS-B met its own convergence test
     stop_reason: str         # L-BFGS-B's message
+    evaluations: int         # objective and gradient evaluations (scipy's nfev)
 
     @property
     def n_iterations(self) -> int:
@@ -110,46 +115,65 @@ def undrive_problem(params: CatQubitParams, total_time: Optional[float] = None,
 
 
 class _Propagation:
-    """Overlap and exact gradient for one control configuration."""
+    """Overlap and exact gradient for one control configuration.
+
+    The problem is restricted to the ``coupled_blocks`` of H0 and the controls
+    that the initial or target state touches; the dynamics never leave them,
+    so the restriction is exact.  For the cat problems, whose states are both
+    even, that is the even-parity half of the space.
+    """
 
     def __init__(self, problem: GrapeProblem):
         dim = problem.dim
-        self.h0 = _kerr_op(dim, problem.params.kerr)
-        self.controls = (_two_photon_op(dim), _two_photon_orthogonal_op(dim))
+        h0 = _kerr_op(dim, problem.params.kerr)
+        controls = (_two_photon_op(dim), _two_photon_orthogonal_op(dim))
+        psi0, target = problem.initial.data, problem.target.data
+        keep = np.sort(np.concatenate([idx for idx in coupled_blocks(h0, *controls)
+                                       if np.any(psi0[idx]) or np.any(target[idx])]))
+        sub = np.ix_(keep, keep)
+        self.h0 = h0[sub]
+        self.controls = np.stack([c[sub] for c in controls])
         self.dt = problem.total_time / problem.n_segments
-        self.psi0 = problem.initial.data
-        self.target = problem.target.data
+        self.psi0 = psi0[keep]
+        self.target = target[keep]
         self.n = problem.n_segments
 
     def overlap_and_gradient(self, u: np.ndarray):
         """u has shape (2, n_segments); returns (|c|^2, dF/du)."""
-        dt = self.dt
-        prop = PiecewiseConstantPropagator(
-            [(self.h0 + u[0, k] * self.controls[0] + u[1, k] * self.controls[1], dt)
-             for k in range(self.n)])
-        fwd = prop.forward(self.psi0)
-        c = complex(np.vdot(self.target, fwd[-1]))
+        dt, n = self.dt, self.n
+        # segment Hamiltonians (n, d, d), all factored in one stacked eigh
+        h = self.h0 + u[0, :, None, None] * self.controls[0] \
+            + u[1, :, None, None] * self.controls[1]
+        lam, v = np.linalg.eigh(h)
+        vh = v.conj().transpose(0, 2, 1)
+        phase = np.exp(-1j * lam * dt)
 
-        grad = np.zeros_like(u)
-        chi = self.target.copy()
-        factors = prop.hermitian_factors()
-        for k in range(self.n - 1, -1, -1):
-            lam, v = factors[k]
-            phase = np.exp(-1j * lam * dt)
-            # Loewner matrix for f(x) = exp(-i x dt)
-            diff = lam[:, None] - lam[None, :]
-            num = phase[:, None] - phase[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m = np.where(np.abs(diff) > 1e-12 * np.max(np.abs(lam) + 1.0),
-                             num / diff, -1j * dt * phase[:, None])
-            chi_t = v.conj().T @ chi
-            psi_t = v.conj().T @ fwd[k]
-            for j, ctrl in enumerate(self.controls):
-                c_t = v.conj().T @ ctrl @ v
-                dcdu = np.vdot(chi_t, (m * c_t) @ psi_t)
-                grad[j, k] = 2.0 * np.real(np.conj(c) * dcdu)
-            chi = v @ (np.conj(phase) * chi_t)
-        return abs(c) ** 2, grad
+        # the two sequential recursions, keeping each segment's eigen-
+        # coefficients of the forward state psi_k and of the backward-
+        # propagated target chi_k+1 on entry to segment k
+        psi_t = np.empty(lam.shape, dtype=complex)
+        chi_t = np.empty(lam.shape, dtype=complex)
+        psi = self.psi0
+        for k in range(n):
+            psi_t[k] = vh[k] @ psi
+            psi = v[k] @ (phase[k] * psi_t[k])
+        c = complex(np.vdot(self.target, psi))
+        chi = self.target
+        for k in range(n - 1, -1, -1):
+            chi_t[k] = vh[k] @ chi
+            chi = v[k] @ (np.conj(phase[k]) * chi_t[k])
+
+        # Loewner matrices for f(x) = exp(-i x dt), one per segment
+        diff = lam[:, :, None] - lam[:, None, :]
+        num = phase[:, :, None] - phase[:, None, :]
+        tiny = 1e-12 * np.max(np.abs(lam) + 1.0, axis=1)[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where(np.abs(diff) > tiny, num / diff, -1j * dt * phase[:, :, None])
+        # dc/du_jk = <chi_k+1| V (M o V^dag C_j V) V^dag |psi_k>
+        #          = sum_xy (C_j)_xy (V^* A V^T)_xy  with  A = (chi_t^* psi_t^T) o M
+        a = chi_t.conj()[:, :, None] * m * psi_t[:, None, :]
+        dcdu = np.einsum("jxy,kxy->jk", self.controls, v.conj() @ a @ v.transpose(0, 2, 1))
+        return abs(c) ** 2, 2.0 * np.real(np.conj(c) * dcdu)
 
 
 def _initial_guess(problem: GrapeProblem, seed: Optional[int]) -> np.ndarray:
@@ -197,7 +221,7 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
     if max_iters <= 0:
         fidelity, converged = prop.overlap_and_gradient(u)[0], False
         stop_reason = f"max_iters = {max_iters}: not optimized"
-        trace = [fidelity]
+        trace, evaluations = [fidelity], 1
     else:
         trace = []
 
@@ -213,6 +237,7 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
             callback=lambda intermediate_result: trace.append(1.0 - intermediate_result.fun))
         u = res.x.reshape(u.shape)
         fidelity, converged, stop_reason = 1.0 - res.fun, bool(res.success), str(res.message)
+        evaluations = int(res.nfev)
 
     schedule = piecewise_constant(problem.total_time, {
         "two_photon": u[0].astype(complex),
@@ -220,7 +245,7 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
     })
     return GrapeResult(schedule=schedule, fidelity=float(fidelity),
                        iterations=np.asarray(trace), converged=converged,
-                       stop_reason=stop_reason)
+                       stop_reason=stop_reason, evaluations=evaluations)
 
 
 def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
@@ -228,7 +253,9 @@ def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
     """Re-score a schedule with the master-equation integrator.
 
     ``kappa`` defaults to the problem's loss rate; pass 0 for the unitary
-    cross-check against the optimizer's internal propagation.
+    cross-check against the optimizer's internal propagation.  Raises
+    ``TruncationOverflowError`` when the initial or final state holds more
+    than 1e-6 in the top two Fock levels.
     """
     from .catqubit import _pulse_hamiltonian
 
@@ -237,4 +264,5 @@ def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
     h = _pulse_hamiltonian(params, schedule)
     collapse = [(qc.annihilation(params.dim), k)] if k > 0 else []
     traj = evolve(h, collapse, problem.initial, n_samples=2)
+    _check_truncation(traj.states, params.dim)
     return qc.state_fidelity(traj.final_state, problem.target)

@@ -278,8 +278,9 @@ def coherent_state(alpha: complex, dim: int) -> QState:
 def cat_state(alpha: complex, parity: str, dim: int) -> QState:
     """Even or odd cat state N(|alpha> +/- |-alpha>), exactly normalized.
 
-    ``parity`` is "even" (+) or "odd" (-).  An odd cat with alpha = 0 is the
-    zero vector and raises ``ValueError``.
+    ``parity`` is "even" (+) or "odd" (-); the Fock amplitudes of the other
+    parity are exactly zero.  An odd cat with alpha = 0 is the zero vector
+    and raises ``ValueError``.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -289,6 +290,8 @@ def cat_state(alpha: complex, parity: str, dim: int) -> QState:
     plus = coherent_state(alpha, dim).data
     minus = coherent_state(-alpha, dim).data
     vec = plus + sign * minus
+    # the two coherent states cancel there only up to rounding
+    vec[1 if parity == "even" else 0::2] = 0.0
     nrm = np.linalg.norm(vec)
     return QState((dim,), vec / nrm)
 

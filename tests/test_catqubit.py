@@ -5,9 +5,10 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from catlink import catqubit as cq
+from catlink import dynamics
 from catlink import qcore as qc
-from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator, evolve_constant,
-                              liouvillian)
+from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator, coupled_blocks,
+                              evolve_constant, liouvillian)
 
 ALPHA = math.sqrt(2)
 
@@ -186,6 +187,41 @@ class TestPiecewiseConstantPropagator:
         zero, one = cq.logical_states(ratio_1e3)
         with pytest.raises(IntegrationError, match=r"stage 0 .*\|I_1 - I_2\| = "):
             prop.lossy_fidelity(zero.data, prop.propagate_pure(zero.data))
+
+
+class TestParityBlocks:
+    DIM = 8
+
+    @pytest.fixture(scope="class")
+    def cnot_problem(self, ratio_1e3):
+        e = ratio_1e3.two_photon_amplitude
+        stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, self.DIM)
+        a1, a2, _, _ = cq._two_qubit_ops(ratio_1e3, self.DIM)
+        jumps = [(a1, ratio_1e3.kappa), (a2, ratio_1e3.kappa)]
+        basis = cq._two_qubit_logical_basis(ratio_1e3, self.DIM)
+        return stages, jumps, basis
+
+    def test_stage_block_counts(self, cnot_problem):
+        # X and G conserve the parity of the undriven cavity or the total
+        # parity; Z conserves cavity 1's photon number and cavity 2's parity
+        stages, _, _ = cnot_problem
+        blocks = [coupled_blocks(h) for h, _ in stages]
+        assert [len(b) for b in blocks] == [2, 2 * self.DIM, 2, 2, 2 * self.DIM, 2, 2]
+        for b in blocks:
+            assert np.array_equal(np.sort(np.concatenate(b)), np.arange(self.DIM**2))
+
+    def test_matches_single_block_factorization(self, cnot_problem, ratio_1e3, monkeypatch):
+        stages, jumps, basis = cnot_problem
+        blocked = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
+        psi_blocked = blocked.forward(basis)
+        fid_blocked = blocked.lossy_fidelity(basis, psi_blocked[-1])
+        # the dense reference: every matrix is one block
+        monkeypatch.setattr(dynamics, "coupled_blocks", lambda m: [np.arange(m.shape[0])])
+        dense = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
+        for x, y in zip(psi_blocked, dense.forward(basis)):
+            assert np.max(np.abs(x - y)) <= 1e-12
+        assert np.max(np.abs(fid_blocked - dense.lossy_fidelity(basis, psi_blocked[-1]))) \
+            <= 1e-12
 
 
 class TestGateZ:

@@ -199,11 +199,26 @@ class TestCrossoverCommand:
                     "--set", "chain.storage_policy=cat")
         assert r.returncode == 0
         summary = json.loads(r.stdout)
+        assert "diagnostics" not in summary  # the block reports GRAPE only
         cross = summary["crossover_km"]["m200"]
         assert 200.0 < cross < 320.0
         assert 0.8 < summary["final_fidelity"]["m200"] < 1.0
         lines = open(os.path.join(out_dir, "crossover", "crossover.csv")).read().splitlines()
         assert lines[0].startswith("scenario,L_km,n,m,P0,")
+
+    @pytest.mark.parametrize("command", ["rates", "crossover"])
+    def test_grape_diagnostics_block(self, out_dir, command):
+        r = run_cli(command, "--out", out_dir, "--set", "grape.n_segments=16",
+                    "--set", "catqubit.two_qubit_dim=8", "--set", "rates.length_steps=2")
+        assert r.returncode == 0, r.stderr
+        summary = json.load(open(os.path.join(out_dir, command, "summary.json")))
+        grape = summary["diagnostics"]["grape"]
+        assert sorted(grape) == ["drive", "undrive"]
+        for stats in grape.values():
+            assert sorted(stats) == ["converged", "evaluations", "iterations", "stop_reason"]
+            assert stats["converged"] is True
+            assert 0 < stats["iterations"] <= stats["evaluations"]
+            assert "CONVERGENCE" in stats["stop_reason"]
 
     def test_bad_drive_method_rejected(self, out_dir):
         r = run_cli("crossover", "--out", out_dir,

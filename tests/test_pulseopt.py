@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from catlink import catqubit as cq
 from catlink import pulseopt as po
 from catlink import qcore as qc
 from catlink.config import load_config
@@ -11,9 +13,11 @@ from catlink.catqubit import CatQubitParams
 
 @pytest.fixture(scope="module")
 def small_problem():
-    """Cheap problem for structural checks: dim 12, 8 segments."""
+    """Cheap problem for structural checks: dim 20, 8 segments.  Its pulses
+    leave below 1e-9 in the top two Fock levels; at dim 12 they leave 1e-4,
+    which the re-score's truncation check rejects."""
     params = CatQubitParams(kerr=1.0, kappa=1e-3)
-    return po.drive_problem(params, n_segments=8, dim=12)
+    return po.drive_problem(params, n_segments=8, dim=20)
 
 
 class TestProblemSetup:
@@ -46,6 +50,56 @@ class TestGradient:
             assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
 
+class TestParitySector:
+    @staticmethod
+    def _full_space(problem, u):
+        """|c|^2 and its gradient on the full space, with each segment's
+        exponential and its Frechet derivative from scipy's expm."""
+        dim, n = problem.dim, problem.n_segments
+        dt = problem.total_time / n
+        controls = (cq._two_photon_op(dim), cq._two_photon_orthogonal_op(dim))
+        h0 = cq._kerr_op(dim, problem.params.kerr)
+        props, derivs = [], []
+        for k in range(n):
+            h = -1j * dt * (h0 + u[0, k] * controls[0] + u[1, k] * controls[1])
+            props.append(scipy.linalg.expm(h))
+            derivs.append([scipy.linalg.expm_frechet(h, -1j * dt * c, compute_expm=False)
+                           for c in controls])
+        fwd = [problem.initial.data]
+        for p in props:
+            fwd.append(p @ fwd[-1])
+        bwd = [problem.target.data]
+        for p in reversed(props):
+            bwd.append(p.conj().T @ bwd[-1])
+        bwd = bwd[::-1]
+        c = np.vdot(problem.target.data, fwd[-1])
+        grad = np.array([[2.0 * np.real(np.conj(c) * np.vdot(bwd[k + 1], derivs[k][j] @ fwd[k]))
+                          for k in range(n)] for j in range(2)])
+        return abs(c) ** 2, grad
+
+    @pytest.mark.parametrize("maker", [po.drive_problem, po.undrive_problem])
+    def test_matches_full_space(self, maker):
+        problem = maker(CatQubitParams(kerr=1.0), n_segments=8, dim=16)
+        prop = po._Propagation(problem)
+        assert prop.psi0.size == 8  # the even sector
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            u = rng.uniform(-3.0, 3.0, (2, 8))
+            fid, grad = prop.overlap_and_gradient(u)
+            ref_fid, ref_grad = self._full_space(problem, u)
+            assert abs(fid - ref_fid) <= 1e-12
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+
+    def test_mixed_parity_keeps_full_space(self):
+        dim = 12
+        target = (qc.fock_state(0, dim).data + qc.fock_state(1, dim).data) / math.sqrt(2)
+        problem = po.GrapeProblem(params=CatQubitParams(kerr=1.0),
+                                  initial=qc.fock_state(0, dim),
+                                  target=qc.QState((dim,), target), total_time=0.5,
+                                  n_segments=8)
+        assert po._Propagation(problem).psi0.size == dim
+
+
 class TestOptimization:
     def test_identity_transfer_needs_no_pulse(self):
         params = CatQubitParams(kerr=1.0)
@@ -70,6 +124,11 @@ class TestOptimization:
         res = po.grape_optimize(small_problem, max_iters=40)
         gains = np.diff(res.iterations)
         assert np.all(gains >= -1e-12)
+
+    def test_evaluations_counted(self, small_problem):
+        res = po.grape_optimize(small_problem, max_iters=40)
+        assert res.evaluations >= res.n_iterations + 1  # the initial guess first
+        assert po.grape_optimize(small_problem, max_iters=0).evaluations == 1
 
     def test_iteration_cap_reported_as_not_converged(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=2)
@@ -99,6 +158,13 @@ class TestEvaluatePulse:
         res = po.grape_optimize(small_problem, max_iters=30)
         reval = po.evaluate_pulse(small_problem, res.schedule, kappa=0.0)
         assert reval == pytest.approx(res.fidelity, abs=1e-6)
+
+    def test_truncation_overflow_raises(self):
+        # the dim-8 cat holds 2.4e-2 in its top two Fock levels
+        problem = po.undrive_problem(CatQubitParams(kerr=1.0), n_segments=8, dim=8)
+        res = po.grape_optimize(problem, max_iters=0)
+        with pytest.raises(cq.TruncationOverflowError, match="top two Fock levels"):
+            po.evaluate_pulse(problem, res.schedule)
 
     def test_fidelity_decreases_with_loss(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=60)

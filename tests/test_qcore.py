@@ -90,6 +90,13 @@ class TestCatState:
         odd_weight = np.sum(np.abs(cat.data[1::2]) ** 2)
         assert odd_weight < 1e-10
 
+    @pytest.mark.parametrize("parity, other", [("even", slice(1, None, 2)),
+                                               ("odd", slice(0, None, 2))])
+    def test_other_parity_exactly_zero(self, parity, other):
+        # the GRAPE propagation keeps only the parity sectors a state touches
+        cat = qc.cat_state(math.sqrt(2), parity, 30)
+        assert np.all(cat.data[other] == 0)
+
     @pytest.mark.parametrize("alpha", [0.5, math.sqrt(2), 2.0])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_normalization(self, alpha, parity):
