@@ -591,116 +591,12 @@ class ProtocolResult:
     ``branches`` maps herald patterns to (probability, normalized state on
     the stationary pair).  For the two-step protocol a pattern is (step-I
     detector, step-II detector) with detectors indexed 1 and 2; for a single
-    step it is just (detector,).
+    step it is just (detector,).  Each probability is the joint probability
+    of its whole pattern; a branch of probability 0 holds the zero matrix.
     """
 
     branches: dict[tuple, tuple[float, qc.QState]]
     success_probability: float
-
-
-def _damping_kraus(transmittance: float) -> list[np.ndarray]:
-    """Amplitude-damping Kraus set on a three-level Fock mode."""
-    eta = float(transmittance)
-    k0 = np.diag([1.0, math.sqrt(eta), eta]).astype(complex)
-    k1 = np.zeros((3, 3), dtype=complex)
-    k1[0, 1] = math.sqrt(1 - eta)
-    k1[1, 2] = math.sqrt(2 * eta * (1 - eta))
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[0, 2] = 1 - eta
-    return [k0, k1, k2]
-
-
-def _beamsplitter_unitary() -> np.ndarray:
-    """50:50 beamsplitter on two three-level modes, b -> (b+d)/sqrt2,
-    d -> (b-d)/sqrt2, restricted to <= 2 total photons (identity above)."""
-    dim = 3
-    u = np.eye(dim * dim, dtype=complex)
-
-    def idx(nb, nd):
-        return nb * dim + nd
-
-    mapping = {
-        (0, 0): {(0, 0): 1.0},
-        (1, 0): {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)},
-        (0, 1): {(1, 0): 1 / math.sqrt(2), (0, 1): -1 / math.sqrt(2)},
-        (2, 0): {(2, 0): 0.5, (1, 1): 1 / math.sqrt(2), (0, 2): 0.5},
-        (0, 2): {(2, 0): 0.5, (1, 1): -1 / math.sqrt(2), (0, 2): 0.5},
-        (1, 1): {(2, 0): 1 / math.sqrt(2), (0, 2): -1 / math.sqrt(2)},
-    }
-    for src, dests in mapping.items():
-        u[:, idx(*src)] = 0.0
-        for dst, amp in dests.items():
-            u[idx(*dst), idx(*src)] = amp
-    return u
-
-
-def _apply_photonic_channel(rho: np.ndarray, transmittance: float) -> np.ndarray:
-    """Amplitude damping on both flying modes of a (2,2,3,3) state."""
-    kraus = _damping_kraus(transmittance)
-    d = rho.shape[0]
-    out = np.zeros_like(rho)
-    eye2 = np.eye(2)
-    for ka in kraus:
-        for kb in kraus:
-            k = np.kron(np.kron(eye2, eye2), np.kron(ka, kb))
-            out += k @ rho @ k.conj().T
-    return out
-
-
-def _detector_projectors(detectors: str) -> dict[int, np.ndarray]:
-    """Projectors on the two-mode photonic space for 'detector 1 fired,
-    detector 2 silent' and vice versa, after the beamsplitter."""
-    def ket(nb, nd):
-        v = np.zeros(9)
-        v[nb * 3 + nd] = 1.0
-        return v
-
-    if detectors == "number_resolving":
-        p1 = np.outer(ket(1, 0), ket(1, 0))
-        p2 = np.outer(ket(0, 1), ket(0, 1))
-    elif detectors == "threshold":
-        p1 = np.outer(ket(1, 0), ket(1, 0)) + np.outer(ket(2, 0), ket(2, 0))
-        p2 = np.outer(ket(0, 1), ket(0, 1)) + np.outer(ket(0, 2), ket(0, 2))
-    else:
-        raise ValueError("detectors must be 'number_resolving' or 'threshold'")
-    return {1: p1.astype(complex), 2: p2.astype(complex)}
-
-
-def _herald(rho: np.ndarray, detectors: str) -> dict[int, tuple[float, np.ndarray]]:
-    """Measure the photonic modes; return unnormalized stationary-pair states
-    by herald pattern, tracing the photons out."""
-    u_bs = _beamsplitter_unitary()
-    u = np.kron(np.eye(4), u_bs)
-    rho_bs = u @ rho @ u.conj().T
-    projs = _detector_projectors(detectors)
-    out = {}
-    for which, p in projs.items():
-        full_p = np.kron(np.eye(4), p)
-        branch = full_p @ rho_bs @ full_p.conj().T
-        prob = float(np.real(np.trace(branch)))
-        reduced = qc.partial_trace(
-            qc.QState((2, 2, 3, 3), branch, normalize=False), [0, 1])
-        out[which] = (prob, reduced.data)
-    return out
-
-
-def _reprepare_flying(rho_ac: np.ndarray) -> np.ndarray:
-    """Flip both stationary qubits, then re-emit flying copies:
-    |x>_a -> |x>_a |x>_b and likewise for (c, d)."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    flip = np.kron(x, x)
-    rho_f = flip @ rho_ac @ flip.conj().T
-    v_single = np.zeros((6, 2), dtype=complex)  # |x> -> |x>|x> on (qubit, mode3)
-    v_single[0 * 3 + 0, 0] = 1.0
-    v_single[1 * 3 + 1, 1] = 1.0
-    v = np.kron(v_single, v_single)  # (a b c d) ordering
-    rho_abcd = v @ rho_f @ v.conj().T
-    # reorder (a, b, c, d) -> (a, c, b, d)
-    dims = (2, 3, 2, 3)
-    perm = (0, 2, 1, 3)
-    t = rho_abcd.reshape(dims + dims)
-    t = np.transpose(t, perm + tuple(4 + p for p in perm))
-    return t.reshape(36, 36)
 
 
 def simulate_link_protocol(loss_per_arm: float,
@@ -709,11 +605,17 @@ def simulate_link_protocol(loss_per_arm: float,
                            two_step: bool = True) -> ProtocolResult:
     """Exact small-space verification of the two-round heralded link.
 
-    Stationary qubits are abstract two-level systems (logical gates taken as
-    ideal); flying qubits are three-level Fock modes subjected to exact
-    beamsplitter interference, with per-arm loss and detector inefficiency
-    folded into one transmittance.  Returns the post-selected stationary-pair
-    state per herald pattern and the total success probability.
+    Stationary qubits a, c are abstract two-level systems (logical gates
+    taken as ideal).  Each round, every qubit emits a flying mode b, d that
+    holds one photon exactly when the qubit is |1>, so two Fock levels per
+    mode are exact: loss before the beamsplitter never meets a second
+    photon.  Per-arm loss and detector inefficiency fold into one
+    transmittance eta, whose amplitude-damping Kraus pair acts on each mode.
+    A detector outcome is a row of the 50:50 beamsplitter on |b d>, and
+    threshold detectors also count the bunched two-photon rows.  Round I
+    starts from |+>|+>; round II flips both qubits and emits again.  Returns
+    the post-selected stationary-pair state per herald pattern and the total
+    success probability.
 
     With both protocol steps the heralded state is a Bell state regardless of
     loss (loss only reduces the success probability); with ``two_step=False``
@@ -723,42 +625,38 @@ def simulate_link_protocol(loss_per_arm: float,
         raise ValueError("loss_per_arm must lie in [0, 1]")
     if not 0.0 <= detector_efficiency <= 1.0:
         raise ValueError("detector_efficiency must lie in [0, 1]")
+    s = 1.0 / math.sqrt(2.0)
+    # <10| and <01| after the beamsplitter, on inputs |bd> = |00>, |01>, |10>, |11>
+    rows = {1: [[0.0, s, s, 0.0]], 2: [[0.0, -s, s, 0.0]]}
+    if detectors == "threshold":
+        rows[1].append([0.0, 0.0, 0.0, s])    # <20|
+        rows[2].append([0.0, 0.0, 0.0, -s])   # <02|
+    elif detectors != "number_resolving":
+        raise ValueError("detectors must be 'number_resolving' or 'threshold'")
     eta = (1.0 - loss_per_arm) * detector_efficiency
+    kraus = [np.diag([1.0, math.sqrt(eta)]),
+             np.array([[0.0, math.sqrt(1.0 - eta)], [0.0, 0.0]])]
+    # herald maps from (a, c, b, d) to the stationary pair (a, c)
+    heralds = {det: [np.kron(np.eye(4), row @ np.kron(k_b, k_d))
+                     for row in det_rows for k_b in kraus for k_d in kraus]
+               for det, det_rows in rows.items()}
+    emit = np.eye(16)[:, ::5]  # |x y> -> |x y x y>, basis index 5 (2x + y)
 
-    # step-I joint state: (1/2) sum_{x,y} |x>_a |y>_c |x>_b |y>_d
-    psi = np.zeros(36, dtype=complex)
-    for x in (0, 1):
-        for y in (0, 1):
-            vec_a = np.eye(2)[x]
-            vec_c = np.eye(2)[y]
-            vec_b = np.eye(3)[x]
-            vec_d = np.eye(3)[y]
-            psi += 0.5 * np.kron(np.kron(vec_a, vec_c), np.kron(vec_b, vec_d))
-    rho = np.outer(psi, psi.conj())
-
-    rho = _apply_photonic_channel(rho, eta)
-    step1 = _herald(rho, detectors)
-
-    if not two_step:
-        branches = {}
-        total = 0.0
-        for det, (prob, rho_ac) in step1.items():
-            total += prob
-            state = qc.QState((2, 2), rho_ac / prob if prob > 0 else rho_ac,
-                              normalize=False)
-            branches[(det,)] = (prob, state)
-        return ProtocolResult(branches=branches, success_probability=total)
+    unnormalized = {(): np.full((4, 4), 0.25, dtype=complex)}  # |+>|+>
+    for step in range(2 if two_step else 1):
+        next_round = {}
+        for pattern, rho in unnormalized.items():
+            if step:
+                rho = rho[::-1, ::-1]  # X on both qubits
+            rho = emit @ rho @ emit.T
+            for det, maps in heralds.items():
+                next_round[pattern + (det,)] = sum(m @ rho @ m.T for m in maps)
+        unnormalized = next_round
 
     branches = {}
-    total = 0.0
-    for det1, (prob1, rho_ac) in step1.items():
-        rho_full = _reprepare_flying(rho_ac)
-        rho_full = _apply_photonic_channel(rho_full, eta)
-        step2 = _herald(rho_full, detectors)
-        for det2, (prob2, rho_final) in step2.items():
-            prob = prob2  # rho_ac was unnormalized: prob2 already joint
-            total += prob
-            state = qc.QState((2, 2), rho_final / prob if prob > 0 else rho_final,
-                              normalize=False)
-            branches[(det1, det2)] = (prob, state)
-    return ProtocolResult(branches=branches, success_probability=total)
+    for pattern, rho in unnormalized.items():
+        prob = float(np.real(np.trace(rho)))
+        branches[pattern] = (prob, qc.QState((2, 2), rho / prob if prob > 0 else rho,
+                                             normalize=False))
+    return ProtocolResult(branches=branches,
+                          success_probability=sum(p for p, _ in branches.values()))

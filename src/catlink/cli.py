@@ -209,7 +209,7 @@ def _grape_diagnostics(config: RunConfig, report: _Report,
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_gates(config: RunConfig, args) -> _Report:
+def cmd_gates(config: RunConfig) -> _Report:
     report = _Report("gates", config)
     header = ["operation", "K_rad_per_s", "kappa_per_s", "duration_s",
               "duration_Kt", "fidelity"]
@@ -230,13 +230,9 @@ def cmd_gates(config: RunConfig, args) -> _Report:
     return report
 
 
-def cmd_grape(config: RunConfig, args) -> _Report:
+def cmd_grape(config: RunConfig) -> _Report:
     report = _Report("grape", config)
     settings = _grape_settings(config)
-    if args.iters is not None:
-        settings = settings._replace(max_iters=args.iters)
-    if args.seed is not None:
-        settings = settings._replace(seed=args.seed)
     pair = sn.grape_pair(config.get("catqubit", "alpha"), settings)
     kappa = 1.0 / config.get("grape", "loss_ratio")  # K = 1
 
@@ -262,7 +258,7 @@ def cmd_grape(config: RunConfig, args) -> _Report:
     return report
 
 
-def cmd_device(config: RunConfig, args) -> _Report:
+def cmd_device(config: RunConfig) -> _Report:
     report = _Report("device", config)
     sec = config["device"]
     lists = {k: sec[k] for k in ("anharmonicity_hz", "coupling_hz",
@@ -298,7 +294,7 @@ def cmd_device(config: RunConfig, args) -> _Report:
     return report
 
 
-def cmd_transduce(config: RunConfig, args) -> _Report:
+def cmd_transduce(config: RunConfig) -> _Report:
     report = _Report("transduce", config)
     sec = config["transducer"]
     rows = []
@@ -344,7 +340,7 @@ def _lengths(config: RunConfig) -> np.ndarray:
     return np.linspace(ra["length_min_km"], ra["length_max_km"], ra["length_steps"])
 
 
-def cmd_rates(config: RunConfig, args) -> _Report:
+def cmd_rates(config: RunConfig) -> _Report:
     report = _Report("rates", config)
     lengths = _lengths(config)
     budget, runs = _chain_runs(config)
@@ -357,7 +353,7 @@ def cmd_rates(config: RunConfig, args) -> _Report:
     return report
 
 
-def cmd_crossover(config: RunConfig, args) -> _Report:
+def cmd_crossover(config: RunConfig) -> _Report:
     report = _Report("crossover", config)
     ra = config["rates"]
     source_rate = config.get("comparators", "source_rate_hz")
@@ -379,29 +375,27 @@ def cmd_crossover(config: RunConfig, args) -> _Report:
     return report
 
 
-def cmd_mc(config: RunConfig, args) -> _Report:
+def cmd_mc(config: RunConfig) -> _Report:
     report = _Report("mc", config)
     sec = config["mc"]
-    trials = args.trials if args.trials is not None else sec["trials"]
-    seed = args.seed if args.seed is not None else sec["seed"]
     ch = config["chain"]
     link = _link_params(config)
     rows = []
     for n in range(ch["nesting_level"] + 1):
         chain = ChainParams(nesting_level=n, swap_probability=ch["swap_probability"])
-        mean, stderr = monte_carlo_time(chain, link, trials=int(trials),
-                                        seed=int(seed))
+        mean, stderr = monte_carlo_time(chain, link, trials=sec["trials"],
+                                        seed=sec["seed"])
         formula = mean_time(chain, link)
         rows.append([n, mean, stderr, formula, formula / mean])
     report.add_table("mc", ["n", "mc_mean_s", "mc_stderr_s", "formula_s",
                             "formula_over_mc"], rows)
-    report.summary["trials"] = int(trials)
-    report.summary["seed"] = int(seed)
+    report.summary["trials"] = sec["trials"]
+    report.summary["seed"] = sec["seed"]
     report.summary["formula_over_mc"] = {r[0]: r[4] for r in rows}
     return report
 
 
-def cmd_figure6(config: RunConfig, args) -> _Report:
+def cmd_figure6(config: RunConfig) -> _Report:
     report = _Report("figure6", config)
     lengths = _lengths(config)
     # the cat curves store in the cat basis; the curves set m themselves
@@ -467,11 +461,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             target, raw = item.split("=", 1)
             section, key = target.split(".", 1)
             overrides[(section.strip(), key.strip())] = raw.strip()
-        if args.format:
-            overrides[("output", "format")] = args.format
+        # flags go in after --set, so a flag wins and the snapshot records it;
+        # only mc and grape take --seed, each for its own section
+        flags = {"format": ("output", "format"), "trials": ("mc", "trials"),
+                 "iters": ("grape", "max_iters"), "seed": (args.command, "seed")}
+        for flag, key in flags.items():
+            if getattr(args, flag, None) is not None:
+                overrides[key] = str(getattr(args, flag))
         if overrides:
             config = config.with_overrides(overrides)
-        report = COMMANDS[args.command](config, args)
+        report = COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _stabilized_h
@@ -110,11 +109,10 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
     """Inherited cavity Kerr from exact diagonalization.
 
     Dressed states |i, 0> are identified by maximum overlap with the bare
-    product states (assignment resolved globally so near-degenerate pairs
-    cannot both claim the same eigenvector), then the spacings
-    w(i+1,0) - w(i,0) are fit to a line whose slope is -2K.  Raises when the
-    overlap assignment is ambiguous, which signals a dispersive-regime
-    violation.
+    product states, then the spacings w(i+1,0) - w(i,0) are fit to a line
+    whose slope is -2K.  Raises when a maximum overlap is below 0.8, which
+    signals a dispersive-regime violation.  Above 0.8 no two bare states can
+    claim one eigenvector, since their overlaps with it sum to at most 1.
     """
     params.check_dispersive()
     h = _two_mode_hamiltonian(params, cavity_levels, qubit_levels)
@@ -123,11 +121,8 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
     # overlap of each eigenvector with each bare |i, 0>
     bare_idx = [i * qubit_levels for i in range(N_FIT_LEVELS + 1)]
     overlaps = np.abs(evecs[bare_idx, :]) ** 2  # (n_fit+1, dim)
-    row, col = scipy.optimize.linear_sum_assignment(-overlaps)
-    assignment = dict(zip(row.tolist(), col.tolist()))
     energies = []
-    for i in range(N_FIT_LEVELS + 1):
-        j = assignment[i]
+    for i, j in enumerate(np.argmax(overlaps, axis=1)):
         if overlaps[i, j] < 0.8:
             raise ValueError(
                 f"dressed-state identification ambiguous for level {i} "

@@ -370,6 +370,35 @@ class TestLinkProtocol:
         bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
         assert qc.state_fidelity(state, bell_plus) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("detectors", ["number_resolving", "threshold"])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 0.5, 0.1, 0.0])
+    def test_closed_forms_per_herald_pattern(self, eta, detectors):
+        loss = 1.0 - eta
+        eta = 1.0 - loss  # the transmittance the protocol sees
+        bell = {1: np.array([0, 1, 1, 0]) / math.sqrt(2),
+                2: np.array([0, 1, -1, 0]) / math.sqrt(2)}
+        both_ones = np.diag([0.0, 0.0, 0.0, 1.0])
+
+        def check(branch, prob, state):
+            assert branch[0] == pytest.approx(prob, abs=1e-12)
+            if branch[0] > 0:
+                assert np.max(np.abs(branch[1].data - state)) < 1e-12
+
+        res = cq.simulate_link_protocol(loss, detectors=detectors)
+        for d1 in (1, 2):
+            for d2 in (1, 2):
+                psi = bell[1 if d1 == d2 else 2]
+                check(res.branches[(d1, d2)], eta**2 / 8, np.outer(psi, psi))
+
+        if detectors == "number_resolving":
+            prob, w = eta * (2 - eta) / 4, (1 - eta) / (2 - eta)
+        else:
+            prob, w = eta * (4 - eta) / 8, (2 - eta) / (4 - eta)
+        res = cq.simulate_link_protocol(loss, detectors=detectors, two_step=False)
+        for d in (1, 2):
+            state = (1 - w) * np.outer(bell[d], bell[d]) + w * both_ones
+            check(res.branches[(d,)], prob, state)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             cq.simulate_link_protocol(1.5)

@@ -86,6 +86,32 @@ class TestMonteCarloCommand:
         assert csv_a == csv_b
 
 
+class TestFlagsReachSnapshot:
+    @pytest.mark.parametrize("command, argv", [
+        ("mc", ["--trials", "20000", "--seed", "7", "--set", "chain.nesting_level=1"]),
+        ("grape", ["--iters", "2", "--seed", "1", "--set", "grape.n_segments=16"]),
+    ])
+    def test_rerun_from_snapshot_is_byte_identical(self, out_dir, command, argv):
+        assert run_cli(command, "--out", out_dir + "_a", *argv).returncode == 0
+        snapshot = os.path.join(out_dir + "_a", command, "resolved_config.ini")
+        assert run_cli(command, "--out", out_dir + "_b",
+                       "--config", snapshot).returncode == 0
+        dirs = [os.path.join(out_dir + side, command) for side in ("_a", "_b")]
+        names = sorted(os.listdir(dirs[0]))
+        assert names == sorted(os.listdir(dirs[1]))
+        for name in names:
+            a, b = (open(os.path.join(d, name), "rb").read() for d in dirs)
+            assert a == b, name
+
+    def test_flag_wins_over_set(self, out_dir):
+        r = run_cli("mc", "--out", out_dir, "--trials", "12000",
+                    "--set", "mc.trials=15000", "--set", "chain.nesting_level=0")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["trials"] == 12000
+        snapshot = open(os.path.join(out_dir, "mc", "resolved_config.ini")).read()
+        assert "trials = 12000\n" in snapshot
+
+
 class TestTransduceCommand:
     def test_byte_identical_reruns(self, out_dir):
         args = ("transduce", "--set", "transducer.n_bins=101")

@@ -50,6 +50,11 @@ class TestDispersiveKerr:
         with pytest.raises(ValueError):
             dv.dispersive_kerr(dv.DeviceParams(coupling=0.5 * TP * 1.5e9, **BASE))
 
+    def test_ambiguous_dressed_state_rejected(self):
+        # g/Delta = 0.25 passes check_dispersive but mixes |4, 0> too strongly
+        with pytest.raises(ValueError, match="ambiguous for level 4"):
+            dv.dispersive_kerr(dv.DeviceParams(coupling=0.25 * TP * 1.5e9, **BASE))
+
     def test_truncation_convergence(self):
         detuning = TP * 1.5e9
         params = dv.DeviceParams(coupling=0.08 * detuning, **BASE)
