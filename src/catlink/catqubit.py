@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import qcore as qc
 from .dynamics import PiecewiseConstantPropagator, TimeDependentHamiltonian, evolve
@@ -101,8 +101,9 @@ class CatQubitParams:
 
 @dataclass(frozen=True)
 class GateReportRow:
-    """One gate-table row; ``leakage`` and ``quadrature_gap`` are the
-    ``GateResult`` diagnostics, None for drive and undrive."""
+    """One gate-table row; ``leakage``, ``quadrature_gap`` and
+    ``clip_excess`` are the ``GateResult`` diagnostics, None for drive and
+    undrive."""
 
     operation: str
     kerr: float
@@ -112,6 +113,7 @@ class GateReportRow:
     fidelity: float
     leakage: Optional[float] = None
     quadrature_gap: Optional[float] = None
+    clip_excess: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,9 @@ class GateResult:
     ``final_states`` holds the losslessly propagated outputs (they feed the
     manifold-leakage diagnostic); the fidelities themselves include loss.
     ``quadrature_gap`` is the largest n-vs-2n node gap of the one-jump
-    quadrature over the stages and cases.
+    quadrature over the stages and cases, and ``clip_excess`` the largest
+    amount by which a case's one-jump fidelity exceeded 1 before it was
+    clipped there.
     """
 
     operation: str
@@ -131,6 +135,7 @@ class GateResult:
     state_fidelities: dict[str, float]
     leakage: float
     quadrature_gap: float
+    clip_excess: float
     final_states: dict[str, qc.QState] = field(default_factory=dict, repr=False)
 
     @property
@@ -144,6 +149,7 @@ class GateResult:
             fidelity=self.fidelity,
             leakage=self.leakage,
             quadrature_gap=self.quadrature_gap,
+            clip_excess=self.clip_excess,
         )
 
 
@@ -383,9 +389,11 @@ def _run_gate(params: CatQubitParams, operation: str,
     ``basis`` holds the logical states as columns; ``cases`` maps a name to
     (input, ideal output) coefficient vectors in that basis.  Fidelities use
     the one-jump expansion with ``jump_ops``; final states and manifold
-    leakage come from lossless propagation.
+    leakage come from lossless propagation.  ``dims`` are the cavity
+    dimensions, so a two-cavity stage that leaves the cavities uncoupled is
+    factored per cavity.
     """
-    prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr)
+    prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr, dims)
     # one column per case, so every stage contracts all cases at once
     psi0 = basis @ np.stack([c_in for c_in, _ in cases.values()], axis=1)
     targets = basis @ np.stack([c_out for _, c_out in cases.values()], axis=1)
@@ -402,7 +410,8 @@ def _run_gate(params: CatQubitParams, operation: str,
     return GateResult(operation=operation, params=params,
                       duration_s=prop.duration, fidelity=fid,
                       state_fidelities=fids, leakage=leakage,
-                      quadrature_gap=prop.quadrature_gap, final_states=finals)
+                      quadrature_gap=prop.quadrature_gap, clip_excess=prop.clip_excess,
+                      final_states=finals)
 
 
 def _single_qubit_gate(params: CatQubitParams, operation: str,

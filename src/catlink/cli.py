@@ -222,7 +222,8 @@ def cmd_gates(config: RunConfig) -> _Report:
             rows.append([r.operation, r.kerr, r.kappa, r.duration_s,
                          r.duration_kt, r.fidelity])
         diagnostics.append({"K_over_kappa": ratio, "gates": {
-            r.operation: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap}
+            r.operation: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap,
+                          "clip_excess": r.clip_excess}
             for r in table if r.leakage is not None}})
     report.add_table("gates", header, rows)
     report.summary["rows"] = len(rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _stabilized_h

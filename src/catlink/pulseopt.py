@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _check_truncation, _kerr_op, _two_photon_op, \

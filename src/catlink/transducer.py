@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from .dynamics import integrate_rk45
 
@@ -118,10 +119,9 @@ def _detuning_grid(params: TransducerParams) -> np.ndarray:
         gam = params.natural_linewidth / 2.0
         cdf_half = math.atan(half / gam) / math.pi
         return gam * np.tan((qs * 2.0 - 1.0) * cdf_half * math.pi)
-    from scipy.special import erfinv
     sigma = params.natural_linewidth / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     cdf_half = 0.5 * math.erf(half / (sigma * math.sqrt(2.0)))
-    return sigma * math.sqrt(2.0) * erfinv((qs * 2.0 - 1.0) * 2.0 * cdf_half)
+    return sigma * math.sqrt(2.0) * scipy.special.erfinv((qs * 2.0 - 1.0) * 2.0 * cdf_half)
 
 
 def _transfer_amplitudes(params: TransducerParams) -> tuple[float, float, float]:

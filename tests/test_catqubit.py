@@ -177,6 +177,18 @@ class TestPiecewiseConstantPropagator:
             assert isinstance(single, float)
             assert abs(stacked[i] - single) <= 1e-14
 
+    def test_clipped_excess_is_recorded(self, ratio_1e3):
+        stages = self._sequence(ratio_1e3)
+        a = qc.annihilation(ratio_1e3.dim).data
+        prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
+        zero, _ = cq.logical_states(ratio_1e3)
+        target = prop.propagate_pure(zero.data)
+        fid = prop.lossy_fidelity(zero.data, target)
+        assert fid < 1.0 and prop.clip_excess == 0.0
+        # an over-long target lifts the expansion about 3e-2 above 1
+        assert prop.lossy_fidelity(zero.data, 1.02 * target) == 1.0
+        assert prop.clip_excess == pytest.approx(1.02**2 * fid - 1.0, rel=1e-9)
+
     def test_unconverged_quadrature_names_the_stage(self, ratio_1e3, monkeypatch):
         monkeypatch.setattr(PiecewiseConstantPropagator, "NODES_PER_KT", 0)
         monkeypatch.setattr(PiecewiseConstantPropagator, "MIN_NODES", 1)
@@ -222,6 +234,61 @@ class TestParityBlocks:
             assert np.max(np.abs(x - y)) <= 1e-12
         assert np.max(np.abs(fid_blocked - dense.lossy_fidelity(basis, psi_blocked[-1]))) \
             <= 1e-12
+
+    def test_uncoupled_stages_split_per_cavity(self, cnot_problem):
+        # only G moves both cavities at once; one subsystem never splits
+        stages, _, _ = cnot_problem
+        d = self.DIM
+        split = [dynamics._kronecker_split(h, (d, d)) for h, _ in stages]
+        assert [s is not None for s in split] == [True, True, True, False, True, True, True]
+        for (h, _), s in zip(stages, split):
+            assert dynamics._kronecker_split(h, (d * d,)) is None
+            if s is not None:
+                rebuilt = np.kron(s[0], np.eye(d)) + np.kron(np.eye(d), s[1])
+                assert np.max(np.abs(rebuilt - h)) <= 1e-12
+        # a cross-Kerr term moves neither cavity but couples them
+        n = qc.number_operator(d).data
+        assert dynamics._kronecker_split(stages[0][0] + 1e-3 * np.kron(n, n), (d, d)) is None
+
+    def test_cnot_takes_the_per_cavity_route(self, ratio_1e3, monkeypatch):
+        splits = []
+        original = dynamics._kronecker_split
+
+        def recording(m, dims):
+            split = original(m, dims)
+            splits.append(split is not None)
+            return split
+
+        monkeypatch.setattr(dynamics, "_kronecker_split", recording)
+        e = ratio_1e3.two_photon_amplitude
+        cq.cnot(ratio_1e3, e / 10, e / 15, dim_per_cavity=self.DIM)
+        # five distinct stage arrays, each factored as H and as H_eff
+        assert sorted(splits) == [False] * 2 + [True] * 8
+
+    def test_kronecker_route_matches_blockwise(self, cnot_problem, ratio_1e3, monkeypatch):
+        stages, jumps, basis = cnot_problem
+        dims = (self.DIM, self.DIM)
+        split = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr, dims)
+        psi_split = split.forward(basis)
+        fid_split = split.lossy_fidelity(basis, psi_split[-1])
+        # the reference factors every stage over its parity blocks
+        monkeypatch.setattr(dynamics, "_kronecker_split", lambda m, dims: None)
+        blocked = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr, dims)
+        for x, y in zip(psi_split, blocked.forward(basis)):
+            assert np.max(np.abs(x - y)) <= 1e-12
+        assert np.max(np.abs(fid_split - blocked.lossy_fidelity(basis, psi_split[-1]))) \
+            <= 1e-12
+        # every stage's lossless and no-jump propagators agree
+        for (h, t), (lam_s, v_s), (lam_b, v_b), eff_s, eff_b in zip(
+                stages, split.hermitian_factors(), blocked.hermitian_factors(),
+                split._effective_factors(), blocked._effective_factors()):
+            u_s = v_s @ np.diag(np.exp(-1j * lam_s * t)) @ v_s.conj().T
+            u_b = v_b @ np.diag(np.exp(-1j * lam_b * t)) @ v_b.conj().T
+            assert np.max(np.abs(u_s - u_b)) <= 1e-12
+            (lam_s, v_s, w_s, _), (lam_b, v_b, w_b, _) = eff_s, eff_b
+            u_s = v_s @ np.diag(np.exp(-1j * lam_s * t)) @ w_s
+            u_b = v_b @ np.diag(np.exp(-1j * lam_b * t)) @ w_b
+            assert np.max(np.abs(u_s - u_b)) <= 1e-12
 
 
 class TestGateZ:
@@ -327,6 +394,13 @@ class TestGateReport:
         mid = budgets_1e4_1e5[1e4].fidelities
         assert mid["x_half"] > low["X_0.5pi"]
         assert mid["cnot"] > low["CNOT"]
+
+    def test_clip_excess_reported(self, gate_rows_1e3):
+        for row in gate_rows_1e3:
+            if row.operation in ("drive", "undrive"):
+                assert row.clip_excess is None
+            else:
+                assert row.clip_excess >= 0.0
 
     def test_gates_trace_and_purity_preserving_lossless(self, lossless):
         e = lossless.two_photon_amplitude

@@ -334,6 +334,7 @@ class TestGatesCommand:
             for gate in d["gates"].values():
                 assert 0.0 <= gate["leakage"] < 0.1
                 assert 0.0 <= gate["quadrature_gap"] < 1e-7
+                assert gate["clip_excess"] >= 0.0
 
     def test_mismatched_ratio_lists_rejected(self, out_dir):
         r = run_cli("gates", "--out", out_dir,

@@ -1,10 +1,14 @@
-"""Static checks on the package source: no unused module-level imports and
-no stale ``__all__`` entries.  The project declares no linter, so these two
-checks stand in for one."""
+"""Checks on the package source: no unused module-level imports, no stale
+``__all__`` entries (the project declares no linter, so these two checks
+stand in for one), and no heavy scipy submodule loaded by commands that do
+not need it."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +71,28 @@ def test_unused_import_is_reported(tmp_path):
     source.write_text("import os\nimport sys  # noqa: F401\nfrom typing import Any, Optional\n"
                       "__all__ = ['Any']\n")
     assert _unused_imports(source) == ["sample.py:1: os", "sample.py:3: Optional"]
+
+
+HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.integrate")
+
+_LOADED_AFTER_MC = """
+import sys
+import catlink.cli
+loaded = [m for m in {heavy!r} if m in sys.modules]
+assert catlink.cli.main(["mc", "--trials", "10000", "--out", sys.argv[1]]) == 0
+print(loaded, [m for m in {heavy!r} if m in sys.modules])
+"""
+
+
+def test_scipy_submodules_load_on_first_use(tmp_path):
+    # catlink reaches scipy's submodules by attribute at the call site, so
+    # the import and the Monte-Carlo command, which needs numpy only, never
+    # load them
+    env = dict(os.environ)
+    env.pop("CATLINK_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(catlink.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MC.format(heavy=HEAVY_SCIPY),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] []"
