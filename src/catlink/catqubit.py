@@ -23,7 +23,13 @@ the test suite cross-checks the truncation against exact master-equation
 propagation for a single X rotation, a four-stage X/Z sequence and the
 CNOT).
 Driving, with its smooth time-dependent pulse, goes through the adaptive
-master-equation integrator.
+master-equation integrator.  The cats at the end of a ramp, the drive's
+target and the undrive's input and basis, are the eigenstates of the
+*truncated* two-photon-driven Kerr Hamiltonian (``_stationary_cats``): the
+analytic cats are its eigenstates only in the untruncated space, and an
+undrive started from one spends most of its integrator steps on the fast
+oscillation of the truncation residual.  The gate bases stay analytic: gates
+are propagated exactly, so the residual costs them nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .dynamics import PiecewiseConstantPropagator, TimeDependentHamiltonian, evolve
+from .dynamics import PiecewiseConstantPropagator, TimeDependentHamiltonian, _blockwise_eig, \
+    evolve
 from .pulses import PulseSchedule, reversed_schedule
 
 __all__ = [
@@ -103,7 +110,8 @@ class CatQubitParams:
 class GateReportRow:
     """One gate-table row; ``leakage``, ``quadrature_gap`` and
     ``clip_excess`` are the ``GateResult`` diagnostics, None for drive and
-    undrive."""
+    undrive, and ``rhs_evals`` and ``tail_population`` the ``DriveResult``
+    ones, None for the gates."""
 
     operation: str
     kerr: float
@@ -114,6 +122,8 @@ class GateReportRow:
     leakage: Optional[float] = None
     quadrature_gap: Optional[float] = None
     clip_excess: Optional[float] = None
+    rhs_evals: Optional[int] = None
+    tail_population: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -155,10 +165,16 @@ class GateResult:
 
 @dataclass(frozen=True)
 class DriveResult:
+    """Outcome of a drive or undrive ramp.  ``rhs_evals`` counts the
+    integrator's right-hand-side calls and ``tail_population`` is the largest
+    population in the top two Fock levels over the sampled states."""
+
     state: qc.QState
     fidelity: float
     target: qc.QState
     pulse: PulseSchedule
+    rhs_evals: int
+    tail_population: float
 
     @property
     def duration_s(self) -> float:
@@ -253,7 +269,9 @@ def _fock_coefficients(state: qc.QState) -> tuple[complex, complex]:
     return c0, c1
 
 
-def _check_truncation(states: Sequence[qc.QState], dim: int):
+def _check_truncation(states: Sequence[qc.QState], dim: int) -> float:
+    """Largest population in the top two Fock levels over ``states``; raises
+    ``TruncationOverflowError`` above 1e-6."""
     worst = 0.0
     for s in states:
         if s.kind == "pure":
@@ -264,6 +282,32 @@ def _check_truncation(states: Sequence[qc.QState], dim: int):
     if worst > 1e-6:
         raise TruncationOverflowError(
             f"population {worst:.2e} in the top two Fock levels; increase dim")
+    return worst
+
+
+def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[qc.QState, qc.QState]:
+    """(even, odd) cats of the truncated Hamiltonian
+    -K a^dag^2 a^2 + K alpha^2 (a^dag^2 + a^2) at ``params.dim``.
+
+    The analytic cats are its eigenstates only in the untruncated space; at
+    dim 20 the analytic even cat at the default ramp's end amplitude leaves
+    ||H psi - <H> psi|| = 7.3e-6 K on the top Fock levels, which an adaptive
+    integrator started from it must resolve.  Here each cat is the
+    eigenvector of largest eigenvalue in its photon-number-parity block, found
+    block by block so the two nearly degenerate cats cannot mix, with the sign
+    that makes its overlap with the analytic cat positive.  The other
+    parity's amplitudes are exactly zero.
+    """
+    dim = params.dim
+    h = _kerr_op(dim, params.kerr) + params.kerr * alpha**2 * _two_photon_op(dim)
+    lam, v = _blockwise_eig(h, hermitian=True)
+    cats = []
+    for first, parity in ((0, "even"), (1, "odd")):
+        idx = np.arange(first, dim, 2)
+        vec = v[:, idx[np.argmax(lam[idx])]]
+        overlap = np.vdot(qc.cat_state(alpha, parity, dim).data, vec)
+        cats.append(qc.QState((dim,), vec * (abs(overlap) / overlap), normalize=False))
+    return cats[0], cats[1]
 
 
 def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
@@ -285,10 +329,11 @@ def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
     h = _pulse_hamiltonian(params, pulse)
     collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
     traj = evolve(h, collapse, state, n_samples=9)
-    _check_truncation(traj.states, params.dim)
+    tail = _check_truncation(traj.states, params.dim)
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                       target=target, pulse=pulse)
+                       target=target, pulse=pulse, rhs_evals=traj.rhs_evals,
+                       tail_population=tail)
 
 
 def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
@@ -298,16 +343,16 @@ def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
     With input c0 |0> + c1 |1>, the target is c0 |C+> + c1 |C-> (the two cat
     branches stay exactly degenerate along the ramp, so no relative phase
     accumulates).  Evolution includes single-photon loss at ``params.kappa``.
-    The target amplitude follows the final value of the two-photon channel.
+    The target amplitude follows the final value of the two-photon channel,
+    and the cats are those of the truncated Hamiltonian at that amplitude
+    (``_stationary_cats``), the same pair that ``undrive`` starts from.
     """
     if pulse is None:
         pulse = adiabatic_drive_pulse(params)
     if state is None:
         state = qc.fock_state(0, params.dim)
-    target_alpha = _schedule_end_alpha(params, pulse)
     c0, c1 = _fock_coefficients(state)
-    zero = qc.cat_state(target_alpha, "even", params.dim)
-    one = qc.cat_state(target_alpha, "odd", params.dim)
+    zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
     return _run_pulse(params, pulse, state, c0 * zero.data + c1 * one.data)
 
 
@@ -317,16 +362,17 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
 
     The input is decomposed in the cat basis at the amplitude where the
     reversed schedule starts (the forward schedule's end value); by default
-    the even cat at that amplitude is undriven to |0>.
+    the even cat at that amplitude is undriven to |0>.  The cats are those of
+    the truncated Hamiltonian (``_stationary_cats``): the default input is
+    then stationary under the starting Hamiltonian, so the integrator does
+    not have to follow the fast oscillation that the analytic cat's
+    truncation residual would drive.
     """
     if pulse is None:
         pulse = adiabatic_drive_pulse(params)
-    start_alpha = _schedule_end_alpha(params, pulse)
-    rev = reversed_schedule(pulse)
+    zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
     if state is None:
-        state = qc.cat_state(start_alpha, "even", params.dim)
-    zero = qc.cat_state(start_alpha, "even", params.dim)
-    one = qc.cat_state(start_alpha, "odd", params.dim)
+        state = zero
     if state.kind != "pure":
         raise ValueError("undrive expects a pure input state")
     c0 = complex(np.vdot(zero.data, state.data))
@@ -336,7 +382,7 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, params.dim).data + c1 * qc.fock_state(1, params.dim).data
-    return _run_pulse(params, rev, state, tvec)
+    return _run_pulse(params, reversed_schedule(pulse), state, tvec)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -576,12 +622,11 @@ def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: floa
 
     rows = []
     pulse = adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
-    d = drive(params, pulse)
-    rows.append(GateReportRow("drive", params.kerr, params.kappa,
-                              d.duration_s, d.duration_s * params.kerr, d.fidelity))
-    u = undrive(params, pulse)
-    rows.append(GateReportRow("undrive", params.kerr, params.kappa,
-                              u.duration_s, u.duration_s * params.kerr, u.fidelity))
+    for operation, ramp in (("drive", drive), ("undrive", undrive)):
+        r = ramp(params, pulse)
+        rows.append(GateReportRow(operation, params.kerr, params.kappa, r.duration_s,
+                                  r.duration_s * params.kerr, r.fidelity,
+                                  rhs_evals=r.rhs_evals, tail_population=r.tail_population))
     for result in (gate_x(params, math.pi / 2, e_x),
                    gate_z(params, math.pi / 2),
                    gate_g(params, math.pi / 2, e_c, dim_per_cavity),

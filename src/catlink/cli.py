@@ -221,10 +221,15 @@ def cmd_gates(config: RunConfig) -> _Report:
         for r in table:
             rows.append([r.operation, r.kerr, r.kappa, r.duration_s,
                          r.duration_kt, r.fidelity])
-        diagnostics.append({"K_over_kappa": ratio, "gates": {
+        row = {"K_over_kappa": ratio}
+        row.update((r.operation, {"rhs_evals": r.rhs_evals,
+                                  "tail_population": r.tail_population})
+                   for r in table if r.rhs_evals is not None)
+        row["gates"] = {
             r.operation: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap,
                           "clip_excess": r.clip_excess}
-            for r in table if r.leakage is not None}})
+            for r in table if r.leakage is not None}
+        diagnostics.append(row)
     report.add_table("gates", header, rows)
     report.summary["rows"] = len(rows)
     report.summary["diagnostics"] = diagnostics

@@ -28,7 +28,9 @@ Every other eigendecomposition runs one block at a time over the blocks that
 pattern: the cat Hamiltonians conserve photon-number parity (per cavity, or
 in total for the coupling), so the coupling stage splits into two blocks and
 a one-cavity stage into two to dim.  Both splits are exact, and a connected
-matrix is one block, the dense case.
+matrix is one block, the dense case.  The factors of the last two coupled
+two-cavity stages are memoized by a digest of the matrix, so the gate G and
+the CNOT's G stage of one gate-table row share one factorization.
 The test suite checks the expansion against ``evolve_constant`` on single-
 and multi-stage sequences and, for the CNOT, against ``expm_multiply`` of the
 sparse two-cavity Liouvillian.
@@ -106,10 +108,12 @@ class TimeDependentHamiltonian:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time evolution."""
+    """Uniformly sampled time evolution; ``rhs_evals`` counts the
+    right-hand-side calls the integrator made."""
 
     times: np.ndarray
     states: tuple[QState, ...]
+    rhs_evals: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -237,7 +241,11 @@ def evolve(
     coefficients = [(slice(k * n, (k + 1) * n), fn)
                     for k, (_, fn) in enumerate(hamiltonian.drive_terms, start=1)]
 
+    rhs_evals = 0
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal rhs_evals
+        rhs_evals += 1
         products = stacked @ y
         out = products[:n]
         for rows, fn in coefficients:
@@ -257,7 +265,7 @@ def evolve(
         else:
             states.append(QState(hamiltonian.dims, y.reshape(dim, dim, order="F"),
                                  normalize=False))
-    return Trajectory(times, tuple(states))
+    return Trajectory(times, tuple(states), rhs_evals)
 
 
 def liouvillian(h_matrix: np.ndarray,
@@ -392,14 +400,42 @@ def _kronecker_split(m: np.ndarray, dims: Sequence[int]):
     return a, b
 
 
+# factors of the last _COUPLED_MEMO_SIZE two-subsystem matrices that do not
+# split, keyed by shape, dtype, the ``hermitian`` flag and a SHA-1 digest of
+# the matrix (no full-size key is kept): a gate-table row builds the same
+# coupling Hamiltonian for its G gate and the CNOT's G stage, and factors it,
+# and its H_eff, once
+_COUPLED_MEMO: dict = {}
+_COUPLED_MEMO_SIZE = 2
+
+
+def _coupled_eig(m: np.ndarray, hermitian: bool):
+    """``_blockwise_eig`` of ``m`` through ``_COUPLED_MEMO``; the memo's
+    arrays are read-only, so no caller can change a later hit."""
+    import hashlib  # loaded on first use, like the scipy submodules
+
+    key = (m.shape, m.dtype.str, hermitian,
+           hashlib.sha1(np.ascontiguousarray(m)).digest())
+    factors = _COUPLED_MEMO.pop(key, None)
+    if factors is None:
+        factors = _blockwise_eig(m, hermitian)
+        for x in factors:
+            x.flags.writeable = False
+    _COUPLED_MEMO[key] = factors  # most recently used last
+    while len(_COUPLED_MEMO) > _COUPLED_MEMO_SIZE:
+        del _COUPLED_MEMO[next(iter(_COUPLED_MEMO))]
+    return factors
+
+
 def _factor(m: np.ndarray, hermitian: bool, dims: Sequence[int]):
     """``_blockwise_eig`` of ``m``, computed per subsystem when ``m`` is a
     Kronecker sum over ``dims``: A = V_A diag(alpha) V_A^-1 and B likewise
     give eigenvalues alpha_i + beta_j with eigenvectors V_A x V_B and
-    inverse W_A x W_B, in the order of ``np.kron``."""
+    inverse W_A x W_B, in the order of ``np.kron``.  A two-subsystem matrix
+    that does not split goes through ``_coupled_eig``."""
     split = _kronecker_split(m, dims)
     if split is None:
-        return _blockwise_eig(m, hermitian)
+        return _coupled_eig(m, hermitian) if len(dims) == 2 else _blockwise_eig(m, hermitian)
     a, b = (_blockwise_eig(x, hermitian) for x in split)
     lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
     return (lam, *(np.kron(x, y) for x, y in zip(a[1:], b[1:])))
@@ -411,7 +447,8 @@ class PiecewiseConstantPropagator:
 
     Each distinct H array (by identity) is eigendecomposed once, and the
     stage durations are applied afterwards, so a stage list that repeats an
-    array pays for it once; factors are cached across input states.  With
+    array pays for it once; factors are cached across input states, and a
+    coupled two-subsystem stage is also looked up in ``_factor``'s memo.  With
     two subsystems in ``dims``, a stage that is a Kronecker sum over them
     (and its H_eff, when the jumps split too) is factored per subsystem;
     every other stage is factored one coupled block at a time.  States are

@@ -79,6 +79,39 @@ class TestDriveUndrive:
         assert abs(qc.parity_expectation(result.state) - 1.0) < 1e-6
 
 
+class TestStationaryCats:
+    KERR = 2.46e6  # the 1e4/1e5 rows, where a full-space eigh mixed the parities
+
+    @pytest.mark.parametrize("dim", [16, 20, 30])
+    @pytest.mark.parametrize("ramp_end", [False, True])
+    def test_eigenstates_of_the_truncated_hamiltonian(self, dim, ramp_end):
+        params = cq.CatQubitParams(kerr=self.KERR, dim=dim)
+        alpha = (cq._schedule_end_alpha(params, cq.adiabatic_drive_pulse(params))
+                 if ramp_end else ALPHA)
+        h = cq._kerr_op(dim, self.KERR) + self.KERR * alpha**2 * cq._two_photon_op(dim)
+        # the analytic cat's own truncation error bounds the overlap: 1.3e-11
+        # below 1 for the even cat at dim 16
+        overlap_tol = 1e-10 if dim == 16 else 1e-12
+        for parity, cat in zip(("even", "odd"), cq._stationary_cats(params, alpha)):
+            psi = cat.data
+            energy = np.vdot(psi, h @ psi).real
+            assert np.linalg.norm(h @ psi - energy * psi) < 1e-9 * self.KERR
+            assert not np.any(psi[1::2] if parity == "even" else psi[0::2])
+            overlap = np.vdot(qc.cat_state(alpha, parity, dim).data, psi)
+            assert abs(overlap.imag) <= 1e-15
+            assert 1.0 - overlap_tol <= overlap.real <= 1.0 + 1e-15
+
+    def test_undrive_default_matches_analytic_input(self):
+        params = cq.CatQubitParams(kerr=1.8e5, kappa=180.0)  # the 1e3 row
+        pulse = cq.adiabatic_drive_pulse(params)
+        alpha = cq._schedule_end_alpha(params, pulse)
+        default = cq.undrive(params, pulse)
+        analytic = cq.undrive(params, pulse, state=qc.cat_state(alpha, "even", params.dim))
+        assert default.fidelity == pytest.approx(analytic.fidelity, abs=1e-10)
+        # the stationary input spares the integrator the truncation residual
+        assert default.rhs_evals < analytic.rhs_evals
+
+
 class TestGateX:
     def test_quarter_rotation_duration(self, ratio_1e3):
         e_x = ratio_1e3.two_photon_amplitude / 10
@@ -289,6 +322,40 @@ class TestParityBlocks:
             u_s = v_s @ np.diag(np.exp(-1j * lam_s * t)) @ w_s
             u_b = v_b @ np.diag(np.exp(-1j * lam_b * t)) @ w_b
             assert np.max(np.abs(u_s - u_b)) <= 1e-12
+
+
+class TestCoupledStageMemo:
+    def test_row_factors_the_coupling_stage_once(self, monkeypatch):
+        # gate_g and the CNOT's G stage share H_g and H_g,eff; each is a pair
+        # of 128-row parity blocks at the default 16 levels per cavity
+        sizes = []
+        original = dynamics._blockwise_eig
+
+        def recording(m, hermitian):
+            sizes.append(max(map(len, coupled_blocks(m))))
+            return original(m, hermitian)
+
+        monkeypatch.setattr(dynamics, "_COUPLED_MEMO", {})
+        monkeypatch.setattr(dynamics, "_blockwise_eig", recording)
+        cq.gate_report(cq.CatQubitParams(kerr=1.8e5, kappa=180.0), 10.0, 15.0)
+        assert sizes.count(128) == 2
+
+    def test_memo_leaves_results_bitwise_equal(self, ratio_1e3, monkeypatch):
+        e = ratio_1e3.two_photon_amplitude
+
+        def run():
+            return [cq.gate_g(ratio_1e3, math.pi / 2, e / 15, dim_per_cavity=10),
+                    cq.cnot(ratio_1e3, e / 10, e / 15, dim_per_cavity=10)]
+
+        monkeypatch.setattr(dynamics, "_COUPLED_MEMO", {})
+        memo = run()
+        monkeypatch.setattr(dynamics, "_COUPLED_MEMO_SIZE", 0)
+        plain = run()
+        assert not dynamics._COUPLED_MEMO
+        for x, y in zip(memo, plain):
+            assert x.fidelity == y.fidelity and x.state_fidelities == y.state_fidelities
+            for name in x.final_states:
+                assert np.array_equal(x.final_states[name].data, y.final_states[name].data)
 
 
 class TestGateZ:

@@ -330,6 +330,12 @@ class TestGatesCommand:
         diagnostics = summary["diagnostics"]
         assert [d["K_over_kappa"] for d in diagnostics] == [1e3, 1e5]
         for d in diagnostics:
+            for ramp in ("drive", "undrive"):
+                assert d[ramp]["rhs_evals"] > 0
+                assert 0.0 <= d[ramp]["tail_population"] <= 1e-6
+            # the undrive starts from the truncated Hamiltonian's own cat, so it
+            # costs about as much as the drive (5,608 against 4,780 at 1e3)
+            assert d["undrive"]["rhs_evals"] <= 1.25 * d["drive"]["rhs_evals"]
             assert sorted(d["gates"]) == ["CNOT", "G_0.5pi", "X_0.5pi", "Z_0.5pi"]
             for gate in d["gates"].values():
                 assert 0.0 <= gate["leakage"] < 0.1

@@ -46,6 +46,22 @@ class TestEvolve:
         fid = qc.state_fidelity(traj.final_state, qc.coherent_state(alpha, dim))
         assert fid >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_counts_rhs_evaluations(self, lossy, monkeypatch):
+        from catlink import dynamics
+
+        calls = []
+        original = dynamics.integrate_rk45
+
+        def counting(rhs, *args, **kwargs):
+            return original(lambda t, y: calls.append(t) or rhs(t, y), *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_rk45", counting)
+        dim = 6
+        collapse = [(qc.annihilation(dim), 0.5)] if lossy else []
+        traj = evolve(_zero_h(dim), collapse, qc.coherent_state(0.5, dim), n_samples=4)
+        assert traj.rhs_evals == len(calls) > 0
+
     def test_trace_preservation_and_positivity(self):
         kappa, dim = 0.8, 10
         a = qc.annihilation(dim)
