@@ -191,25 +191,25 @@ def logical_states(params: CatQubitParams) -> tuple[qc.QState, qc.QState]:
 
 
 def _kerr_op(dim: int, kerr: float) -> np.ndarray:
-    a = qc.annihilation(dim).data
+    a = qc.annihilation(dim)
     ad = a.conj().T
     return -kerr * (ad @ ad @ a @ a)
 
 
 def _two_photon_op(dim: int) -> np.ndarray:
-    a = qc.annihilation(dim).data
+    a = qc.annihilation(dim)
     ad = a.conj().T
     return ad @ ad + a @ a
 
 
 def _two_photon_orthogonal_op(dim: int) -> np.ndarray:
-    a = qc.annihilation(dim).data
+    a = qc.annihilation(dim)
     ad = a.conj().T
     return 1j * (ad @ ad - a @ a)
 
 
 def _single_photon_op(dim: int) -> np.ndarray:
-    a = qc.annihilation(dim).data
+    a = qc.annihilation(dim)
     return a + a.conj().T
 
 
@@ -248,14 +248,14 @@ _CHANNEL_OPS = {
 
 def _pulse_hamiltonian(params: CatQubitParams, pulse: PulseSchedule) -> TimeDependentHamiltonian:
     dim = params.dim
-    static = qc.QOperator((dim,), _kerr_op(dim, params.kerr))
+    static = _kerr_op(dim, params.kerr)
     terms = []
     for name, fn in pulse.channels.items():
         try:
             op = _CHANNEL_OPS[name](dim)
         except KeyError:
             raise ValueError(f"unknown drive channel {name!r}") from None
-        terms.append((qc.QOperator((dim,), op), fn))
+        terms.append((op, fn))
     return TimeDependentHamiltonian(static, tuple(terms), (0.0, pulse.duration),
                                     breakpoints=pulse.breakpoints)
 
@@ -470,7 +470,7 @@ def _single_qubit_gate(params: CatQubitParams, operation: str,
     for name, coeffs in _SINGLE_QUBIT_TEST_STATES.items():
         c_in = np.array(coeffs, dtype=complex)
         cases[name] = (c_in, ideal @ c_in)
-    return _run_gate(params, operation, stages, [(qc.annihilation(dim).data, params.kappa)],
+    return _run_gate(params, operation, stages, [(qc.annihilation(dim), params.kappa)],
                      basis, cases, (dim,))
 
 
@@ -500,7 +500,7 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
     reported against the ideal rotation as stated.
     """
     dim = params.dim
-    n_op = qc.number_operator(dim).data
+    n_op = qc.number_operator(dim)
     h = -params.kerr * (n_op @ n_op)
     dur = _z_rotation_duration(params, theta)
     return _single_qubit_gate(params, f"Z_{theta/math.pi:.3g}pi", [(h, dur)],
@@ -510,8 +510,8 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
 def _two_qubit_ops(params: CatQubitParams, dim: int):
     a = qc.annihilation(dim)
     eye = qc.identity(dim)
-    a1 = qc.tensor([a, eye]).data
-    a2 = qc.tensor([eye, a]).data
+    a1 = qc.tensor([a, eye])
+    a2 = qc.tensor([eye, a])
     h0 = _stabilized_h(params, dim)
     h01 = np.kron(h0, np.eye(dim))
     h02 = np.kron(np.eye(dim), h0)

@@ -95,8 +95,8 @@ def _two_mode_hamiltonian(params: DeviceParams, cavity_levels: int,
     b = qc.annihilation(qubit_levels)
     eye_a = qc.identity(cavity_levels)
     eye_b = qc.identity(qubit_levels)
-    a_full = qc.tensor([a, eye_b]).data
-    b_full = qc.tensor([eye_a, b]).data
+    a_full = qc.tensor([a, eye_b])
+    b_full = qc.tensor([eye_a, b])
     h = (params.cavity_freq * a_full.conj().T @ a_full
          + params.qubit_freq * b_full.conj().T @ b_full
          - params.anharmonicity * b_full.conj().T @ b_full.conj().T @ b_full @ b_full
@@ -173,7 +173,7 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> Kappa
     expected = 2.0 * kappa * alpha**2
     t_end = 0.35 / expected
     times = np.linspace(0.0, t_end, 40)
-    rhos = evolve_constant(h, [(qc.annihilation(dim).data, kappa)], rho0, times)
+    rhos = evolve_constant(h, [(qc.annihilation(dim), kappa)], rho0, times)
     coherence = np.array([0.5 * abs(np.vdot(plus, r @ minus)
                                     - np.vdot(minus, r @ plus)) for r in rhos])
     coherence = coherence / coherence[0]

@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy
 
-from .qcore import QOperator, QState, to_density_matrix
+from .qcore import QState, to_density_matrix
 
 __all__ = [
     "TimeDependentHamiltonian",
@@ -78,32 +78,30 @@ class IntegrationError(RuntimeError):
 class TimeDependentHamiltonian:
     """Hamiltonian H(t) = static_part + sum_k f_k(t) * drive_ops[k].
 
-    Coefficient functions take a time in seconds and return a (complex)
-    amplitude in rad/s; ``evolve`` multiplies each into the slice of one
-    stacked sparse product that belongs to its operator.  ``breakpoints``
-    optionally lists interior times at which coefficients are only piecewise
-    smooth (segment edges of piecewise-constant pulses); ``integrate_rk45``
-    starts a fresh DOP853 solver at each one, so no step straddles a
-    discontinuity, which a high-order step would otherwise have to find by
-    rejecting steps.
+    Every operator is a square complex array, and the drive operators must
+    have the static part's shape.  Coefficient functions take a time in
+    seconds and return a (complex) amplitude in rad/s; ``evolve`` multiplies
+    each into the slice of one stacked sparse product that belongs to its
+    operator.  ``breakpoints`` optionally lists interior times at which
+    coefficients are only piecewise smooth (segment edges of
+    piecewise-constant pulses); ``integrate_rk45`` starts a fresh DOP853
+    solver at each one, so no step straddles a discontinuity, which a
+    high-order step would otherwise have to find by rejecting steps.
     """
 
-    static_part: QOperator
-    drive_terms: tuple[tuple[QOperator, Callable[[float], complex]], ...] = ()
+    static_part: np.ndarray
+    drive_terms: tuple[tuple[np.ndarray, Callable[[float], complex]], ...] = ()
     t_span: tuple[float, float] = (0.0, 0.0)
     breakpoints: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         terms = tuple((op, fn) for op, fn in self.drive_terms)
+        shape = self.static_part.shape
         for op, _ in terms:
-            if op.dims != self.static_part.dims:
-                raise ValueError("all Hamiltonian terms must share dims")
+            if op.shape != shape:
+                raise ValueError(f"drive operator shape {op.shape} != static part's {shape}")
         object.__setattr__(self, "drive_terms", terms)
         object.__setattr__(self, "t_span", (float(self.t_span[0]), float(self.t_span[1])))
-
-    @property
-    def dims(self):
-        return self.static_part.dims
 
 
 @dataclass(frozen=True)
@@ -196,15 +194,17 @@ def integrate_rk45(
 
 def evolve(
     hamiltonian: TimeDependentHamiltonian,
-    collapse_ops: Sequence[tuple[QOperator, float]],
+    collapse_ops: Sequence[tuple[np.ndarray, float]],
     rho0: QState,
     n_samples: int = 2,
     rel_tol: float = 1e-8,
 ) -> Trajectory:
     """Integrate the master equation and return uniformly sampled states.
 
-    Collapse operators are passed as (operator, rate) pairs; the rate
+    Collapse operators are passed as (array, rate) pairs; the rate
     multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op.
+    Every operator must have the Hamiltonian's shape and ``rho0`` its
+    dimension; the returned states carry ``rho0.dims``.
     The right-hand side is the sparse generator G(t) = G0 + sum_k f_k(t) G_k
     applied to the column-stacked density matrix, with G0 the Liouvillian of
     the static part and the jumps and G_k that of each drive operator alone
@@ -216,23 +216,23 @@ def evolve(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    shape = hamiltonian.static_part.shape
     for op, _ in collapse_ops:
-        if op.dims != hamiltonian.dims:
-            raise ValueError("collapse operator dims mismatch")
-    if rho0.dims != hamiltonian.dims:
-        raise ValueError("initial state dims mismatch")
+        if op.shape != shape:
+            raise ValueError(f"collapse operator shape {op.shape} != Hamiltonian's {shape}")
+    if (rho0.dim, rho0.dim) != shape:
+        raise ValueError(f"initial state dims {rho0.dims} do not fit Hamiltonian shape {shape}")
     t0, t1 = hamiltonian.t_span
     times = np.linspace(t0, t1, n_samples)
 
     pure_path = (not collapse_ops) and rho0.kind == "pure"
     if pure_path:
-        g0 = scipy.sparse.csr_matrix(-1j * hamiltonian.static_part.data)
-        gk = [scipy.sparse.csr_matrix(-1j * op.data) for op, _ in hamiltonian.drive_terms]
+        g0 = scipy.sparse.csr_matrix(-1j * hamiltonian.static_part)
+        gk = [scipy.sparse.csr_matrix(-1j * op) for op, _ in hamiltonian.drive_terms]
         y0 = rho0.data
     else:
-        g0 = liouvillian(hamiltonian.static_part.data,
-                         [(op.data, rate) for op, rate in collapse_ops])
-        gk = [liouvillian(op.data, ()) for op, _ in hamiltonian.drive_terms]
+        g0 = liouvillian(hamiltonian.static_part, collapse_ops)
+        gk = [liouvillian(op, ()) for op, _ in hamiltonian.drive_terms]
         y0 = to_density_matrix(rho0).data.reshape(-1, order="F")
     # rows [k n, (k + 1) n) of the stack hold G_k, with G0 as block 0; CSR
     # keeps each row's entries in order, so every slice equals its own G @ y
@@ -256,14 +256,13 @@ def evolve(
                         abs_tol=rel_tol * 1e-4,
                         breakpoints=hamiltonian.breakpoints)
 
-    dim = math.prod(hamiltonian.dims)
     states = []
     for y in ys:
         if pure_path:
             nrm = np.linalg.norm(y)
-            states.append(QState(hamiltonian.dims, y / nrm, normalize=False))
+            states.append(QState(rho0.dims, y / nrm, normalize=False))
         else:
-            states.append(QState(hamiltonian.dims, y.reshape(dim, dim, order="F"),
+            states.append(QState(rho0.dims, y.reshape(rho0.dim, rho0.dim, order="F"),
                                  normalize=False))
     return Trajectory(times, tuple(states), rhs_evals)
 

@@ -47,9 +47,12 @@ class PulseSchedule:
 
     def to_csv(self, path) -> None:
         """Write one row (t_start, t_end, <channel values...>) per segment of
-        a piecewise-constant schedule."""
+        a piecewise-constant schedule; a smooth schedule has no segments and
+        raises ``ValueError`` before the file is opened."""
         import csv
 
+        if self.segment_values is None:
+            raise ValueError("to_csv needs a piecewise-constant schedule, not a smooth one")
         names = sorted(self.segment_values)
         edges = (0.0, *self.breakpoints, self.duration)
         with open(path, "w", newline="") as fh:

@@ -1,14 +1,18 @@
 """Dense linear algebra on truncated Fock spaces.
 
-Operators and states are thin immutable wrappers around dense complex numpy
-arrays, tagged with per-subsystem truncation sizes so that composite-space
-bookkeeping (tensor products, partial traces) stays explicit.  Problem sizes
-in this package are small enough (composite dimension of a few hundred) that
-dense storage is both simpler and faster than sparse machinery.
+States are thin immutable wrappers around dense complex numpy arrays, tagged
+with per-subsystem truncation sizes so that composite-space bookkeeping
+(tensor products, partial traces) stays explicit, and checked for
+normalization.  Operators are plain square complex ``ndarray``s: every caller
+works with the matrix itself, and a state's ``dim`` is all an operator has
+to agree with.  Problem sizes in this package are small enough (composite
+dimension of a few hundred) that dense storage is both simpler and faster
+than sparse machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -16,7 +20,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "QOperator",
     "QState",
     "annihilation",
     "creation",
@@ -34,95 +37,7 @@ __all__ = [
     "to_density_matrix",
 ]
 
-HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
-
-
-def _as_complex_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex)
-    arr = np.ascontiguousarray(arr)
-    return arr
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class QOperator:
-    """Dense operator on a (possibly composite) truncated Fock space.
-
-    Parameters
-    ----------
-    dims : sequence of int
-        Per-subsystem truncation sizes.  The matrix dimension must equal
-        their product.
-    data : array_like
-        Square complex matrix.
-    """
-
-    dims: tuple[int, ...]
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        arr = _as_complex_array(self.data)
-        dim = math.prod(self.dims)
-        if arr.shape != (dim, dim):
-            raise ValueError(
-                f"operator data has shape {arr.shape}, expected ({dim}, {dim}) "
-                f"from dims {self.dims}"
-            )
-        object.__setattr__(self, "data", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def dag(self) -> "QOperator":
-        return QOperator(self.dims, self.data.conj().T)
-
-    def assert_hermitian(self) -> "QOperator":
-        dev = float(np.max(np.abs(self.data - self.data.conj().T)))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"operator is not Hermitian (max deviation {dev:.3e})")
-        return self
-
-    # -- simple operator algebra ------------------------------------------
-
-    def _check_compatible(self, other: "QOperator"):
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-
-    def __add__(self, other: "QOperator") -> "QOperator":
-        self._check_compatible(other)
-        return QOperator(self.dims, self.data + other.data)
-
-    def __sub__(self, other: "QOperator") -> "QOperator":
-        self._check_compatible(other)
-        return QOperator(self.dims, self.data - other.data)
-
-    def __neg__(self) -> "QOperator":
-        return QOperator(self.dims, -self.data)
-
-    def __mul__(self, scalar: complex) -> "QOperator":
-        return QOperator(self.dims, self.data * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: Union["QOperator", "QState"]):
-        if isinstance(other, QOperator):
-            self._check_compatible(other)
-            return QOperator(self.dims, self.data @ other.data)
-        if isinstance(other, QState):
-            if self.dims != other.dims:
-                raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-            if other.kind == "pure":
-                return QState(other.dims, self.data @ other.data, normalize=False)
-            return QState(other.dims, self.data @ other.data @ self.data.conj().T,
-                          normalize=False)
-        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -142,7 +57,7 @@ class QState:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        arr = _as_complex_array(self.data)
+        arr = np.ascontiguousarray(self.data, dtype=complex)
         dim = math.prod(self.dims)
         if arr.ndim == 1:
             if arr.shape != (dim,):
@@ -166,7 +81,8 @@ class QState:
                     raise ValueError(
                         f"density matrix is not Hermitian (deviation {herm_dev:.3e})"
                     )
-        object.__setattr__(self, "data", _freeze(arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
     @property
     def kind(self) -> str:
@@ -186,32 +102,11 @@ class QState:
             return np.outer(self.data, self.data.conj())
         return np.asarray(self.data)
 
-    def purity(self) -> float:
-        rho = self.density_matrix()
-        return float(np.real(np.trace(rho @ rho)))
-
-    def validate(self) -> "QState":
-        """Full consistency check, including eigenvalue positivity (down to
-        -1e-9) for density matrices.  Intended for tests; O(dim^3) for mixed
-        states."""
-        if self.kind == "pure":
-            nrm = self.norm()
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"pure state norm {nrm} deviates from 1")
-        else:
-            tr = self.norm()
-            if abs(tr - 1.0) > NORM_TOL:
-                raise ValueError(f"trace {tr} deviates from 1")
-            evals = np.linalg.eigvalsh(self.data)
-            if evals.min() < -1e-9:
-                raise ValueError(f"negative eigenvalue {evals.min():.3e}")
-        return self
-
 
 # -- elementary constructions ---------------------------------------------
 
 
-def annihilation(dim: int) -> QOperator:
+def annihilation(dim: int) -> np.ndarray:
     """Bosonic annihilation operator truncated to ``dim`` Fock levels.
 
     Entries sqrt(k) on the (k-1, k) superdiagonal.  Requires ``dim >= 2``.
@@ -221,27 +116,24 @@ def annihilation(dim: int) -> QOperator:
     data = np.zeros((dim, dim), dtype=complex)
     ks = np.arange(1, dim)
     data[ks - 1, ks] = np.sqrt(ks)
-    return QOperator((dim,), data)
+    return data
 
 
-def creation(dim: int) -> QOperator:
-    return annihilation(dim).dag()
+def creation(dim: int) -> np.ndarray:
+    return annihilation(dim).conj().T
 
 
-def number_operator(dim: int) -> QOperator:
-    return QOperator((dim,), np.diag(np.arange(dim, dtype=complex)))
+def number_operator(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=complex))
 
 
-def identity(dims: Union[int, Sequence[int]]) -> QOperator:
-    if isinstance(dims, int):
-        dims = (dims,)
-    dim = math.prod(dims)
-    return QOperator(tuple(dims), np.eye(dim, dtype=complex))
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
 
 
-def parity_operator(dim: int) -> QOperator:
+def parity_operator(dim: int) -> np.ndarray:
     """Photon-number parity exp(i pi a^dag a) = diag((-1)^n)."""
-    return QOperator((dim,), np.diag((-1.0 + 0j) ** np.arange(dim)))
+    return np.diag((-1.0 + 0j) ** np.arange(dim))
 
 
 def fock_state(n: int, dim: int) -> QState:
@@ -299,29 +191,22 @@ def cat_state(alpha: complex, parity: str, dim: int) -> QState:
 # -- composition and reduction ---------------------------------------------
 
 
-def tensor(parts: Sequence[Union[QOperator, QState]]):
-    """Kronecker composition of operators or of states (not mixed kinds)."""
+def tensor(parts: Sequence[Union[np.ndarray, QState]]):
+    """Kronecker composition of operator arrays or of states (not mixed
+    kinds); operators compose to the ``np.kron`` chain of their arrays."""
     parts = list(parts)
     if not parts:
         raise ValueError("tensor of an empty sequence")
-    if all(isinstance(p, QOperator) for p in parts):
-        data = parts[0].data
-        dims: tuple[int, ...] = parts[0].dims
-        for p in parts[1:]:
-            data = np.kron(data, p.data)
-            dims = dims + p.dims
-        return QOperator(dims, data)
-    if all(isinstance(p, QState) for p in parts):
-        kinds = {p.kind for p in parts}
-        if len(kinds) > 1:
-            raise ValueError("cannot tensor pure states with density matrices")
-        data = parts[0].data
-        dims = parts[0].dims
-        for p in parts[1:]:
-            data = np.kron(data, p.data)
-            dims = dims + p.dims
-        return QState(dims, data, normalize=False)
-    raise ValueError("tensor arguments must be all operators or all states")
+    is_state = [isinstance(p, QState) for p in parts]
+    if not any(is_state):
+        return functools.reduce(np.kron, parts)
+    if not all(is_state):
+        raise ValueError("tensor arguments must be all operators or all states")
+    if len({p.kind for p in parts}) > 1:
+        raise ValueError("cannot tensor pure states with density matrices")
+    data = functools.reduce(np.kron, [p.data for p in parts])
+    dims = sum((p.dims for p in parts), ())
+    return QState(dims, data, normalize=False)
 
 
 def partial_trace(rho: QState, keep: Iterable[int]) -> QState:
@@ -364,12 +249,14 @@ def state_fidelity(rho: QState, target: QState) -> float:
     return float(min(max(val, 0.0), 1.0 + 1e-9))
 
 
-def expectation(op: QOperator, state: QState) -> complex:
-    if op.dims != state.dims:
-        raise ValueError(f"dims mismatch: {op.dims} vs {state.dims}")
+def expectation(op: np.ndarray, state: QState) -> complex:
+    """<psi|op|psi> for a pure state, Tr(op rho) for a density matrix."""
+    if np.shape(op) != (state.dim, state.dim):
+        raise ValueError(f"operator shape {np.shape(op)} does not match state "
+                         f"dims {state.dims}")
     if state.kind == "pure":
-        return complex(np.vdot(state.data, op.data @ state.data))
-    return complex(np.trace(op.data @ state.data))
+        return complex(np.vdot(state.data, op @ state.data))
+    return complex(np.trace(op @ state.data))
 
 
 def parity_expectation(rho: QState) -> float:

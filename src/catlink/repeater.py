@@ -340,12 +340,21 @@ def crossover(scheme_rate: Callable[[float], float],
     """Distance where the scheme's rate meets the reference rate (bisection).
 
     Requires the sign of (scheme - reference) to differ at the bracket ends;
-    refined to ``CROSSOVER_TOL_KM``.
+    refined to ``CROSSOVER_TOL_KM``.  The curves are compared in log space,
+    so a rate that is not positive raises ``ValueError`` naming the curve
+    and the length.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
 
+    def log_rate(curve: Callable[[float], float], name: str, length: float) -> float:
+        rate = curve(length)
+        if not rate > 0:
+            raise ValueError(f"{name} rate {rate!r} /s at {length} km is not positive")
+        return math.log(rate)
+
     def gap(length: float) -> float:
-        return math.log(scheme_rate(length)) - math.log(reference_rate(length))
+        return (log_rate(scheme_rate, "scheme", length)
+                - log_rate(reference_rate, "reference", length))
 
     glo, ghi = gap(lo), gap(hi)
     if glo == 0:

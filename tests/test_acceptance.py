@@ -273,15 +273,14 @@ def test_criterion_10_property_suites(tmp_path):
     minus = qcore.cat_state(math.sqrt(2), "odd", 20)
     ok &= abs(np.vdot(plus.data, minus.data)) < 1e-10
     a = qcore.annihilation(16)
-    comm = (a @ a.dag() - a.dag() @ a).data
+    comm = a @ a.conj().T - a.conj().T @ a
     ok &= np.max(np.abs(comm[:15, :15] - np.eye(15))) < 1e-12
     results.append(check("10", "qcore invariants", ok, "norm/orthogonality/commutator"))
 
     # dynamics: trace, positivity, tolerance convergence
     dim = 10
     a10 = qcore.annihilation(dim)
-    h = TimeDependentHamiltonian(qcore.QOperator((dim,), 0.4 * (a10 + a10.dag()).data),
-                                 (), (0.0, 2.0))
+    h = TimeDependentHamiltonian(0.4 * (a10 + a10.conj().T), (), (0.0, 2.0))
     rho0 = qcore.to_density_matrix(qcore.cat_state(1.0, "even", dim))
     fids = []
     for rtol in (1e-8, 5e-9):

@@ -13,8 +13,7 @@ from catlink.pulses import piecewise_constant, reversed_schedule
 
 
 def _zero_h(dim, t1=1.0):
-    return TimeDependentHamiltonian(qc.QOperator((dim,), np.zeros((dim, dim))),
-                                    (), (0.0, t1))
+    return TimeDependentHamiltonian(np.zeros((dim, dim), dtype=complex), (), (0.0, t1))
 
 
 class TestEvolve:
@@ -39,8 +38,8 @@ class TestEvolve:
         # Hamiltonian at E_p = K alpha^2
         kerr, alpha, dim = 1.0, math.sqrt(2), 20
         a = qc.annihilation(dim)
-        h0 = -kerr * (a.dag() @ a.dag() @ a @ a) \
-            + kerr * alpha**2 * (a.dag() @ a.dag() + a @ a)
+        ad = a.conj().T
+        h0 = -kerr * (ad @ ad @ a @ a) + kerr * alpha**2 * (ad @ ad + a @ a)
         h = TimeDependentHamiltonian(h0, (), (0.0, 5.0 / kerr))
         traj = evolve(h, [], qc.coherent_state(alpha, dim), n_samples=3)
         fid = qc.state_fidelity(traj.final_state, qc.coherent_state(alpha, dim))
@@ -65,8 +64,8 @@ class TestEvolve:
     def test_trace_preservation_and_positivity(self):
         kappa, dim = 0.8, 10
         a = qc.annihilation(dim)
-        h0 = 0.5 * (a + a.dag())
-        h = TimeDependentHamiltonian(qc.QOperator((dim,), h0.data), (), (0.0, 3.0))
+        h0 = 0.5 * (a + a.conj().T)
+        h = TimeDependentHamiltonian(h0, (), (0.0, 3.0))
         rho0 = qc.to_density_matrix(qc.cat_state(1.0, "even", dim))
         traj = evolve(h, [(a, kappa)], rho0, n_samples=7)
         for state in traj.states:
@@ -76,19 +75,18 @@ class TestEvolve:
     def test_unitary_limit_preserves_purity(self):
         dim = 10
         a = qc.annihilation(dim)
-        h0 = 0.3 * (a + a.dag()) + 0.1 * (a.dag() @ a)
-        h = TimeDependentHamiltonian(qc.QOperator((dim,), h0.data), (), (0.0, 4.0))
+        h0 = 0.3 * (a + a.conj().T) + 0.1 * (a.conj().T @ a)
+        h = TimeDependentHamiltonian(h0, (), (0.0, 4.0))
         rho0 = qc.to_density_matrix(qc.fock_state(1, dim))
         traj = evolve(h, [], rho0, n_samples=5)
-        assert abs(traj.final_state.purity() - 1.0) < 1e-8
+        rho = traj.final_state.data
+        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-8
 
     def test_tolerance_convergence(self):
         kappa, dim = 0.5, 8
         a = qc.annihilation(dim)
-        drive = (qc.QOperator((dim,), (a + a.dag()).data),
-                 lambda t: 0.4 * math.sin(2.0 * t))
-        h = TimeDependentHamiltonian(qc.QOperator((dim,), 0.2 * (a.dag() @ a).data),
-                                     (drive,), (0.0, 3.0))
+        drive = (a + a.conj().T, lambda t: 0.4 * math.sin(2.0 * t))
+        h = TimeDependentHamiltonian(0.2 * (a.conj().T @ a), (drive,), (0.0, 3.0))
         rho0 = qc.to_density_matrix(qc.fock_state(0, dim))
         target = qc.coherent_state(0.3, dim)
         fids = []
@@ -101,6 +99,25 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(_zero_h(4), [(qc.annihilation(4), -1.0)],
                    qc.to_density_matrix(qc.fock_state(0, 4)))
+
+    def test_drive_operator_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            TimeDependentHamiltonian(np.zeros((4, 4), dtype=complex),
+                                     ((qc.annihilation(5), lambda t: 1.0),), (0.0, 1.0))
+
+    def test_collapse_operator_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            evolve(_zero_h(4), [(qc.annihilation(5), 1.0)],
+                   qc.to_density_matrix(qc.fock_state(0, 4)))
+
+    def test_initial_state_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            evolve(_zero_h(4), [], qc.fock_state(0, 5))
+
+    def test_states_carry_initial_dims(self):
+        rho0 = qc.tensor([qc.fock_state(0, 2), qc.fock_state(1, 3)])
+        traj = evolve(_zero_h(6), [], rho0)
+        assert all(state.dims == (2, 3) for state in traj.states)
 
     def test_step_underflow_reports_time(self):
         # a discontinuous, rapidly exploding coefficient starves the step size
@@ -152,9 +169,9 @@ class TestEvolve:
         kerr, kappa, dim, n_seg, duration = 1.0, 1e-3, 20, 64, 2.0
         rng = np.random.default_rng(7)
         a = qc.annihilation(dim)
-        h0 = -kerr * (a.dag() @ a.dag() @ a @ a)
-        ops = {"x": a.dag() @ a.dag() + a @ a,
-               "y": 1j * (a.dag() @ a.dag() - a @ a)}
+        ad = a.conj().T
+        h0 = -kerr * (ad @ ad @ a @ a)
+        ops = {"x": ad @ ad + a @ a, "y": 1j * (ad @ ad - a @ a)}
         pulse = piecewise_constant(duration, {k: rng.uniform(-1.0, 1.0, n_seg)
                                               for k in ops})
         h = TimeDependentHamiltonian(h0, tuple((ops[k], fn) for k, fn in pulse.channels.items()),
@@ -164,8 +181,8 @@ class TestEvolve:
 
         rho = rho0.data
         for k in range(n_seg):
-            hk = h0.data + sum(pulse.segment_values[c][k] * ops[c].data for c in ops)
-            rho = evolve_constant(hk, [(a.data, kappa)], rho, [0.0, duration / n_seg])[-1]
+            hk = h0 + sum(pulse.segment_values[c][k] * ops[c] for c in ops)
+            rho = evolve_constant(hk, [(a, kappa)], rho, [0.0, duration / n_seg])[-1]
         assert np.max(np.abs(traj.final_state.data - rho)) < 1e-7
 
 
@@ -173,19 +190,19 @@ class TestConstantLiouvillian:
     def test_matches_rk45(self):
         kerr, kappa, alpha, dim = 1.0, 1e-2, 1.2, 14
         a = qc.annihilation(dim)
-        h0 = (-kerr * (a.dag() @ a.dag() @ a @ a)
-              + kerr * alpha**2 * (a.dag() @ a.dag() + a @ a))
+        ad = a.conj().T
+        h0 = -kerr * (ad @ ad @ a @ a) + kerr * alpha**2 * (ad @ ad + a @ a)
         rho0 = qc.to_density_matrix(qc.cat_state(alpha, "even", dim))
         t1 = 2.0
         traj = evolve(TimeDependentHamiltonian(h0, (), (0.0, t1)),
                       [(a, kappa)], rho0, n_samples=2, rel_tol=1e-9)
-        rhos = evolve_constant(h0.data, [(a.data, kappa)], rho0.data, [0.0, t1])
+        rhos = evolve_constant(h0, [(a, kappa)], rho0.data, [0.0, t1])
         assert np.max(np.abs(rhos[-1] - traj.final_state.data)) < 1e-7
 
     def test_liouvillian_traceless_action(self):
         dim = 4
         a = qc.annihilation(dim)
-        lv = liouvillian((a.dag() @ a).data, [(a.data, 0.3)])
+        lv = liouvillian(a.conj().T @ a, [(a, 0.3)])
         rho = qc.to_density_matrix(qc.coherent_state(0.5, dim)).data
         drho = (lv @ rho.reshape(-1, order="F")).reshape(dim, dim, order="F")
         assert abs(np.trace(drho)) < 1e-12

@@ -1,12 +1,13 @@
 """Checks on the package source: no unused module-level imports, no stale
-``__all__`` entries (the project declares no linter, so these two checks
-stand in for one), and no heavy scipy submodule loaded by commands that do
-not need it."""
+``__all__`` entries, no public name that nothing references (the project
+declares no linter, so these checks stand in for one), and no heavy scipy
+submodule loaded by commands that do not need it."""
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,55 @@ def test_every_all_entry_resolves(path):
     module = importlib.import_module(_module_name(path))
     entries = _all_entries(ast.parse(path.read_text()))
     assert [name for name in entries if not hasattr(module, name)] == []
+
+
+# where a public name counts as used: the package, its tests, demos and
+# benchmark, and the README, which documents config.describe_schema
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE_SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                           for p in (ROOT / d).rglob("*.py"))
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and
+    string constants (as ``getattr`` takes them).  Its own ``__all__`` list
+    and the targets of its definitions are not references."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip = set(ast.walk(node.value))
+    found = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_referenced():
+    referenced = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in REFERENCE_SOURCES:
+        referenced |= _references(ast.parse(path.read_text()))
+    unreferenced = [f"{_module_name(path)}.{name}" for path in SOURCES
+                    for name in _all_entries(ast.parse(path.read_text()))
+                    if name not in referenced]
+    assert unreferenced == []
+
+
+def test_definition_and_all_entry_are_not_references():
+    tree = ast.parse("__all__ = ['dead', 'used', 'LIMIT']\nLIMIT = 1\n"
+                     "def dead():\n    pass\ndef used():\n    return LIMIT\n"
+                     "x = getattr(object(), 'used')\n")
+    refs = _references(tree)
+    assert "dead" not in refs and {"used", "LIMIT"} <= refs
 
 
 def test_unused_import_is_reported(tmp_path):

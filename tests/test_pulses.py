@@ -56,6 +56,13 @@ def test_csv_export(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_export_rejects_smooth_schedule(tmp_path):
+    path = tmp_path / "pulse.csv"
+    with pytest.raises(ValueError, match="piecewise-constant"):
+        PulseSchedule(1.0, {"a": lambda t: 3.0 * t}).to_csv(path)
+    assert not path.exists()
+
+
 def test_duration_must_be_positive():
     with pytest.raises(ValueError):
         PulseSchedule(0.0, {"a": lambda t: 0.0})

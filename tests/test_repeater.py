@@ -273,3 +273,16 @@ class TestCrossover:
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError):
             rp.crossover(lambda L: 1.0, lambda L: 2.0, bracket=(10, 20))
+
+    @pytest.mark.parametrize("zero_curve", ["scheme", "reference"])
+    def test_rate_that_is_not_positive_named(self, zero_curve):
+        curves = {"scheme": lambda L: 1.0, "reference": lambda L: 2.0}
+        curves[zero_curve] = lambda L: 0.0
+        with pytest.raises(ValueError, match=f"{zero_curve} rate 0.0 /s at 10.0 km"):
+            rp.crossover(curves["scheme"], curves["reference"], bracket=(10, 20))
+
+    def test_zero_emission_probability_named(self):
+        scheme = rp.rate_curve(rp.ChainParams(nesting_level=3, multiplexing=1),
+                               _link(emission_probability=0.0))
+        with pytest.raises(ValueError, match="scheme rate 0.0 /s at 60.0 km"):
+            rp.crossover(scheme, rp.direct_transmission_rate, bracket=(60.0, 1500.0))
