@@ -447,7 +447,7 @@ def _run_gate(params: CatQubitParams, operation: str,
     fids = dict(zip(cases, map(float, prop.lossy_fidelity(psi0, targets))))
     psi_f = prop.propagate_pure(psi0)
     psi_f /= np.linalg.norm(psi_f, axis=0)
-    finals = {name: qc.QState(dims, psi_f[:, i].copy(), normalize=False)
+    finals = {name: qc.QState(dims, psi_f[:, i], normalize=False)
               for i, name in enumerate(cases)}
     leakage = max(0.0, float(np.max(1.0 - np.sum(np.abs(basis.conj().T @ psi_f) ** 2,
                                                  axis=0))))

@@ -252,13 +252,19 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
         except ValueError:
             raise ConfigError(
                 f"[grape] seed must be an integer or empty, got {seed!r}")
-    ot = values["link"]["operation_time_s"]
+    li = values["link"]
+    for key in ("emission_probability", "detection_efficiency"):
+        if not 0.0 < li[key] <= 1.0:
+            raise ConfigError(f"[link] {key} must lie in (0, 1], got {li[key]}")
+    ot = li["operation_time_s"]
     if ot != "auto":
         try:
             float(ot)
         except ValueError:
             raise ConfigError(
                 f"[link] operation_time_s must be a number or 'auto', got {ot!r}")
+    if values["mc"]["trials"] < 10_000:
+        raise ConfigError(f"[mc] trials must be >= 10000, got {values['mc']['trials']}")
     fmt = values["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")

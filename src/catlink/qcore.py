@@ -57,7 +57,8 @@ class QState:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        arr = np.ascontiguousarray(self.data, dtype=complex)
+        # a private copy, so freezing it below leaves the caller's array writeable
+        arr = np.array(self.data, dtype=complex, order="C")
         dim = math.prod(self.dims)
         if arr.ndim == 1:
             if arr.shape != (dim,):

@@ -168,6 +168,9 @@ def rate_curve(chain: ChainParams, link: LinkParams) -> Callable[[float], float]
     return rate
 
 
+_MC_BLOCK = 8192                      # trials sampled per block
+
+
 def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000,
                      seed: int = 0) -> tuple[float, float]:
     """Brute-force oracle for the mean distribution time of one channel set.
@@ -176,27 +179,42 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
     P0; a swap at level i waits for both children, then succeeds with
     probability P_i, a failure discarding and regenerating both child pairs.
     Returns (sample mean, standard error) over seeded trials.
+
+    Trials run in fixed blocks of ``_MC_BLOCK``, counted in attempt slots.
+    A leaf's slot count is geometric(P0), drawn by exponential inversion,
+    ceil(E / -log(1 - P0)), numpy's own method for P0 < 1/3.  A level-i node first draws its number of swap
+    tries, geometric(P_i) (swap outcomes do not depend on child times), then
+    sums max(left, right) over the children of all its tries.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable mean")
-    rng = np.random.default_rng(seed)
-    slot = attempt_time(link)
     prob0 = p0(link)
+    if prob0 <= 0:
+        raise ValueError(f"link success probability p0 = {prob0} must be positive")
+    rng = np.random.default_rng(seed)
+    leaf_rate = -math.log1p(-prob0)
 
-    def sample(level: int, size: int) -> np.ndarray:
+    def slots(level: int, size: int) -> np.ndarray:
         if level == 0:
-            return slot * rng.geometric(prob0, size=size)
-        total = np.zeros(size)
-        active = np.arange(size)
-        while active.size:
-            pair_time = np.maximum(sample(level - 1, active.size),
-                                   sample(level - 1, active.size))
-            total[active] += pair_time
-            success = rng.random(active.size) < chain.swap_probability
-            active = active[~success]
-        return total
+            leaves = rng.standard_exponential(size)
+            leaves /= leaf_rate
+            return np.ceil(leaves, out=leaves)
+        # running total of each node's swap tries, shifted one place to the
+        # right: starts[k] is the index of node k's first child pair
+        starts = np.cumsum(rng.geometric(chain.swap_probability, size=size))
+        n_tries = int(starts[-1])
+        starts[1:] = starts[:-1]
+        starts[0] = 0
+        children = slots(level - 1, 2 * n_tries)
+        pairs = np.maximum(children[0::2], children[1::2], out=children[0::2])
+        return np.add.reduceat(pairs, starts)
 
-    times = sample(chain.nesting_level, int(trials))
+    trials = int(trials)
+    times = np.empty(trials)
+    for start in range(0, trials, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, trials)
+        times[start:stop] = slots(chain.nesting_level, stop - start)
+    times *= attempt_time(link)
     return float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials))
 
 

@@ -32,6 +32,16 @@ class TestValidation:
         assert "chain" in r.stderr and "bogus" in r.stderr
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("argv, message", [
+        (("mc", "--trials", "100"), "[mc] trials must be >= 10000, got 100"),
+        (("crossover", "--set", "link.emission_probability=0"),
+         "[link] emission_probability must lie in (0, 1], got 0.0")])
+    def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
+        r = run_cli(*argv, "--out", out_dir)
+        assert r.returncode == 2
+        assert r.stderr == f"config error: {message}\n"
+        assert not os.path.exists(out_dir)
+
     def test_unknown_section_in_file(self, tmp_path, out_dir):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[nosuch]\nx = 1\n")

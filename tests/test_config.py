@@ -163,6 +163,10 @@ class TestRoundTrip:
         values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"] = lo, hi
         values["grape"]["seed"] = data.draw(st.sampled_from(("", "0", "-7")))
         values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "2.5e-05")))
+        for key in ("emission_probability", "detection_efficiency"):
+            values["link"][key] = data.draw(st.floats(min_value=0.0, max_value=1.0,
+                                                      exclude_min=True))
+        values["mc"]["trials"] = data.draw(st.integers(min_value=10_000))
         config = RunConfig(values=values)
         assert self.reread(config, tmp_path).values == config.values
 
@@ -177,6 +181,15 @@ class TestErrors:
             load_config().with_overrides({("mc", "trials"): "many"})
         assert str(from_file.value) == str(from_flag.value)
         assert "[mc] trials" in str(from_flag.value)
+
+    @pytest.mark.parametrize("key, raw", [("emission_probability", "0"),
+                                          ("emission_probability", "1.5"),
+                                          ("detection_efficiency", "0.0"),
+                                          ("detection_efficiency", "-0.1")])
+    def test_link_probability_outside_unit_interval_named(self, key, raw):
+        with pytest.raises(ConfigError) as exc:
+            load_config().with_overrides({("link", key): raw})
+        assert str(exc.value) == f"[link] {key} must lie in (0, 1], got {float(raw)}"
 
     def test_unknown_section_is_named_from_file_and_flag(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -34,6 +34,15 @@ class TestAnnihilation:
         assert np.max(np.abs(block - np.eye(dim - 1))) < 1e-12
 
 
+class TestQState:
+    def test_caller_array_stays_writeable(self):
+        vec = np.array([1, 0], dtype=complex)
+        state = qc.QState((2,), vec)
+        vec[0] = 0
+        assert not state.data.flags.writeable
+        assert state.data[0] == 1
+
+
 class TestCoherentState:
     def test_vacuum(self):
         assert np.allclose(qc.coherent_state(0, 8).data, qc.fock_state(0, 8).data)

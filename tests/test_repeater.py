@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,83 @@ class TestMonteCarlo:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             rp.monte_carlo_time(rp.ChainParams(), _link(), trials=100)
+
+    @staticmethod
+    def single_swap_mean(link, swap_probability):
+        # E[max of two geometric(P0) slot counts] = 2/P0 - 1/(P0 (2 - P0)),
+        # paid 1/P1 times on average
+        q = rp.p0(link)
+        return rp.attempt_time(link) * (2 / q - 1 / (q * (2 - q))) / swap_probability
+
+    @staticmethod
+    def numpy_geometric_estimate(link, trials, seed):
+        times = rp.attempt_time(link) * np.random.default_rng(seed).geometric(
+            rp.p0(link), trials)
+        return float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials))
+
+    @pytest.mark.parametrize("swap_probability", [0.81, 1.0])
+    def test_single_swap_exact_mean_over_seeds(self, swap_probability):
+        link = _link()
+        chain = rp.ChainParams(nesting_level=1, swap_probability=swap_probability)
+        expected = self.single_swap_mean(link, swap_probability)
+        for seed in range(5):
+            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)
+            assert abs(mean - expected) < 4.5 * stderr
+
+    # 20,001 trials leave a partial last block; 2 blocks fill exactly
+    @pytest.mark.parametrize("seed, trials", [(5, 20_001), (0, 2 * rp._MC_BLOCK)])
+    def test_no_swap_matches_numpy_geometric_bitwise(self, seed, trials):
+        link = _link()
+        assert (rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
+                                    trials=trials, seed=seed)
+                == self.numpy_geometric_estimate(link, trials, seed))
+
+    @staticmethod
+    def retry_loop_estimate(chain, link, trials, seed):
+        # reference: regenerate both children and retry the swap until it succeeds
+        rng = np.random.default_rng(seed)
+
+        def sample(level, size):
+            if level == 0:
+                return rp.attempt_time(link) * rng.geometric(rp.p0(link), size=size)
+            total = np.zeros(size)
+            active = np.arange(size)
+            while active.size:
+                total[active] += np.maximum(sample(level - 1, active.size),
+                                            sample(level - 1, active.size))
+                active = active[rng.random(active.size) >= chain.swap_probability]
+            return total
+
+        times = sample(chain.nesting_level, trials)
+        return float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials))
+
+    @pytest.mark.parametrize("nesting_level", [2, 3])
+    def test_agrees_with_retry_loop_reference(self, nesting_level):
+        link = _link()
+        chain = rp.ChainParams(nesting_level=nesting_level, swap_probability=0.7)
+        mean, stderr = rp.monte_carlo_time(chain, link, trials=40_000, seed=8)
+        ref_mean, ref_stderr = self.retry_loop_estimate(chain, link, 40_000, seed=9)
+        assert abs(mean - ref_mean) < 4.5 * math.hypot(stderr, ref_stderr)
+
+    def test_zero_success_probability_named(self):
+        with pytest.raises(ValueError, match="p0 = 0.0"):
+            rp.monte_carlo_time(rp.ChainParams(nesting_level=1),
+                                _link(detection_efficiency=0.0), trials=10_000)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_peak_memory_stays_within_three_arrays(self, seed):
+        link = _link()
+        chain = rp.ChainParams(nesting_level=3)
+        trials = 200_000
+        rp.monte_carlo_time(chain, link, trials=10_000, seed=seed)  # warm numpy
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rp.monte_carlo_time(chain, link, trials=trials, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * trials
 
 
 class TestResidualCoherence:
