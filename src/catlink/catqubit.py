@@ -301,6 +301,7 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[qc.QState, q
     dim = params.dim
     h = _kerr_op(dim, params.kerr) + params.kerr * alpha**2 * _two_photon_op(dim)
     lam, v = _blockwise_eig(h, hermitian=True)
+    v = v.toarray()
     cats = []
     for first, parity in ((0, "even"), (1, "odd")):
         idx = np.arange(first, dim, 2)
@@ -508,14 +509,19 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
 
 
 def _two_qubit_ops(params: CatQubitParams, dim: int):
+    """(a1, a2, H0 x 1, 1 x H0) on two cavities of ``dim`` levels."""
     a = qc.annihilation(dim)
-    eye = qc.identity(dim)
-    a1 = qc.tensor([a, eye])
-    a2 = qc.tensor([eye, a])
+    eye = np.eye(dim)
     h0 = _stabilized_h(params, dim)
-    h01 = np.kron(h0, np.eye(dim))
-    h02 = np.kron(np.eye(dim), h0)
-    return a1, a2, h01, h02
+    return np.kron(a, eye), np.kron(eye, a), np.kron(h0, eye), np.kron(eye, h0)
+
+
+def _coupling_op(dim: int) -> np.ndarray:
+    """a1^dag a2 + a1 a2^dag = a^dag x a + a x a^dag, built from one-cavity
+    operators so that no two-cavity matrix product is taken."""
+    a = qc.annihilation(dim)
+    ad = a.conj().T
+    return np.kron(ad, a) + np.kron(a, ad)
 
 
 def _two_qubit_logical_basis(params: CatQubitParams, dim: int) -> np.ndarray:
@@ -539,7 +545,7 @@ def gate_g(params: CatQubitParams, theta: float, coupling: float,
     dim = dim_per_cavity
     a1, a2, h01, h02 = _two_qubit_ops(params, dim)
     sign = 1.0 if theta >= 0 else -1.0
-    h = h01 + h02 + sign * coupling * (a1.conj().T @ a2 + a1 @ a2.conj().T)
+    h = h01 + h02 + sign * coupling * _coupling_op(dim)
     dur = _g_rotation_duration(params, theta, coupling)
     tcoef = math.cos(theta / 2) * np.array([1, 0, 0, 0], dtype=complex) \
         - 1j * math.sin(theta / 2) * np.array([0, 0, 0, 1], dtype=complex)
@@ -554,10 +560,10 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     """Seven-stage decomposition X2(pi/2) X1(-pi/2) Z1(pi/2) G(pi/2)
     X1(-pi/2) Z1(-pi/2) X1(pi/2), rightmost applied first."""
     a1, a2, h01, h02 = _two_qubit_ops(params, dim)
-    n1 = a1.conj().T @ a1
+    n = qc.number_operator(dim)
     x1 = a1 + a1.conj().T
     x2 = a2 + a2.conj().T
-    kerr1_free = -params.kerr * (n1 @ n1)
+    kerr1_free = np.kron(-params.kerr * (n @ n), np.eye(dim))
 
     t_x = _x_rotation_duration(params, math.pi / 2, drive_amplitude)
     t_z_plus = _z_rotation_duration(params, math.pi / 2)
@@ -568,7 +574,7 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     h_x1_minus = h01 + h02 - drive_amplitude * x1
     h_x2_plus = h01 + h02 + drive_amplitude * x2
     h_z1 = kerr1_free + h02
-    h_g = h01 + h02 + coupling * (a1.conj().T @ a2 + a1 @ a2.conj().T)
+    h_g = h01 + h02 + coupling * _coupling_op(dim)
 
     return [
         (h_x1_plus, t_x),      # X1(+pi/2)

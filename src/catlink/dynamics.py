@@ -22,15 +22,21 @@ eigendecomposition per distinct stage Hamiltonian and scores lossy evolution
 with a no-jump + one-jump expansion, integrating the one-jump term over each
 stage with an n-vs-2n checked Gauss-Legendre rule.  A two-cavity stage that
 is a Kronecker sum A x 1 + 1 x B (no term moves both cavities) is factored
-per cavity, with eigenvalues alpha_i + beta_j and eigenvectors V_A x V_B.
-Every other eigendecomposition runs one block at a time over the blocks that
+per cavity, with eigenvalues alpha_i + beta_j and eigenvectors V_A x V_B;
+V, V^-1 and each one-cavity jump in the eigenbasis, (W_A A V_A) x 1, are
+kept per cavity and applied to the (d1 d2, cases) stacks one cavity at a
+time, so no two-cavity factor is ever formed.  Every other
+eigendecomposition runs one block at a time over the blocks that
 ``coupled_blocks`` finds, the connected components of the matrix's sparsity
 pattern: the cat Hamiltonians conserve photon-number parity (per cavity, or
 in total for the coupling), so the coupling stage splits into two blocks and
-a one-cavity stage into two to dim.  Both splits are exact, and a connected
-matrix is one block, the dense case.  The factors of the last two coupled
-two-cavity stages are memoized by a digest of the matrix, so the gate G and
-the CNOT's G stage of one gate-table row share one factorization.
+a one-cavity stage into two to dim.  V and V^-1 stay per block, and a jump
+in the eigenbasis is formed and applied only on the block pairs it connects
+(a photon loss flips the parity, so two of the coupling stage's four).  Both
+splits are exact, and a connected matrix is one block, the dense case.  The
+factors of the last two coupled two-cavity stages are memoized by a digest
+of the matrix, so the gate G and the CNOT's G stage of one gate-table row
+share one factorization.
 The test suite checks the expansion against ``evolve_constant`` on single-
 and multi-stage sequences and, for the CNOT, against ``expm_multiply`` of the
 sparse two-cavity Liouvillian.
@@ -352,23 +358,88 @@ def coupled_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == k) for k in range(n)]
 
 
+class _BlockSparse:
+    """A square operator that is nonzero only on (rows, cols, M) blocks,
+    applied one block at a time: ``op @ x`` adds M @ x[cols] into rows of
+    the result, for a vector or a (d, c) stack x.  ``H`` is the conjugate
+    transpose and ``toarray`` assembles the full matrix."""
+
+    def __init__(self, blocks, dim: int):
+        self.blocks = blocks
+        self.dim = dim
+
+    @property
+    def H(self) -> "_BlockSparse":
+        return _BlockSparse([(cols, rows, m.conj().T) for rows, cols, m in self.blocks],
+                            self.dim)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape, dtype=complex)
+        for rows, cols, m in self.blocks:
+            out[rows] += m @ x[cols]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=self.blocks[0][2].dtype)
+        for rows, cols, m in self.blocks:
+            out[np.ix_(rows, cols)] += m
+        return out
+
+
 def _blockwise_eig(m: np.ndarray, hermitian: bool):
-    """Eigendecomposition of ``m`` one ``coupled_blocks`` block at a time,
-    assembled into full-size arrays: (lam, V) from ``eigh`` when
-    ``hermitian``, else (lam, V, V^-1) from ``eig`` and ``inv``.  Eigenvalue j
-    belongs to column j of V, which is zero outside the block of index j."""
+    """Eigendecomposition of ``m`` one ``coupled_blocks`` block at a time:
+    (lam, V) from ``eigh`` when ``hermitian``, else (lam, V, V^-1) from
+    ``eig`` and ``inv``, with V and V^-1 kept as ``_BlockSparse`` operators
+    over the blocks.  Eigenvalue j belongs to column j of V, which is zero
+    outside the block of index j."""
     d = m.shape[0]
     lam = np.empty(d, dtype=float if hermitian else complex)
-    v = np.zeros((d, d), dtype=m.dtype if hermitian else complex)
-    w = None if hermitian else np.zeros((d, d), dtype=complex)
+    v, w = [], []
     for idx in coupled_blocks(m):
-        block = np.ix_(idx, idx)
         if hermitian:
-            lam[idx], v[block] = scipy.linalg.eigh(m[block])
+            lam[idx], vb = scipy.linalg.eigh(m[np.ix_(idx, idx)])
         else:
-            lam[idx], v[block] = scipy.linalg.eig(m[block])
-            w[block] = np.linalg.inv(v[block])
-    return (lam, v) if hermitian else (lam, v, w)
+            lam[idx], vb = scipy.linalg.eig(m[np.ix_(idx, idx)])
+            w.append((idx, idx, np.linalg.inv(vb)))
+        v.append((idx, idx, vb))
+    v = _BlockSparse(v, d)
+    return (lam, v) if hermitian else (lam, v, _BlockSparse(w, d))
+
+
+class _KroneckerProduct:
+    """A x B on a two-subsystem space of ``dims`` (d1, d2), never formed:
+    ``op @ x`` reshapes a vector or (d1 d2, c) stack x to (d1, d2, c) and
+    contracts A with the first axis and B with the second, one subsystem at
+    a time.  ``parts`` is (A, B), with None for an identity factor; ``H`` is
+    the conjugate transpose."""
+
+    def __init__(self, a: Optional[np.ndarray], b: Optional[np.ndarray],
+                 dims: tuple[int, int]):
+        self.parts = (a, b)
+        self.dims = dims
+
+    @property
+    def H(self) -> "_KroneckerProduct":
+        return _KroneckerProduct(*(None if m is None else m.conj().T for m in self.parts),
+                                 self.dims)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        (d1, d2), (a, b) = self.dims, self.parts
+        y = x.reshape(d1, d2, -1)
+        if a is not None:
+            y = (a @ y.reshape(d1, -1)).reshape(d1, d2, -1)
+        if b is not None:
+            y = b @ y  # one (d2, d2) product per index of the first subsystem
+        return y.reshape(x.shape)
+
+
+def _on_subsystem(a: np.ndarray, k: int, dims: Sequence[int]) -> np.ndarray:
+    """``a`` on subsystem k of the two in ``dims`` and the identity on the
+    other, as a (d1, d2, d1, d2) array: A x 1 or 1 x A reshaped."""
+    eye = np.eye(dims[1 - k])
+    if k == 0:
+        return a[:, None, :, None] * eye[None, :, None, :]
+    return eye[:, None, :, None] * a[None, :, None, :]
 
 
 # largest entry of m - (A x 1 + 1 x B), relative to the largest entry of m,
@@ -393,8 +464,8 @@ def _kronecker_split(m: np.ndarray, dims: Sequence[int]):
     # partial traces, with the trace of m taken back out of B
     a = np.einsum("ijkj->ik", t) / d2
     b = np.einsum("ijil->jl", t) / d1 - np.trace(m) / (d1 * d2) * np.eye(d2)
-    rebuilt = np.kron(a, np.eye(d2)) + np.kron(np.eye(d1), b)
-    if np.max(np.abs(m - rebuilt)) > _SPLIT_TOL * np.max(np.abs(m)):
+    rebuilt = _on_subsystem(a, 0, dims) + _on_subsystem(b, 1, dims)
+    if np.max(np.abs(t - rebuilt)) > _SPLIT_TOL * np.max(np.abs(m)):
         return None
     return a, b
 
@@ -418,7 +489,8 @@ def _coupled_eig(m: np.ndarray, hermitian: bool):
     factors = _COUPLED_MEMO.pop(key, None)
     if factors is None:
         factors = _blockwise_eig(m, hermitian)
-        for x in factors:
+        lam, *ops = factors
+        for x in [lam] + [block for op in ops for _, _, block in op.blocks]:
             x.flags.writeable = False
     _COUPLED_MEMO[key] = factors  # most recently used last
     while len(_COUPLED_MEMO) > _COUPLED_MEMO_SIZE:
@@ -427,17 +499,49 @@ def _coupled_eig(m: np.ndarray, hermitian: bool):
 
 
 def _factor(m: np.ndarray, hermitian: bool, dims: Sequence[int]):
-    """``_blockwise_eig`` of ``m``, computed per subsystem when ``m`` is a
-    Kronecker sum over ``dims``: A = V_A diag(alpha) V_A^-1 and B likewise
-    give eigenvalues alpha_i + beta_j with eigenvectors V_A x V_B and
-    inverse W_A x W_B, in the order of ``np.kron``.  A two-subsystem matrix
-    that does not split goes through ``_coupled_eig``."""
+    """(lam, V) or, unless ``hermitian``, (lam, V, V^-1) of ``m``, with V and
+    V^-1 as operators that are never assembled into full matrices.
+
+    When ``m`` is a Kronecker sum over ``dims``, A = V_A diag(alpha) V_A^-1
+    and B likewise give eigenvalues alpha_i + beta_j, in the order of
+    ``np.kron``, and V = V_A x V_B and V^-1 = W_A x W_B are kept as
+    ``_KroneckerProduct`` operators applied one cavity at a time.  Any other
+    matrix is factored over its ``coupled_blocks`` into ``_BlockSparse``
+    operators, through ``_coupled_eig``'s memo when ``dims`` has two
+    subsystems."""
     split = _kronecker_split(m, dims)
     if split is None:
         return _coupled_eig(m, hermitian) if len(dims) == 2 else _blockwise_eig(m, hermitian)
     a, b = (_blockwise_eig(x, hermitian) for x in split)
     lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
-    return (lam, *(np.kron(x, y) for x, y in zip(a[1:], b[1:])))
+    return (lam, *(_KroneckerProduct(x.toarray(), y.toarray(), tuple(dims))
+                   for x, y in zip(a[1:], b[1:])))
+
+
+def _subsystem_part(op: np.ndarray, dims: Sequence[int]):
+    """(k, A) when ``op`` is A on subsystem k of the two in ``dims`` and
+    exactly the identity on the other, as a jump built by ``np.kron`` is;
+    otherwise None."""
+    t = op.reshape(*dims, *dims)
+    for k, part in enumerate((t[:, 0, :, 0], t[0, :, 0, :])):
+        if np.array_equal(t, _on_subsystem(part, k, dims)):
+            return k, part
+    return None
+
+
+def _block_pairs(w: _BlockSparse, op: np.ndarray, v: _BlockSparse) -> _BlockSparse:
+    """W op V for block-diagonal V and W = V^-1 over the same blocks, formed
+    only on the block pairs that ``op`` connects (a photon loss flips the
+    parity, so it maps each parity block onto the other)."""
+    label = np.empty(v.dim, dtype=int)
+    for n, (idx, _, _) in enumerate(v.blocks):
+        label[idx] = n
+    rows, cols = np.nonzero(op)
+    pairs = []
+    for i, j in sorted(set(zip(label[rows], label[cols]))):
+        (ri, _, wi), (ci, _, vj) = w.blocks[i], v.blocks[j]
+        pairs.append((ri, ci, wi @ (op[np.ix_(ri, ci)] @ vj)))
+    return _BlockSparse(pairs, v.dim)
 
 
 class PiecewiseConstantPropagator:
@@ -449,8 +553,9 @@ class PiecewiseConstantPropagator:
     array pays for it once; factors are cached across input states, and a
     coupled two-subsystem stage is also looked up in ``_factor``'s memo.  With
     two subsystems in ``dims``, a stage that is a Kronecker sum over them
-    (and its H_eff, when the jumps split too) is factored per subsystem;
-    every other stage is factored one coupled block at a time.  States are
+    (and its H_eff, when every jump acts on one subsystem alone and H_eff
+    splits too) is factored and applied per subsystem; every other stage is
+    factored one coupled block at a time.  States are
     vectors of length d or (d, c) stacks of c column vectors.  ``jump_ops``
     are (L, rate) pairs; rate-0 operators are dropped, and without jumps
     ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets the
@@ -502,18 +607,31 @@ class PiecewiseConstantPropagator:
 
     def _effective_factors(self):
         """Per stage: eigenpairs (lam, V, V^-1) of H_eff = H - i/2 sum rate L^dag L
-        and each jump operator in that eigenbasis, V^-1 L V."""
+        and each jump operator in that eigenbasis, V^-1 L V: per cavity,
+        (W_A A V_A) x 1 or 1 x (W_B B V_B), on the per-cavity route, else only
+        the parity-block pairs that L connects."""
         if self._eff is None:
             d = self.stages[0][0].shape[0]
             damp = np.zeros((d, d), dtype=complex)
             for op, rate in self.jump_ops:
-                damp += 0.5j * rate * (op.conj().T @ op)
-
-            jumps = [scipy.sparse.csr_array(op) for op, _ in self.jump_ops]
+                sparse = scipy.sparse.csr_array(op)
+                damp += 0.5j * rate * (sparse.conj().T @ sparse).toarray()
+            # the per-cavity route needs every jump on one cavity alone
+            parts = [_subsystem_part(op, self.dims) for op, _ in self.jump_ops] \
+                if len(self.dims) == 2 else []
+            dims = self.dims if all(p is not None for p in parts) else ()
 
             def factorize(h):
-                lam, v, w = _factor(h - damp, False, self.dims)
-                return lam, v, w, [w @ (op @ v) for op in jumps]
+                lam, v, w = _factor(h - damp, False, dims)
+                if isinstance(v, _KroneckerProduct):
+                    jumps = []
+                    for k, op in parts:
+                        jump = [None, None]
+                        jump[k] = w.parts[k] @ op @ v.parts[k]
+                        jumps.append(_KroneckerProduct(*jump, v.dims))
+                else:
+                    jumps = [_block_pairs(w, op, v) for op, _ in self.jump_ops]
+                return lam, v, w, jumps
 
             self._eff = self._per_distinct_h(factorize)
         return self._eff
@@ -522,7 +640,7 @@ class PiecewiseConstantPropagator:
         """Lossless state at every stage boundary, ``psi0`` first."""
         psis = [np.asarray(psi0, dtype=complex)]
         for (lam, v), (_, t) in zip(self.hermitian_factors(), self.stages):
-            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), v.conj().T @ psis[-1]))
+            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), v.H @ psis[-1]))
         return psis
 
     def propagate_pure(self, psi0: np.ndarray) -> np.ndarray:
@@ -555,15 +673,14 @@ class PiecewiseConstantPropagator:
 
         phis = [target]
         for (lam, v, w, _), (_, t) in zip(reversed(eff), reversed(self.stages)):
-            phis.append(w.conj().T @ _scale_rows(np.exp(1j * lam.conj() * t),
-                                                 v.conj().T @ phis[-1]))
+            phis.append(w.H @ _scale_rows(np.exp(1j * lam.conj() * t), v.H @ phis[-1]))
         phis = phis[::-1]
 
         for k, ((lam, v, w, jumps), (_, t)) in enumerate(zip(eff, self.stages)):
             d = lam.size
             # eigen-coefficients of psi_k and of <phi_k+1|, cases along axis 1
             ket0 = (w @ psis[k]).reshape(d, 1, -1)
-            bra0 = (v.T @ phis[k + 1].conj()).reshape(d, 1, -1)
+            bra0 = (v.H @ phis[k + 1]).conj().reshape(d, 1, -1)
 
             def one_jump(n):
                 x, wts = _gauss_legendre(n)

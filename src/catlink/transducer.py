@@ -52,8 +52,11 @@ __all__ = [
 ]
 
 # Truncating the Lorentzian at +/-10 FWHM visibly underestimates the
-# tail-induced cavity residue; +/-25 FWHM is converged to well inside the
-# model tolerance.
+# tail-induced cavity residue.  +/-25 FWHM is not converged either: the
+# default eta reads 0.994077 here and 0.993164 at +/-100 FWHM, and its
+# excess over the unbounded-line limit falls as 1/span (1.25e-3, 3.3e-4 and
+# 8.1e-5 at +/-25, +/-100 and +/-400 FWHM).  The doubled-bin ``bin_drift``
+# check holds the span fixed, so it reads 1.6e-5 and cannot see this bias.
 DEFAULT_SPAN_FWHM = 25.0
 
 

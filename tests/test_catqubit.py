@@ -5,10 +5,11 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from catlink import catqubit as cq
-from catlink import dynamics
+from catlink import cli, dynamics
 from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator, coupled_blocks,
                               evolve_constant, liouvillian)
+from catlink.config import load_config
 
 ALPHA = math.sqrt(2)
 
@@ -311,17 +312,45 @@ class TestParityBlocks:
             assert np.max(np.abs(x - y)) <= 1e-12
         assert np.max(np.abs(fid_split - blocked.lossy_fidelity(basis, psi_split[-1]))) \
             <= 1e-12
-        # every stage's lossless and no-jump propagators agree
+        # every stage's lossless and no-jump propagators and eigenbasis jumps
+        # agree, each applied to the identity through its own operators
+        eye = np.eye(self.DIM**2)
         for (h, t), (lam_s, v_s), (lam_b, v_b), eff_s, eff_b in zip(
                 stages, split.hermitian_factors(), blocked.hermitian_factors(),
                 split._effective_factors(), blocked._effective_factors()):
-            u_s = v_s @ np.diag(np.exp(-1j * lam_s * t)) @ v_s.conj().T
-            u_b = v_b @ np.diag(np.exp(-1j * lam_b * t)) @ v_b.conj().T
+            u_s = v_s @ (np.exp(-1j * lam_s * t)[:, None] * (v_s.H @ eye))
+            u_b = v_b @ (np.exp(-1j * lam_b * t)[:, None] * (v_b.H @ eye))
             assert np.max(np.abs(u_s - u_b)) <= 1e-12
-            (lam_s, v_s, w_s, _), (lam_b, v_b, w_b, _) = eff_s, eff_b
-            u_s = v_s @ np.diag(np.exp(-1j * lam_s * t)) @ w_s
-            u_b = v_b @ np.diag(np.exp(-1j * lam_b * t)) @ w_b
+            (lam_s, v_s, w_s, jumps_s), (lam_b, v_b, w_b, jumps_b) = eff_s, eff_b
+            u_s = v_s @ (np.exp(-1j * lam_s * t)[:, None] * (w_s @ eye))
+            u_b = v_b @ (np.exp(-1j * lam_b * t)[:, None] * (w_b @ eye))
             assert np.max(np.abs(u_s - u_b)) <= 1e-12
+            # V L V^-1 rebuilds each jump in the Fock basis
+            for j_s, j_b, (op, _) in zip(jumps_s, jumps_b, jumps):
+                assert np.max(np.abs(v_s @ (j_s @ (w_s @ eye)) - op)) <= 1e-12
+                assert np.max(np.abs(v_b @ (j_b @ (w_b @ eye)) - op)) <= 1e-12
+
+
+    def test_default_cnot_keeps_no_full_size_array(self, ratio_1e3):
+        # at 16 levels per cavity, an uncoupled stage keeps only 16 x 16
+        # per-cavity factors and jumps, and the coupling stage only its two
+        # 128-row parity blocks, with each jump on two of the four block pairs
+        d = cq.TWO_QUBIT_DIM
+        e = ratio_1e3.two_photon_amplitude
+        stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, d)
+        a1, a2, _, _ = cq._two_qubit_ops(ratio_1e3, d)
+        prop = PiecewiseConstantPropagator(
+            stages, [(a1, ratio_1e3.kappa), (a2, ratio_1e3.kappa)], ratio_1e3.kerr, (d, d))
+        for (h, _), (_, v), (_, v_eff, w_eff, jumps) in zip(
+                stages, prop.hermitian_factors(), prop._effective_factors()):
+            ops = [v, v_eff, w_eff, *jumps]
+            if dynamics._kronecker_split(h, (d, d)) is None:
+                assert all(m.shape == (d * d // 2, d * d // 2)
+                           for op in ops for _, _, m in op.blocks)
+                assert [len(jump.blocks) for jump in jumps] == [2, 2]
+            else:
+                assert all(isinstance(op, dynamics._KroneckerProduct) for op in ops)
+                assert all(m is None or m.shape == (d, d) for op in ops for m in op.parts)
 
 
 class TestCoupledStageMemo:
@@ -408,6 +437,16 @@ class TestCnot:
         t_g = math.pi / (8 * ALPHA**2 * (e / 15))
         t_z = math.pi / (2 * ratio_1e3.kerr) + 3 * math.pi / (2 * ratio_1e3.kerr)
         assert res.duration_s == pytest.approx(4 * t_x + t_z + t_g, rel=1e-12)
+
+    def test_default_rows_converged_in_truncation(self):
+        # README's 16 levels per cavity: 18 levels move the three default
+        # rows' CNOT fidelity by -2.0e-9 / +4.4e-9 / +4.9e-9
+        for _, params, drive_ratio, coupling_ratio in cli._row_params(load_config()):
+            e = params.two_photon_amplitude
+            f16 = cq.cnot(params, e / drive_ratio, e / coupling_ratio).fidelity
+            f18 = cq.cnot(params, e / drive_ratio, e / coupling_ratio,
+                          dim_per_cavity=18).fidelity
+            assert abs(f18 - f16) <= 1e-8
 
     @pytest.mark.parametrize("ratio, drive_ratio, coupling_ratio, low, high",
                              [(1e3, 10.0, 15.0, 0.0, 1e-3),
