@@ -17,7 +17,7 @@ from catlink import qcore as qc
 alpha = math.sqrt(2)
 even = qc.cat_state(alpha, "even", 20)
 odd = qc.cat_state(alpha, "odd", 20)
-print("cat state overlap |<C+|C->| :", abs(np.vdot(even.data, odd.data)))
+print("cat state overlap |<C+|C->| :", abs(np.vdot(even, odd)))
 print("even cat parity             :", qc.parity_expectation(even))
 print("odd  cat parity             :", qc.parity_expectation(odd))
 

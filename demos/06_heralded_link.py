@@ -14,8 +14,8 @@ import numpy as np
 from catlink import qcore as qc
 from catlink.catqubit import simulate_link_protocol
 
-bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
-bell_minus = qc.QState((2, 2), np.array([0, 1, -1, 0]) / math.sqrt(2))
+bell_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
+bell_minus = np.array([0, 1, -1, 0]) / math.sqrt(2)
 
 print("lossless, number-resolving detectors:")
 res = simulate_link_protocol(0.0)
@@ -40,7 +40,7 @@ one_step = simulate_link_protocol(0.5, detectors="threshold", two_step=False)
 state = one_step.branches[(1,)][1]
 print(f"  after round I only: Bell fidelity "
       f"{qc.state_fidelity(state, bell_plus):.4f}, "
-      f"|11> contamination {float(np.real(state.data[3, 3])):.4f}")
+      f"|11> contamination {float(np.real(state[3, 3])):.4f}")
 two_step = simulate_link_protocol(0.5, detectors="threshold")
 state = two_step.branches[(1, 1)][1]
 print(f"  after both rounds : Bell fidelity "

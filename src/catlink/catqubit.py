@@ -146,7 +146,7 @@ class GateResult:
     leakage: float
     quadrature_gap: float
     clip_excess: float
-    final_states: dict[str, qc.QState] = field(default_factory=dict, repr=False)
+    final_states: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def row(self) -> GateReportRow:
@@ -169,9 +169,9 @@ class DriveResult:
     integrator's right-hand-side calls and ``tail_population`` is the largest
     population in the top two Fock levels over the sampled states."""
 
-    state: qc.QState
+    state: np.ndarray
     fidelity: float
-    target: qc.QState
+    target: np.ndarray
     pulse: PulseSchedule
     rhs_evals: int
     tail_population: float
@@ -184,7 +184,7 @@ class DriveResult:
 # -- logical basis ----------------------------------------------------------
 
 
-def logical_states(params: CatQubitParams) -> tuple[qc.QState, qc.QState]:
+def logical_states(params: CatQubitParams) -> tuple[np.ndarray, np.ndarray]:
     """(logical zero, logical one) = (even cat, odd cat)."""
     return (qc.cat_state(params.alpha, "even", params.dim),
             qc.cat_state(params.alpha, "odd", params.dim))
@@ -260,24 +260,24 @@ def _pulse_hamiltonian(params: CatQubitParams, pulse: PulseSchedule) -> TimeDepe
                                     breakpoints=pulse.breakpoints)
 
 
-def _fock_coefficients(state: qc.QState) -> tuple[complex, complex]:
-    c0 = complex(state.data[0])
-    c1 = complex(state.data[1])
+def _fock_coefficients(state: np.ndarray) -> tuple[complex, complex]:
+    c0 = complex(state[0])
+    c1 = complex(state[1])
     rest = 1.0 - abs(c0) ** 2 - abs(c1) ** 2
     if rest > 1e-9:
         raise ValueError("drive input must lie in span{|0>, |1>}")
     return c0, c1
 
 
-def _check_truncation(states: Sequence[qc.QState], dim: int) -> float:
+def _check_truncation(states: Sequence[np.ndarray], dim: int) -> float:
     """Largest population in the top two Fock levels over ``states``; raises
     ``TruncationOverflowError`` above 1e-6."""
     worst = 0.0
     for s in states:
-        if s.kind == "pure":
-            pop = float(np.sum(np.abs(s.data[dim - 2:]) ** 2))
+        if s.ndim == 1:
+            pop = float(np.sum(np.abs(s[dim - 2:]) ** 2))
         else:
-            pop = float(np.real(s.data[dim - 2, dim - 2] + s.data[dim - 1, dim - 1]))
+            pop = float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
         worst = max(worst, pop)
     if worst > 1e-6:
         raise TruncationOverflowError(
@@ -285,7 +285,7 @@ def _check_truncation(states: Sequence[qc.QState], dim: int) -> float:
     return worst
 
 
-def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[qc.QState, qc.QState]:
+def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) cats of the truncated Hamiltonian
     -K a^dag^2 a^2 + K alpha^2 (a^dag^2 + a^2) at ``params.dim``.
 
@@ -306,8 +306,8 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[qc.QState, q
     for first, parity in ((0, "even"), (1, "odd")):
         idx = np.arange(first, dim, 2)
         vec = v[:, idx[np.argmax(lam[idx])]]
-        overlap = np.vdot(qc.cat_state(alpha, parity, dim).data, vec)
-        cats.append(qc.QState((dim,), vec * (abs(overlap) / overlap), normalize=False))
+        overlap = np.vdot(qc.cat_state(alpha, parity, dim), vec)
+        cats.append(vec * (abs(overlap) / overlap))
     return cats[0], cats[1]
 
 
@@ -322,11 +322,11 @@ def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
     return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
 
 
-def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
+def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: np.ndarray,
                target: np.ndarray) -> DriveResult:
     """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
     the Fock truncation, and score the final state against ``target``."""
-    target = qc.QState((params.dim,), target / np.linalg.norm(target))
+    target = target / np.linalg.norm(target)
     h = _pulse_hamiltonian(params, pulse)
     collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
     traj = evolve(h, collapse, state, n_samples=9)
@@ -338,7 +338,7 @@ def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: qc.QState,
 
 
 def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
-          state: Optional[qc.QState] = None) -> DriveResult:
+          state: Optional[np.ndarray] = None) -> DriveResult:
     """Map Fock-basis input onto the parity-matched cat superposition.
 
     With input c0 |0> + c1 |1>, the target is c0 |C+> + c1 |C-> (the two cat
@@ -352,13 +352,14 @@ def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         pulse = adiabatic_drive_pulse(params)
     if state is None:
         state = qc.fock_state(0, params.dim)
+    qc.check_pure(state, "drive input")
     c0, c1 = _fock_coefficients(state)
     zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
-    return _run_pulse(params, pulse, state, c0 * zero.data + c1 * one.data)
+    return _run_pulse(params, pulse, state, c0 * zero + c1 * one)
 
 
 def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
-            state: Optional[qc.QState] = None) -> DriveResult:
+            state: Optional[np.ndarray] = None) -> DriveResult:
     """Time-reversed drive: cat superposition back to the Fock basis.
 
     The input is decomposed in the cat basis at the amplitude where the
@@ -374,15 +375,14 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
     zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
     if state is None:
         state = zero
-    if state.kind != "pure":
-        raise ValueError("undrive expects a pure input state")
-    c0 = complex(np.vdot(zero.data, state.data))
-    c1 = complex(np.vdot(one.data, state.data))
+    qc.check_pure(state, "undrive input")
+    c0 = complex(np.vdot(zero, state))
+    c1 = complex(np.vdot(one, state))
     weight = abs(c0) ** 2 + abs(c1) ** 2
     if weight < 0.98:
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
-    tvec = c0 * qc.fock_state(0, params.dim).data + c1 * qc.fock_state(1, params.dim).data
+    tvec = c0 * qc.fock_state(0, params.dim) + c1 * qc.fock_state(1, params.dim)
     return _run_pulse(params, reversed_schedule(pulse), state, tvec)
 
 
@@ -448,8 +448,7 @@ def _run_gate(params: CatQubitParams, operation: str,
     fids = dict(zip(cases, map(float, prop.lossy_fidelity(psi0, targets))))
     psi_f = prop.propagate_pure(psi0)
     psi_f /= np.linalg.norm(psi_f, axis=0)
-    finals = {name: qc.QState(dims, psi_f[:, i], normalize=False)
-              for i, name in enumerate(cases)}
+    finals = dict(zip(cases, psi_f.T))
     leakage = max(0.0, float(np.max(1.0 - np.sum(np.abs(basis.conj().T @ psi_f) ** 2,
                                                  axis=0))))
 
@@ -466,7 +465,7 @@ def _single_qubit_gate(params: CatQubitParams, operation: str,
                        ideal: np.ndarray) -> GateResult:
     dim = params.dim
     zero, one = logical_states(params)
-    basis = np.stack([zero.data, one.data], axis=1)  # dim x 2
+    basis = np.stack([zero, one], axis=1)  # dim x 2
     cases = {}
     for name, coeffs in _SINGLE_QUBIT_TEST_STATES.items():
         c_in = np.array(coeffs, dtype=complex)
@@ -525,8 +524,8 @@ def _coupling_op(dim: int) -> np.ndarray:
 
 
 def _two_qubit_logical_basis(params: CatQubitParams, dim: int) -> np.ndarray:
-    zero = qc.cat_state(params.alpha, "even", dim).data
-    one = qc.cat_state(params.alpha, "odd", dim).data
+    zero = qc.cat_state(params.alpha, "even", dim)
+    one = qc.cat_state(params.alpha, "odd", dim)
     cols = [np.kron(x, y) for x in (zero, one) for y in (zero, one)]
     return np.stack(cols, axis=1)  # (dim^2) x 4, order 00,01,10,11
 
@@ -655,7 +654,7 @@ class ProtocolResult:
     of its whole pattern; a branch of probability 0 holds the zero matrix.
     """
 
-    branches: dict[tuple, tuple[float, qc.QState]]
+    branches: dict[tuple, tuple[float, np.ndarray]]
     success_probability: float
 
 
@@ -716,7 +715,6 @@ def simulate_link_protocol(loss_per_arm: float,
     branches = {}
     for pattern, rho in unnormalized.items():
         prob = float(np.real(np.trace(rho)))
-        branches[pattern] = (prob, qc.QState((2, 2), rho / prob if prob > 0 else rho,
-                                             normalize=False))
+        branches[pattern] = (prob, rho / prob if prob > 0 else rho)
     return ProtocolResult(branches=branches,
                           success_probability=sum(p for p, _ in branches.values()))

@@ -165,8 +165,8 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> Kappa
     dim = 20
     cavity = CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha, dim=dim)
     h = _stabilized_h(cavity)
-    plus = qc.cat_state(alpha, "even", dim).data
-    minus = qc.cat_state(alpha, "odd", dim).data
+    plus = qc.cat_state(alpha, "even", dim)
+    minus = qc.cat_state(alpha, "odd", dim)
     psi0 = (plus + 1j * minus) / math.sqrt(2.0)
     rho0 = np.outer(psi0, psi0.conj())
 

@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy
 
-from .qcore import QState, to_density_matrix
+from .qcore import to_density_matrix
 
 __all__ = [
     "TimeDependentHamiltonian",
@@ -112,11 +112,12 @@ class TimeDependentHamiltonian:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time evolution; ``rhs_evals`` counts the
-    right-hand-side calls the integrator made."""
+    """Uniformly sampled time evolution, as state vectors or density matrices
+    (see ``evolve``); ``rhs_evals`` counts the right-hand-side calls the
+    integrator made."""
 
     times: np.ndarray
-    states: tuple[QState, ...]
+    states: tuple[np.ndarray, ...]
     rhs_evals: int = 0
 
     def __post_init__(self):
@@ -126,7 +127,7 @@ class Trajectory:
         object.__setattr__(self, "times", t)
 
     @property
-    def final_state(self) -> QState:
+    def final_state(self) -> np.ndarray:
         return self.states[-1]
 
 
@@ -201,7 +202,7 @@ def integrate_rk45(
 def evolve(
     hamiltonian: TimeDependentHamiltonian,
     collapse_ops: Sequence[tuple[np.ndarray, float]],
-    rho0: QState,
+    rho0: np.ndarray,
     n_samples: int = 2,
     rel_tol: float = 1e-8,
 ) -> Trajectory:
@@ -209,8 +210,10 @@ def evolve(
 
     Collapse operators are passed as (array, rate) pairs; the rate
     multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op.
-    Every operator must have the Hamiltonian's shape and ``rho0`` its
-    dimension; the returned states carry ``rho0.dims``.
+    Every operator must have the Hamiltonian's shape and ``rho0``, a state
+    vector or a density matrix, its dimension.  The returned states are
+    vectors where the state vector is integrated (see below) and C-ordered
+    density matrices otherwise.
     The right-hand side is the sparse generator G(t) = G0 + sum_k f_k(t) G_k
     applied to the column-stacked density matrix, with G0 the Liouvillian of
     the static part and the jumps and G_k that of each drive operator alone
@@ -226,20 +229,21 @@ def evolve(
     for op, _ in collapse_ops:
         if op.shape != shape:
             raise ValueError(f"collapse operator shape {op.shape} != Hamiltonian's {shape}")
-    if (rho0.dim, rho0.dim) != shape:
-        raise ValueError(f"initial state dims {rho0.dims} do not fit Hamiltonian shape {shape}")
+    if np.shape(rho0) not in (shape[:1], shape):
+        raise ValueError(f"initial state shape {np.shape(rho0)} does not fit Hamiltonian "
+                         f"shape {shape}")
     t0, t1 = hamiltonian.t_span
     times = np.linspace(t0, t1, n_samples)
 
-    pure_path = (not collapse_ops) and rho0.kind == "pure"
+    pure_path = (not collapse_ops) and np.ndim(rho0) == 1
     if pure_path:
         g0 = scipy.sparse.csr_matrix(-1j * hamiltonian.static_part)
         gk = [scipy.sparse.csr_matrix(-1j * op) for op, _ in hamiltonian.drive_terms]
-        y0 = rho0.data
+        y0 = rho0
     else:
         g0 = liouvillian(hamiltonian.static_part, collapse_ops)
         gk = [liouvillian(op, ()) for op, _ in hamiltonian.drive_terms]
-        y0 = to_density_matrix(rho0).data.reshape(-1, order="F")
+        y0 = to_density_matrix(rho0).reshape(-1, order="F")
     # rows [k n, (k + 1) n) of the stack hold G_k, with G0 as block 0; CSR
     # keeps each row's entries in order, so every slice equals its own G @ y
     stacked = scipy.sparse.vstack([g0, *gk], format="csr")
@@ -262,15 +266,13 @@ def evolve(
                         abs_tol=rel_tol * 1e-4,
                         breakpoints=hamiltonian.breakpoints)
 
-    states = []
-    for y in ys:
-        if pure_path:
-            nrm = np.linalg.norm(y)
-            states.append(QState(rho0.dims, y / nrm, normalize=False))
-        else:
-            states.append(QState(rho0.dims, y.reshape(rho0.dim, rho0.dim, order="F"),
-                                 normalize=False))
-    return Trajectory(times, tuple(states), rhs_evals)
+    if pure_path:
+        states = tuple(y / np.linalg.norm(y) for y in ys)
+    else:
+        # C order: BLAS rounds rho @ psi differently on a Fortran-ordered
+        # matrix, which moves the last digits of the written fidelities
+        states = tuple(np.ascontiguousarray(y.reshape(shape, order="F")) for y in ys)
+    return Trajectory(times, states, rhs_evals)
 
 
 def liouvillian(h_matrix: np.ndarray,

@@ -29,8 +29,8 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .catqubit import CatQubitParams, _check_truncation, _kerr_op, _two_photon_op, \
-    _two_photon_orthogonal_op, adiabatic_drive_pulse
+from .catqubit import CatQubitParams, _check_truncation, _kerr_op, _pulse_hamiltonian, \
+    _two_photon_op, _two_photon_orthogonal_op, adiabatic_drive_pulse
 from .dynamics import coupled_blocks, evolve
 from .pulses import PulseSchedule, piecewise_constant
 
@@ -48,11 +48,12 @@ GRAPE_DIM = 30  # transient excursions leave the qubit manifold; needs headroom
 
 @dataclass(frozen=True)
 class GrapeProblem:
-    """State-transfer problem for piecewise-constant two-photon controls."""
+    """State-transfer problem for piecewise-constant two-photon controls
+    between two normalized state vectors of one length."""
 
     params: CatQubitParams
-    initial: qc.QState
-    target: qc.QState
+    initial: np.ndarray
+    target: np.ndarray
     total_time: float
     n_segments: int = 64
     amplitude_bound: Optional[float] = None  # rad/s; default 10 K
@@ -68,12 +69,15 @@ class GrapeProblem:
         if bound <= 0:
             raise ValueError("amplitude_bound must be positive")
         object.__setattr__(self, "amplitude_bound", float(bound))
-        if self.initial.dims != self.target.dims:
-            raise ValueError("initial and target dims differ")
+        qc.check_pure(self.initial, "GRAPE initial state")
+        qc.check_pure(self.target, "GRAPE target state")
+        if len(self.initial) != len(self.target):
+            raise ValueError(f"initial and target lengths differ: {len(self.initial)} "
+                             f"vs {len(self.target)}")
 
     @property
     def dim(self) -> int:
-        return self.initial.dim
+        return len(self.initial)
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class _Propagation:
         dim = problem.dim
         h0 = _kerr_op(dim, problem.params.kerr)
         controls = (_two_photon_op(dim), _two_photon_orthogonal_op(dim))
-        psi0, target = problem.initial.data, problem.target.data
+        psi0, target = problem.initial, problem.target
         keep = np.sort(np.concatenate([idx for idx in coupled_blocks(h0, *controls)
                                        if np.any(psi0[idx]) or np.any(target[idx])]))
         sub = np.ix_(keep, keep)
@@ -186,7 +190,7 @@ def _initial_guess(problem: GrapeProblem, seed: Optional[int]) -> np.ndarray:
     ramp = adiabatic_drive_pulse(problem.params,
                                  duration_kt=problem.total_time * problem.params.kerr)
     # direction of the transfer decides whether the ramp runs up or down
-    forward = abs(problem.initial.data[0]) > 0.5
+    forward = abs(problem.initial[0]) > 0.5
     vals = np.array([ramp.channels["two_photon"](t if forward else
                                                  problem.total_time - t)
                      for t in mids])
@@ -257,8 +261,6 @@ def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
     ``TruncationOverflowError`` when the initial or final state holds more
     than 1e-6 in the top two Fock levels.
     """
-    from .catqubit import _pulse_hamiltonian
-
     k = problem.params.kappa if kappa is None else float(kappa)
     params = replace(problem.params, kappa=k, dim=problem.dim)
     h = _pulse_hamiltonian(params, schedule)

@@ -1,26 +1,25 @@
 """Dense linear algebra on truncated Fock spaces.
 
-States are thin immutable wrappers around dense complex numpy arrays, tagged
-with per-subsystem truncation sizes so that composite-space bookkeeping
-(tensor products, partial traces) stays explicit, and checked for
-normalization.  Operators are plain square complex ``ndarray``s: every caller
-works with the matrix itself, and a state's ``dim`` is all an operator has
-to agree with.  Problem sizes in this package are small enough (composite
-dimension of a few hundred) that dense storage is both simpler and faster
-than sparse machinery.
+Operators and states are plain complex numpy arrays.  An operator is a square
+matrix; a state is a one-dimensional vector (pure) or a square density matrix
+(mixed), told apart by ``ndim``.  A composite space is the ``np.kron`` chain
+of its parts, and the one function that needs the subsystem sizes,
+``partial_trace``, takes them as an argument.  The state constructors here
+return normalized vectors; ``check_pure`` is the check for a vector that
+arrives from a caller.  Problem sizes in this package are small enough
+(composite dimension of a few hundred) that dense storage is both simpler and
+faster than sparse machinery.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "QState",
     "annihilation",
     "creation",
     "number_operator",
@@ -29,6 +28,7 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "cat_state",
+    "check_pure",
     "tensor",
     "partial_trace",
     "state_fidelity",
@@ -40,68 +40,14 @@ __all__ = [
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QState:
-    """Pure state vector or density matrix over a truncated Fock space.
-
-    ``kind`` is inferred from the array rank: one-dimensional data is a pure
-    state, two-dimensional data a density matrix.  Pure vectors must be
-    normalized to within ``NORM_TOL`` unless constructed with
-    ``normalize=False`` (used internally for unnormalized intermediates such
-    as heralded branches).
-    """
-
-    dims: tuple[int, ...]
-    data: np.ndarray = field(repr=False)
-    normalize: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        # a private copy, so freezing it below leaves the caller's array writeable
-        arr = np.array(self.data, dtype=complex, order="C")
-        dim = math.prod(self.dims)
-        if arr.ndim == 1:
-            if arr.shape != (dim,):
-                raise ValueError(f"state vector length {arr.shape} != {dim}")
-        elif arr.ndim == 2:
-            if arr.shape != (dim, dim):
-                raise ValueError(f"density matrix shape {arr.shape} != ({dim}, {dim})")
-        else:
-            raise ValueError("state data must be a vector or a square matrix")
-        if self.normalize:
-            if arr.ndim == 1:
-                nrm = float(np.linalg.norm(arr))
-                if abs(nrm - 1.0) > NORM_TOL:
-                    raise ValueError(f"pure state norm {nrm} deviates from 1")
-            else:
-                tr = complex(np.trace(arr))
-                if abs(tr - 1.0) > NORM_TOL:
-                    raise ValueError(f"density matrix trace {tr} deviates from 1")
-                herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-                if herm_dev > 1e-8:
-                    raise ValueError(
-                        f"density matrix is not Hermitian (deviation {herm_dev:.3e})"
-                    )
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def kind(self) -> str:
-        return "pure" if self.data.ndim == 1 else "mixed"
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    def norm(self) -> float:
-        if self.kind == "pure":
-            return float(np.linalg.norm(self.data))
-        return float(np.real(np.trace(self.data)))
-
-    def density_matrix(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return np.asarray(self.data)
+def check_pure(state: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``state`` is a vector of norm 1 to within
+    ``NORM_TOL``; ``what`` names it in the message."""
+    if np.ndim(state) != 1:
+        raise ValueError(f"{what} must be a pure state vector, got shape {np.shape(state)}")
+    nrm = float(np.linalg.norm(state))
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"{what} norm {nrm} deviates from 1")
 
 
 # -- elementary constructions ---------------------------------------------
@@ -137,15 +83,15 @@ def parity_operator(dim: int) -> np.ndarray:
     return np.diag((-1.0 + 0j) ** np.arange(dim))
 
 
-def fock_state(n: int, dim: int) -> QState:
+def fock_state(n: int, dim: int) -> np.ndarray:
     if not 0 <= n < dim:
         raise ValueError(f"Fock index {n} outside truncation {dim}")
     vec = np.zeros(dim, dtype=complex)
     vec[n] = 1.0
-    return QState((dim,), vec)
+    return vec
 
 
-def coherent_state(alpha: complex, dim: int) -> QState:
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     """Truncated coherent state, renormalized after truncation.
 
     The truncation is adequate when roughly ``|alpha|^2 + 6|alpha| + 10 <=
@@ -153,22 +99,18 @@ def coherent_state(alpha: complex, dim: int) -> QState:
     that the returned state is exactly normalized.
     """
     alpha = complex(alpha)
+    if alpha == 0:
+        return fock_state(0, dim)
     n = np.arange(dim)
     # alpha^n / sqrt(n!) computed in log space to stay stable at large n
-    with np.errstate(divide="ignore"):
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    if alpha == 0:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return QState((dim,), vec)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
     mag = np.exp(n * np.log(abs(alpha)) - 0.5 * log_fact)
     phase = np.exp(1j * np.angle(alpha) * n)
     vec = mag * phase
-    vec = vec / np.linalg.norm(vec)
-    return QState((dim,), vec)
+    return vec / np.linalg.norm(vec)
 
 
-def cat_state(alpha: complex, parity: str, dim: int) -> QState:
+def cat_state(alpha: complex, parity: str, dim: int) -> np.ndarray:
     """Even or odd cat state N(|alpha> +/- |-alpha>), exactly normalized.
 
     ``parity`` is "even" (+) or "odd" (-); the Fock amplitudes of the other
@@ -180,94 +122,86 @@ def cat_state(alpha: complex, parity: str, dim: int) -> QState:
     sign = 1.0 if parity == "even" else -1.0
     if alpha == 0 and parity == "odd":
         raise ValueError("odd cat state with alpha = 0 is degenerate (zero vector)")
-    plus = coherent_state(alpha, dim).data
-    minus = coherent_state(-alpha, dim).data
-    vec = plus + sign * minus
+    vec = coherent_state(alpha, dim) + sign * coherent_state(-alpha, dim)
     # the two coherent states cancel there only up to rounding
     vec[1 if parity == "even" else 0::2] = 0.0
-    nrm = np.linalg.norm(vec)
-    return QState((dim,), vec / nrm)
+    return vec / np.linalg.norm(vec)
 
 
 # -- composition and reduction ---------------------------------------------
 
 
-def tensor(parts: Sequence[Union[np.ndarray, QState]]):
-    """Kronecker composition of operator arrays or of states (not mixed
-    kinds); operators compose to the ``np.kron`` chain of their arrays."""
+def tensor(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker composition of operators or states: the ``np.kron`` chain of
+    ``parts``, which must be all vectors or all matrices."""
     parts = list(parts)
     if not parts:
         raise ValueError("tensor of an empty sequence")
-    is_state = [isinstance(p, QState) for p in parts]
-    if not any(is_state):
-        return functools.reduce(np.kron, parts)
-    if not all(is_state):
-        raise ValueError("tensor arguments must be all operators or all states")
-    if len({p.kind for p in parts}) > 1:
-        raise ValueError("cannot tensor pure states with density matrices")
-    data = functools.reduce(np.kron, [p.data for p in parts])
-    dims = sum((p.dims for p in parts), ())
-    return QState(dims, data, normalize=False)
+    if len({np.ndim(p) for p in parts}) > 1:
+        raise ValueError("cannot tensor state vectors with matrices")
+    return functools.reduce(np.kron, parts)
 
 
-def partial_trace(rho: QState, keep: Iterable[int]) -> QState:
+def partial_trace(rho: np.ndarray, keep: Iterable[int], dims: Sequence[int]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
-    ``keep`` indices refer to positions in ``rho.dims`` and are returned in
-    ascending order.  Pure inputs are promoted to density matrices first.
+    ``dims`` are the subsystem sizes of ``rho``, whose dimension must be their
+    product; ``keep`` indices refer to positions in ``dims`` and are returned
+    in ascending order.  Pure inputs are promoted to density matrices first.
     """
+    dims = tuple(int(d) for d in dims)
+    if np.shape(rho)[0] != math.prod(dims):
+        raise ValueError(f"state shape {np.shape(rho)} does not match dims {dims}")
     keep = sorted(set(int(k) for k in keep))
-    n = len(rho.dims)
+    n = len(dims)
     if not keep:
         raise ValueError("keep set must not be empty")
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    mat = rho.density_matrix().reshape(rho.dims + rho.dims)
+    mat = to_density_matrix(rho).reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for count, idx in enumerate(traced):
         ax = idx - sum(1 for t in traced[:count] if t < idx)
         mat = np.trace(mat, axis1=ax, axis2=ax + (n - count))
         # after tracing one axis pair the effective subsystem count drops
-    kept_dims = tuple(rho.dims[k] for k in keep)
-    dim = math.prod(kept_dims)
-    return QState(kept_dims, mat.reshape(dim, dim), normalize=False)
+    dim = math.prod(dims[k] for k in keep)
+    return mat.reshape(dim, dim)
 
 
-def state_fidelity(rho: QState, target: QState) -> float:
+def state_fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     """Squared-overlap fidelity <psi|rho|psi> against a pure target.
 
     Used uniformly as the fidelity convention throughout the package.
     """
-    if target.kind != "pure":
+    if np.ndim(target) != 1:
         raise ValueError("target state must be pure")
-    if rho.dims != target.dims:
-        raise ValueError(f"dims mismatch: {rho.dims} vs {target.dims}")
-    psi = target.data
-    if rho.kind == "pure":
-        val = abs(np.vdot(psi, rho.data)) ** 2
+    if np.shape(rho)[0] != len(target):
+        raise ValueError(f"state shape {np.shape(rho)} does not match target "
+                         f"length {len(target)}")
+    if np.ndim(rho) == 1:
+        val = abs(np.vdot(target, rho)) ** 2
     else:
-        val = float(np.real(np.vdot(psi, rho.data @ psi)))
+        val = float(np.real(np.vdot(target, rho @ target)))
     return float(min(max(val, 0.0), 1.0 + 1e-9))
 
 
-def expectation(op: np.ndarray, state: QState) -> complex:
+def expectation(op: np.ndarray, state: np.ndarray) -> complex:
     """<psi|op|psi> for a pure state, Tr(op rho) for a density matrix."""
-    if np.shape(op) != (state.dim, state.dim):
+    dim = len(state)
+    if np.shape(op) != (dim, dim):
         raise ValueError(f"operator shape {np.shape(op)} does not match state "
-                         f"dims {state.dims}")
-    if state.kind == "pure":
-        return complex(np.vdot(state.data, op @ state.data))
-    return complex(np.trace(op @ state.data))
+                         f"shape {np.shape(state)}")
+    if np.ndim(state) == 1:
+        return complex(np.vdot(state, op @ state))
+    return complex(np.trace(op @ state))
 
 
-def parity_expectation(rho: QState) -> float:
-    """Tr(rho exp(i pi a^dag a)) for a single-subsystem state."""
-    if len(rho.dims) != 1:
-        raise ValueError("parity_expectation expects a single subsystem")
-    return float(np.real(expectation(parity_operator(rho.dims[0]), rho)))
+def parity_expectation(rho: np.ndarray) -> float:
+    """Tr(rho exp(i pi a^dag a)) for a single-cavity state."""
+    return float(np.real(expectation(parity_operator(len(rho)), rho)))
 
 
-def to_density_matrix(state: QState) -> QState:
-    if state.kind == "mixed":
+def to_density_matrix(state: np.ndarray) -> np.ndarray:
+    if np.ndim(state) == 2:
         return state
-    return QState(state.dims, state.density_matrix(), normalize=False)
+    return np.outer(state, state.conj())

@@ -67,12 +67,20 @@ class TestDriveUndrive:
         alpha_eff = cq._schedule_end_alpha(lossless, pulse)
         result = cq.undrive(lossless,
                             state=qc.cat_state(alpha_eff, "odd", lossless.dim))
-        assert int(np.argmax(np.abs(result.target.data))) == 1
+        assert int(np.argmax(np.abs(result.target))) == 1
         assert result.fidelity >= 0.999
 
     def test_drive_rejects_leaked_input(self, lossless):
         with pytest.raises(ValueError):
             cq.drive(lossless, state=qc.fock_state(3, lossless.dim))
+
+    @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
+    def test_input_must_be_a_normalized_vector(self, lossless, operation):
+        vacuum = qc.fock_state(0, lossless.dim)
+        with pytest.raises(ValueError, match="pure state vector"):
+            operation(lossless, state=qc.to_density_matrix(vacuum))
+        with pytest.raises(ValueError, match="norm"):
+            operation(lossless, state=1.01 * vacuum)
 
     def test_parity_conserved_during_drive(self, lossless):
         # the two-photon Hamiltonian commutes with parity
@@ -93,12 +101,11 @@ class TestStationaryCats:
         # the analytic cat's own truncation error bounds the overlap: 1.3e-11
         # below 1 for the even cat at dim 16
         overlap_tol = 1e-10 if dim == 16 else 1e-12
-        for parity, cat in zip(("even", "odd"), cq._stationary_cats(params, alpha)):
-            psi = cat.data
+        for parity, psi in zip(("even", "odd"), cq._stationary_cats(params, alpha)):
             energy = np.vdot(psi, h @ psi).real
             assert np.linalg.norm(h @ psi - energy * psi) < 1e-9 * self.KERR
             assert not np.any(psi[1::2] if parity == "even" else psi[0::2])
-            overlap = np.vdot(qc.cat_state(alpha, parity, dim).data, psi)
+            overlap = np.vdot(qc.cat_state(alpha, parity, dim), psi)
             assert abs(overlap.imag) <= 1e-15
             assert 1.0 - overlap_tol <= overlap.real <= 1.0 + 1e-15
 
@@ -130,8 +137,8 @@ class TestGateX:
         state = quarter.final_states["zero"]
         stages = [(cq._stabilized_h(lossless) + e_x * cq._single_photon_op(lossless.dim),
                    quarter.duration_s)]
-        twice = PiecewiseConstantPropagator(stages).propagate_pure(state.data)
-        full = cq.gate_x(lossless, math.pi, e_x).final_states["zero"].data
+        twice = PiecewiseConstantPropagator(stages).propagate_pure(state)
+        full = cq.gate_x(lossless, math.pi, e_x).final_states["zero"]
         assert abs(np.vdot(full, twice)) ** 2 >= 0.99
 
     def test_lossy_fidelity_matches_liouvillian(self, ratio_1e3):
@@ -141,8 +148,8 @@ class TestGateX:
         res = cq.gate_x(ratio_1e3, math.pi / 2, e_x)
         h = cq._stabilized_h(ratio_1e3) + e_x * cq._single_photon_op(dim)
         zero, one = cq.logical_states(ratio_1e3)
-        psi0 = zero.data
-        target = (zero.data - 1j * one.data) / math.sqrt(2)
+        psi0 = zero
+        target = (zero - 1j * one) / math.sqrt(2)
         rhos = evolve_constant(h, [(qc.annihilation(dim), ratio_1e3.kappa)],
                                np.outer(psi0, psi0.conj()), [0.0, res.duration_s])
         exact = float(np.real(np.vdot(target, rhos[-1] @ target)))
@@ -169,7 +176,7 @@ class TestPiecewiseConstantPropagator:
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, one = cq.logical_states(ratio_1e3)
         for c0, c1 in ((1, 0), (0, 1), (1, 1j)):
-            psi0 = (c0 * zero.data + c1 * one.data) / np.linalg.norm([c0, c1])
+            psi0 = (c0 * zero + c1 * one) / np.linalg.norm([c0, c1])
             target = prop.propagate_pure(psi0)
             target /= np.linalg.norm(target)
             rho = np.outer(psi0, psi0.conj())
@@ -191,17 +198,17 @@ class TestPiecewiseConstantPropagator:
         factors = one_prop.hermitian_factors()
         assert factors[0] is factors[3] and factors[1] is factors[2]
         psi0, target = cq.logical_states(ratio_1e3)
-        for x, y in zip(one_prop.forward(psi0.data), two_prop.forward(psi0.data)):
+        for x, y in zip(one_prop.forward(psi0), two_prop.forward(psi0)):
             assert np.max(np.abs(x - y)) <= 1e-12
-        assert one_prop.lossy_fidelity(psi0.data, target.data) == pytest.approx(
-            two_prop.lossy_fidelity(psi0.data, target.data), abs=1e-12)
+        assert one_prop.lossy_fidelity(psi0, target) == pytest.approx(
+            two_prop.lossy_fidelity(psi0, target), abs=1e-12)
 
     def test_stacked_cases_match_single_calls(self, ratio_1e3):
         stages = self._sequence(ratio_1e3)
         a = qc.annihilation(ratio_1e3.dim)
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, one = cq.logical_states(ratio_1e3)
-        psi0 = np.stack([zero.data, one.data, (zero.data + 1j * one.data) / math.sqrt(2)],
+        psi0 = np.stack([zero, one, (zero + 1j * one) / math.sqrt(2)],
                         axis=1)
         targets = prop.propagate_pure(psi0)
         stacked = prop.lossy_fidelity(psi0, targets)
@@ -216,11 +223,11 @@ class TestPiecewiseConstantPropagator:
         a = qc.annihilation(ratio_1e3.dim)
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, _ = cq.logical_states(ratio_1e3)
-        target = prop.propagate_pure(zero.data)
-        fid = prop.lossy_fidelity(zero.data, target)
+        target = prop.propagate_pure(zero)
+        fid = prop.lossy_fidelity(zero, target)
         assert fid < 1.0 and prop.clip_excess == 0.0
         # an over-long target lifts the expansion about 3e-2 above 1
-        assert prop.lossy_fidelity(zero.data, 1.02 * target) == 1.0
+        assert prop.lossy_fidelity(zero, 1.02 * target) == 1.0
         assert prop.clip_excess == pytest.approx(1.02**2 * fid - 1.0, rel=1e-9)
 
     def test_unconverged_quadrature_names_the_stage(self, ratio_1e3, monkeypatch):
@@ -232,7 +239,7 @@ class TestPiecewiseConstantPropagator:
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, one = cq.logical_states(ratio_1e3)
         with pytest.raises(IntegrationError, match=r"stage 0 .*\|I_1 - I_2\| = "):
-            prop.lossy_fidelity(zero.data, prop.propagate_pure(zero.data))
+            prop.lossy_fidelity(zero, prop.propagate_pure(zero))
 
 
 class TestParityBlocks:
@@ -384,7 +391,7 @@ class TestCoupledStageMemo:
         for x, y in zip(memo, plain):
             assert x.fidelity == y.fidelity and x.state_fidelities == y.state_fidelities
             for name in x.final_states:
-                assert np.array_equal(x.final_states[name].data, y.final_states[name].data)
+                assert np.array_equal(x.final_states[name], y.final_states[name])
 
 
 class TestGateZ:
@@ -512,8 +519,8 @@ class TestGateReport:
         e = lossless.two_photon_amplitude
         res = cq.gate_x(lossless, math.pi / 2, e / 10)
         for state in res.final_states.values():
-            assert abs(state.norm() - 1.0) < 1e-8
-            rho = state.density_matrix()
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-8
+            rho = qc.to_density_matrix(state)
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-8
 
 
@@ -521,8 +528,8 @@ class TestLinkProtocol:
     def test_lossless_bell_state_and_probability(self):
         res = cq.simulate_link_protocol(0.0)
         assert res.success_probability == pytest.approx(0.5, abs=1e-9)
-        bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
-        bell_minus = qc.QState((2, 2), np.array([0, 1, -1, 0]) / math.sqrt(2))
+        bell_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
+        bell_minus = np.array([0, 1, -1, 0]) / math.sqrt(2)
         same = res.branches[(1, 1)][1]
         diff = res.branches[(1, 2)][1]
         assert qc.state_fidelity(same, bell_plus) == pytest.approx(1.0, abs=1e-9)
@@ -533,22 +540,22 @@ class TestLinkProtocol:
         res = cq.simulate_link_protocol(loss, detector_efficiency=0.9)
         eta = (1 - loss) * 0.9
         assert res.success_probability == pytest.approx(0.5 * eta**2, abs=1e-9)
-        bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
+        bell_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
         fid = qc.state_fidelity(res.branches[(1, 1)][1], bell_plus)
         assert fid == pytest.approx(1.0, abs=1e-9)
 
     def test_single_step_threshold_contaminated(self):
         res = cq.simulate_link_protocol(0.5, detectors="threshold", two_step=False)
         state = res.branches[(1,)][1]
-        both_ones = float(np.real(state.data[3, 3]))
+        both_ones = float(np.real(state[3, 3]))
         assert both_ones > 0.1  # |11> admixture survives one round
-        bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
+        bell_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
         assert qc.state_fidelity(state, bell_plus) < 1.0 - 1e-3
 
     def test_single_step_number_resolving_lossless_is_clean(self):
         res = cq.simulate_link_protocol(0.0, two_step=False)
         state = res.branches[(1,)][1]
-        bell_plus = qc.QState((2, 2), np.array([0, 1, 1, 0]) / math.sqrt(2))
+        bell_plus = np.array([0, 1, 1, 0]) / math.sqrt(2)
         assert qc.state_fidelity(state, bell_plus) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("detectors", ["number_resolving", "threshold"])
@@ -563,7 +570,7 @@ class TestLinkProtocol:
         def check(branch, prob, state):
             assert branch[0] == pytest.approx(prob, abs=1e-12)
             if branch[0] > 0:
-                assert np.max(np.abs(branch[1].data - state)) < 1e-12
+                assert np.max(np.abs(branch[1] - state)) < 1e-12
 
         res = cq.simulate_link_protocol(loss, detectors=detectors)
         for d1 in (1, 2):

@@ -28,6 +28,16 @@ class TestProblemSetup:
                             target=qc.fock_state(1, 12), total_time=1.0,
                             n_segments=2)
 
+    def test_states_must_be_normalized_vectors_of_one_length(self):
+        params = CatQubitParams(kerr=1.0)
+        vacuum = qc.fock_state(0, 12)
+        for initial, target, match in [(vacuum, qc.fock_state(1, 14), "lengths differ"),
+                                       (1.01 * vacuum, qc.fock_state(1, 12), "norm"),
+                                       (vacuum, qc.to_density_matrix(vacuum), "pure state")]:
+            with pytest.raises(ValueError, match=match):
+                po.GrapeProblem(params=params, initial=initial, target=target,
+                                total_time=1.0)
+
     def test_default_bound_tracks_kerr(self):
         params = CatQubitParams(kerr=3.0)
         prob = po.drive_problem(params)
@@ -65,14 +75,14 @@ class TestParitySector:
             props.append(scipy.linalg.expm(h))
             derivs.append([scipy.linalg.expm_frechet(h, -1j * dt * c, compute_expm=False)
                            for c in controls])
-        fwd = [problem.initial.data]
+        fwd = [problem.initial]
         for p in props:
             fwd.append(p @ fwd[-1])
-        bwd = [problem.target.data]
+        bwd = [problem.target]
         for p in reversed(props):
             bwd.append(p.conj().T @ bwd[-1])
         bwd = bwd[::-1]
-        c = np.vdot(problem.target.data, fwd[-1])
+        c = np.vdot(problem.target, fwd[-1])
         grad = np.array([[2.0 * np.real(np.conj(c) * np.vdot(bwd[k + 1], derivs[k][j] @ fwd[k]))
                           for k in range(n)] for j in range(2)])
         return abs(c) ** 2, grad
@@ -92,10 +102,10 @@ class TestParitySector:
 
     def test_mixed_parity_keeps_full_space(self):
         dim = 12
-        target = (qc.fock_state(0, dim).data + qc.fock_state(1, dim).data) / math.sqrt(2)
+        target = (qc.fock_state(0, dim) + qc.fock_state(1, dim)) / math.sqrt(2)
         problem = po.GrapeProblem(params=CatQubitParams(kerr=1.0),
                                   initial=qc.fock_state(0, dim),
-                                  target=qc.QState((dim,), target), total_time=0.5,
+                                  target=target, total_time=0.5,
                                   n_segments=8)
         assert po._Propagation(problem).psi0.size == dim
 
