@@ -3,7 +3,7 @@
 The smooth adiabatic ramp needs ~7/K to reach the cat state; two
 piecewise-constant quadrature controls get there in 0.5/K with higher
 fidelity.  This script optimizes the drive and undrive pulses, re-scores
-them under photon loss, and writes the pulse tables.  Takes about three
+them under photon loss, and writes the pulse tables.  Takes about two
 seconds.
 """
 

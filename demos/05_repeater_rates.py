@@ -4,7 +4,7 @@ Evaluates the full repeater pipeline at the best cavity quality
 (K/kappa = 1e5): simulates the gate inventory, assembles the fidelity
 budget, solves for the distances where the repeater overtakes direct
 transmission, and checks the analytic waiting-time formula against the
-Monte-Carlo protocol simulation.  Takes about 12 s on one core, most of it
+Monte-Carlo protocol simulation.  Takes about two seconds on one core, most of it
 simulating the gate inventory.
 """
 

@@ -48,7 +48,6 @@ from .pulses import PulseSchedule, reversed_schedule
 
 __all__ = [
     "CatQubitParams",
-    "GateReportRow",
     "GateResult",
     "DriveResult",
     "ProtocolResult",
@@ -107,26 +106,6 @@ class CatQubitParams:
 
 
 @dataclass(frozen=True)
-class GateReportRow:
-    """One gate-table row; ``leakage``, ``quadrature_gap`` and
-    ``clip_excess`` are the ``GateResult`` diagnostics, None for drive and
-    undrive, and ``rhs_evals`` and ``tail_population`` the ``DriveResult``
-    ones, None for the gates."""
-
-    operation: str
-    kerr: float
-    kappa: float
-    duration_s: float
-    duration_kt: float
-    fidelity: float
-    leakage: Optional[float] = None
-    quadrature_gap: Optional[float] = None
-    clip_excess: Optional[float] = None
-    rhs_evals: Optional[int] = None
-    tail_population: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class GateResult:
     """Simulated gate outcome: averaged fidelity plus per-state detail.
 
@@ -139,7 +118,6 @@ class GateResult:
     """
 
     operation: str
-    params: CatQubitParams
     duration_s: float
     fidelity: float
     state_fidelities: dict[str, float]
@@ -147,20 +125,6 @@ class GateResult:
     quadrature_gap: float
     clip_excess: float
     final_states: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-
-    @property
-    def row(self) -> GateReportRow:
-        return GateReportRow(
-            operation=self.operation,
-            kerr=self.params.kerr,
-            kappa=self.params.kappa,
-            duration_s=self.duration_s,
-            duration_kt=self.duration_s * self.params.kerr,
-            fidelity=self.fidelity,
-            leakage=self.leakage,
-            quadrature_gap=self.quadrature_gap,
-            clip_excess=self.clip_excess,
-        )
 
 
 @dataclass(frozen=True)
@@ -281,7 +245,8 @@ def _check_truncation(states: Sequence[np.ndarray], dim: int) -> float:
         worst = max(worst, pop)
     if worst > 1e-6:
         raise TruncationOverflowError(
-            f"population {worst:.2e} in the top two Fock levels; increase dim")
+            f"population {worst:.2e} in the top two Fock levels at dim = {dim}; "
+            "increase dim")
     return worst
 
 
@@ -453,8 +418,7 @@ def _run_gate(params: CatQubitParams, operation: str,
                                                  axis=0))))
 
     fid = float(np.mean(list(fids.values())))
-    return GateResult(operation=operation, params=params,
-                      duration_s=prop.duration, fidelity=fid,
+    return GateResult(operation=operation, duration_s=prop.duration, fidelity=fid,
                       state_fidelities=fids, leakage=leakage,
                       quadrature_gap=prop.quadrature_gap, clip_excess=prop.clip_excess,
                       final_states=finals)
@@ -612,9 +576,10 @@ def cnot(params: CatQubitParams, drive_amplitude: float, coupling: float,
 
 def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: float,
                 drive_duration_kt: float = DRIVE_RAMP_KT,
-                dim_per_cavity: int = TWO_QUBIT_DIM) -> list[GateReportRow]:
-    """Rows (drive, undrive, X_pi/2, Z_pi/2, G_pi/2, CNOT) for one cavity
-    configuration.
+                dim_per_cavity: int = TWO_QUBIT_DIM) -> dict[str, DriveResult | GateResult]:
+    """The gate table's records for one cavity configuration, keyed by
+    operation in table order: drive, undrive, X_0.5pi, Z_0.5pi, G_0.5pi,
+    CNOT.
 
     ``drive_ratio`` and ``coupling_ratio`` divide the two-photon amplitude
     E_p0 to produce the single-photon drive and the cavity coupling; the
@@ -625,19 +590,15 @@ def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: floa
     e_x = ep0 / drive_ratio
     e_c = ep0 / coupling_ratio
 
-    rows = []
     pulse = adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
-    for operation, ramp in (("drive", drive), ("undrive", undrive)):
-        r = ramp(params, pulse)
-        rows.append(GateReportRow(operation, params.kerr, params.kappa, r.duration_s,
-                                  r.duration_s * params.kerr, r.fidelity,
-                                  rhs_evals=r.rhs_evals, tail_population=r.tail_population))
+    table: dict[str, DriveResult | GateResult] = {
+        "drive": drive(params, pulse), "undrive": undrive(params, pulse)}
     for result in (gate_x(params, math.pi / 2, e_x),
                    gate_z(params, math.pi / 2),
                    gate_g(params, math.pi / 2, e_c, dim_per_cavity),
                    cnot(params, e_x, e_c, dim_per_cavity)):
-        rows.append(result.row)
-    return rows
+        table[result.operation] = result
+    return table
 
 
 # -- heralded elementary-link protocol ----------------------------------------

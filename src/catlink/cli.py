@@ -31,6 +31,7 @@ from . import scenarios as sn
 from . import transducer as td
 from . import device as dv
 from .config import ConfigError, RunConfig, load_config
+from .dynamics import IntegrationError
 from .repeater import (ChainParams, LinkParams, RateFidelityReport, crossover,
                        direct_transmission_rate, evaluate_chain, mean_time,
                        monte_carlo_time, rate_curve)
@@ -64,7 +65,8 @@ class _Report:
         """Render every file to a string, then replace each one atomically.
 
         A rendering error (say, an unserialisable summary value) therefore
-        leaves the previous run's files untouched.
+        leaves the previous run's files untouched.  Once the new files are in
+        place, a table left in the other format by an earlier run is removed.
         """
         files: dict[str, str] = {}
         for name, (header, rows) in self.tables.items():
@@ -88,6 +90,11 @@ class _Report:
         os.makedirs(out_dir, exist_ok=True)
         for name, text in files.items():
             _write_text(os.path.join(out_dir, name), text)
+        other = "json" if fmt == "csv" else "csv"
+        for name in self.tables:
+            stale = os.path.join(out_dir, f"{name}.{other}")
+            if os.path.exists(stale):
+                os.remove(stale)
         return out_dir
 
 
@@ -192,18 +199,16 @@ def _chain_runs(config: RunConfig, entries: Optional[list[tuple[int, str]]] = No
         chain.storage_policy)) if auto else link) for chain in chains]
 
 
-def _grape_diagnostics(config: RunConfig, report: _Report,
-                       budget: sn.OperationBudget) -> None:
+def _grape_diagnostics(report: _Report, budget: sn.OperationBudget) -> None:
     """With ``[chain] drive_method = grape``, put the optimizer statistics of
     the budget's drive and undrive pulses into the summary's ``diagnostics``
-    block (``grape_pair`` is cached, so nothing is optimized twice)."""
-    if config.get("chain", "drive_method") != "grape":
+    block."""
+    if budget.grape is None:
         return
-    pair = sn.grape_pair(budget.params.alpha, _grape_settings(config))
     report.summary["diagnostics"] = {"grape": {
         direction: {"iterations": result.n_iterations, "evaluations": result.evaluations,
                     "stop_reason": result.stop_reason, "converged": result.converged}
-        for direction, (_, result) in zip(("drive", "undrive"), pair)}}
+        for direction, result in zip(("drive", "undrive"), budget.grape)}}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -218,17 +223,15 @@ def cmd_gates(config: RunConfig) -> _Report:
         table = cq.gate_report(params, drive_ratio, coupling_ratio,
                                drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
                                dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
-        for r in table:
-            rows.append([r.operation, r.kerr, r.kappa, r.duration_s,
-                         r.duration_kt, r.fidelity])
+        rows.extend([name, params.kerr, params.kappa, r.duration_s,
+                     r.duration_s * params.kerr, r.fidelity] for name, r in table.items())
         row = {"K_over_kappa": ratio}
-        row.update((r.operation, {"rhs_evals": r.rhs_evals,
-                                  "tail_population": r.tail_population})
-                   for r in table if r.rhs_evals is not None)
+        row.update((name, {"rhs_evals": r.rhs_evals, "tail_population": r.tail_population})
+                   for name, r in table.items() if isinstance(r, cq.DriveResult))
         row["gates"] = {
-            r.operation: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap,
-                          "clip_excess": r.clip_excess}
-            for r in table if r.leakage is not None}
+            name: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap,
+                   "clip_excess": r.clip_excess}
+            for name, r in table.items() if isinstance(r, cq.GateResult)}
         diagnostics.append(row)
     report.add_table("gates", header, rows)
     report.summary["rows"] = len(rows)
@@ -355,7 +358,7 @@ def cmd_rates(config: RunConfig) -> _Report:
         for chain, link in runs for L in lengths])
     report.summary["scenarios"] = [f"m{chain.multiplexing}" for chain, _ in runs]
     report.summary["lengths_km"] = [float(lengths[0]), float(lengths[-1])]
-    _grape_diagnostics(config, report, budget)
+    _grape_diagnostics(report, budget)
     return report
 
 
@@ -377,7 +380,7 @@ def cmd_crossover(config: RunConfig) -> _Report:
                                       for rep in reports}
     report.summary["final_fidelity"] = {f"m{rep.multiplexing}": rep.final_fidelity
                                         for rep in reports}
-    _grape_diagnostics(config, report, budget)
+    _grape_diagnostics(report, budget)
     return report
 
 
@@ -480,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, cq.TruncationOverflowError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_root = args.out or config.get("output", "directory")

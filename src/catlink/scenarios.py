@@ -74,11 +74,16 @@ class GrapeSettings(NamedTuple):
 
 @dataclass(frozen=True)
 class OperationBudget:
-    """Per-operation fidelities and durations for one cavity configuration."""
+    """Per-operation fidelities and durations for one cavity configuration.
+
+    ``grape`` holds the optimizer results of the drive and undrive pulses
+    that were scored, None when the ramps are adiabatic.
+    """
 
     params: cq.CatQubitParams
     fidelities: dict[str, float]
     durations_s: dict[str, float]
+    grape: Optional[tuple[po.GrapeResult, po.GrapeResult]] = None
 
     def operation_time(self, storage_policy: str = "cat") -> float:
         """Serial duration of one node's local operations per attempt.
@@ -125,9 +130,11 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
 
     fids: dict[str, float] = {}
     durs: dict[str, float] = {}
+    grape_results = None
 
     if drive_method == "grape":
         (dp, rd), (up, ru) = grape_pair(params.alpha, grape)
+        grape_results = (rd, ru)
         scaled_kappa = params.kappa / params.kerr  # problems are built at K = 1
         fids["drive"] = po.evaluate_pulse(dp, rd.schedule, kappa=scaled_kappa)
         fids["undrive"] = po.evaluate_pulse(up, ru.schedule, kappa=scaled_kappa)
@@ -149,7 +156,8 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
         durs[op] = result.duration_s
     fids["transduction"] = TRANSDUCTION_FIDELITY
     durs["transduction"] = TRANSDUCTION_TIME_S
-    return OperationBudget(params=params, fidelities=fids, durations_s=durs)
+    return OperationBudget(params=params, fidelities=fids, durations_s=durs,
+                           grape=grape_results)
 
 
 def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,

@@ -44,7 +44,8 @@ def chain_and_link():
 
 @pytest.fixture(scope="session")
 def gate_rows_1e3():
-    """Gate report for the lowest-quality row (the cheapest full table)."""
+    """Gate-report records, by operation, for the lowest-quality row (the
+    cheapest full table)."""
     kerr = sn.TABLE_ROW_DEFAULTS[1e3]
     params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
     return cq.gate_report(params, 10.0, 15.0)

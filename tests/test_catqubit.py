@@ -493,27 +493,28 @@ class TestCnot:
 
 class TestGateReport:
     def test_row_inventory(self, gate_rows_1e3):
-        ops = [r.operation for r in gate_rows_1e3]
-        assert ops == ["drive", "undrive", "X_0.5pi", "Z_0.5pi", "G_0.5pi", "CNOT"]
+        assert list(gate_rows_1e3) == ["drive", "undrive", "X_0.5pi", "Z_0.5pi",
+                                       "G_0.5pi", "CNOT"]
+        assert [type(r) for r in gate_rows_1e3.values()] == [cq.DriveResult] * 2 + \
+            [cq.GateResult] * 4
+        for name, r in gate_rows_1e3.items():
+            if isinstance(r, cq.GateResult):
+                assert r.operation == name
 
     def test_fidelities_in_range(self, gate_rows_1e3):
-        for row in gate_rows_1e3:
-            assert 0.9 < row.fidelity <= 1.0
+        for r in gate_rows_1e3.values():
+            assert 0.9 < r.fidelity <= 1.0
 
     def test_monotone_in_loss_ratio(self, gate_rows_1e3, budgets_1e4_1e5):
         # every operation improves from K/kappa = 1e3 to 1e4 (fuller sweep is
         # covered by the acceptance suite)
-        low = {r.operation: r.fidelity for r in gate_rows_1e3}
         mid = budgets_1e4_1e5[1e4].fidelities
-        assert mid["x_half"] > low["X_0.5pi"]
-        assert mid["cnot"] > low["CNOT"]
+        assert mid["x_half"] > gate_rows_1e3["X_0.5pi"].fidelity
+        assert mid["cnot"] > gate_rows_1e3["CNOT"].fidelity
 
     def test_clip_excess_reported(self, gate_rows_1e3):
-        for row in gate_rows_1e3:
-            if row.operation in ("drive", "undrive"):
-                assert row.clip_excess is None
-            else:
-                assert row.clip_excess >= 0.0
+        for name in ("X_0.5pi", "Z_0.5pi", "G_0.5pi", "CNOT"):
+            assert gate_rows_1e3[name].clip_excess >= 0.0
 
     def test_gates_trace_and_purity_preserving_lossless(self, lossless):
         e = lossless.two_photon_amplitude

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from catlink.cli import _Report, _write_text
+from catlink.scenarios import TABLE_ROW_DEFAULTS
 from catlink.config import load_config
 
 CLI = [sys.executable, "-m", "catlink.cli"]
@@ -40,6 +41,17 @@ class TestValidation:
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
         assert r.stderr == f"config error: {message}\n"
+        assert not os.path.exists(out_dir)
+
+    def test_truncation_overflow_is_an_error_not_a_traceback(self, out_dir):
+        r = run_cli("gates", "--out", out_dir, "--set", "catqubit.dim=8",
+                    "--set", "catqubit.loss_ratios=1e3",
+                    "--set", "catqubit.drive_ratios=10",
+                    "--set", "catqubit.coupling_ratios=15")
+        assert r.returncode == 1
+        errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "dim = 8" in errors[0]
+        assert "Traceback" not in r.stderr
         assert not os.path.exists(out_dir)
 
     def test_unknown_section_in_file(self, tmp_path, out_dir):
@@ -165,6 +177,16 @@ class TestReportWrite:
         after = {name: open(os.path.join(run_dir, name), "rb").read()
                  for name in os.listdir(run_dir)}
         assert after == before
+
+    def test_format_switch_removes_the_other_table_only(self, out_dir):
+        run_dir = os.path.join(out_dir, "mc")
+        assert run_cli("mc", "--trials", "10000", "--out", out_dir).returncode == 0
+        open(os.path.join(run_dir, "notes.json"), "w").close()
+        for fmt, table in (("json", "mc.json"), ("csv", "mc.csv")):
+            r = run_cli("mc", "--trials", "10000", "--out", out_dir, "--format", fmt)
+            assert r.returncode == 0
+            assert sorted(os.listdir(run_dir)) == sorted(
+                [table, "notes.json", "resolved_config.ini", "summary.json"])
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         target = tmp_path / "summary.json"
@@ -304,16 +326,23 @@ class TestFigureCommand:
 
 
 class TestGatesCommand:
-    def test_single_row_table(self, out_dir):
+    def test_single_row_table(self, out_dir, gate_rows_1e3):
+        # the row's defaults are those of gate_rows_1e3
         r = run_cli("gates", "--out", out_dir,
                     "--set", "catqubit.loss_ratios=1e3",
                     "--set", "catqubit.drive_ratios=10",
-                    "--set", "catqubit.coupling_ratios=15",
-                    "--set", "catqubit.two_qubit_dim=12")
+                    "--set", "catqubit.coupling_ratios=15")
         assert r.returncode == 0
         lines = open(os.path.join(out_dir, "gates", "gates.csv")).read().splitlines()
         assert lines[0] == "operation,K_rad_per_s,kappa_per_s,duration_s,duration_Kt,fidelity"
         assert len(lines) == 7  # header + 6 operations
+        kerr = TABLE_ROW_DEFAULTS[1e3]
+        for line, (name, record) in zip(lines[1:], gate_rows_1e3.items()):
+            operation, k, _, duration_s, duration_kt, fidelity = line.split(",")
+            assert (operation, k) == (name, repr(kerr))
+            assert duration_s == repr(record.duration_s)
+            assert duration_kt == repr(record.duration_s * kerr)
+            assert fidelity == repr(record.fidelity)
 
     def test_row_count_scales_with_ratios(self, out_dir):
         r = run_cli("gates", "--out", out_dir,
