@@ -14,7 +14,11 @@ CNOT.
 
 All gate stages have piecewise-constant Hamiltonians, so every gate runs
 through ``dynamics.PiecewiseConstantPropagator``: lossless evolution is exact
-through per-stage eigendecompositions, and lossy gate fidelities use a
+through per-stage eigendecompositions.  The two-cavity builders state the
+structure they know: each CNOT stage that leaves the cavities uncoupled and
+each cavity's photon-loss jump is a ``dynamics.KroneckerSum`` of one-cavity
+parts, factored per cavity, and only the coupling stage G is a full array,
+factored over its two parity blocks.  Lossy gate fidelities use a
 no-jump + one-jump expansion of the master equation, with all of a gate's
 input states propagated together as columns and the one-jump term integrated
 by an n-vs-2n checked Gauss-Legendre rule per stage (the probability of two
@@ -42,8 +46,8 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .dynamics import PiecewiseConstantPropagator, TimeDependentHamiltonian, _blockwise_eig, \
-    evolve
+from .dynamics import KroneckerSum, PiecewiseConstantPropagator, TimeDependentHamiltonian, \
+    _blockwise_eig, evolve
 from .pulses import PulseSchedule, reversed_schedule
 
 __all__ = [
@@ -233,9 +237,9 @@ def _fock_coefficients(state: np.ndarray) -> tuple[complex, complex]:
     return c0, c1
 
 
-def _check_truncation(states: Sequence[np.ndarray], dim: int) -> float:
+def _check_truncation(states: Sequence[np.ndarray], dim: int, operation: str) -> float:
     """Largest population in the top two Fock levels over ``states``; raises
-    ``TruncationOverflowError`` above 1e-6."""
+    ``TruncationOverflowError``, naming ``operation``, above 1e-6."""
     worst = 0.0
     for s in states:
         if s.ndim == 1:
@@ -245,7 +249,7 @@ def _check_truncation(states: Sequence[np.ndarray], dim: int) -> float:
         worst = max(worst, pop)
     if worst > 1e-6:
         raise TruncationOverflowError(
-            f"population {worst:.2e} in the top two Fock levels at dim = {dim}; "
+            f"{operation}: population {worst:.2e} in the top two Fock levels at dim = {dim}; "
             "increase dim")
     return worst
 
@@ -287,15 +291,16 @@ def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
     return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
 
 
-def _run_pulse(params: CatQubitParams, pulse: PulseSchedule, state: np.ndarray,
-               target: np.ndarray) -> DriveResult:
+def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
+               state: np.ndarray, target: np.ndarray) -> DriveResult:
     """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
-    the Fock truncation, and score the final state against ``target``."""
+    the Fock truncation, and score the final state against ``target``;
+    ``operation`` names the ramp in a truncation error."""
     target = target / np.linalg.norm(target)
     h = _pulse_hamiltonian(params, pulse)
     collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
     traj = evolve(h, collapse, state, n_samples=9)
-    tail = _check_truncation(traj.states, params.dim)
+    tail = _check_truncation(traj.states, params.dim, operation)
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
                        target=target, pulse=pulse, rhs_evals=traj.rhs_evals,
@@ -320,7 +325,7 @@ def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
     qc.check_pure(state, "drive input")
     c0, c1 = _fock_coefficients(state)
     zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
-    return _run_pulse(params, pulse, state, c0 * zero + c1 * one)
+    return _run_pulse(params, "drive", pulse, state, c0 * zero + c1 * one)
 
 
 def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
@@ -348,7 +353,7 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, params.dim) + c1 * qc.fock_state(1, params.dim)
-    return _run_pulse(params, reversed_schedule(pulse), state, tvec)
+    return _run_pulse(params, "undrive", reversed_schedule(pulse), state, tvec)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -392,20 +397,17 @@ _SINGLE_QUBIT_TEST_STATES = {
 
 
 def _run_gate(params: CatQubitParams, operation: str,
-              stages: Sequence[tuple[np.ndarray, float]],
-              jump_ops: Sequence[tuple[np.ndarray, float]], basis: np.ndarray,
-              cases: dict[str, tuple[np.ndarray, np.ndarray]],
-              dims: tuple[int, ...]) -> GateResult:
+              stages: Sequence[tuple[np.ndarray | KroneckerSum, float]],
+              jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]], basis: np.ndarray,
+              cases: dict[str, tuple[np.ndarray, np.ndarray]]) -> GateResult:
     """Propagate each case's logical input through ``stages``.
 
     ``basis`` holds the logical states as columns; ``cases`` maps a name to
     (input, ideal output) coefficient vectors in that basis.  Fidelities use
     the one-jump expansion with ``jump_ops``; final states and manifold
-    leakage come from lossless propagation.  ``dims`` are the cavity
-    dimensions, so a two-cavity stage that leaves the cavities uncoupled is
-    factored per cavity.
+    leakage come from lossless propagation.
     """
-    prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr, dims)
+    prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr)
     # one column per case, so every stage contracts all cases at once
     psi0 = basis @ np.stack([c_in for c_in, _ in cases.values()], axis=1)
     targets = basis @ np.stack([c_out for _, c_out in cases.values()], axis=1)
@@ -435,7 +437,7 @@ def _single_qubit_gate(params: CatQubitParams, operation: str,
         c_in = np.array(coeffs, dtype=complex)
         cases[name] = (c_in, ideal @ c_in)
     return _run_gate(params, operation, stages, [(qc.annihilation(dim), params.kappa)],
-                     basis, cases, (dim,))
+                     basis, cases)
 
 
 def gate_x(params: CatQubitParams, theta: float, drive_amplitude: float) -> GateResult:
@@ -472,11 +474,13 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
 
 
 def _two_qubit_ops(params: CatQubitParams, dim: int):
-    """(a1, a2, H0 x 1, 1 x H0) on two cavities of ``dim`` levels."""
+    """(jumps, H0) on two cavities of ``dim`` levels: photon loss a x 1 and
+    1 x a at ``params.kappa`` as one-sided ``KroneckerSum``s, and the
+    one-cavity stabilized Hamiltonian H0."""
     a = qc.annihilation(dim)
-    eye = np.eye(dim)
-    h0 = _stabilized_h(params, dim)
-    return np.kron(a, eye), np.kron(eye, a), np.kron(h0, eye), np.kron(eye, h0)
+    jumps = [(KroneckerSum(a, None, (dim, dim)), params.kappa),
+             (KroneckerSum(None, a, (dim, dim)), params.kappa)]
+    return jumps, _stabilized_h(params, dim)
 
 
 def _coupling_op(dim: int) -> np.ndarray:
@@ -506,38 +510,38 @@ def gate_g(params: CatQubitParams, theta: float, coupling: float,
     if coupling <= 0:
         raise ValueError("coupling must be positive")
     dim = dim_per_cavity
-    a1, a2, h01, h02 = _two_qubit_ops(params, dim)
+    jumps, h0 = _two_qubit_ops(params, dim)
     sign = 1.0 if theta >= 0 else -1.0
-    h = h01 + h02 + sign * coupling * _coupling_op(dim)
+    h = KroneckerSum(h0, h0, (dim, dim)).toarray() + sign * coupling * _coupling_op(dim)
     dur = _g_rotation_duration(params, theta, coupling)
     tcoef = math.cos(theta / 2) * np.array([1, 0, 0, 0], dtype=complex) \
         - 1j * math.sin(theta / 2) * np.array([0, 0, 0, 1], dtype=complex)
-    return _run_gate(params, f"G_{theta/math.pi:.3g}pi", [(h, dur)],
-                     [(a1, params.kappa), (a2, params.kappa)],
+    return _run_gate(params, f"G_{theta/math.pi:.3g}pi", [(h, dur)], jumps,
                      _two_qubit_logical_basis(params, dim),
-                     {"even_even": (np.eye(4)[0], tcoef)}, (dim, dim))
+                     {"even_even": (np.eye(4)[0], tcoef)})
 
 
 def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float,
-                 dim: int) -> list[tuple[np.ndarray, float]]:
+                 dim: int) -> list[tuple[KroneckerSum | np.ndarray, float]]:
     """Seven-stage decomposition X2(pi/2) X1(-pi/2) Z1(pi/2) G(pi/2)
-    X1(-pi/2) Z1(-pi/2) X1(pi/2), rightmost applied first."""
-    a1, a2, h01, h02 = _two_qubit_ops(params, dim)
+    X1(-pi/2) Z1(-pi/2) X1(pi/2), rightmost applied first.  The six stages
+    that leave the cavities uncoupled are ``KroneckerSum``s; the coupling
+    stage G is a full array."""
+    _, h0 = _two_qubit_ops(params, dim)
     n = qc.number_operator(dim)
-    x1 = a1 + a1.conj().T
-    x2 = a2 + a2.conj().T
-    kerr1_free = np.kron(-params.kerr * (n @ n), np.eye(dim))
+    x = _single_photon_op(dim)
+    dims = (dim, dim)
 
     t_x = _x_rotation_duration(params, math.pi / 2, drive_amplitude)
     t_z_plus = _z_rotation_duration(params, math.pi / 2)
     t_z_minus = _z_rotation_duration(params, -math.pi / 2)
     t_g = _g_rotation_duration(params, math.pi / 2, coupling)
 
-    h_x1_plus = h01 + h02 + drive_amplitude * x1
-    h_x1_minus = h01 + h02 - drive_amplitude * x1
-    h_x2_plus = h01 + h02 + drive_amplitude * x2
-    h_z1 = kerr1_free + h02
-    h_g = h01 + h02 + coupling * _coupling_op(dim)
+    h_x1_plus = KroneckerSum(h0 + drive_amplitude * x, h0, dims)
+    h_x1_minus = KroneckerSum(h0 - drive_amplitude * x, h0, dims)
+    h_x2_plus = KroneckerSum(h0, h0 + drive_amplitude * x, dims)
+    h_z1 = KroneckerSum(-params.kerr * (n @ n), h0, dims)
+    h_g = KroneckerSum(h0, h0, dims).toarray() + coupling * _coupling_op(dim)
 
     return [
         (h_x1_plus, t_x),      # X1(+pi/2)
@@ -566,12 +570,11 @@ def cnot(params: CatQubitParams, drive_amplitude: float, coupling: float,
     duration is the sum of the stage durations.
     """
     dim = dim_per_cavity
-    a1, a2, _, _ = _two_qubit_ops(params, dim)
+    jumps, _ = _two_qubit_ops(params, dim)
     cases = {name: (np.eye(4)[idx], _CNOT_IDEAL[:, idx])
              for idx, name in enumerate(_TWO_QUBIT_BASIS_NAMES)}
     return _run_gate(params, "CNOT", _cnot_stages(params, drive_amplitude, coupling, dim),
-                     [(a1, params.kappa), (a2, params.kappa)],
-                     _two_qubit_logical_basis(params, dim), cases, (dim, dim))
+                     jumps, _two_qubit_logical_basis(params, dim), cases)
 
 
 def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: float,

@@ -220,9 +220,13 @@ def cmd_gates(config: RunConfig) -> _Report:
               "duration_Kt", "fidelity"]
     rows, diagnostics = [], []
     for ratio, params, drive_ratio, coupling_ratio in _row_params(config):
-        table = cq.gate_report(params, drive_ratio, coupling_ratio,
-                               drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
-                               dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
+        try:
+            table = cq.gate_report(
+                params, drive_ratio, coupling_ratio,
+                drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
+                dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
+        except cq.TruncationOverflowError as exc:
+            raise cq.TruncationOverflowError(f"K/kappa = {ratio:g} row, {exc}") from exc
         rows.extend([name, params.kerr, params.kappa, r.duration_s,
                      r.duration_s * params.kerr, r.fidelity] for name, r in table.items())
         row = {"K_over_kappa": ratio}

@@ -148,7 +148,6 @@ class RunConfig:
     """Validated configuration; ``values[section][key]`` holds typed values."""
 
     values: dict[str, dict[str, Any]]
-    source_path: Optional[str] = None
 
     def __getitem__(self, section: str) -> dict[str, Any]:
         return self.values[section]
@@ -168,7 +167,7 @@ class RunConfig:
             except Exception as exc:
                 raise ConfigError(f"invalid value for [{section}] {key}: {raw!r} ({exc})")
         _cross_validate(new_values)
-        return RunConfig(values=new_values, source_path=self.source_path)
+        return RunConfig(values=new_values)
 
     def resolved_ini(self) -> str:
         """Render the fully resolved configuration (for report embedding)."""
@@ -192,8 +191,7 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     reads the same from a file as from ``--set``.
     """
     defaults = RunConfig(values={section: {key: spec[1] for key, spec in keys.items()}
-                                 for section, keys in CONFIG_SCHEMA.items()},
-                         source_path=path)
+                                 for section, keys in CONFIG_SCHEMA.items()})
     if path is None:
         return defaults
 
@@ -235,9 +233,18 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     for pol in ch["storage_policy"]:
         if pol not in ("cat", "fock", "transfer"):
             raise ConfigError(f"[chain] storage_policy: unknown policy {pol!r}")
+    if not ch["transfer_lifetime_s"] > 0:
+        raise ConfigError(
+            f"[chain] transfer_lifetime_s must be positive, got {ch['transfer_lifetime_s']}")
     if ch["drive_method"] not in ("grape", "adiabatic"):
         raise ConfigError(
             f"[chain] drive_method must be grape or adiabatic, got {ch['drive_method']!r}")
+    td = values["transducer"]
+    if not td["span_fwhm"] > 0:
+        raise ConfigError(f"[transducer] span_fwhm must be positive, got {td['span_fwhm']}")
+    if not all(w >= 0 for w in td["natural_linewidth_hz"]):
+        raise ConfigError(f"[transducer] natural_linewidth_hz values must be >= 0, got "
+                          f"{td['natural_linewidth_hz']}")
     ra = values["rates"]
     if ra["length_steps"] < 1:
         raise ConfigError(f"[rates] length_steps must be >= 1, got {ra['length_steps']}")

@@ -20,13 +20,13 @@ Unitary problems with pure initial states are propagated as state vectors.
 list of stages (the cat-qubit gates): it propagates exactly through one
 eigendecomposition per distinct stage Hamiltonian and scores lossy evolution
 with a no-jump + one-jump expansion, integrating the one-jump term over each
-stage with an n-vs-2n checked Gauss-Legendre rule.  A two-cavity stage that
-is a Kronecker sum A x 1 + 1 x B (no term moves both cavities) is factored
-per cavity, with eigenvalues alpha_i + beta_j and eigenvectors V_A x V_B;
-V, V^-1 and each one-cavity jump in the eigenbasis, (W_A A V_A) x 1, are
-kept per cavity and applied to the (d1 d2, cases) stacks one cavity at a
-time, so no two-cavity factor is ever formed.  Every other
-eigendecomposition runs one block at a time over the blocks that
+stage with an n-vs-2n checked Gauss-Legendre rule.  A two-cavity stage in
+which no term moves both cavities is passed as a ``KroneckerSum`` A x 1 +
+1 x B and factored per cavity, with eigenvalues alpha_i + beta_j and
+eigenvectors V_A x V_B; V, V^-1 and each one-cavity jump in the eigenbasis,
+(W_A A V_A) x 1, are kept per cavity and applied to the (d1 d2, cases)
+stacks one cavity at a time, so no two-cavity factor is ever formed.  A
+stage passed as an array runs one block at a time over the blocks that
 ``coupled_blocks`` finds, the connected components of the matrix's sparsity
 pattern: the cat Hamiltonians conserve photon-number parity (per cavity, or
 in total for the coupling), so the coupling stage splits into two blocks and
@@ -34,9 +34,9 @@ a one-cavity stage into two to dim.  V and V^-1 stay per block, and a jump
 in the eigenbasis is formed and applied only on the block pairs it connects
 (a photon loss flips the parity, so two of the coupling stage's four).  Both
 splits are exact, and a connected matrix is one block, the dense case.  The
-factors of the last two coupled two-cavity stages are memoized by a digest
-of the matrix, so the gate G and the CNOT's G stage of one gate-table row
-share one factorization.
+factors of the last two arrays are memoized by a digest of the matrix, so
+the gate G and the CNOT's G stage of one gate-table row share one
+factorization.
 The test suite checks the expansion against ``evolve_constant`` on single-
 and multi-stage sequences and, for the CNOT, against ``expm_multiply`` of the
 sparse two-cavity Liouvillian.
@@ -65,6 +65,7 @@ __all__ = [
     "fit_exponential_decay",
     "integrate_rk45",
     "coupled_blocks",
+    "KroneckerSum",
     "PiecewiseConstantPropagator",
 ]
 
@@ -360,6 +361,27 @@ def coupled_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(labels == k) for k in range(n)]
 
 
+@dataclass(frozen=True)
+class KroneckerSum:
+    """A x 1 + 1 x B on two subsystems of ``dims`` (d1, d2), kept as its
+    parts: a two-cavity operator in which no term moves both cavities.  A
+    part of None is zero, so (A, None) is A x 1 alone, as a one-cavity jump
+    is.  ``toarray`` assembles the full (d1 d2, d1 d2) matrix."""
+
+    a: Optional[np.ndarray]
+    b: Optional[np.ndarray]
+    dims: tuple[int, int]
+
+    def part(self, k: int) -> np.ndarray:
+        """Part k as an array, zeros for None."""
+        part = (self.a, self.b)[k]
+        return np.zeros((self.dims[k],) * 2) if part is None else part
+
+    def toarray(self) -> np.ndarray:
+        d1, d2 = self.dims
+        return np.kron(self.part(0), np.eye(d2)) + np.kron(np.eye(d1), self.part(1))
+
+
 class _BlockSparse:
     """A square operator that is nonzero only on (rows, cols, M) blocks,
     applied one block at a time: ``op @ x`` adds M @ x[cols] into rows of
@@ -435,48 +457,10 @@ class _KroneckerProduct:
         return y.reshape(x.shape)
 
 
-def _on_subsystem(a: np.ndarray, k: int, dims: Sequence[int]) -> np.ndarray:
-    """``a`` on subsystem k of the two in ``dims`` and the identity on the
-    other, as a (d1, d2, d1, d2) array: A x 1 or 1 x A reshaped."""
-    eye = np.eye(dims[1 - k])
-    if k == 0:
-        return a[:, None, :, None] * eye[None, :, None, :]
-    return eye[:, None, :, None] * a[None, :, None, :]
-
-
-# largest entry of m - (A x 1 + 1 x B), relative to the largest entry of m,
-# that a Kronecker split may leave (rounding of the partial traces is ~1e-15)
-_SPLIT_TOL = 1e-13
-
-
-def _kronecker_split(m: np.ndarray, dims: Sequence[int]):
-    """(A, B) with ``m`` = A x 1 + 1 x B over the two subsystems of ``dims``.
-
-    Returns None for any other number of subsystems, when an entry of ``m``
-    moves both subsystems at once, or when (A, B) rebuild ``m`` only to worse
-    than ``_SPLIT_TOL`` relative (a diagonal term such as a cross-Kerr that
-    moves neither subsystem yet couples them)."""
-    if len(dims) != 2:
-        return None
-    d1, d2 = dims
-    t = m.reshape(d1, d2, d1, d2)
-    off1, off2 = ~np.eye(d1, dtype=bool), ~np.eye(d2, dtype=bool)
-    if np.any(t[off1[:, None, :, None] & off2[None, :, None, :]]):
-        return None
-    # partial traces, with the trace of m taken back out of B
-    a = np.einsum("ijkj->ik", t) / d2
-    b = np.einsum("ijil->jl", t) / d1 - np.trace(m) / (d1 * d2) * np.eye(d2)
-    rebuilt = _on_subsystem(a, 0, dims) + _on_subsystem(b, 1, dims)
-    if np.max(np.abs(t - rebuilt)) > _SPLIT_TOL * np.max(np.abs(m)):
-        return None
-    return a, b
-
-
-# factors of the last _COUPLED_MEMO_SIZE two-subsystem matrices that do not
-# split, keyed by shape, dtype, the ``hermitian`` flag and a SHA-1 digest of
-# the matrix (no full-size key is kept): a gate-table row builds the same
-# coupling Hamiltonian for its G gate and the CNOT's G stage, and factors it,
-# and its H_eff, once
+# factors of the last _COUPLED_MEMO_SIZE matrices, keyed by shape, dtype,
+# the ``hermitian`` flag and a SHA-1 digest of the matrix (no full-size key
+# is kept): a gate-table row builds the same coupling Hamiltonian for its G
+# gate and the CNOT's G stage, and factors it, and its H_eff, once
 _COUPLED_MEMO: dict = {}
 _COUPLED_MEMO_SIZE = 2
 
@@ -500,35 +484,26 @@ def _coupled_eig(m: np.ndarray, hermitian: bool):
     return factors
 
 
-def _factor(m: np.ndarray, hermitian: bool, dims: Sequence[int]):
+def _factor(m, hermitian: bool):
     """(lam, V) or, unless ``hermitian``, (lam, V, V^-1) of ``m``, with V and
     V^-1 as operators that are never assembled into full matrices.
 
-    When ``m`` is a Kronecker sum over ``dims``, A = V_A diag(alpha) V_A^-1
-    and B likewise give eigenvalues alpha_i + beta_j, in the order of
-    ``np.kron``, and V = V_A x V_B and V^-1 = W_A x W_B are kept as
-    ``_KroneckerProduct`` operators applied one cavity at a time.  Any other
-    matrix is factored over its ``coupled_blocks`` into ``_BlockSparse``
-    operators, through ``_coupled_eig``'s memo when ``dims`` has two
-    subsystems."""
-    split = _kronecker_split(m, dims)
-    if split is None:
-        return _coupled_eig(m, hermitian) if len(dims) == 2 else _blockwise_eig(m, hermitian)
-    a, b = (_blockwise_eig(x, hermitian) for x in split)
+    A ``KroneckerSum`` A x 1 + 1 x B is factored per subsystem: A = V_A
+    diag(alpha) V_A^-1 and B likewise give eigenvalues alpha_i + beta_j, in
+    the order of ``np.kron``, and V = V_A x V_B and V^-1 = W_A x W_B are kept
+    as ``_KroneckerProduct`` operators applied one subsystem at a time.  An
+    array is factored over its ``coupled_blocks`` into ``_BlockSparse``
+    operators, through ``_coupled_eig``'s memo."""
+    if not isinstance(m, KroneckerSum):
+        return _coupled_eig(m, hermitian)
+    a, b = (_blockwise_eig(m.part(k), hermitian) for k in (0, 1))
     lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
-    return (lam, *(_KroneckerProduct(x.toarray(), y.toarray(), tuple(dims))
+    return (lam, *(_KroneckerProduct(x.toarray(), y.toarray(), m.dims)
                    for x, y in zip(a[1:], b[1:])))
 
 
-def _subsystem_part(op: np.ndarray, dims: Sequence[int]):
-    """(k, A) when ``op`` is A on subsystem k of the two in ``dims`` and
-    exactly the identity on the other, as a jump built by ``np.kron`` is;
-    otherwise None."""
-    t = op.reshape(*dims, *dims)
-    for k, part in enumerate((t[:, 0, :, 0], t[0, :, 0, :])):
-        if np.array_equal(t, _on_subsystem(part, k, dims)):
-            return k, part
-    return None
+def _dense(m) -> np.ndarray:
+    return m.toarray() if isinstance(m, KroneckerSum) else m
 
 
 def _block_pairs(w: _BlockSparse, op: np.ndarray, v: _BlockSparse) -> _BlockSparse:
@@ -550,18 +525,16 @@ class PiecewiseConstantPropagator:
     """Exact lossless propagation and one-jump lossy fidelities over a fixed
     list of (H, duration) stages.
 
-    Each distinct H array (by identity) is eigendecomposed once, and the
+    Each distinct stage H (by identity) is eigendecomposed once, and the
     stage durations are applied afterwards, so a stage list that repeats an
-    array pays for it once; factors are cached across input states, and a
-    coupled two-subsystem stage is also looked up in ``_factor``'s memo.  With
-    two subsystems in ``dims``, a stage that is a Kronecker sum over them
-    (and its H_eff, when every jump acts on one subsystem alone and H_eff
-    splits too) is factored and applied per subsystem; every other stage is
-    factored one coupled block at a time.  States are
-    vectors of length d or (d, c) stacks of c column vectors.  ``jump_ops``
-    are (L, rate) pairs; rate-0 operators are dropped, and without jumps
-    ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets the
-    one-jump quadrature's node count.
+    H pays for it once; factors are cached across input states.  A stage H
+    is a ``KroneckerSum``, factored and applied per subsystem, or an array,
+    factored one coupled block at a time through ``_factor``'s memo.  States
+    are vectors of length d or (d, c) stacks of c column vectors.
+    ``jump_ops`` are (L, rate) pairs, each L an array or a ``KroneckerSum``;
+    rate-0 operators are dropped, and without jumps ``lossy_fidelity`` is the
+    lossless overlap.  ``kerr`` (rad/s) sets the one-jump quadrature's node
+    count.
     """
 
     # one-jump quadrature: Gauss-Legendre on n = max(MIN_NODES,
@@ -575,13 +548,12 @@ class PiecewiseConstantPropagator:
     # about 4x below it
     QUADRATURE_GAP_TOL = 1e-7
 
-    def __init__(self, stages: Sequence[tuple[np.ndarray, float]],
-                 jump_ops: Sequence[tuple[np.ndarray, float]] = (), kerr: float = 1.0,
-                 dims: Sequence[int] = ()):
-        self.stages = [(np.asarray(h), float(t)) for h, t in stages]
-        self.jump_ops = [(np.asarray(op), float(rate)) for op, rate in jump_ops if rate != 0]
+    def __init__(self, stages: Sequence[tuple[np.ndarray | KroneckerSum, float]],
+                 jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]] = (),
+                 kerr: float = 1.0):
+        self.stages = [(h, float(t)) for h, t in stages]
+        self.jump_ops = [(op, float(rate)) for op, rate in jump_ops if rate != 0]
         self.kerr = kerr
-        self.dims = tuple(dims)
         # largest |I_n - I_2n| over the stages and cases of the last lossy_fidelity
         self.quadrature_gap = 0.0
         # largest amount by which the last lossy_fidelity exceeded 1 before
@@ -604,36 +576,38 @@ class PiecewiseConstantPropagator:
     def hermitian_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(eigenvalues, eigenvectors) of each stage's H."""
         if self._herm is None:
-            self._herm = self._per_distinct_h(lambda h: _factor(h, True, self.dims))
+            self._herm = self._per_distinct_h(lambda h: _factor(h, True))
         return self._herm
 
     def _effective_factors(self):
         """Per stage: eigenpairs (lam, V, V^-1) of H_eff = H - i/2 sum rate L^dag L
-        and each jump operator in that eigenbasis, V^-1 L V: per cavity,
-        (W_A A V_A) x 1 or 1 x (W_B B V_B), on the per-cavity route, else only
-        the parity-block pairs that L connects."""
+        and each jump operator in that eigenbasis, V^-1 L V.  A ``KroneckerSum``
+        stage whose jumps are all one-sided ``KroneckerSum``s is damped and
+        factored per cavity, and a jump A x 1 becomes (W_A A V_A) x 1; any
+        other stage and its jumps go through ``toarray`` to the block route,
+        with each jump formed only on the parity-block pairs it connects."""
         if self._eff is None:
-            d = self.stages[0][0].shape[0]
-            damp = np.zeros((d, d), dtype=complex)
-            for op, rate in self.jump_ops:
-                sparse = scipy.sparse.csr_array(op)
-                damp += 0.5j * rate * (sparse.conj().T @ sparse).toarray()
-            # the per-cavity route needs every jump on one cavity alone
-            parts = [_subsystem_part(op, self.dims) for op, _ in self.jump_ops] \
-                if len(self.dims) == 2 else []
-            dims = self.dims if all(p is not None for p in parts) else ()
+            per_cavity = all(isinstance(op, KroneckerSum) and (op.a is None) != (op.b is None)
+                             for op, _ in self.jump_ops)
+            ops = [_dense(op) for op, _ in self.jump_ops]
+            damp = sum(0.5j * rate * (x.conj().T @ x).toarray()
+                       for x, (_, rate) in zip(map(scipy.sparse.csr_array, ops), self.jump_ops))
 
             def factorize(h):
-                lam, v, w = _factor(h - damp, False, dims)
-                if isinstance(v, _KroneckerProduct):
-                    jumps = []
-                    for k, op in parts:
-                        jump = [None, None]
-                        jump[k] = w.parts[k] @ op @ v.parts[k]
-                        jumps.append(_KroneckerProduct(*jump, v.dims))
-                else:
-                    jumps = [_block_pairs(w, op, v) for op, _ in self.jump_ops]
-                return lam, v, w, jumps
+                if not (per_cavity and isinstance(h, KroneckerSum)):
+                    lam, v, w = _factor(_dense(h) - damp, False)
+                    return lam, v, w, [_block_pairs(w, op, v) for op in ops]
+                parts = [h.part(0), h.part(1)]
+                for op, rate in self.jump_ops:
+                    for k, x in enumerate((op.a, op.b)):
+                        if x is not None:
+                            parts[k] = parts[k] - 0.5j * rate * (x.conj().T @ x)
+                lam, v, w = _factor(KroneckerSum(*parts, h.dims), False)
+                # each jump's part maps through its own cavity's factors
+                jumps = [[None if x is None else wk @ x @ vk
+                          for x, wk, vk in zip((op.a, op.b), w.parts, v.parts)]
+                         for op, _ in self.jump_ops]
+                return lam, v, w, [_KroneckerProduct(*jump, h.dims) for jump in jumps]
 
             self._eff = self._per_distinct_h(factorize)
         return self._eff

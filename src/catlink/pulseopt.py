@@ -266,5 +266,5 @@ def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
     h = _pulse_hamiltonian(params, schedule)
     collapse = [(qc.annihilation(params.dim), k)] if k > 0 else []
     traj = evolve(h, collapse, problem.initial, n_samples=2)
-    _check_truncation(traj.states, params.dim)
+    _check_truncation(traj.states, params.dim, "GRAPE pulse evaluation")
     return qc.state_fidelity(traj.final_state, problem.target)

@@ -104,6 +104,9 @@ class ChainParams:
             raise ValueError("swap_probability must lie in (0, 1]")
         if self.storage_policy not in ("cat", "fock", "transfer"):
             raise ValueError("storage_policy must be cat, fock or transfer")
+        if not self.transfer_lifetime_s > 0:
+            raise ValueError(
+                f"transfer_lifetime_s must be positive, got {self.transfer_lifetime_s}")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,10 @@ class TransducerParams:
     def __post_init__(self):
         if self.ensemble_coupling <= 0:
             raise ValueError("ensemble coupling must be positive")
+        if not self.natural_linewidth >= 0:
+            raise ValueError(f"natural_linewidth must be >= 0, got {self.natural_linewidth}")
+        if not self.span_fwhm > 0:
+            raise ValueError(f"span_fwhm must be positive, got {self.span_fwhm}")
         if self.n_bins < 51 or self.n_bins % 2 == 0:
             raise ValueError("n_bins must be odd and >= 51")
         if self.lineshape not in ("lorentzian", "gaussian"):

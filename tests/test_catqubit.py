@@ -7,8 +7,8 @@ from scipy.sparse.linalg import expm_multiply
 from catlink import catqubit as cq
 from catlink import cli, dynamics
 from catlink import qcore as qc
-from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator, coupled_blocks,
-                              evolve_constant, liouvillian)
+from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
+                              coupled_blocks, evolve_constant, liouvillian)
 from catlink.config import load_config
 
 ALPHA = math.sqrt(2)
@@ -242,6 +242,11 @@ class TestPiecewiseConstantPropagator:
             prop.lossy_fidelity(zero, prop.propagate_pure(zero))
 
 
+def _array(m):
+    """A stage or jump as the full array it stands for."""
+    return m.toarray() if isinstance(m, KroneckerSum) else m
+
+
 class TestParityBlocks:
     DIM = 8
 
@@ -249,72 +254,90 @@ class TestParityBlocks:
     def cnot_problem(self, ratio_1e3):
         e = ratio_1e3.two_photon_amplitude
         stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, self.DIM)
-        a1, a2, _, _ = cq._two_qubit_ops(ratio_1e3, self.DIM)
-        jumps = [(a1, ratio_1e3.kappa), (a2, ratio_1e3.kappa)]
+        jumps, _ = cq._two_qubit_ops(ratio_1e3, self.DIM)
         basis = cq._two_qubit_logical_basis(ratio_1e3, self.DIM)
         return stages, jumps, basis
+
+    @staticmethod
+    def _dense_problem(stages, jumps):
+        # the same stages and jumps as full arrays, a repeated stage kept as
+        # one array so that it is factored once here too
+        arrays = {id(h): _array(h) for h, _ in stages}
+        return [(arrays[id(h)], t) for h, t in stages], [(_array(op), r) for op, r in jumps]
 
     def test_stage_block_counts(self, cnot_problem):
         # X and G conserve the parity of the undriven cavity or the total
         # parity; Z conserves cavity 1's photon number and cavity 2's parity
         stages, _, _ = cnot_problem
-        blocks = [coupled_blocks(h) for h, _ in stages]
+        blocks = [coupled_blocks(_array(h)) for h, _ in stages]
         assert [len(b) for b in blocks] == [2, 2 * self.DIM, 2, 2, 2 * self.DIM, 2, 2]
         for b in blocks:
             assert np.array_equal(np.sort(np.concatenate(b)), np.arange(self.DIM**2))
 
     def test_matches_single_block_factorization(self, cnot_problem, ratio_1e3, monkeypatch):
         stages, jumps, basis = cnot_problem
+        stages, jumps = self._dense_problem(stages, jumps)
         blocked = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         psi_blocked = blocked.forward(basis)
         fid_blocked = blocked.lossy_fidelity(basis, psi_blocked[-1])
-        # the dense reference: every matrix is one block
+        # the dense reference: every matrix is one block, factored afresh
         monkeypatch.setattr(dynamics, "coupled_blocks", lambda m: [np.arange(m.shape[0])])
+        monkeypatch.setattr(dynamics, "_COUPLED_MEMO", {})
         dense = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         for x, y in zip(psi_blocked, dense.forward(basis)):
             assert np.max(np.abs(x - y)) <= 1e-12
         assert np.max(np.abs(fid_blocked - dense.lossy_fidelity(basis, psi_blocked[-1]))) \
             <= 1e-12
 
-    def test_uncoupled_stages_split_per_cavity(self, cnot_problem):
-        # only G moves both cavities at once; one subsystem never splits
-        stages, _, _ = cnot_problem
-        d = self.DIM
-        split = [dynamics._kronecker_split(h, (d, d)) for h, _ in stages]
-        assert [s is not None for s in split] == [True, True, True, False, True, True, True]
-        for (h, _), s in zip(stages, split):
-            assert dynamics._kronecker_split(h, (d * d,)) is None
-            if s is not None:
-                rebuilt = np.kron(s[0], np.eye(d)) + np.kron(np.eye(d), s[1])
-                assert np.max(np.abs(rebuilt - h)) <= 1e-12
-        # a cross-Kerr term moves neither cavity but couples them
-        n = qc.number_operator(d)
-        assert dynamics._kronecker_split(stages[0][0] + 1e-3 * np.kron(n, n), (d, d)) is None
+    def test_stages_match_two_cavity_operators(self, cnot_problem, ratio_1e3):
+        # only G moves both cavities; every stage, and each jump, equals the
+        # Hamiltonian written with two-cavity operators a1 = a x 1, a2 = 1 x a
+        stages, jumps, _ = cnot_problem
+        d, kerr = self.DIM, ratio_1e3.kerr
+        e = ratio_1e3.two_photon_amplitude
+        a = qc.annihilation(d)
+        a1, a2 = np.kron(a, np.eye(d)), np.kron(np.eye(d), a)
+
+        def stabilized(b):
+            bd = b.conj().T
+            return -kerr * (bd @ bd @ b @ b) + e * (bd @ bd + b @ b)
+
+        h0 = stabilized(a1) + stabilized(a2)
+        x1, x2 = a1 + a1.conj().T, a2 + a2.conj().T
+        n1 = a1.conj().T @ a1
+        h_z1 = -kerr * (n1 @ n1) + stabilized(a2)
+        h_g = h0 + e / 15 * (a1.conj().T @ a2 + a1 @ a2.conj().T)
+        expected = [h0 + e / 10 * x1, h_z1, h0 - e / 10 * x1, h_g, h_z1, h0 - e / 10 * x1,
+                    h0 + e / 10 * x2]
+        assert [isinstance(h, KroneckerSum) for h, _ in stages] == \
+            [True, True, True, False, True, True, True]
+        for (h, _), ref in zip(stages, expected):
+            assert np.max(np.abs(_array(h) - ref)) <= 1e-12
+        for (op, rate), ref in zip(jumps, (a1, a2)):
+            assert np.array_equal(_array(op), ref) and rate == ratio_1e3.kappa
 
     def test_cnot_takes_the_per_cavity_route(self, ratio_1e3, monkeypatch):
-        splits = []
-        original = dynamics._kronecker_split
+        per_cavity = []
+        original = dynamics._factor
 
-        def recording(m, dims):
-            split = original(m, dims)
-            splits.append(split is not None)
-            return split
+        def recording(m, hermitian):
+            per_cavity.append(isinstance(m, KroneckerSum))
+            return original(m, hermitian)
 
-        monkeypatch.setattr(dynamics, "_kronecker_split", recording)
+        monkeypatch.setattr(dynamics, "_factor", recording)
         e = ratio_1e3.two_photon_amplitude
         cq.cnot(ratio_1e3, e / 10, e / 15, dim_per_cavity=self.DIM)
-        # five distinct stage arrays, each factored as H and as H_eff
-        assert sorted(splits) == [False] * 2 + [True] * 8
+        # five distinct stages, each factored as H and as H_eff
+        assert sorted(per_cavity) == [False] * 2 + [True] * 8
 
-    def test_kronecker_route_matches_blockwise(self, cnot_problem, ratio_1e3, monkeypatch):
+    def test_kronecker_route_matches_blockwise(self, cnot_problem, ratio_1e3):
         stages, jumps, basis = cnot_problem
-        dims = (self.DIM, self.DIM)
-        split = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr, dims)
+        split = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         psi_split = split.forward(basis)
         fid_split = split.lossy_fidelity(basis, psi_split[-1])
         # the reference factors every stage over its parity blocks
-        monkeypatch.setattr(dynamics, "_kronecker_split", lambda m, dims: None)
-        blocked = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr, dims)
+        dense_stages, dense_jumps = self._dense_problem(stages, jumps)
+        blocked = PiecewiseConstantPropagator(dense_stages, dense_jumps, ratio_1e3.kerr)
         for x, y in zip(psi_split, blocked.forward(basis)):
             assert np.max(np.abs(x - y)) <= 1e-12
         assert np.max(np.abs(fid_split - blocked.lossy_fidelity(basis, psi_split[-1]))) \
@@ -333,10 +356,9 @@ class TestParityBlocks:
             u_b = v_b @ (np.exp(-1j * lam_b * t)[:, None] * (w_b @ eye))
             assert np.max(np.abs(u_s - u_b)) <= 1e-12
             # V L V^-1 rebuilds each jump in the Fock basis
-            for j_s, j_b, (op, _) in zip(jumps_s, jumps_b, jumps):
+            for j_s, j_b, (op, _) in zip(jumps_s, jumps_b, dense_jumps):
                 assert np.max(np.abs(v_s @ (j_s @ (w_s @ eye)) - op)) <= 1e-12
                 assert np.max(np.abs(v_b @ (j_b @ (w_b @ eye)) - op)) <= 1e-12
-
 
     def test_default_cnot_keeps_no_full_size_array(self, ratio_1e3):
         # at 16 levels per cavity, an uncoupled stage keeps only 16 x 16
@@ -345,19 +367,18 @@ class TestParityBlocks:
         d = cq.TWO_QUBIT_DIM
         e = ratio_1e3.two_photon_amplitude
         stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, d)
-        a1, a2, _, _ = cq._two_qubit_ops(ratio_1e3, d)
-        prop = PiecewiseConstantPropagator(
-            stages, [(a1, ratio_1e3.kappa), (a2, ratio_1e3.kappa)], ratio_1e3.kerr, (d, d))
+        jumps, _ = cq._two_qubit_ops(ratio_1e3, d)
+        prop = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         for (h, _), (_, v), (_, v_eff, w_eff, jumps) in zip(
                 stages, prop.hermitian_factors(), prop._effective_factors()):
             ops = [v, v_eff, w_eff, *jumps]
-            if dynamics._kronecker_split(h, (d, d)) is None:
+            if isinstance(h, KroneckerSum):
+                assert all(isinstance(op, dynamics._KroneckerProduct) for op in ops)
+                assert all(m is None or m.shape == (d, d) for op in ops for m in op.parts)
+            else:
                 assert all(m.shape == (d * d // 2, d * d // 2)
                            for op in ops for _, _, m in op.blocks)
                 assert [len(jump.blocks) for jump in jumps] == [2, 2]
-            else:
-                assert all(isinstance(op, dynamics._KroneckerProduct) for op in ops)
-                assert all(m is None or m.shape == (d, d) for op in ops for m in op.parts)
 
 
 class TestCoupledStageMemo:
@@ -466,7 +487,7 @@ class TestCnot:
         p = cq.CatQubitParams(kerr=1.0, kappa=1.0 / ratio)
         e = p.two_photon_amplitude
         res = cq.cnot(p, e / drive_ratio, e / coupling_ratio, dim_per_cavity=dim)
-        a1, a2, _, _ = cq._two_qubit_ops(p, dim)
+        jumps = [(_array(op), rate) for op, rate in cq._two_qubit_ops(p, dim)[0]]
         basis = cq._two_qubit_logical_basis(p, dim)
         names = ("00", "10")
         psi0 = basis[:, [0, 2]]
@@ -475,7 +496,7 @@ class TestCnot:
         rhos = np.stack([np.outer(psi0[:, i], psi0[:, i].conj()).reshape(-1, order="F")
                          for i in range(2)], axis=1)
         for h, t in cq._cnot_stages(p, e / drive_ratio, e / coupling_ratio, dim):
-            lv = liouvillian(h, [(a1, p.kappa), (a2, p.kappa)])
+            lv = liouvillian(_array(h), jumps)
             rhos = expm_multiply(lv * t, rhos)
         for i, name in enumerate(names):
             rho = rhos[:, i].reshape(dim**2, dim**2, order="F")

@@ -36,7 +36,17 @@ class TestValidation:
     @pytest.mark.parametrize("argv, message", [
         (("mc", "--trials", "100"), "[mc] trials must be >= 10000, got 100"),
         (("crossover", "--set", "link.emission_probability=0"),
-         "[link] emission_probability must lie in (0, 1], got 0.0")])
+         "[link] emission_probability must lie in (0, 1], got 0.0"),
+        (("transduce", "--set", "transducer.span_fwhm=0"),
+         "[transducer] span_fwhm must be positive, got 0.0"),
+        (("transduce", "--set", "transducer.span_fwhm=-5"),
+         "[transducer] span_fwhm must be positive, got -5.0"),
+        (("transduce", "--set", "transducer.natural_linewidth_hz=-1e6"),
+         "[transducer] natural_linewidth_hz values must be >= 0, got (-1000000.0,)"),
+        (("crossover", "--set", "chain.transfer_lifetime_s=0"),
+         "[chain] transfer_lifetime_s must be positive, got 0.0"),
+        (("rates", "--set", "chain.transfer_lifetime_s=-1"),
+         "[chain] transfer_lifetime_s must be positive, got -1.0")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
@@ -44,6 +54,7 @@ class TestValidation:
         assert not os.path.exists(out_dir)
 
     def test_truncation_overflow_is_an_error_not_a_traceback(self, out_dir):
+        # the drive of the K/kappa = 1e3 row overflows; the message names both
         r = run_cli("gates", "--out", out_dir, "--set", "catqubit.dim=8",
                     "--set", "catqubit.loss_ratios=1e3",
                     "--set", "catqubit.drive_ratios=10",
@@ -51,6 +62,7 @@ class TestValidation:
         assert r.returncode == 1
         errors = [line for line in r.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "dim = 8" in errors[0]
+        assert errors[0].startswith("error: K/kappa = 1000 row, drive: population ")
         assert "Traceback" not in r.stderr
         assert not os.path.exists(out_dir)
 

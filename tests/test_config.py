@@ -152,7 +152,12 @@ class TestRoundTrip:
                                                                max_size=rows)))
         for key in ("anharmonicity_hz", "coupling_hz", "cavity_decay_hz", "qubit_decay_hz"):
             values["device"][key] = tuple(data.draw(st.lists(floats, max_size=3)))
-        values["transducer"]["natural_linewidth_hz"] = tuple(data.draw(st.lists(floats)))
+        # nonnegative linewidths, a positive grid span and transfer lifetime
+        values["transducer"]["natural_linewidth_hz"] = tuple(
+            data.draw(st.lists(st.floats(min_value=0.0))))
+        positive = st.floats(min_value=0.0, exclude_min=True)
+        values["transducer"]["span_fwhm"] = data.draw(positive)
+        values["chain"]["transfer_lifetime_s"] = data.draw(positive)
         chain = data.draw(st.lists(st.tuples(st.integers(min_value=1),
                                              st.sampled_from(("cat", "fock", "transfer"))),
                                    max_size=3))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from catlink import dynamics
 from catlink import qcore as qc
-from catlink.dynamics import (IntegrationError, PiecewiseConstantPropagator,
+from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               TimeDependentHamiltonian, evolve, evolve_constant,
                               fit_exponential_decay, integrate_rk45, liouvillian)
 from catlink.pulses import piecewise_constant, reversed_schedule
@@ -190,35 +190,40 @@ def _random_op(rng, d, hermitian):
 
 class TestPerCavityRoute:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(3, 6), st.integers(3, 6), st.integers(1, 3),
+    @given(st.integers(3, 6), st.integers(3, 6), st.integers(1, 3), st.booleans(),
            st.integers(0, 2**32 - 1))
-    def test_matches_dense_one_block_reference(self, d1, d2, n_stages, seed):
+    def test_matches_dense_one_block_reference(self, d1, d2, n_stages, two_sided, seed):
         # random Kronecker-sum stages with one jump on each cavity, against
-        # the same propagator with every stage factored as one dense block
+        # the same stages and jumps as full arrays with every stage factored
+        # as one dense block; a jump on both cavities at once sends H_eff to
+        # the block route
         rng = np.random.default_rng(seed)
-        stages = [(np.kron(_random_op(rng, d1, True), np.eye(d2))
-                   + np.kron(np.eye(d1), _random_op(rng, d2, True)), rng.uniform(0.2, 1.5))
-                  for _ in range(n_stages)]
-        jumps = [(np.kron(_random_op(rng, d1, False), np.eye(d2)), rng.uniform(0.01, 0.1)),
-                 (np.kron(np.eye(d1), _random_op(rng, d2, False)), rng.uniform(0.01, 0.1))]
+        dims = (d1, d2)
+        stages = [(KroneckerSum(_random_op(rng, d1, True), _random_op(rng, d2, True), dims),
+                   rng.uniform(0.2, 1.5)) for _ in range(n_stages)]
+        jumps = [(KroneckerSum(_random_op(rng, d1, False), None, dims), rng.uniform(0.01, 0.1)),
+                 (KroneckerSum(None, _random_op(rng, d2, False), dims), rng.uniform(0.01, 0.1))]
+        if two_sided:
+            jumps.append((KroneckerSum(_random_op(rng, d1, False), _random_op(rng, d2, False),
+                                       dims), rng.uniform(0.01, 0.1)))
         psi0 = _random_op(rng, d1 * d2, False)[:, :3]
         psi0 /= np.linalg.norm(psi0, axis=0)
 
-        def run():
-            prop = PiecewiseConstantPropagator(stages, jumps, 1.0, (d1, d2))
+        def run(stages, jumps):
+            prop = PiecewiseConstantPropagator(stages, jumps, 1.0)
             states = prop.forward(psi0)
             target = states[-1] / np.linalg.norm(states[-1], axis=0)
             return prop, states, prop.lossy_fidelity(psi0, target)
 
-        split, states, fid = run()
-        assert all(isinstance(v, dynamics._KroneckerProduct)
-                   for (_, v), (_, v_eff, _, _) in zip(split.hermitian_factors(),
-                                                      split._effective_factors()))
+        split, states, fid = run(stages, jumps)
+        assert all(isinstance(v, dynamics._KroneckerProduct) for _, v in split.hermitian_factors())
+        route = dynamics._BlockSparse if two_sided else dynamics._KroneckerProduct
+        assert all(isinstance(v_eff, route) for _, v_eff, _, _ in split._effective_factors())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "_kronecker_split", lambda m, dims: None)
             mp.setattr(dynamics, "coupled_blocks", lambda m: [np.arange(m.shape[0])])
             mp.setattr(dynamics, "_COUPLED_MEMO", {})
-            _, dense_states, dense_fid = run()
+            _, dense_states, dense_fid = run([(h.toarray(), t) for h, t in stages],
+                                             [(op.toarray(), r) for op, r in jumps])
         for x, y in zip(states, dense_states):
             assert np.max(np.abs(x - y)) <= 1e-12
         assert np.max(np.abs(fid - dense_fid)) <= 1e-12

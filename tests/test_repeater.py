@@ -231,6 +231,11 @@ class TestResidualCoherence:
         chain = rp.ChainParams(storage_policy="transfer", transfer_lifetime_s=10.0)
         assert rp.residual_coherence(chain, 2.0) == pytest.approx(math.exp(-0.2))
 
+    @pytest.mark.parametrize("lifetime", [0.0, -1.0])
+    def test_nonpositive_transfer_lifetime_rejected(self, lifetime):
+        with pytest.raises(ValueError, match="transfer_lifetime_s"):
+            rp.ChainParams(storage_policy="transfer", transfer_lifetime_s=lifetime)
+
 
 class TestFidelityBudget:
     def test_unit_fidelities(self):

@@ -93,6 +93,12 @@ class TestTransferEfficiency:
         with pytest.raises(ValueError):
             td.TransducerParams(echo_efficiency=1.2)
 
+    @pytest.mark.parametrize("field, value", [("span_fwhm", 0.0), ("span_fwhm", -5.0),
+                                              ("natural_linewidth", -TP * 1e6)])
+    def test_nonphysical_grid_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            td.TransducerParams(**{field: value})
+
 
 class TestAmplitudeSolver:
     @pytest.mark.parametrize("lineshape", ["lorentzian", "gaussian"])
