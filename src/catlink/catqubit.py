@@ -46,8 +46,8 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .dynamics import KroneckerSum, PiecewiseConstantPropagator, TimeDependentHamiltonian, \
-    _blockwise_eig, evolve
+from .dynamics import IntegrationError, KroneckerSum, PiecewiseConstantPropagator, \
+    TimeDependentHamiltonian, _blockwise_eig, evolve
 from .pulses import PulseSchedule, reversed_schedule
 
 __all__ = [
@@ -295,11 +295,14 @@ def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
                state: np.ndarray, target: np.ndarray) -> DriveResult:
     """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
     the Fock truncation, and score the final state against ``target``;
-    ``operation`` names the ramp in a truncation error."""
+    ``operation`` names the ramp in a truncation or integration error."""
     target = target / np.linalg.norm(target)
     h = _pulse_hamiltonian(params, pulse)
     collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
-    traj = evolve(h, collapse, state, n_samples=9)
+    try:
+        traj = evolve(h, collapse, state, n_samples=9)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{operation}: {exc}", exc.t) from exc
     tail = _check_truncation(traj.states, params.dim, operation)
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),

@@ -227,6 +227,8 @@ def cmd_gates(config: RunConfig) -> _Report:
                 dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
         except cq.TruncationOverflowError as exc:
             raise cq.TruncationOverflowError(f"K/kappa = {ratio:g} row, {exc}") from exc
+        except IntegrationError as exc:
+            raise IntegrationError(f"K/kappa = {ratio:g} row, {exc}", exc.t) from exc
         rows.extend([name, params.kerr, params.kappa, r.duration_s,
                      r.duration_s * params.kerr, r.fidelity] for name, r in table.items())
         row = {"K_over_kappa": ratio}

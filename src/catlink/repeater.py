@@ -188,6 +188,14 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
     ceil(E / -log(1 - P0)), numpy's own method for P0 < 1/3.  A level-i node first draws its number of swap
     tries, geometric(P_i) (swap outcomes do not depend on child times), then
     sums max(left, right) over the children of all its tries.
+
+    Memory is set by the block size, not by ``trials``: each block adds its
+    slot sum S1 and sum of squares S2 to Python integers and is dropped.
+    The mean is t_a S1 / N and the standard error
+    t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a the attempt
+    time and the numerator in exact integer arithmetic.  A block's float64
+    sums are exact while its S2 stays below 2^53, that is for slot counts
+    up to about 1e6; above that S2 rounds at 1e-16 relative.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable mean")
@@ -213,12 +221,14 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
         return np.add.reduceat(pairs, starts)
 
     trials = int(trials)
-    times = np.empty(trials)
+    s1 = s2 = 0
     for start in range(0, trials, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, trials)
-        times[start:stop] = slots(chain.nesting_level, stop - start)
-    times *= attempt_time(link)
-    return float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials))
+        k = slots(chain.nesting_level, min(_MC_BLOCK, trials - start))
+        s1 += int(k.sum())
+        s2 += int(k @ k)
+    t_a = attempt_time(link)
+    variance = (trials * s2 - s1 * s1) / (trials * (trials - 1))
+    return t_a * s1 / trials, t_a * math.sqrt(variance) / math.sqrt(trials)
 
 
 # -- fidelity budget ----------------------------------------------------------

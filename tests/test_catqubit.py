@@ -360,6 +360,24 @@ class TestParityBlocks:
                 assert np.max(np.abs(v_s @ (j_s @ (w_s @ eye)) - op)) <= 1e-12
                 assert np.max(np.abs(v_b @ (j_b @ (w_b @ eye)) - op)) <= 1e-12
 
+    def test_one_sided_loss_damps_its_own_cavity(self, cnot_problem, ratio_1e3):
+        # both cavities share kappa and a, so a route that damps the wrong
+        # cavity is invisible with both jumps on; with loss on the control
+        # only, then on the target only, the per-cavity route must match the
+        # block route, and the two runs must score |01> and |10> apart
+        stages, jumps, basis = cnot_problem
+        dense_stages, dense_jumps = self._dense_problem(stages, jumps)
+        target = PiecewiseConstantPropagator(stages).propagate_pure(basis)
+        fids = []
+        for k in (0, 1):
+            split = PiecewiseConstantPropagator(stages, [jumps[k]], ratio_1e3.kerr)
+            blocked = PiecewiseConstantPropagator(dense_stages, [dense_jumps[k]],
+                                                  ratio_1e3.kerr)
+            fid = split.lossy_fidelity(basis, target)
+            assert np.max(np.abs(fid - blocked.lossy_fidelity(basis, target))) <= 1e-12
+            fids.append(fid)
+        assert np.all(np.abs(fids[0][1:3] - fids[1][1:3]) > 1e-3)
+
     def test_default_cnot_keeps_no_full_size_array(self, ratio_1e3):
         # at 16 levels per cavity, an uncoupled stage keeps only 16 x 16
         # per-cavity factors and jumps, and the coupling stage only its two

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from catlink import cli, dynamics
 from catlink.cli import _Report, _write_text
 from catlink.scenarios import TABLE_ROW_DEFAULTS
 from catlink.config import load_config
@@ -65,6 +66,23 @@ class TestValidation:
         assert errors[0].startswith("error: K/kappa = 1000 row, drive: population ")
         assert "Traceback" not in r.stderr
         assert not os.path.exists(out_dir)
+
+    def test_integration_error_names_row_and_operation(self, out_dir, monkeypatch, capsys):
+        # a failed ramp integration names the row and the operation and keeps
+        # the failure time, as a truncation overflow names them
+        def failing(rhs, y0, output_times, **kwargs):
+            raise dynamics.IntegrationError("step size underflow (t=2.500000e-07)", 2.5e-7)
+
+        monkeypatch.setattr(dynamics, "integrate_rk45", failing)
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        # the default table's first row is K/kappa = 1e3, and drive runs first
+        assert cli.main(["gates", "--out", out_dir]) == 1
+        assert capsys.readouterr().err == \
+            "error: K/kappa = 1000 row, drive: step size underflow (t=2.500000e-07)\n"
+        assert not os.path.exists(out_dir)
+        with pytest.raises(dynamics.IntegrationError) as info:
+            cli.cmd_gates(load_config())
+        assert info.value.t == 2.5e-7
 
     def test_unknown_section_in_file(self, tmp_path, out_dir):
         cfg = tmp_path / "bad.ini"

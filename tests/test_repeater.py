@@ -139,9 +139,11 @@ class TestMonteCarlo:
 
     @staticmethod
     def numpy_geometric_estimate(link, trials, seed):
-        times = rp.attempt_time(link) * np.random.default_rng(seed).geometric(
-            rp.p0(link), trials)
-        return float(times.mean()), float(times.std(ddof=1) / math.sqrt(trials))
+        # the oracle's exact-sum formula over numpy's own geometric draws
+        k = np.random.default_rng(seed).geometric(rp.p0(link), trials)
+        s1, s2, t_a = int(k.sum()), int(k @ k), rp.attempt_time(link)
+        variance = (trials * s2 - s1 * s1) / (trials * (trials - 1))
+        return t_a * s1 / trials, t_a * math.sqrt(variance) / math.sqrt(trials)
 
     @pytest.mark.parametrize("swap_probability", [0.81, 1.0])
     def test_single_swap_exact_mean_over_seeds(self, swap_probability):
@@ -159,6 +161,23 @@ class TestMonteCarlo:
         assert (rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
                                     trials=trials, seed=seed)
                 == self.numpy_geometric_estimate(link, trials, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_swap_rounding_regime_matches_two_pass_moments(self, seed):
+        # at 400 km the slot counts pass 1e6, so a block's sum of squares
+        # passes 2^53 and rounds; the result must still agree with numpy's
+        # two-pass mean and standard deviation of the same draws
+        link = _link(length_km=400.0)
+        trials = 20_001
+        k = np.random.default_rng(seed).geometric(rp.p0(link), trials)
+        assert np.median(k) > 1e6
+        times = rp.attempt_time(link) * k
+        ref_mean = np.mean(times)
+        ref_stderr = np.std(times, ddof=1) / math.sqrt(trials)
+        mean, stderr = rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
+                                           trials=trials, seed=seed)
+        assert abs(mean - ref_mean) <= 1e-12 * ref_mean
+        assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
     @staticmethod
     def retry_loop_estimate(chain, link, trials, seed):
@@ -193,19 +212,20 @@ class TestMonteCarlo:
                                 _link(detection_efficiency=0.0), trials=10_000)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_peak_memory_stays_within_three_arrays(self, seed):
+    def test_peak_memory_independent_of_trials(self, seed):
+        # one block's arrays at a time: 2e6 trials must fit where 2e5 do
         link = _link()
         chain = rp.ChainParams(nesting_level=3)
-        trials = 200_000
         rp.monte_carlo_time(chain, link, trials=10_000, seed=seed)  # warm numpy
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rp.monte_carlo_time(chain, link, trials=trials, seed=seed)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * trials
+        for trials in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rp.monte_carlo_time(chain, link, trials=trials, seed=seed)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, trials
 
 
 class TestResidualCoherence:
