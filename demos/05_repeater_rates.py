@@ -1,10 +1,11 @@
 """Entanglement distribution: rates, fidelities, and crossover distances.
 
 Evaluates the full repeater pipeline at the best cavity quality
-(K/kappa = 1e5): simulates the gate inventory, assembles the fidelity
-budget, solves for the distances where the repeater overtakes direct
-transmission, and checks the analytic waiting-time formula against the
-Monte-Carlo protocol simulation.  Takes about two seconds on one core, most of it
+(K/kappa = 1e5): simulates the gate inventory for the fidelity budget, takes
+the local-operation time from the closed-form operation durations, solves for
+the distances where the repeater overtakes direct transmission, and checks
+the analytic waiting-time formula against the Monte-Carlo protocol
+simulation.  Takes about two seconds on one core, most of it
 simulating the gate inventory.
 """
 
@@ -33,6 +34,9 @@ grape = sn.GrapeSettings(duration_kt=0.5, n_segments=64, amplitude_bound_k=10.0,
                          max_iters=400, seed=None)
 budget = sn.operation_budget(params, drive_ratio=45.0, coupling_ratio=55.0,
                              drive_method="grape", grape=grape)
+# each operation's duration in closed form; no simulation needed
+durations = sn.operation_durations(params, drive_ratio=45.0, coupling_ratio=55.0,
+                                   ramp_kt=grape.duration_kt)
 
 chains = {}
 for name, m, policy in (("m=1, transfer storage", 1, "transfer"),
@@ -41,7 +45,8 @@ for name, m, policy in (("m=1, transfer storage", 1, "transfer"),
                            kappa=params.kappa,
                            kappa_eff=2.0 * params.kappa * params.alpha**2)
     # the local-operation time is the serial duration of one node's operations
-    link = rp.LinkParams(length_km=50.0, operation_time_s=budget.operation_time(policy))
+    link = rp.LinkParams(length_km=50.0,
+                         operation_time_s=sn.operation_time(durations, policy))
     chains[name] = chain, link
     cross = rp.crossover(rp.rate_curve(chain, link), rp.direct_transmission_rate,
                          bracket=(60.0, 1500.0))

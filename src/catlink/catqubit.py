@@ -524,6 +524,16 @@ def gate_g(params: CatQubitParams, theta: float, coupling: float,
                      {"even_even": (np.eye(4)[0], tcoef)})
 
 
+def _cnot_stage_durations(params: CatQubitParams, drive_amplitude: float,
+                          coupling: float) -> list[float]:
+    """The seven ``_cnot_stages`` durations in order; the CNOT lasts their
+    left-to-right sum."""
+    t_x = _x_rotation_duration(params, math.pi / 2, drive_amplitude)
+    return [t_x, _z_rotation_duration(params, -math.pi / 2), t_x,
+            _g_rotation_duration(params, math.pi / 2, coupling),
+            _z_rotation_duration(params, math.pi / 2), t_x, t_x]
+
+
 def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float,
                  dim: int) -> list[tuple[KroneckerSum | np.ndarray, float]]:
     """Seven-stage decomposition X2(pi/2) X1(-pi/2) Z1(pi/2) G(pi/2)
@@ -535,26 +545,14 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     x = _single_photon_op(dim)
     dims = (dim, dim)
 
-    t_x = _x_rotation_duration(params, math.pi / 2, drive_amplitude)
-    t_z_plus = _z_rotation_duration(params, math.pi / 2)
-    t_z_minus = _z_rotation_duration(params, -math.pi / 2)
-    t_g = _g_rotation_duration(params, math.pi / 2, coupling)
-
     h_x1_plus = KroneckerSum(h0 + drive_amplitude * x, h0, dims)
     h_x1_minus = KroneckerSum(h0 - drive_amplitude * x, h0, dims)
     h_x2_plus = KroneckerSum(h0, h0 + drive_amplitude * x, dims)
     h_z1 = KroneckerSum(-params.kerr * (n @ n), h0, dims)
     h_g = KroneckerSum(h0, h0, dims).toarray() + coupling * _coupling_op(dim)
 
-    return [
-        (h_x1_plus, t_x),      # X1(+pi/2)
-        (h_z1, t_z_minus),     # Z1(-pi/2) via 3/4 turn
-        (h_x1_minus, t_x),     # X1(-pi/2)
-        (h_g, t_g),            # G(pi/2)
-        (h_z1, t_z_plus),      # Z1(+pi/2)
-        (h_x1_minus, t_x),     # X1(-pi/2)
-        (h_x2_plus, t_x),      # X2(+pi/2)
-    ]
+    return list(zip([h_x1_plus, h_z1, h_x1_minus, h_g, h_z1, h_x1_minus, h_x2_plus],
+                    _cnot_stage_durations(params, drive_amplitude, coupling)))
 
 
 _CNOT_IDEAL = np.array([[1, 0, 0, 0],

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Any, Optional
 
 import numpy as np
@@ -150,38 +149,46 @@ def _grape_settings(config: RunConfig) -> sn.GrapeSettings:
                             seed=int(sec["seed"]) if sec["seed"] else None)
 
 
-def _link_params(config: RunConfig) -> LinkParams:
+def _chain_row(config: RunConfig) -> tuple[cq.CatQubitParams, float, float]:
+    """(params, drive ratio, coupling ratio) of the ``[chain] loss_ratio`` row."""
+    ch = config["chain"]
+    rows = {ratio: row for ratio, *row in _row_params(config)}
+    if ch["loss_ratio"] not in rows:
+        raise ConfigError(f"[chain] loss_ratio {ch['loss_ratio']:g} is not one of "
+                          f"[catqubit] loss_ratios {config.get('catqubit', 'loss_ratios')}")
+    return rows[ch["loss_ratio"]]
+
+
+def _link_params(config: RunConfig, storage_policy: str) -> LinkParams:
     """The elementary link from every ``[link]`` key.
 
     Its 50 km length is the one ``mc`` simulates; ``rate_curve`` and
-    ``evaluate_chain`` replace it.  ``operation_time_s = auto`` reads as
-    1e-4 s here; the chain commands replace that with the budget's derived
-    time (see ``_chain_runs``).
+    ``evaluate_chain`` replace it.  ``operation_time_s = auto`` is the
+    derived T_o of ``storage_policy`` on the ``[chain] loss_ratio`` row with
+    the ramps of ``[chain] drive_method``.
     """
     li = config["link"]
     t_o = li["operation_time_s"]
+    if t_o == "auto":
+        ramp_kt = (config.get("grape", "duration_kt")
+                   if config.get("chain", "drive_method") == "grape"
+                   else config.get("catqubit", "drive_duration_kt"))
+        t_o = sn.operation_time(sn.operation_durations(*_chain_row(config), ramp_kt),
+                                storage_policy)
     return LinkParams(length_km=50.0, attenuation_km=li["attenuation_km"],
                       emission_probability=li["emission_probability"],
                       detection_efficiency=li["detection_efficiency"],
-                      operation_time_s=1e-4 if t_o == "auto" else float(t_o),
+                      operation_time_s=float(t_o),
                       fiber_speed_km_s=li["fiber_speed_km_s"],
                       per_round_emission=li["per_round_emission"])
 
 
 def _chain_runs(config: RunConfig, entries: Optional[list[tuple[int, str]]] = None
-                ) -> tuple[sn.OperationBudget, list[tuple[ChainParams, LinkParams]]]:
+                ) -> list[tuple[ChainParams, LinkParams]]:
     """One (chain, link) pair per (multiplexing, storage policy) entry, by
-    default the ``[chain]`` entries, and the budget of the ``[chain]
-    loss_ratio`` row.
-
-    Every model object is built, and so validated, before the budget runs.
-    """
-    ch, cq_sec = config["chain"], config["catqubit"]
-    rows = {ratio: row for ratio, *row in _row_params(config)}
-    if ch["loss_ratio"] not in rows:
-        raise ConfigError(f"[chain] loss_ratio {ch['loss_ratio']:g} is not one of "
-                          f"[catqubit] loss_ratios {cq_sec['loss_ratios']}")
-    params, drive_ratio, coupling_ratio = rows[ch["loss_ratio"]]
+    default the ``[chain]`` entries, on the ``[chain] loss_ratio`` row."""
+    ch = config["chain"]
+    params, _, _ = _chain_row(config)
     chains = [ChainParams(nesting_level=ch["nesting_level"], multiplexing=m,
                           swap_probability=ch["swap_probability"],
                           storage_policy=policy,
@@ -189,14 +196,15 @@ def _chain_runs(config: RunConfig, entries: Optional[list[tuple[int, str]]] = No
                           kappa=params.kappa,
                           kappa_eff=2.0 * params.kappa * params.alpha**2)
               for m, policy in (entries or zip(ch["multiplexing"], ch["storage_policy"]))]
-    link = _link_params(config)
-    budget = sn.operation_budget(params, drive_ratio, coupling_ratio, ch["drive_method"],
-                                 _grape_settings(config),
-                                 drive_duration_kt=cq_sec["drive_duration_kt"],
-                                 two_qubit_dim=cq_sec["two_qubit_dim"])
-    auto = config.get("link", "operation_time_s") == "auto"
-    return budget, [(chain, replace(link, operation_time_s=budget.operation_time(
-        chain.storage_policy)) if auto else link) for chain in chains]
+    return [(chain, _link_params(config, chain.storage_policy)) for chain in chains]
+
+
+def _budget(config: RunConfig) -> sn.OperationBudget:
+    """The simulated fidelities of the ``[chain] loss_ratio`` row."""
+    return sn.operation_budget(*_chain_row(config), config.get("chain", "drive_method"),
+                               _grape_settings(config),
+                               drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
+                               two_qubit_dim=config.get("catqubit", "two_qubit_dim"))
 
 
 def _grape_diagnostics(report: _Report, budget: sn.OperationBudget) -> None:
@@ -358,7 +366,7 @@ def _lengths(config: RunConfig) -> np.ndarray:
 def cmd_rates(config: RunConfig) -> _Report:
     report = _Report("rates", config)
     lengths = _lengths(config)
-    budget, runs = _chain_runs(config)
+    runs, budget = _chain_runs(config), _budget(config)
     report.add_table("rates", _REPORT_HEADER, [
         _report_row(evaluate_chain(float(L), chain, link, budget.fidelities))
         for chain, link in runs for L in lengths])
@@ -372,7 +380,7 @@ def cmd_crossover(config: RunConfig) -> _Report:
     report = _Report("crossover", config)
     ra = config["rates"]
     source_rate = config.get("comparators", "source_rate_hz")
-    budget, runs = _chain_runs(config)
+    runs, budget = _chain_runs(config), _budget(config)
     reports = []
     for chain, link in runs:
         cross = crossover(rate_curve(chain, link),
@@ -394,7 +402,7 @@ def cmd_mc(config: RunConfig) -> _Report:
     report = _Report("mc", config)
     sec = config["mc"]
     ch = config["chain"]
-    link = _link_params(config)
+    link = _link_params(config, ChainParams().storage_policy)
     rows = []
     for n in range(ch["nesting_level"] + 1):
         chain = ChainParams(nesting_level=n, swap_probability=ch["swap_probability"])
@@ -414,7 +422,7 @@ def cmd_figure6(config: RunConfig) -> _Report:
     report = _Report("figure6", config)
     lengths = _lengths(config)
     # the cat curves store in the cat basis; the curves set m themselves
-    _, [(chain, link)] = _chain_runs(config, entries=[(1, "cat")])
+    [(chain, link)] = _chain_runs(config, entries=[(1, "cat")])
     curves = sn.figure_rate_curves(lengths, chain, link, **config["comparators"])
     names = ["L_km", "direct", "cat_m200", "re_m200", "dlcz_m200",
              "cat_m1", "re_m1", "dlcz_m1"]

@@ -101,15 +101,15 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[Callable[[str], Any], Any, str]]] = {
         "emission_probability": (float, 0.8, "photon emission probability p"),
         "detection_efficiency": (float, 0.9, "single-photon detection eta_o"),
         "operation_time_s": (str, "auto",
-                             "local operation time; auto derives it from gate durations "
-                             "(mc reads auto as 1e-4 s)"),
+                             "local operation time; auto derives it from the closed-form "
+                             "durations of the [chain] loss_ratio row"),
         "fiber_speed_km_s": (float, 2e5, "light speed in fiber"),
         "per_round_emission": (_parse_bool, False,
                                "square the emission probability (alternative reading)"),
     },
     "chain": {
         "loss_ratio": (float, 1e5,
-                       "[catqubit] loss_ratios row for rates, crossover and figure6"),
+                       "[catqubit] loss_ratios row for rates, crossover, figure6 and auto T_o"),
         "drive_method": (str, "grape", "drive fidelities from grape or adiabatic pulses"),
         "nesting_level": (int, 3, "n; total length is 2^n elementary links"),
         "multiplexing": (_parse_int_list, (1, 200), "m values to evaluate"),

@@ -191,9 +191,9 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
 
     Memory is set by the block size, not by ``trials``: each block adds its
     slot sum S1 and sum of squares S2 to Python integers and is dropped.
-    The mean is t_a S1 / N and the standard error
-    t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a the attempt
-    time and the numerator in exact integer arithmetic.  A block's float64
+    The mean is t_a S1 / N, rounded once from exact integers, and the
+    standard error t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a
+    the attempt time and the numerator in exact integer arithmetic.  A block's float64
     sums are exact while its S2 stays below 2^53, that is for slot counts
     up to about 1e6; above that S2 rounds at 1e-16 relative.
     """
@@ -227,8 +227,9 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
         s1 += int(k.sum())
         s2 += int(k @ k)
     t_a = attempt_time(link)
+    num, den = t_a.as_integer_ratio()
     variance = (trials * s2 - s1 * s1) / (trials * (trials - 1))
-    return t_a * s1 / trials, t_a * math.sqrt(variance) / math.sqrt(trials)
+    return num * s1 / (den * trials), t_a * math.sqrt(variance) / math.sqrt(trials)
 
 
 # -- fidelity budget ----------------------------------------------------------

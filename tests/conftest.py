@@ -30,14 +30,21 @@ def budgets_1e4_1e5(grape_pair):
 @pytest.fixture(scope="session")
 def chain_and_link():
     """Builder of a chain on a budget's decay rates and of its link, with the
-    default link values and, unless given, the budget's operation time for
-    the chain's storage policy."""
+    default link values and, unless given, the derived operation time of the
+    budget's default-config row (GRAPE ramps) for the chain's storage
+    policy."""
+    config = load_config()
+    ratios = {params: (drive_ratio, coupling_ratio)
+              for _, params, drive_ratio, coupling_ratio in cli._row_params(config)}
+
     def build(budget, operation_time_s=None, **chain_kwargs):
         kappa = budget.params.kappa
         chain = rp.ChainParams(kappa=kappa, kappa_eff=2.0 * kappa * budget.params.alpha**2,
                                **chain_kwargs)
         if operation_time_s is None:
-            operation_time_s = budget.operation_time(chain.storage_policy)
+            durations = sn.operation_durations(budget.params, *ratios[budget.params],
+                                               config.get("grape", "duration_kt"))
+            operation_time_s = sn.operation_time(durations, chain.storage_policy)
         return chain, rp.LinkParams(length_km=50.0, operation_time_s=operation_time_s)
     return build
 

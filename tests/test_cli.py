@@ -1,13 +1,18 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from catlink import catqubit as cq
 from catlink import cli, dynamics
+from catlink import pulseopt as po
+from catlink import scenarios as sn
 from catlink.cli import _Report, _write_text
+from catlink.repeater import ChainParams, LinkParams, mean_time
 from catlink.scenarios import TABLE_ROW_DEFAULTS
 from catlink.config import load_config
 
@@ -126,6 +131,46 @@ class TestMonteCarloCommand:
         assert 0.8 < summary["formula_over_mc"]["1"] < 1.2
         assert os.path.exists(os.path.join(out_dir, "mc", "mc.csv"))
         assert os.path.exists(os.path.join(out_dir, "mc", "resolved_config.ini"))
+
+    @staticmethod
+    def n0_formula(out_dir):
+        with open(os.path.join(out_dir, "mc", "mc.csv"), newline="") as fh:
+            return float(next(csv.DictReader(fh))["formula_s"])
+
+    def test_auto_is_the_derived_operation_time(self, out_dir):
+        # the [chain] loss_ratio row (1e5) with GRAPE ramps, for the default
+        # chain's storage policy
+        config = load_config()
+        _, params, drive_ratio, coupling_ratio = cli._row_params(config)[2]
+        t_o = sn.operation_time(sn.operation_durations(
+            params, drive_ratio, coupling_ratio, config.get("grape", "duration_kt")),
+            ChainParams().storage_policy)
+        assert t_o == pytest.approx(5.8858e-5, rel=1e-4)
+        r = run_cli("mc", "--out", out_dir, "--trials", "10000")
+        assert r.returncode == 0, r.stderr
+        assert self.n0_formula(out_dir) == mean_time(
+            ChainParams(nesting_level=0), LinkParams(length_km=50.0, operation_time_s=t_o))
+
+    def test_auto_without_its_row_is_named_before_sampling(self, out_dir, monkeypatch,
+                                                           capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli, "monte_carlo_time", no_sampling)
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        assert cli.main(["mc", "--out", out_dir, "--set", "chain.loss_ratio=3e4"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [chain] loss_ratio 30000 is not one of [catqubit] loss_ratios")
+        assert not os.path.exists(out_dir)
+
+    def test_numeric_operation_time_needs_no_row(self, out_dir):
+        r = run_cli("mc", "--out", out_dir, "--trials", "10000",
+                    "--set", "link.operation_time_s=1e-4", "--set", "chain.loss_ratio=3e4",
+                    "--set", "catqubit.loss_ratios=3e3", "--set", "catqubit.drive_ratios=10",
+                    "--set", "catqubit.coupling_ratios=15")
+        assert r.returncode == 0, r.stderr
+        assert self.n0_formula(out_dir) == mean_time(
+            ChainParams(nesting_level=0), LinkParams(length_km=50.0, operation_time_s=1e-4))
 
     def test_seed_reproducibility(self, out_dir):
         args = ("mc", "--trials", "15000", "--seed", "9",
@@ -346,6 +391,36 @@ class TestFigureCommand:
         assert "np.float" not in lines[1]
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 100.0
+
+    def test_runs_no_simulation(self, tmp_path, monkeypatch):
+        # the cat-storage T_o of the [chain] loss_ratio row (1e5) as the
+        # simulated records give it
+        config = load_config()
+        _, params, drive_ratio, coupling_ratio = cli._row_params(config)[2]
+        e_x = params.two_photon_amplitude / drive_ratio
+        e_c = params.two_photon_amplitude / coupling_ratio
+        ramp = config.get("grape", "duration_kt") / params.kerr
+        records = {"drive": ramp, "undrive": ramp,
+                   "x_half": cq.gate_x(params, math.pi / 2, e_x).duration_s,
+                   "x_pi": cq.gate_x(params, math.pi, e_x).duration_s,
+                   "z_half": cq.gate_z(params, math.pi / 2).duration_s,
+                   "cnot": cq.cnot(params, e_x, e_c).duration_s,
+                   "transduction": sn.TRANSDUCTION_TIME_S}
+        t_o = sn.operation_time(records, "cat")
+
+        def simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        for module, name in ((sn, "operation_budget"), (po, "grape_optimize"), (cq, "cnot")):
+            monkeypatch.setattr(module, name, simulation)
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        tables = []
+        for extra in ([], ["--set", f"link.operation_time_s={t_o!r}"]):
+            out = str(tmp_path / f"out{len(tables)}")
+            assert cli.main(["figure6", "--out", out, *extra]) == 0
+            with open(os.path.join(out, "figure6", "figure6.csv"), "rb") as fh:
+                tables.append(fh.read())
+        assert tables[0] == tables[1]
 
     def test_bad_link_value_rejected(self, out_dir):
         r = run_cli("figure6", "--out", out_dir,

@@ -9,25 +9,29 @@ from catlink import scenarios as sn
 from catlink.config import CONFIG_SCHEMA, ConfigError, RunConfig, load_config
 
 ALL_COMMANDS = frozenset(cli.COMMANDS)
-BUDGET = frozenset({"rates", "crossover", "figure6"})
+# CHAIN commands run the simulated budget; every LINK command reads the
+# derived operation time
 CHAIN = frozenset({"rates", "crossover"})
-LINK = BUDGET | {"mc"}
+LINK = CHAIN | {"figure6", "mc"}
 
 # (section, key) -> the commands whose output or budget the key changes.
-# No schema key is unused.
+# No schema key is unused.  With the default GRAPE ramps the derived time
+# reads no truncation and no adiabatic ramp length.
 KEY_READERS = {
-    **{("catqubit", key): BUDGET | {"gates"}
-       for key in ("loss_ratios", "kerr_hz", "dim", "two_qubit_dim", "drive_duration_kt",
-                   "drive_ratios", "coupling_ratios")},
-    ("catqubit", "alpha"): BUDGET | {"gates", "grape"},
+    **{("catqubit", key): LINK | {"gates"}
+       for key in ("loss_ratios", "kerr_hz", "drive_ratios", "coupling_ratios")},
+    **{("catqubit", key): CHAIN | {"gates"}
+       for key in ("dim", "two_qubit_dim", "drive_duration_kt")},
+    ("catqubit", "alpha"): LINK | {"gates", "grape"},
     ("grape", "loss_ratio"): {"grape"},
-    **{("grape", key): BUDGET | {"grape"}
-       for key in ("duration_kt", "n_segments", "max_iters", "amplitude_bound_k", "seed")},
+    ("grape", "duration_kt"): LINK | {"grape"},
+    **{("grape", key): CHAIN | {"grape"}
+       for key in ("n_segments", "max_iters", "amplitude_bound_k", "seed")},
     **{("device", key): {"device"} for key in CONFIG_SCHEMA["device"]},
     **{("transducer", key): {"transduce"} for key in CONFIG_SCHEMA["transducer"]},
     **{("link", key): LINK for key in CONFIG_SCHEMA["link"]},
-    ("chain", "loss_ratio"): BUDGET,
-    ("chain", "drive_method"): BUDGET,
+    ("chain", "loss_ratio"): LINK,
+    ("chain", "drive_method"): LINK,
     ("chain", "nesting_level"): LINK,
     ("chain", "swap_probability"): LINK,
     ("chain", "multiplexing"): CHAIN,
@@ -228,8 +232,7 @@ def observe(tmp_path_factory):
         def fake_budget(*args, **kwargs):
             calls.append((args, kwargs))
             return sn.OperationBudget(params=args[0],
-                                      fidelities=dict.fromkeys(_OPS, 0.999),
-                                      durations_s=dict.fromkeys(_OPS, 1e-7))
+                                      fidelities=dict.fromkeys(_OPS, 0.999))
 
         cwd = tmp_path_factory.mktemp(command)
         argv = [command, "--set", MC_TRIALS] + (["--set", setting] if setting else [])

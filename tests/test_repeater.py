@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,7 +144,8 @@ class TestMonteCarlo:
         k = np.random.default_rng(seed).geometric(rp.p0(link), trials)
         s1, s2, t_a = int(k.sum()), int(k @ k), rp.attempt_time(link)
         variance = (trials * s2 - s1 * s1) / (trials * (trials - 1))
-        return t_a * s1 / trials, t_a * math.sqrt(variance) / math.sqrt(trials)
+        return (float(Fraction(t_a) * s1 / trials),
+                t_a * math.sqrt(variance) / math.sqrt(trials))
 
     @pytest.mark.parametrize("swap_probability", [0.81, 1.0])
     def test_single_swap_exact_mean_over_seeds(self, swap_probability):
@@ -161,6 +163,15 @@ class TestMonteCarlo:
         assert (rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
                                     trials=trials, seed=seed)
                 == self.numpy_geometric_estimate(link, trials, seed))
+
+    def test_no_swap_mean_is_correctly_rounded_over_seeds(self):
+        # the float product t_a * S1 / N misses the correctly rounded mean by
+        # one ulp on about a quarter of these seeds
+        link = _link()
+        for seed in range(50):
+            mean, _ = rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
+                                          trials=100_000, seed=seed)
+            assert mean == self.numpy_geometric_estimate(link, 100_000, seed)[0], seed
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_no_swap_rounding_regime_matches_two_pass_moments(self, seed):

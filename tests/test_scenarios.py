@@ -7,6 +7,7 @@ from catlink import cli
 from catlink import repeater as rp
 from catlink import scenarios as sn
 from catlink.config import ConfigError, load_config
+from catlink.dynamics import PiecewiseConstantPropagator
 
 
 class TestOperationBudget:
@@ -26,12 +27,11 @@ class TestOperationBudget:
         for op in ("drive", "undrive", "x_half", "x_pi", "z_half", "cnot",
                    "transduction"):
             assert 0.9 < budget.fidelities[op] <= 1.0
-            assert budget.durations_s[op] > 0
 
-    def test_operation_time_scales_with_policy(self, budgets_1e4_1e5):
-        budget = budgets_1e4_1e5[1e5]
-        cat = budget.operation_time("cat")
-        fock = budget.operation_time("fock")
+    def test_operation_time_scales_with_policy(self):
+        durations = sn.operation_durations(_default_row(1e5), 45.0, 55.0, 0.5)
+        cat = sn.operation_time(durations, "cat")
+        fock = sn.operation_time(durations, "fock")
         assert fock > cat  # extra drive/undrive pair per node
         assert 1e-5 < cat < 1e-3
 
@@ -39,10 +39,8 @@ class TestOperationBudget:
     def test_fock_storage_adds_one_drive_and_undrive_per_node(self, policy):
         # dyadic durations keep the sums exact
         durations = {op: 2.0 ** -(i + 10) for i, op in enumerate(rp.OPERATION_INVENTORY)}
-        budget = sn.OperationBudget(params=cq.CatQubitParams(kerr=1.0),
-                                    fidelities={}, durations_s=durations)
-        assert budget.operation_time(policy) == \
-            budget.operation_time("cat") + durations["drive"] + durations["undrive"]
+        assert sn.operation_time(durations, policy) == \
+            sn.operation_time(durations, "cat") + durations["drive"] + durations["undrive"]
 
     def test_adiabatic_drive_method(self):
         kerr = sn.TABLE_ROW_DEFAULTS[1e3]
@@ -50,7 +48,52 @@ class TestOperationBudget:
         budget = sn.operation_budget(params, 10.0, 15.0, "adiabatic",
                                      cli._grape_settings(load_config()))
         assert budget.fidelities["drive"] == pytest.approx(0.9962, abs=0.002)
-        assert budget.durations_s["drive"] == pytest.approx(7.2 / kerr)
+
+
+def _default_row(ratio):
+    kerr = sn.TABLE_ROW_DEFAULTS[ratio]
+    return cq.CatQubitParams(kerr=kerr, kappa=kerr / ratio)
+
+
+class TestOperationDurations:
+    # the default config's rows, with the default [grape] pulse length
+    @pytest.mark.parametrize("row", cli._row_params(load_config()),
+                             ids=lambda row: f"{row[0]:g}")
+    @pytest.mark.parametrize("drive_method", ["grape", "adiabatic"])
+    def test_equal_to_the_simulated_records_bitwise(self, row, drive_method):
+        _, params, drive_ratio, coupling_ratio = row
+        e_x = params.two_photon_amplitude / drive_ratio
+        e_c = params.two_photon_amplitude / coupling_ratio
+        if drive_method == "grape":
+            ramp_kt = load_config().get("grape", "duration_kt")
+            ramp = ramp_kt / params.kerr
+        else:
+            ramp_kt = cq.DRIVE_RAMP_KT
+            ramp = cq.adiabatic_drive_pulse(params, duration_kt=ramp_kt).duration
+        records = {
+            "drive": ramp, "undrive": ramp,
+            "x_half": cq.gate_x(params, math.pi / 2, e_x).duration_s,
+            "x_pi": cq.gate_x(params, math.pi, e_x).duration_s,
+            "z_half": cq.gate_z(params, math.pi / 2).duration_s,
+            # the CNOT's stages without their simulation: the propagator's sum
+            "cnot": PiecewiseConstantPropagator(
+                cq._cnot_stages(params, e_x, e_c, cq.TWO_QUBIT_DIM)).duration,
+            "transduction": sn.TRANSDUCTION_TIME_S}
+        durations = sn.operation_durations(params, drive_ratio, coupling_ratio, ramp_kt)
+        assert durations == records
+        assert all(type(t) is float for t in durations.values())
+
+    def test_cnot_record_is_the_stage_sum(self):
+        params = _default_row(1e3)
+        e_x, e_c = params.two_photon_amplitude / 10.0, params.two_photon_amplitude / 15.0
+        assert cq.cnot(params, e_x, e_c, 8).duration_s == \
+            sn.operation_durations(params, 10.0, 15.0, 0.5)["cnot"]
+
+    def test_documented_time_rounds_the_derived_one(self):
+        derived = sn.operation_time(sn.operation_durations(_default_row(1e5), 45.0, 55.0,
+                                                           0.5), "cat")
+        assert derived == pytest.approx(5.845e-5, abs=5e-9)
+        assert float(f"{derived:.0e}") == sn.DOCUMENTED_OPERATION_TIME_S
 
 
 class TestScenarioTable:
