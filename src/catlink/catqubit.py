@@ -224,8 +224,7 @@ def _pulse_hamiltonian(params: CatQubitParams, pulse: PulseSchedule) -> TimeDepe
         except KeyError:
             raise ValueError(f"unknown drive channel {name!r}") from None
         terms.append((op, fn))
-    return TimeDependentHamiltonian(static, tuple(terms), (0.0, pulse.duration),
-                                    breakpoints=pulse.breakpoints)
+    return TimeDependentHamiltonian(static, tuple(terms), (0.0, pulse.duration))
 
 
 def _fock_coefficients(state: np.ndarray) -> tuple[complex, complex]:
@@ -287,7 +286,8 @@ def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
     produced at t = 1.3 tau is slightly smaller than ``params.alpha``; drive
     and undrive fidelities are reported against this achieved amplitude.
     """
-    ep_end = abs(complex(pulse.channels["two_photon"](pulse.duration)))
+    ep = pulse.channels["two_photon"]  # a function of time or segment values
+    ep_end = abs(complex(ep[-1] if isinstance(ep, np.ndarray) else ep(pulse.duration)))
     return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
 
 

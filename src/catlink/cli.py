@@ -261,7 +261,7 @@ def cmd_grape(config: RunConfig) -> _Report:
 
     for direction, (problem, result) in zip(("drive", "undrive"), pair):
         lossy = po.evaluate_pulse(problem, result.schedule, kappa=kappa)
-        seg = result.schedule.segment_values
+        seg = result.schedule.channels
         dt = result.schedule.duration / settings.n_segments
         rows = [[k * dt, (k + 1) * dt,
                  float(np.real(seg["two_photon"][k])),
@@ -305,6 +305,7 @@ def cmd_device(config: RunConfig) -> _Report:
         )
         derived = dv.derive_device(dp, cavity_levels=sec["cavity_levels"],
                                    qubit_levels=sec["qubit_levels"],
+                                   alpha=config.get("catqubit", "alpha"),
                                    fit_kappa_eff=sec["fit_kappa_eff"])
         rows.append([pick["cavity_decay_hz"], pick["qubit_decay_hz"],
                      pick["coupling_hz"], derived.detuning / TWO_PI,

@@ -233,15 +233,17 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     for pol in ch["storage_policy"]:
         if pol not in ("cat", "fock", "transfer"):
             raise ConfigError(f"[chain] storage_policy: unknown policy {pol!r}")
-    if not ch["transfer_lifetime_s"] > 0:
-        raise ConfigError(
-            f"[chain] transfer_lifetime_s must be positive, got {ch['transfer_lifetime_s']}")
     if ch["drive_method"] not in ("grape", "adiabatic"):
         raise ConfigError(
             f"[chain] drive_method must be grape or adiabatic, got {ch['drive_method']!r}")
+    # NaN fails every one of these comparisons
+    for section, key in (("chain", "transfer_lifetime_s"), ("transducer", "span_fwhm"),
+                         ("link", "attenuation_km"), ("link", "fiber_speed_km_s"),
+                         ("rates", "length_min_km"), ("rates", "length_max_km"),
+                         ("rates", "bracket_min_km")):
+        if not values[section][key] > 0:
+            raise ConfigError(f"[{section}] {key} must be positive, got {values[section][key]}")
     td = values["transducer"]
-    if not td["span_fwhm"] > 0:
-        raise ConfigError(f"[transducer] span_fwhm must be positive, got {td['span_fwhm']}")
     if not all(w >= 0 for w in td["natural_linewidth_hz"]):
         raise ConfigError(f"[transducer] natural_linewidth_hz values must be >= 0, got "
                           f"{td['natural_linewidth_hz']}")
@@ -266,10 +268,12 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     ot = li["operation_time_s"]
     if ot != "auto":
         try:
-            float(ot)
+            seconds = float(ot)
         except ValueError:
             raise ConfigError(
                 f"[link] operation_time_s must be a number or 'auto', got {ot!r}")
+        if not seconds >= 0:
+            raise ConfigError(f"[link] operation_time_s must be >= 0, got {seconds}")
     if values["mc"]["trials"] < 10_000:
         raise ConfigError(f"[mc] trials must be >= 10000, got {values['mc']['trials']}")
     fmt = values["output"]["format"]

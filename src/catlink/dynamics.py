@@ -12,7 +12,11 @@ about 30 % fewer right-hand-side calls than a 5(4) pair.  The right-hand
 side is one sparse product with a generator built by ``liouvillian``, the one
 place the Lindblad form is written, with every drive term stacked under the
 static one; ``evolve_constant`` densifies the same Liouvillian for exact
-expm propagation of small constant problems.
+expm propagation of small constant problems.  A drive coefficient is a
+function of time or an array of values on equal segments (a GRAPE pulse):
+``evolve`` then runs the integrator once per segment with that segment's
+values bound into the right-hand side, so no step straddles a jump and the
+integrator itself knows nothing of pulses.
 
 Unitary problems with pure initial states are propagated as state vectors.
 
@@ -86,27 +90,30 @@ class TimeDependentHamiltonian:
     """Hamiltonian H(t) = static_part + sum_k f_k(t) * drive_ops[k].
 
     Every operator is a square complex array, and the drive operators must
-    have the static part's shape.  Coefficient functions take a time in
-    seconds and return a (complex) amplitude in rad/s; ``evolve`` multiplies
-    each into the slice of one stacked sparse product that belongs to its
-    operator.  ``breakpoints`` optionally lists interior times at which
-    coefficients are only piecewise smooth (segment edges of
-    piecewise-constant pulses); ``integrate_rk45`` starts a fresh DOP853
-    solver at each one, so no step straddles a discontinuity, which a
-    high-order step would otherwise have to find by rejecting steps.
+    have the static part's shape.  A coefficient f_k is either a function
+    that takes a time in seconds and returns a (complex) amplitude in rad/s,
+    or a 1-D array of n values, constant on n equal-length segments of
+    ``t_span``; every array of one Hamiltonian has the same n.  ``evolve``
+    multiplies each coefficient into the slice of one stacked sparse product
+    that belongs to its operator.
     """
 
     static_part: np.ndarray
-    drive_terms: tuple[tuple[np.ndarray, Callable[[float], complex]], ...] = ()
+    drive_terms: tuple[tuple[np.ndarray, Callable[[float], complex] | np.ndarray], ...] = ()
     t_span: tuple[float, float] = (0.0, 0.0)
-    breakpoints: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         terms = tuple((op, fn) for op, fn in self.drive_terms)
         shape = self.static_part.shape
-        for op, _ in terms:
+        for op, fn in terms:
             if op.shape != shape:
                 raise ValueError(f"drive operator shape {op.shape} != static part's {shape}")
+            if not (callable(fn) or (isinstance(fn, np.ndarray) and fn.ndim == 1
+                                     and fn.size > 0)):
+                raise ValueError("a drive coefficient must be a function of time or a "
+                                 "non-empty 1-D array of segment values")
+        if len({fn.size for _, fn in terms if not callable(fn)}) > 1:
+            raise ValueError("all array coefficients need the same number of segments")
         object.__setattr__(self, "drive_terms", terms)
         object.__setattr__(self, "t_span", (float(self.t_span[0]), float(self.t_span[1])))
 
@@ -141,45 +148,24 @@ def integrate_rk45(
     output_times: Sequence[float],
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
-    breakpoints: Optional[Sequence[float]] = None,
 ) -> list[np.ndarray]:
     """Adaptive Dormand-Prince 8(5,3) integration of a complex ODE system.
 
-    Runs ``scipy.integrate.DOP853`` from ``output_times[0]`` through
-    ``output_times[-1]``, restarting the solver at every output time and
-    every interior breakpoint so that each is hit exactly and no step
-    straddles one, and returns the solution at the output times.  Between
-    stops bounded by a breakpoint, ``rhs`` is called with its time held
-    1e-9 of the interval inside both ends, so piecewise-constant
-    coefficients take one value per interval.  Raises ``IntegrationError``
-    when the solver fails, reporting the failure time.
+    Runs ``scipy.integrate.DOP853`` through the increasing ``output_times``,
+    restarting the solver at each one so that each is hit exactly, and
+    returns the solution at every output time, ``y0`` first.  Raises
+    ``IntegrationError`` when the solver fails, reporting the failure time.
 
     The name predates the switch from RK45 to DOP853; the benchmark's layer
     tracer looks the function up by it, so it stays until the benchmark
     itself is revised.
     """
-    output_times = np.asarray(output_times, dtype=float)
-    t = float(output_times[0])
+    output_times = np.asarray(output_times, dtype=float).tolist()
+    t = output_times[0]
     y = np.array(y0, dtype=complex)
     results = [y.copy()]
-
-    outputs = set(float(x) for x in output_times[1:])
-    edges = set()
-    if breakpoints is not None:
-        edges = set(float(b) for b in breakpoints if t < b < output_times[-1])
-
-    for stop in sorted(outputs | edges):
-        fun = rhs
-        if t in edges or stop in edges:
-            # coefficients jump at a breakpoint, and float rounding can put the
-            # breakpoint itself on either side; the first and last stages
-            # land on the interval's ends, so hold the coefficient time just
-            # inside it so every stage sees this interval's values
-            lo, hi = t + 1e-9 * (stop - t), stop - 1e-9 * (stop - t)
-
-            def fun(s, y, lo=lo, hi=hi):
-                return rhs(min(max(s, lo), hi), y)
-        solver = scipy.integrate.DOP853(fun, t, y, stop, rtol=rel_tol, atol=abs_tol)
+    for stop in output_times[1:]:
+        solver = scipy.integrate.DOP853(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
         while solver.status == "running":
             message = solver.step()
         failed, t, y = solver.status == "failed", solver.t, solver.y
@@ -192,8 +178,7 @@ def integrate_rk45(
         del solver
         if failed:
             raise IntegrationError(f"{message} (t={t:.6e})", t)
-        if stop in outputs:
-            results.append(y.copy())
+        results.append(y.copy())
     return results
 
 
@@ -254,18 +239,35 @@ def evolve(
 
     rhs_evals = 0
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal rhs_evals
-        rhs_evals += 1
-        products = stacked @ y
-        out = products[:n]
-        for rows, fn in coefficients:
-            out += complex(fn(t)) * products[rows]
-        return out
+    def segment_rhs(segment: int):
+        # an array coefficient is its value on ``segment``, bound here once
+        terms = [(rows, fn if callable(fn) else lambda t, v=complex(fn[segment]): v)
+                 for rows, fn in coefficients]
 
-    ys = integrate_rk45(rhs, y0, times, rel_tol=rel_tol,
-                        abs_tol=rel_tol * 1e-4,
-                        breakpoints=hamiltonian.breakpoints)
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            nonlocal rhs_evals
+            rhs_evals += 1
+            products = stacked @ y
+            out = products[:n]
+            for rows, fn in terms:
+                out += complex(fn(t)) * products[rows]
+            return out
+        return rhs
+
+    # one integration per segment, so no solver step straddles a jump of an
+    # array coefficient; the samples inside a segment are its output times
+    n_seg = next((fn.size for _, fn in hamiltonian.drive_terms if not callable(fn)), 1)
+    dt = (t1 - t0) / n_seg
+    edges = [t0, *(t0 + k * dt for k in range(1, n_seg)), t1]
+    samples = times.tolist()
+    y = np.array(y0, dtype=complex)
+    ys = [y]
+    for segment, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        stops = [start, *(s for s in samples if start < s < stop), stop]
+        out = integrate_rk45(segment_rhs(segment), y, stops, rel_tol=rel_tol,
+                             abs_tol=rel_tol * 1e-4)
+        y = out[-1]
+        ys.extend(out[1:] if stop in samples else out[1:-1])
 
     if pure_path:
         states = tuple(y / np.linalg.norm(y) for y in ys)

@@ -4,8 +4,9 @@ Fast driving and undriving between Fock and cat states uses two
 piecewise-constant controls, the two-photon drive (a^dag^2 + a^2) and its
 orthogonal quadrature i (a^dag^2 - a^2), on top of the fixed Kerr term.  The
 objective is the squared overlap with the target after lossless propagation;
-photon loss is scored afterwards by re-running the optimized schedule through
-the master-equation integrator (the pulse is shaped unitarily, which is both
+photon loss is scored afterwards by re-running the optimized schedule, whose
+channels are its arrays of segment values, through the master-equation
+integrator one segment at a time (the pulse is shaped unitarily, which is both
 cheaper and matches how the achievable fidelities are loss-dominated).
 
 The Hamiltonian conserves photon-number parity, so the propagation keeps

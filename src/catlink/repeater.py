@@ -81,6 +81,8 @@ class LinkParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.operation_time_s < 0:
             raise ValueError("operation_time_s must be nonnegative")
+        if not self.fiber_speed_km_s > 0:
+            raise ValueError("fiber_speed_km_s must be positive")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               coupled_blocks, evolve_constant, liouvillian)
 from catlink.config import load_config
+from catlink.pulses import PulseSchedule, piecewise_constant
 
 ALPHA = math.sqrt(2)
 
@@ -29,9 +30,10 @@ class TestAdiabaticPulse:
         pulse = cq.adiabatic_drive_pulse(lossless, duration_kt=13.0)
         tau = pulse.duration / 1.3
         ep0 = lossless.two_photon_amplitude
-        assert pulse.amplitude("two_photon", 0.0) == 0.0
-        assert pulse.amplitude("two_photon", 100 * tau) == pytest.approx(ep0)
-        assert pulse.amplitude("two_photon", tau) == pytest.approx(
+        two_photon = pulse.channels["two_photon"]
+        assert two_photon(0.0) == 0.0
+        assert two_photon(100 * tau) == pytest.approx(ep0)
+        assert two_photon(tau) == pytest.approx(
             ep0 * (1 - math.exp(-1)))
 
     def test_duration(self, lossless):
@@ -40,6 +42,19 @@ class TestAdiabaticPulse:
 
 
 class TestDriveUndrive:
+    def test_segmented_pulse_drives_like_its_step_function(self, ratio_1e3):
+        # the last segment value sets the target, and evolve integrates the
+        # segments one at a time
+        ramp = cq.adiabatic_drive_pulse(ratio_1e3)
+        n, dt = 16, ramp.duration / 16
+        values = np.array([ramp.channels["two_photon"]((k + 1) * dt) for k in range(n)])
+        segmented = piecewise_constant(ramp.duration, {"two_photon": values})
+        step = PulseSchedule(ramp.duration,
+                             {"two_photon": lambda t: values[min(int(t / dt), n - 1)]})
+        for operation in (cq.drive, cq.undrive):
+            fidelity = operation(ratio_1e3, segmented).fidelity
+            assert fidelity == pytest.approx(operation(ratio_1e3, step).fidelity, abs=1e-6)
+
     def test_slow_pulse_lossless_fidelity(self, lossless):
         pulse = cq.adiabatic_drive_pulse(lossless, duration_kt=40.0)
         result = cq.drive(lossless, pulse)

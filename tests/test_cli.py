@@ -52,7 +52,25 @@ class TestValidation:
         (("crossover", "--set", "chain.transfer_lifetime_s=0"),
          "[chain] transfer_lifetime_s must be positive, got 0.0"),
         (("rates", "--set", "chain.transfer_lifetime_s=-1"),
-         "[chain] transfer_lifetime_s must be positive, got -1.0")])
+         "[chain] transfer_lifetime_s must be positive, got -1.0"),
+        (("mc", "--set", "link.fiber_speed_km_s=-2e5"),
+         "[link] fiber_speed_km_s must be positive, got -200000.0"),
+        (("rates", "--set", "link.fiber_speed_km_s=0"),
+         "[link] fiber_speed_km_s must be positive, got 0.0"),
+        (("mc", "--set", "link.attenuation_km=0"),
+         "[link] attenuation_km must be positive, got 0.0"),
+        (("mc", "--set", "link.attenuation_km=nan"),
+         "[link] attenuation_km must be positive, got nan"),
+        (("mc", "--set", "link.operation_time_s=-1e-5"),
+         "[link] operation_time_s must be >= 0, got -1e-05"),
+        (("mc", "--set", "link.operation_time_s=nan"),
+         "[link] operation_time_s must be >= 0, got nan"),
+        (("rates", "--set", "rates.length_min_km=0"),
+         "[rates] length_min_km must be positive, got 0.0"),
+        (("figure6", "--set", "rates.length_max_km=-100"),
+         "[rates] length_max_km must be positive, got -100.0"),
+        (("crossover", "--set", "rates.bracket_min_km=0"),
+         "[rates] bracket_min_km must be positive, got 0.0")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
@@ -284,6 +302,18 @@ class TestDeviceCommand:
         header = open(os.path.join(out_dir, "device", "device.csv")).readline().strip()
         assert header == ("kappa_c_hz,gamma_hz,g_hz,Delta_hz,K_q_hz,"
                           "K_hz,kappa_hz,kappa_eff_hz")
+
+    def test_kappa_eff_follows_alpha(self, tmp_path):
+        # kappa_eff is fitted at [catqubit] alpha, near 2 kappa alpha^2
+        def kappa_eff(alpha):
+            out = str(tmp_path / alpha)
+            r = run_cli("device", "--out", out, "--set", f"catqubit.alpha={alpha}")
+            assert r.returncode == 0, r.stderr
+            with open(os.path.join(out, "device", "device.csv")) as fh:
+                return [float(row["kappa_eff_hz"]) for row in csv.DictReader(fh)]
+
+        for root2, wider in zip(kappa_eff(repr(math.sqrt(2.0))), kappa_eff("1.5")):
+            assert wider / root2 == pytest.approx(1.5**2 / 2.0, rel=0.05)
 
 
 class TestGrapeCommand:

@@ -22,7 +22,7 @@ KEY_READERS = {
        for key in ("loss_ratios", "kerr_hz", "drive_ratios", "coupling_ratios")},
     **{("catqubit", key): CHAIN | {"gates"}
        for key in ("dim", "two_qubit_dim", "drive_duration_kt")},
-    ("catqubit", "alpha"): LINK | {"gates", "grape"},
+    ("catqubit", "alpha"): LINK | {"gates", "grape", "device"},
     ("grape", "loss_ratio"): {"grape"},
     ("grape", "duration_kt"): LINK | {"grape"},
     **{("grape", key): CHAIN | {"grape"}
@@ -162,6 +162,11 @@ class TestRoundTrip:
         positive = st.floats(min_value=0.0, exclude_min=True)
         values["transducer"]["span_fwhm"] = data.draw(positive)
         values["chain"]["transfer_lifetime_s"] = data.draw(positive)
+        # positive fiber speed, attenuation length and rate-curve lengths
+        for section, key in (("link", "fiber_speed_km_s"), ("link", "attenuation_km"),
+                             ("rates", "length_min_km"), ("rates", "length_max_km"),
+                             ("rates", "bracket_min_km"), ("rates", "bracket_max_km")):
+            values[section][key] = data.draw(positive)
         chain = data.draw(st.lists(st.tuples(st.integers(min_value=1),
                                              st.sampled_from(("cat", "fock", "transfer"))),
                                    max_size=3))
@@ -171,7 +176,8 @@ class TestRoundTrip:
         assume(lo < hi)
         values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"] = lo, hi
         values["grape"]["seed"] = data.draw(st.sampled_from(("", "0", "-7")))
-        values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "2.5e-05")))
+        values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "0.0",
+                                                                        "2.5e-05")))
         for key in ("emission_probability", "detection_efficiency"):
             values["link"][key] = data.draw(st.floats(min_value=0.0, max_value=1.0,
                                                       exclude_min=True))

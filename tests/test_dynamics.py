@@ -132,55 +132,101 @@ class TestEvolve:
         from scipy.integrate import OdeSolver
 
         ys = integrate_rk45(lambda t, y: -1j * y, np.ones(3, dtype=complex),
-                            [0.0, 0.5, 1.0], breakpoints=np.linspace(0.0, 1.0, 17)[1:-1])
+                            np.linspace(0.0, 1.0, 17))
+        assert len(ys) == 17
         assert np.allclose(ys[-1], np.exp(-1j), atol=1e-8)
         assert not [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_rhs_sees_one_coefficient_per_interval(self, reverse):
-        # float rounding puts some breakpoints of a piecewise-constant pulse on
-        # the wrong segment; the RK stages on an interval's ends must still see
-        # that interval's value
+    def test_rhs_sees_one_coefficient_per_interval(self, reverse, monkeypatch):
+        # evolve integrates segment k of a piecewise-constant pulse over
+        # [k dt, (k + 1) dt] alone, with that segment's value bound into the
+        # right-hand side; on the 1x1 problem dy/dt = -i u(t) y, i rhs(t, 1)
+        # reads the coefficient back.  48 segments, not a power of two, so
+        # k (T / n) and k T / n round differently
+        seen = []
+
+        def recording(rhs, y0, output_times, **kwargs):
+            seen.append((output_times[0], output_times[-1],
+                         {complex(1j * rhs(t, np.ones(1))[0]) for t in output_times}))
+            return integrate_rk45(rhs, y0, output_times, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_rk45", recording)
         rng = np.random.default_rng(11)
         for duration in rng.uniform(0.1, 100.0, 4):
-            pulse = piecewise_constant(duration, {"u": rng.uniform(-1.0, 1.0, 64)})
+            pulse = piecewise_constant(duration, {"u": rng.uniform(-1.0, 1.0, 48)})
             if reverse:
                 pulse = reversed_schedule(pulse)
-            fn = pulse.channels["u"]
-            seen = []
+            h = TimeDependentHamiltonian(np.zeros((1, 1)), ((np.ones((1, 1)),
+                                                             pulse.channels["u"]),),
+                                         (0.0, duration))
+            seen.clear()
+            evolve(h, [], np.ones(1), n_samples=2)
+            dt = duration / 48
+            assert [(lo, hi) for lo, hi, _ in seen] == \
+                [(dt * k, dt * (k + 1) if k < 47 else duration) for k in range(48)]
+            assert [values for _, _, values in seen] == [{v} for v in pulse.channels["u"]]
 
-            def rhs(t, y):
-                seen.append((t, fn(t)))
-                return -1j * fn(t) * y
-
-            integrate_rk45(rhs, np.ones(1, dtype=complex), [0.0, duration],
-                           breakpoints=pulse.breakpoints)
-            times, values = np.array(seen).T
-            interval = np.searchsorted(pulse.breakpoints, times.real, side="right")
-            for k in range(64):
-                assert len(set(values[interval == k])) == 1
+    @staticmethod
+    def _kerr_segments(n_seg, duration, seed):
+        """A random two-quadrature two-photon drive on a dim-20 Kerr
+        oscillator: (h0, channel operators, piecewise-constant pulse)."""
+        rng = np.random.default_rng(seed)
+        a = qc.annihilation(20)
+        ad = a.conj().T
+        ops = {"x": ad @ ad + a @ a, "y": 1j * (ad @ ad - a @ a)}
+        pulse = piecewise_constant(duration, {k: rng.uniform(-1.0, 1.0, n_seg) for k in ops})
+        return -(ad @ ad @ a @ a), ops, pulse
 
     def test_lossy_piecewise_constant_matches_exact_stages(self):
-        # a random 64-segment two-photon drive on the Kerr oscillator with
-        # loss at kappa/K = 1e-3, against expm of each segment's Liouvillian
-        kerr, kappa, dim, n_seg, duration = 1.0, 1e-3, 20, 64, 2.0
-        rng = np.random.default_rng(7)
-        a = qc.annihilation(dim)
-        ad = a.conj().T
-        h0 = -kerr * (ad @ ad @ a @ a)
-        ops = {"x": ad @ ad + a @ a, "y": 1j * (ad @ ad - a @ a)}
-        pulse = piecewise_constant(duration, {k: rng.uniform(-1.0, 1.0, n_seg)
-                                              for k in ops})
-        h = TimeDependentHamiltonian(h0, tuple((ops[k], fn) for k, fn in pulse.channels.items()),
-                                     (0.0, duration), breakpoints=pulse.breakpoints)
-        rho0 = qc.to_density_matrix(qc.fock_state(0, dim))
+        # a random 64-segment drive with loss at kappa/K = 1e-3, against expm
+        # of each segment's Liouvillian
+        kappa, n_seg, duration = 1e-3, 64, 2.0
+        h0, ops, pulse = self._kerr_segments(n_seg, duration, seed=7)
+        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in pulse.channels.items()),
+                                     (0.0, duration))
+        a = qc.annihilation(20)
+        rho0 = qc.to_density_matrix(qc.fock_state(0, 20))
         traj = evolve(h, [(a, kappa)], rho0, n_samples=2)
 
         rho = rho0
         for k in range(n_seg):
-            hk = h0 + sum(pulse.segment_values[c][k] * ops[c] for c in ops)
+            hk = h0 + sum(pulse.channels[c][k] * ops[c] for c in ops)
             rho = evolve_constant(hk, [(a, kappa)], rho, [0.0, duration / n_seg])[-1]
         assert np.max(np.abs(traj.final_state - rho)) < 1e-7
+
+    def test_samples_inside_and_on_segment_edges(self):
+        # 4 segments sampled 9 times: every other sample falls on a segment
+        # edge, the rest inside a segment
+        kappa, n_seg, duration = 1e-3, 4, 2.0
+        h0, ops, pulse = self._kerr_segments(n_seg, duration, seed=3)
+        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in pulse.channels.items()),
+                                     (0.0, duration))
+        a = qc.annihilation(20)
+        rho0 = qc.to_density_matrix(qc.fock_state(0, 20))
+        traj = evolve(h, [(a, kappa)], rho0, n_samples=9)
+        assert np.array_equal(traj.times, np.linspace(0.0, duration, 9))
+
+        expected = [rho0]
+        for k in range(n_seg):
+            hk = h0 + sum(pulse.channels[c][k] * ops[c] for c in ops)
+            step = duration / n_seg / 2
+            expected += evolve_constant(hk, [(a, kappa)], expected[-1], [0.0, step, 2 * step])[1:]
+        assert len(traj.states) == len(expected) == 9
+        for state, rho in zip(traj.states, expected):
+            assert np.max(np.abs(state - rho)) < 1e-7
+
+    @pytest.mark.parametrize("coefficients", [
+        (np.ones(4), np.ones(3)),         # unequal segment counts
+        (np.ones(4), 1.0),                # neither a function nor an array
+        (np.ones(4), np.ones((2, 2))),    # not 1-D
+        (np.ones(0),),                    # no segment
+    ])
+    def test_bad_coefficients_rejected(self, coefficients):
+        op = np.eye(2)
+        with pytest.raises(ValueError, match="segment"):
+            TimeDependentHamiltonian(np.zeros((2, 2)), tuple((op, c) for c in coefficients),
+                                     (0.0, 1.0))
 
 
 def _random_op(rng, d, hermitian):

@@ -128,7 +128,7 @@ class TestOptimization:
         assert res.fidelity >= res.iterations[0]
         bound = small_problem.amplitude_bound
         for channel in ("two_photon", "two_photon_orthogonal"):
-            assert np.max(np.abs(res.schedule.segment_values[channel])) <= bound + 1e-12
+            assert np.max(np.abs(res.schedule.channels[channel])) <= bound + 1e-12
 
     def test_objective_nondecreasing_over_accepted_steps(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=40)

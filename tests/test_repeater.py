@@ -267,6 +267,11 @@ class TestResidualCoherence:
         with pytest.raises(ValueError, match="transfer_lifetime_s"):
             rp.ChainParams(storage_policy="transfer", transfer_lifetime_s=lifetime)
 
+    @pytest.mark.parametrize("speed", [0.0, -2e5, math.nan])
+    def test_nonpositive_fiber_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="fiber_speed_km_s"):
+            _link(fiber_speed_km_s=speed)
+
 
 class TestFidelityBudget:
     def test_unit_fidelities(self):
