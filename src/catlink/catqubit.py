@@ -48,7 +48,7 @@ import scipy
 from . import qcore as qc
 from .dynamics import IntegrationError, KroneckerSum, PiecewiseConstantPropagator, \
     TimeDependentHamiltonian, _blockwise_eig, evolve
-from .pulses import PulseSchedule, reversed_schedule
+from .pulses import PulseSchedule
 
 __all__ = [
     "CatQubitParams",
@@ -61,6 +61,7 @@ __all__ = [
     "adiabatic_drive_pulse",
     "drive",
     "undrive",
+    "time_reversed",
     "gate_x",
     "gate_z",
     "gate_g",
@@ -102,6 +103,8 @@ class CatQubitParams:
             raise ValueError("kappa must be nonnegative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
 
     @property
     def two_photon_amplitude(self) -> float:
@@ -207,24 +210,31 @@ def adiabatic_drive_pulse(params: CatQubitParams,
     return PulseSchedule(duration=duration, channels={"two_photon": two_photon})
 
 
+# channel -> (operator builder, sign s with conj(op) = s op)
 _CHANNEL_OPS = {
-    "two_photon": _two_photon_op,
-    "two_photon_orthogonal": _two_photon_orthogonal_op,
-    "single_photon": _single_photon_op,
+    "two_photon": (_two_photon_op, 1),
+    "two_photon_orthogonal": (_two_photon_orthogonal_op, -1),
 }
 
 
+def time_reversed(pulse: PulseSchedule) -> PulseSchedule:
+    """``pulse`` run backwards, with each channel of an imaginary operator
+    negated: the Hamiltonian becomes conj H(T - t), whose propagator
+    conj(U^dag) takes a drive's target back to its real input with the
+    drive's lossless fidelity.  An array channel reverses its segment order."""
+    def reverse(channel, sign):
+        if isinstance(channel, np.ndarray):
+            return sign * channel[::-1]
+        return lambda t: sign * channel(pulse.duration - t)
+
+    return PulseSchedule(pulse.duration, {name: reverse(channel, _CHANNEL_OPS[name][1])
+                                          for name, channel in pulse.channels.items()})
+
+
 def _pulse_hamiltonian(params: CatQubitParams, pulse: PulseSchedule) -> TimeDependentHamiltonian:
-    dim = params.dim
-    static = _kerr_op(dim, params.kerr)
-    terms = []
-    for name, fn in pulse.channels.items():
-        try:
-            op = _CHANNEL_OPS[name](dim)
-        except KeyError:
-            raise ValueError(f"unknown drive channel {name!r}") from None
-        terms.append((op, fn))
-    return TimeDependentHamiltonian(static, tuple(terms), (0.0, pulse.duration))
+    terms = tuple((_CHANNEL_OPS[name][0](params.dim), fn) for name, fn in pulse.channels.items())
+    return TimeDependentHamiltonian(_kerr_op(params.dim, params.kerr), terms,
+                                    (0.0, pulse.duration))
 
 
 def _fock_coefficients(state: np.ndarray) -> tuple[complex, complex]:
@@ -356,7 +366,7 @@ def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, params.dim) + c1 * qc.fock_state(1, params.dim)
-    return _run_pulse(params, "undrive", reversed_schedule(pulse), state, tvec)
+    return _run_pulse(params, "undrive", time_reversed(pulse), state, tvec)
 
 
 # -- gate constructions -------------------------------------------------------

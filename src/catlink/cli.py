@@ -207,16 +207,16 @@ def _budget(config: RunConfig) -> sn.OperationBudget:
                                two_qubit_dim=config.get("catqubit", "two_qubit_dim"))
 
 
+def _grape_stats(result: po.GrapeResult) -> dict[str, Any]:
+    return {"iterations": result.n_iterations, "evaluations": result.evaluations,
+            "stop_reason": result.stop_reason, "converged": result.converged}
+
+
 def _grape_diagnostics(report: _Report, budget: sn.OperationBudget) -> None:
-    """With ``[chain] drive_method = grape``, put the optimizer statistics of
-    the budget's drive and undrive pulses into the summary's ``diagnostics``
-    block."""
-    if budget.grape is None:
-        return
-    report.summary["diagnostics"] = {"grape": {
-        direction: {"iterations": result.n_iterations, "evaluations": result.evaluations,
-                    "stop_reason": result.stop_reason, "converged": result.converged}
-        for direction, result in zip(("drive", "undrive"), budget.grape)}}
+    """With ``[chain] drive_method = grape``, put the statistics of the budget's
+    one GRAPE run, the drive's, into the summary's ``diagnostics`` block."""
+    if budget.grape is not None:
+        report.summary["diagnostics"] = {"grape": _grape_stats(budget.grape)}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -256,13 +256,13 @@ def cmd_gates(config: RunConfig) -> _Report:
 def cmd_grape(config: RunConfig) -> _Report:
     report = _Report("grape", config)
     settings = _grape_settings(config)
-    pair = sn.grape_pair(config.get("catqubit", "alpha"), settings)
+    result, pulses = sn.grape_pair(config.get("catqubit", "alpha"), settings)
     kappa = 1.0 / config.get("grape", "loss_ratio")  # K = 1
 
-    for direction, (problem, result) in zip(("drive", "undrive"), pair):
-        lossy = po.evaluate_pulse(problem, result.schedule, kappa=kappa)
-        seg = result.schedule.channels
-        dt = result.schedule.duration / settings.n_segments
+    # the undrive is the drive's time reverse: only the drive was optimized
+    for direction, (problem, schedule) in zip(("drive", "undrive"), pulses):
+        seg = schedule.channels
+        dt = schedule.duration / settings.n_segments
         rows = [[k * dt, (k + 1) * dt,
                  float(np.real(seg["two_photon"][k])),
                  float(np.real(seg["two_photon_orthogonal"][k]))]
@@ -271,13 +271,8 @@ def cmd_grape(config: RunConfig) -> _Report:
                          ["t_start_over_K", "t_end_over_K", "E_p_over_K",
                           "E_p_perp_over_K"], rows)
         report.summary[direction] = {
-            "optimized_fidelity": result.fidelity,
-            "lossy_fidelity": lossy,
-            "iterations": result.n_iterations,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-            "stop_reason": result.stop_reason,
-        }
+            "lossy_fidelity": po.evaluate_pulse(problem, schedule, kappa=kappa)}
+    report.summary["drive"].update(_grape_stats(result), optimized_fidelity=result.fidelity)
     return report
 
 
@@ -405,12 +400,13 @@ def cmd_mc(config: RunConfig) -> _Report:
     ch = config["chain"]
     link = _link_params(config, ChainParams().storage_policy)
     rows = []
-    for n in range(ch["nesting_level"] + 1):
+    # deepest level first: one past the sampler's limit fails before any sampling
+    for n in range(ch["nesting_level"], -1, -1):
         chain = ChainParams(nesting_level=n, swap_probability=ch["swap_probability"])
         mean, stderr = monte_carlo_time(chain, link, trials=sec["trials"],
                                         seed=sec["seed"])
         formula = mean_time(chain, link)
-        rows.append([n, mean, stderr, formula, formula / mean])
+        rows.insert(0, [n, mean, stderr, formula, formula / mean])
     report.add_table("mc", ["n", "mc_mean_s", "mc_stderr_s", "formula_s",
                             "formula_over_mc"], rows)
     report.summary["trials"] = sec["trials"]

@@ -222,11 +222,18 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     if cq["kerr_hz"] and len(cq["kerr_hz"]) != n_rows:
         raise ConfigError(
             f"[catqubit] kerr_hz must list one value per loss ratio ({n_rows})")
+    # a ladder operator needs two Fock levels, and the device's Kerr fit reads
+    # |5, 0> (device.N_FIT_LEVELS); NaN fails every comparison
+    for section, key, least in (("catqubit", "dim", 2), ("catqubit", "two_qubit_dim", 2),
+                                ("device", "cavity_levels", 6), ("device", "qubit_levels", 2),
+                                ("chain", "nesting_level", 0), ("rates", "length_steps", 1),
+                                ("mc", "trials", 10_000),
+                                ("comparators", "re_operation_time_s", 0)):
+        if not values[section][key] >= least:
+            raise ConfigError(f"[{section}] {key} must be >= {least}, got {values[section][key]}")
     ch = values["chain"]
     if any(m < 1 for m in ch["multiplexing"]):
         raise ConfigError(f"[chain] multiplexing values must be >= 1, got {ch['multiplexing']}")
-    if ch["nesting_level"] < 0:
-        raise ConfigError(f"[chain] nesting_level must be >= 0, got {ch['nesting_level']}")
     if len(ch["storage_policy"]) != len(ch["multiplexing"]):
         raise ConfigError(
             "[chain] storage_policy must list one policy per multiplexing value")
@@ -240,7 +247,7 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     for section, key in (("chain", "transfer_lifetime_s"), ("transducer", "span_fwhm"),
                          ("link", "attenuation_km"), ("link", "fiber_speed_km_s"),
                          ("rates", "length_min_km"), ("rates", "length_max_km"),
-                         ("rates", "bracket_min_km")):
+                         ("rates", "bracket_min_km"), ("comparators", "source_rate_hz")):
         if not values[section][key] > 0:
             raise ConfigError(f"[{section}] {key} must be positive, got {values[section][key]}")
     td = values["transducer"]
@@ -248,8 +255,6 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
         raise ConfigError(f"[transducer] natural_linewidth_hz values must be >= 0, got "
                           f"{td['natural_linewidth_hz']}")
     ra = values["rates"]
-    if ra["length_steps"] < 1:
-        raise ConfigError(f"[rates] length_steps must be >= 1, got {ra['length_steps']}")
     if ra["bracket_min_km"] >= ra["bracket_max_km"]:
         raise ConfigError(
             f"[rates] bracket_min_km must be below bracket_max_km, got "
@@ -261,11 +266,13 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
         except ValueError:
             raise ConfigError(
                 f"[grape] seed must be an integer or empty, got {seed!r}")
-    li = values["link"]
-    for key in ("emission_probability", "detection_efficiency"):
-        if not 0.0 < li[key] <= 1.0:
-            raise ConfigError(f"[link] {key} must lie in (0, 1], got {li[key]}")
-    ot = li["operation_time_s"]
+    for section, key in (("link", "emission_probability"), ("link", "detection_efficiency"),
+                         ("comparators", "dlcz_generation_probability"),
+                         ("comparators", "dlcz_memory_efficiency"),
+                         ("comparators", "dlcz_detection_efficiency")):
+        if not 0.0 < values[section][key] <= 1.0:
+            raise ConfigError(f"[{section}] {key} must lie in (0, 1], got {values[section][key]}")
+    ot = values["link"]["operation_time_s"]
     if ot != "auto":
         try:
             seconds = float(ot)
@@ -274,8 +281,6 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
                 f"[link] operation_time_s must be a number or 'auto', got {ot!r}")
         if not seconds >= 0:
             raise ConfigError(f"[link] operation_time_s must be >= 0, got {seconds}")
-    if values["mc"]["trials"] < 10_000:
-        raise ConfigError(f"[mc] trials must be >= 10000, got {values['mc']['trials']}")
     fmt = values["output"]["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"[output] format must be csv or json, got {fmt!r}")

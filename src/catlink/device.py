@@ -114,6 +114,9 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
     signals a dispersive-regime violation.  Above 0.8 no two bare states can
     claim one eigenvector, since their overlaps with it sum to at most 1.
     """
+    if cavity_levels <= N_FIT_LEVELS:
+        raise ValueError(f"the Kerr fit reads |{N_FIT_LEVELS}, 0>, so it needs cavity_levels "
+                         f">= {N_FIT_LEVELS + 1}, got {cavity_levels}")
     params.check_dispersive()
     h = _two_mode_hamiltonian(params, cavity_levels, qubit_levels)
     evals, evecs = scipy.linalg.eigh(h)

@@ -30,8 +30,8 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .catqubit import CatQubitParams, _check_truncation, _kerr_op, _pulse_hamiltonian, \
-    _two_photon_op, _two_photon_orthogonal_op, adiabatic_drive_pulse
+from .catqubit import _CHANNEL_OPS, CatQubitParams, _check_truncation, _kerr_op, \
+    _pulse_hamiltonian, adiabatic_drive_pulse
 from .dynamics import coupled_blocks, evolve
 from .pulses import PulseSchedule, piecewise_constant
 
@@ -110,13 +110,9 @@ def drive_problem(params: CatQubitParams, total_time: Optional[float] = None,
 def undrive_problem(params: CatQubitParams, total_time: Optional[float] = None,
                     n_segments: int = 64, dim: int = GRAPE_DIM,
                     amplitude_bound: Optional[float] = None) -> GrapeProblem:
-    """Even cat -> |0> in ``total_time`` (default 0.5 / K)."""
-    t = total_time if total_time is not None else 0.5 / params.kerr
-    p = replace(params, dim=dim)
-    return GrapeProblem(params=p, initial=qc.cat_state(params.alpha, "even", dim),
-                        target=qc.fock_state(0, dim),
-                        total_time=t, n_segments=n_segments,
-                        amplitude_bound=amplitude_bound)
+    """Even cat -> |0> in ``total_time`` (default 0.5 / K): the drive reversed."""
+    drive = drive_problem(params, total_time, n_segments, dim, amplitude_bound)
+    return replace(drive, initial=drive.target, target=drive.initial)
 
 
 class _Propagation:
@@ -131,7 +127,7 @@ class _Propagation:
     def __init__(self, problem: GrapeProblem):
         dim = problem.dim
         h0 = _kerr_op(dim, problem.params.kerr)
-        controls = (_two_photon_op(dim), _two_photon_orthogonal_op(dim))
+        controls = [build(dim) for build, _ in _CHANNEL_OPS.values()]
         psi0, target = problem.initial, problem.target
         keep = np.sort(np.concatenate([idx for idx in coupled_blocks(h0, *controls)
                                        if np.any(psi0[idx]) or np.any(target[idx])]))
@@ -182,21 +178,15 @@ class _Propagation:
 
 
 def _initial_guess(problem: GrapeProblem, seed: Optional[int]) -> np.ndarray:
-    """Adiabatic ramp resampled onto the segment grid; the orthogonal channel
-    starts at zero.  A seed adds a small reproducible perturbation (used for
-    restarts)."""
+    """Adiabatic up-ramp sampled at the segment midpoints; the orthogonal
+    channel starts at zero.  A seed adds a small reproducible perturbation
+    (used for restarts)."""
     n = problem.n_segments
-    dt = problem.total_time / n
-    mids = (np.arange(n) + 0.5) * dt
+    mids = (np.arange(n) + 0.5) * (problem.total_time / n)
     ramp = adiabatic_drive_pulse(problem.params,
                                  duration_kt=problem.total_time * problem.params.kerr)
-    # direction of the transfer decides whether the ramp runs up or down
-    forward = abs(problem.initial[0]) > 0.5
-    vals = np.array([ramp.channels["two_photon"](t if forward else
-                                                 problem.total_time - t)
-                     for t in mids])
     u = np.zeros((2, n))
-    u[0] = vals
+    u[0] = [ramp.channels["two_photon"](t) for t in mids]
     if seed is not None:
         rng = np.random.default_rng(seed)
         u += 0.05 * problem.params.two_photon_amplitude * rng.standard_normal(u.shape)
@@ -211,6 +201,8 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
 
     The gradient is the exact adjoint gradient and every amplitude is bounded
     by ``problem.amplitude_bound``, so the returned schedule respects it.
+    The default initial guess is the adiabatic up-ramp, which suits a drive
+    from |0>; an undrive optimization passes ``initial_guess``.
     ``max_iters`` caps the L-BFGS-B iterations; ``converged`` says whether
     L-BFGS-B stopped on its own rule and ``stop_reason`` carries its message.
     ``max_iters <= 0`` returns the clipped initial guess unoptimized
@@ -244,10 +236,8 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
         fidelity, converged, stop_reason = 1.0 - res.fun, bool(res.success), str(res.message)
         evaluations = int(res.nfev)
 
-    schedule = piecewise_constant(problem.total_time, {
-        "two_photon": u[0].astype(complex),
-        "two_photon_orthogonal": u[1].astype(complex),
-    })
+    # the rows of u are the channels, in the order of the control operators
+    schedule = piecewise_constant(problem.total_time, dict(zip(_CHANNEL_OPS, u)))
     return GrapeResult(schedule=schedule, fidelity=float(fidelity),
                        iterations=np.asarray(trace), converged=converged,
                        stop_reason=stop_reason, evaluations=evaluations)

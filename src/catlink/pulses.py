@@ -1,10 +1,10 @@
 """Drive pulse schedules.
 
-A schedule maps named channels (two-photon drive, orthogonal two-photon
-drive, single-photon drive, cavity coupling) to amplitudes over
-[0, duration].  A closed-form channel is a function of time; a
-piecewise-constant channel is its array of values on equal-length segments,
-which ``dynamics.evolve`` integrates one segment at a time.
+A schedule maps named channels (the two-photon drive and its orthogonal
+quadrature) to amplitudes over [0, duration].  A closed-form channel is a
+function of time; a piecewise-constant channel is its array of values on
+equal-length segments, which ``dynamics.evolve`` integrates one segment at a
+time.  ``catqubit.time_reversed`` runs a schedule backwards.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-__all__ = ["PulseSchedule", "piecewise_constant", "reversed_schedule"]
+__all__ = ["PulseSchedule", "piecewise_constant"]
 
 # a function of time, or the values on equal-length constant segments
 Channel = Union[Callable[[float], complex], np.ndarray]
@@ -50,16 +50,3 @@ def piecewise_constant(duration: float,
         raise ValueError("need at least one segment")
     return PulseSchedule(duration=duration, channels=arrays)
 
-
-def reversed_schedule(pulse: PulseSchedule) -> PulseSchedule:
-    """Time-reversed copy: channel(t) -> channel(duration - t).  An array
-    channel reverses its segment order."""
-    dur = pulse.duration
-
-    def reverse(channel):
-        if isinstance(channel, np.ndarray):
-            return channel[::-1]
-        return lambda t: channel(dur - t)
-
-    return PulseSchedule(duration=dur,
-                         channels={k: reverse(v) for k, v in pulse.channels.items()})

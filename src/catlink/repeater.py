@@ -173,7 +173,8 @@ def rate_curve(chain: ChainParams, link: LinkParams) -> Callable[[float], float]
     return rate
 
 
-_MC_BLOCK = 8192                      # trials sampled per block
+_MC_BLOCK = 8192                      # trials sampled per block, at most
+_MC_LEAVES = 2**17                    # expected leaf draws per block, at most
 
 
 def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000,
@@ -185,13 +186,15 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
     probability P_i, a failure discarding and regenerating both child pairs.
     Returns (sample mean, standard error) over seeded trials.
 
-    Trials run in fixed blocks of ``_MC_BLOCK``, counted in attempt slots.
+    Trials run in blocks, counted in attempt slots: at most ``_MC_BLOCK``
+    trials and ``_MC_LEAVES`` expected leaves, (2 / P)^n per level-n trial; a
+    level whose one trial is past that budget raises before sampling.
     A leaf's slot count is geometric(P0), drawn by exponential inversion,
     ceil(E / -log(1 - P0)), numpy's own method for P0 < 1/3.  A level-i node first draws its number of swap
     tries, geometric(P_i) (swap outcomes do not depend on child times), then
     sums max(left, right) over the children of all its tries.
 
-    Memory is set by the block size, not by ``trials``: each block adds its
+    Memory is set by the leaf budget, not by ``trials`` or n: each block adds its
     slot sum S1 and sum of squares S2 to Python integers and is dropped.
     The mean is t_a S1 / N, rounded once from exact integers, and the
     standard error t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a
@@ -204,6 +207,12 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
     prob0 = p0(link)
     if prob0 <= 0:
         raise ValueError(f"link success probability p0 = {prob0} must be positive")
+    n, growth = chain.nesting_level, 2.0 / chain.swap_probability
+    if growth**n > _MC_LEAVES:
+        limit = int(math.log(_MC_LEAVES) / math.log(growth))
+        raise ValueError(f"[chain] nesting_level = {n} is past the Monte-Carlo limit "
+                         f"n <= {limit} at swap probability {chain.swap_probability}")
+    block = min(_MC_BLOCK, int(_MC_LEAVES / growth**n))
     rng = np.random.default_rng(seed)
     leaf_rate = -math.log1p(-prob0)
 
@@ -224,8 +233,8 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000
 
     trials = int(trials)
     s1 = s2 = 0
-    for start in range(0, trials, _MC_BLOCK):
-        k = slots(chain.nesting_level, min(_MC_BLOCK, trials - start))
+    for start in range(0, trials, block):
+        k = slots(n, min(block, trials - start))
         s1 += int(k.sum())
         s2 += int(k @ k)
     t_a = attempt_time(link)

@@ -78,13 +78,13 @@ class GrapeSettings(NamedTuple):
 class OperationBudget:
     """Simulated per-operation fidelities for one cavity configuration.
 
-    ``grape`` holds the optimizer results of the drive and undrive pulses
-    that were scored, None when the ramps are adiabatic.
+    ``grape`` holds the optimizer result of the drive pulse, whose time
+    reverse is the undrive, None when the ramps are adiabatic.
     """
 
     params: cq.CatQubitParams
     fidelities: dict[str, float]
-    grape: Optional[tuple[po.GrapeResult, po.GrapeResult]] = None
+    grape: Optional[po.GrapeResult] = None
 
 
 def operation_durations(params: cq.CatQubitParams, drive_ratio: float,
@@ -112,19 +112,19 @@ def operation_time(durations: dict[str, float], storage_policy: str) -> float:
 
 @lru_cache(maxsize=8)
 def grape_pair(alpha: float, settings: GrapeSettings):
-    """Lossless drive and undrive problems at K = 1 with their optimized
-    schedules, computed once per amplitude and settings.
+    """(result, ((drive problem, schedule), (undrive problem, its time reverse))):
+    the drive optimized at K = 1, once per amplitude and settings.
 
     The optimizer never reads kappa; re-score a schedule under loss with
     ``pulseopt.evaluate_pulse(problem, schedule, kappa=kappa / K)``.
     """
     params = cq.CatQubitParams(kerr=1.0, alpha=alpha)
-    return tuple(
-        (prob, po.grape_optimize(prob, max_iters=settings.max_iters, seed=settings.seed))
-        for prob in (maker(params, total_time=settings.duration_kt,
-                           n_segments=settings.n_segments,
-                           amplitude_bound=settings.amplitude_bound_k)
-                     for maker in (po.drive_problem, po.undrive_problem)))
+    drive, undrive = (maker(params, total_time=settings.duration_kt,
+                            n_segments=settings.n_segments,
+                            amplitude_bound=settings.amplitude_bound_k)
+                      for maker in (po.drive_problem, po.undrive_problem))
+    result = po.grape_optimize(drive, max_iters=settings.max_iters, seed=settings.seed)
+    return result, ((drive, result.schedule), (undrive, cq.time_reversed(result.schedule)))
 
 
 def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
@@ -143,14 +143,13 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
     e_x, e_c = ep0 / drive_ratio, ep0 / coupling_ratio
 
     fids: dict[str, float] = {}
-    grape_results = None
+    grape_result = None
 
     if drive_method == "grape":
-        (dp, rd), (up, ru) = grape_pair(params.alpha, grape)
-        grape_results = (rd, ru)
+        grape_result, pulses = grape_pair(params.alpha, grape)
         scaled_kappa = params.kappa / params.kerr  # problems are built at K = 1
-        fids["drive"] = po.evaluate_pulse(dp, rd.schedule, kappa=scaled_kappa)
-        fids["undrive"] = po.evaluate_pulse(up, ru.schedule, kappa=scaled_kappa)
+        for op, (problem, schedule) in zip(("drive", "undrive"), pulses):
+            fids[op] = po.evaluate_pulse(problem, schedule, kappa=scaled_kappa)
     elif drive_method == "adiabatic":
         pulse = cq.adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
         d = cq.drive(params, pulse)
@@ -165,7 +164,7 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
                        ("cnot", cq.cnot(params, e_x, e_c, two_qubit_dim))):
         fids[op] = result.fidelity
     fids["transduction"] = TRANSDUCTION_FIDELITY
-    return OperationBudget(params=params, fidelities=fids, grape=grape_results)
+    return OperationBudget(params=params, fidelities=fids, grape=grape_result)
 
 
 def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,

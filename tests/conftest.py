@@ -11,8 +11,9 @@ from catlink.config import load_config
 
 @pytest.fixture(scope="session")
 def grape_pair():
-    """Optimized drive and undrive schedules at K = 1 for the default
-    ``[grape]`` settings (shared by several suites; a few seconds of
+    """The optimized drive at K = 1 for the default ``[grape]`` settings,
+    with its (problem, schedule) pairs for the drive and for its time
+    reverse, the undrive (shared by several suites; about a second of
     optimization)."""
     return sn.grape_pair(math.sqrt(2.0), cli._grape_settings(load_config()))
 

@@ -25,6 +25,11 @@ def ratio_1e3():
     return cq.CatQubitParams(kerr=1.0, kappa=1e-3)
 
 
+def test_params_need_two_fock_levels():
+    with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+        cq.CatQubitParams(kerr=1.0, dim=1)
+
+
 class TestAdiabaticPulse:
     def test_boundary_values(self, lossless):
         pulse = cq.adiabatic_drive_pulse(lossless, duration_kt=13.0)
@@ -101,6 +106,46 @@ class TestDriveUndrive:
         # the two-photon Hamiltonian commutes with parity
         result = cq.drive(lossless)
         assert abs(qc.parity_expectation(result.state) - 1.0) < 1e-6
+
+
+class TestTimeReversal:
+    @pytest.mark.parametrize("name", sorted(cq._CHANNEL_OPS))
+    def test_channel_sign_is_the_conjugation_sign(self, name):
+        build, sign = cq._CHANNEL_OPS[name]
+        op = build(12)
+        assert np.any(op)
+        assert np.array_equal(op.conj(), sign * op)
+
+    def test_array_channels_reverse_and_imaginary_ones_negate(self):
+        sched = piecewise_constant(1.0, {"two_photon": [1.0, 2.0, 5.0],
+                                         "two_photon_orthogonal": [0.5, -3.0, 4.0]})
+        rev = cq.time_reversed(sched)
+        assert rev.duration == 1.0
+        assert np.array_equal(rev.channels["two_photon"], [5.0, 2.0, 1.0])
+        assert np.array_equal(rev.channels["two_photon_orthogonal"], [-4.0, 3.0, -0.5])
+        assert np.array_equal(sched.channels["two_photon"], [1.0, 2.0, 5.0])
+
+    def test_closed_form_channel_runs_backwards(self):
+        sched = PulseSchedule(2.0, {"two_photon": lambda t: 3.0 * t,
+                                    "two_photon_orthogonal": lambda t: t * t})
+        rev = cq.time_reversed(sched)
+        assert rev.channels["two_photon"](0.5) == 3.0 * 1.5
+        assert rev.channels["two_photon_orthogonal"](0.5) == -(1.5 * 1.5)
+
+    def test_reversing_twice_gives_the_schedule_back(self, lossless):
+        rng = np.random.default_rng(4)
+        values = {name: rng.standard_normal(16) + 1j * rng.standard_normal(16)
+                  for name in cq._CHANNEL_OPS}
+        sched = piecewise_constant(0.5, values)
+        twice = cq.time_reversed(cq.time_reversed(sched))
+        assert twice.duration == sched.duration
+        for name, channel in sched.channels.items():
+            assert np.array_equal(twice.channels[name], channel)
+        ramp = cq.adiabatic_drive_pulse(lossless)
+        twice = cq.time_reversed(cq.time_reversed(ramp))
+        for t in np.linspace(0.0, ramp.duration, 7):
+            assert twice.channels["two_photon"](t) == \
+                pytest.approx(ramp.channels["two_photon"](t), rel=1e-12, abs=1e-15)
 
 
 class TestStationaryCats:

@@ -70,7 +70,28 @@ class TestValidation:
         (("figure6", "--set", "rates.length_max_km=-100"),
          "[rates] length_max_km must be positive, got -100.0"),
         (("crossover", "--set", "rates.bracket_min_km=0"),
-         "[rates] bracket_min_km must be positive, got 0.0")])
+         "[rates] bracket_min_km must be positive, got 0.0"),
+        (("gates", "--set", "catqubit.dim=1"), "[catqubit] dim must be >= 2, got 1"),
+        (("gates", "--set", "catqubit.two_qubit_dim=1"),
+         "[catqubit] two_qubit_dim must be >= 2, got 1"),
+        (("device", "--set", "device.cavity_levels=5"),
+         "[device] cavity_levels must be >= 6, got 5"),
+        (("device", "--set", "device.qubit_levels=1"),
+         "[device] qubit_levels must be >= 2, got 1"),
+        (("figure6", "--set", "comparators.source_rate_hz=-1"),
+         "[comparators] source_rate_hz must be positive, got -1.0"),
+        (("figure6", "--set", "comparators.source_rate_hz=nan"),
+         "[comparators] source_rate_hz must be positive, got nan"),
+        (("figure6", "--set", "comparators.dlcz_detection_efficiency=0"),
+         "[comparators] dlcz_detection_efficiency must lie in (0, 1], got 0.0"),
+        (("figure6", "--set", "comparators.dlcz_memory_efficiency=1.5"),
+         "[comparators] dlcz_memory_efficiency must lie in (0, 1], got 1.5"),
+        (("figure6", "--set", "comparators.dlcz_generation_probability=nan"),
+         "[comparators] dlcz_generation_probability must lie in (0, 1], got nan"),
+        (("figure6", "--set", "comparators.re_operation_time_s=-1"),
+         "[comparators] re_operation_time_s must be >= 0, got -1.0"),
+        (("figure6", "--set", "comparators.re_operation_time_s=nan"),
+         "[comparators] re_operation_time_s must be >= 0, got nan")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
@@ -179,6 +200,19 @@ class TestMonteCarloCommand:
         assert cli.main(["mc", "--out", out_dir, "--set", "chain.loss_ratio=3e4"]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: [chain] loss_ratio 30000 is not one of [catqubit] loss_ratios")
+        assert not os.path.exists(out_dir)
+
+    def test_level_past_the_sampler_limit_is_named_before_sampling(self, out_dir,
+                                                                   monkeypatch, capsys):
+        # the deepest level runs first, so no shallower level is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("numpy.random.default_rng", no_sampling)
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        assert cli.main(["mc", "--out", out_dir, "--set", "chain.nesting_level=14"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [chain] nesting_level = 14 is past the Monte-Carlo limit n <= 13")
         assert not os.path.exists(out_dir)
 
     def test_numeric_operation_time_needs_no_row(self, out_dir):
@@ -333,9 +367,18 @@ class TestGrapeCommand:
                     "--set", "grape.n_segments=16")
         assert r.returncode == 0
         summary = json.load(open(os.path.join(out_dir, "grape", "summary.json")))
-        for direction in ("drive", "undrive"):
-            assert summary[direction]["converged"] is False
-            assert "ITERATIONS REACHED LIMIT" in summary[direction]["stop_reason"]
+        assert summary["drive"]["converged"] is False
+        assert "ITERATIONS REACHED LIMIT" in summary["drive"]["stop_reason"]
+        # one optimization: the undrive is the drive's time reverse
+        assert list(summary["undrive"]) == ["lossy_fidelity"]
+        with open(os.path.join(out_dir, "grape", "pulse_drive.csv")) as fh:
+            drive = list(csv.DictReader(fh))
+        with open(os.path.join(out_dir, "grape", "pulse_undrive.csv")) as fh:
+            undrive = list(csv.DictReader(fh))
+        assert [r["t_start_over_K"] for r in undrive] == [r["t_start_over_K"] for r in drive]
+        for fwd, rev in zip(drive, reversed(undrive)):
+            assert rev["E_p_over_K"] == fwd["E_p_over_K"]
+            assert float(rev["E_p_perp_over_K"]) == -float(fwd["E_p_perp_over_K"])
 
     def test_bad_seed_rejected(self, out_dir):
         r = run_cli("grape", "--out", out_dir, "--set", "grape.seed=abc")
@@ -375,13 +418,11 @@ class TestCrossoverCommand:
                     "--set", "catqubit.two_qubit_dim=8", "--set", "rates.length_steps=2")
         assert r.returncode == 0, r.stderr
         summary = json.load(open(os.path.join(out_dir, command, "summary.json")))
-        grape = summary["diagnostics"]["grape"]
-        assert sorted(grape) == ["drive", "undrive"]
-        for stats in grape.values():
-            assert sorted(stats) == ["converged", "evaluations", "iterations", "stop_reason"]
-            assert stats["converged"] is True
-            assert 0 < stats["iterations"] <= stats["evaluations"]
-            assert "CONVERGENCE" in stats["stop_reason"]
+        stats = summary["diagnostics"]["grape"]  # the one drive optimization
+        assert sorted(stats) == ["converged", "evaluations", "iterations", "stop_reason"]
+        assert stats["converged"] is True
+        assert 0 < stats["iterations"] <= stats["evaluations"]
+        assert "CONVERGENCE" in stats["stop_reason"]
 
     def test_bad_drive_method_rejected(self, out_dir):
         r = run_cli("crossover", "--out", out_dir,

@@ -150,6 +150,11 @@ class TestRoundTrip:
                     values[section][key] = data.draw(floats)
                 elif isinstance(default, int):
                     values[section][key] = data.draw(st.integers(min_value=1))
+        # Fock truncations that hold a ladder operator and the device's Kerr fit
+        for section, key, least in (("catqubit", "dim", 2), ("catqubit", "two_qubit_dim", 2),
+                                    ("device", "cavity_levels", 6),
+                                    ("device", "qubit_levels", 2)):
+            values[section][key] = data.draw(st.integers(min_value=least))
         rows = data.draw(st.integers(min_value=1, max_value=3))
         for key in ("loss_ratios", "drive_ratios", "coupling_ratios", "kerr_hz"):
             values["catqubit"][key] = tuple(data.draw(st.lists(floats, min_size=rows,
@@ -178,9 +183,15 @@ class TestRoundTrip:
         values["grape"]["seed"] = data.draw(st.sampled_from(("", "0", "-7")))
         values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "0.0",
                                                                         "2.5e-05")))
+        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
         for key in ("emission_probability", "detection_efficiency"):
-            values["link"][key] = data.draw(st.floats(min_value=0.0, max_value=1.0,
-                                                      exclude_min=True))
+            values["link"][key] = data.draw(unit)
+        comparators = values["comparators"]
+        for key in ("dlcz_generation_probability", "dlcz_memory_efficiency",
+                    "dlcz_detection_efficiency"):
+            comparators[key] = data.draw(unit)
+        comparators["source_rate_hz"] = data.draw(positive)
+        comparators["re_operation_time_s"] = data.draw(st.floats(min_value=0.0))
         values["mc"]["trials"] = data.draw(st.integers(min_value=10_000))
         config = RunConfig(values=values)
         assert self.reread(config, tmp_path).values == config.values

@@ -1,7 +1,7 @@
 """Every demo runs to completion against the current package.
 
 Each demo is a caller of the public API, so each runs as a subprocess in a
-fresh directory (demo 02 writes its pulse tables into the working directory).
+fresh directory.
 """
 
 import os

@@ -12,6 +12,13 @@ BASE = dict(cavity_freq=TP * 5e9, qubit_freq=TP * 6.5e9, anharmonicity=TP * 250e
 
 
 class TestDispersiveKerr:
+    def test_fit_needs_its_top_level(self):
+        # the fit reads |N_FIT_LEVELS, 0>, so one level fewer cannot hold it
+        params = dv.DeviceParams(coupling=TP * 75e6, **BASE)
+        with pytest.raises(ValueError, match="needs cavity_levels >= 6, got 5"):
+            dv.dispersive_kerr(params, cavity_levels=dv.N_FIT_LEVELS)
+        assert dv.dispersive_kerr(params, cavity_levels=dv.N_FIT_LEVELS + 1).kerr > 0
+
     def test_uncoupled_modes_have_no_kerr(self):
         fit = dv.dispersive_kerr(dv.DeviceParams(coupling=0.0, **BASE))
         assert abs(fit.kerr) < 1e-6 * BASE["anharmonicity"]

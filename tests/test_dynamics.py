@@ -11,7 +11,7 @@ from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               TimeDependentHamiltonian, evolve, evolve_constant,
                               fit_exponential_decay, integrate_rk45, liouvillian)
-from catlink.pulses import piecewise_constant, reversed_schedule
+from catlink.pulses import piecewise_constant
 
 
 def _zero_h(dim, t1=1.0):
@@ -154,9 +154,8 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "integrate_rk45", recording)
         rng = np.random.default_rng(11)
         for duration in rng.uniform(0.1, 100.0, 4):
-            pulse = piecewise_constant(duration, {"u": rng.uniform(-1.0, 1.0, 48)})
-            if reverse:
-                pulse = reversed_schedule(pulse)
+            values = rng.uniform(-1.0, 1.0, 48)
+            pulse = piecewise_constant(duration, {"u": values[::-1] if reverse else values})
             h = TimeDependentHamiltonian(np.zeros((1, 1)), ((np.ones((1, 1)),
                                                              pulse.channels["u"]),),
                                          (0.0, duration))

@@ -185,16 +185,25 @@ class TestEvaluatePulse:
 
 class TestFullProblem:
     def test_drive_reaches_target(self, grape_pair):
-        (drive_prob, drive_res), (undrive_prob, undrive_res) = grape_pair
-        assert drive_res.fidelity >= 0.999
-        assert undrive_res.fidelity >= 0.999
+        result, ((_, schedule), _) = grape_pair
+        assert schedule is result.schedule
+        assert result.fidelity >= 0.999
+
+    def test_reverse_undrives_with_the_drive_fidelity(self, grape_pair):
+        # the drive's time reverse, with the imaginary quadrature negated, is
+        # conj(U^dag): it takes |C+> back to |0> with the drive's own overlap
+        result, (_, (undrive_prob, reverse)) = grape_pair
+        u = np.real(np.stack([reverse.channels["two_photon"],
+                              reverse.channels["two_photon_orthogonal"]]))
+        fidelity = po._Propagation(undrive_prob).overlap_and_gradient(u)[0]
+        assert abs(fidelity - result.fidelity) <= 1e-12
 
     def test_converges_well_under_the_cap(self, grape_pair):
-        for _, res in grape_pair:
-            assert res.converged, res.stop_reason
-            assert res.n_iterations <= load_config().get("grape", "max_iters") // 4
+        result, _ = grape_pair
+        assert result.converged, result.stop_reason
+        assert result.n_iterations <= load_config().get("grape", "max_iters") // 4
 
     def test_lossy_score_at_1e3(self, grape_pair):
-        (drive_prob, drive_res), _ = grape_pair
-        lossy = po.evaluate_pulse(drive_prob, drive_res.schedule, kappa=1e-3)
-        assert lossy >= 0.999
+        _, pulses = grape_pair
+        for problem, schedule in pulses:
+            assert po.evaluate_pulse(problem, schedule, kappa=1e-3) >= 0.999

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catlink.pulses import PulseSchedule, piecewise_constant, reversed_schedule
+from catlink.pulses import PulseSchedule, piecewise_constant
 
 
 def test_piecewise_stores_complex_segment_values():
@@ -13,20 +13,6 @@ def test_piecewise_stores_complex_segment_values():
 def test_piecewise_requires_matching_lengths():
     with pytest.raises(ValueError):
         piecewise_constant(1.0, {"a": np.ones(4), "b": np.ones(3)})
-
-
-def test_reversed_schedule():
-    sched = piecewise_constant(1.0, {"a": np.array([1.0, 2.0, 5.0])})
-    rev = reversed_schedule(sched)
-    assert rev.duration == 1.0
-    assert np.array_equal(rev.channels["a"], [5.0, 2.0, 1.0])
-    assert np.array_equal(sched.channels["a"], [1.0, 2.0, 5.0])
-
-
-def test_reversed_closed_form():
-    sched = PulseSchedule(1.0, {"a": lambda t: 3.0 * t})
-    rev = reversed_schedule(sched)
-    assert rev.channels["a"](0.25) == pytest.approx(3.0 * 0.75)
 
 
 def test_duration_must_be_positive():

@@ -222,6 +222,33 @@ class TestMonteCarlo:
             rp.monte_carlo_time(rp.ChainParams(nesting_level=1),
                                 _link(detection_efficiency=0.0), trials=10_000)
 
+    def test_peak_memory_bounded_in_the_nesting_level(self):
+        # a block holds at most _MC_LEAVES expected leaf draws, so n = 7, which
+        # draws (2 / 0.81)^4 = 37 times the leaves of n = 3 per trial, peaks
+        # near n = 3
+        link = _link()
+        rp.monte_carlo_time(rp.ChainParams(nesting_level=3), link, trials=10_000)  # warm numpy
+        peaks = {}
+        for n in (3, 7):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rp.monte_carlo_time(rp.ChainParams(nesting_level=n), link, trials=10_000)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peaks[7] <= 2 * peaks[3], peaks
+
+    def test_level_past_the_leaf_budget_named_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValueError, match=r"\[chain\] nesting_level = 14 is past the "
+                                             r"Monte-Carlo limit n <= 13 at swap probability "
+                                             r"0.81"):
+            rp.monte_carlo_time(rp.ChainParams(nesting_level=14), _link(), trials=10_000)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_peak_memory_independent_of_trials(self, seed):
         # one block's arrays at a time: 2e6 trials must fit where 2e5 do
