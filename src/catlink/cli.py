@@ -29,7 +29,7 @@ from . import pulseopt as po
 from . import scenarios as sn
 from . import transducer as td
 from . import device as dv
-from .config import ConfigError, RunConfig, load_config
+from .config import CONFIG_SCHEMA, ConfigError, RunConfig, load_config
 from .dynamics import IntegrationError
 from .repeater import (ChainParams, LinkParams, RateFidelityReport, crossover,
                        direct_transmission_rate, evaluate_chain, mean_time,
@@ -37,6 +37,7 @@ from .repeater import (ChainParams, LinkParams, RateFidelityReport, crossover,
 
 TWO_PI = 2.0 * math.pi
 CONFIG_ENV_VAR = "CATLINK_CONFIG"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt(value: Any) -> str:
@@ -54,8 +55,12 @@ class _Report:
         self.command = command
         self.config = config
         self.tables: dict[str, tuple[list[str], list[list[Any]]]] = {}
+        # LAPACK can round differently at another thread count, so the
+        # summary records the setting the run saw
         self.summary: dict[str, Any] = {"command": command,
-                                        "catlink_version": __version__}
+                                        "catlink_version": __version__,
+                                        "blas_threads": {name: os.environ.get(name)
+                                                         for name in BLAS_THREAD_VARS}}
 
     def add_table(self, name: str, header: list[str], rows: list[list[Any]]):
         self.tables[name] = (header, rows)
@@ -145,18 +150,13 @@ def _grape_settings(config: RunConfig) -> sn.GrapeSettings:
     sec = config["grape"]
     return sn.GrapeSettings(duration_kt=sec["duration_kt"], n_segments=sec["n_segments"],
                             amplitude_bound_k=sec["amplitude_bound_k"],
-                            max_iters=sec["max_iters"],
-                            seed=int(sec["seed"]) if sec["seed"] else None)
+                            max_iters=sec["max_iters"], seed=sec["seed"])
 
 
 def _chain_row(config: RunConfig) -> tuple[cq.CatQubitParams, float, float]:
     """(params, drive ratio, coupling ratio) of the ``[chain] loss_ratio`` row."""
-    ch = config["chain"]
-    rows = {ratio: row for ratio, *row in _row_params(config)}
-    if ch["loss_ratio"] not in rows:
-        raise ConfigError(f"[chain] loss_ratio {ch['loss_ratio']:g} is not one of "
-                          f"[catqubit] loss_ratios {config.get('catqubit', 'loss_ratios')}")
-    return rows[ch["loss_ratio"]]
+    _, params, drive_ratio, coupling_ratio = _row_params(config)[config.chain_row()]
+    return params, drive_ratio, coupling_ratio
 
 
 def _link_params(config: RunConfig, storage_policy: str) -> LinkParams:
@@ -178,7 +178,7 @@ def _link_params(config: RunConfig, storage_policy: str) -> LinkParams:
     return LinkParams(length_km=50.0, attenuation_km=li["attenuation_km"],
                       emission_probability=li["emission_probability"],
                       detection_efficiency=li["detection_efficiency"],
-                      operation_time_s=float(t_o),
+                      operation_time_s=t_o,
                       fiber_speed_km_s=li["fiber_speed_km_s"],
                       per_round_emission=li["per_round_emission"])
 
@@ -279,12 +279,9 @@ def cmd_grape(config: RunConfig) -> _Report:
 def cmd_device(config: RunConfig) -> _Report:
     report = _Report("device", config)
     sec = config["device"]
-    lists = {k: sec[k] for k in ("anharmonicity_hz", "coupling_hz",
-                                 "cavity_decay_hz", "qubit_decay_hz")}
+    # config checked that each list holds 1 or n_rows values
+    lists = {k: v for k, v in sec.items() if isinstance(v, tuple)}
     n_rows = max(len(v) for v in lists.values())
-    for key, vals in lists.items():
-        if len(vals) not in (1, n_rows):
-            raise ConfigError(f"[device] {key}: expected 1 or {n_rows} values")
     header = ["kappa_c_hz", "gamma_hz", "g_hz", "Delta_hz", "K_q_hz",
               "K_hz", "kappa_hz", "kappa_eff_hz"]
     rows = []
@@ -308,8 +305,7 @@ def cmd_device(config: RunConfig) -> _Report:
                      derived.kappa / TWO_PI, derived.kappa_eff / TWO_PI])
     report.add_table("device", header, rows)
     report.summary["rows"] = n_rows
-    if rows:
-        report.summary["K_over_kappa"] = [r[5] / r[6] for r in rows]
+    report.summary["K_over_kappa"] = [r[5] / r[6] for r in rows]
     return report
 
 
@@ -458,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "mc":
             p.add_argument("--trials", type=int, default=None,
                            help="override Monte-Carlo trials")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=CONFIG_SCHEMA["output"]["format"].domain.choices,
+                       default=None,
                        help="primary table format")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override a single config key")

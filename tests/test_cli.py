@@ -91,7 +91,42 @@ class TestValidation:
         (("figure6", "--set", "comparators.re_operation_time_s=-1"),
          "[comparators] re_operation_time_s must be >= 0, got -1.0"),
         (("figure6", "--set", "comparators.re_operation_time_s=nan"),
-         "[comparators] re_operation_time_s must be >= 0, got nan")])
+         "[comparators] re_operation_time_s must be >= 0, got nan"),
+        # these exited 1 naming a library parameter, raised a traceback, or
+        # exited 0 and wrote results before every key had a domain
+        (("grape", "--set", "grape.n_segments=2"), "[grape] n_segments must be >= 4, got 2"),
+        (("grape", "--set", "grape.loss_ratio=0"),
+         "[grape] loss_ratio must be positive, got 0.0"),
+        (("grape", "--set", "grape.seed=-7"), "[grape] seed must be >= 0, got -7"),
+        (("transduce", "--set", "transducer.lineshape=foo"),
+         "[transducer] lineshape must be lorentzian or gaussian, got 'foo'"),
+        (("transduce", "--set", "transducer.n_bins=2"),
+         "[transducer] n_bins must be odd and >= 51, got 2"),
+        (("transduce", "--set", "transducer.echo_efficiency=2"),
+         "[transducer] echo_efficiency must lie in [0, 1], got 2.0"),
+        (("transduce", "--set", "transducer.spin_decay_hz=-5"),
+         "[transducer] spin_decay_hz must be >= 0, got -5.0"),
+        (("transduce", "--set", "transducer.natural_linewidth_hz="),
+         "[transducer] natural_linewidth_hz must not be empty"),
+        (("device", "--set", "device.coupling_hz=-1"),
+         "[device] coupling_hz values must be >= 0, got (-1.0,)"),
+        (("device", "--set", "device.anharmonicity_hz=", "--set", "device.coupling_hz=",
+          "--set", "device.cavity_decay_hz=", "--set", "device.qubit_decay_hz="),
+         "[device] anharmonicity_hz must not be empty"),
+        (("gates", "--set", "catqubit.alpha=-1"),
+         "[catqubit] alpha must be positive, got -1.0"),
+        (("gates", "--set", "catqubit.drive_ratios=0,20,45"),
+         "[catqubit] drive_ratios values must be positive, got (0.0, 20.0, 45.0)"),
+        (("crossover", "--set", "chain.drive_method=adiabatic",
+          "--set", "catqubit.coupling_ratios=15,25,-55"),
+         "[catqubit] coupling_ratios values must be positive, got (15.0, 25.0, -55.0)"),
+        (("crossover", "--set", "chain.multiplexing=", "--set", "chain.storage_policy="),
+         "[chain] multiplexing must not be empty"),
+        (("mc", "--set", "mc.seed=-3"), "[mc] seed must be >= 0, got -3"),
+        (("mc", "--set", "chain.swap_probability=1.5"),
+         "[chain] swap_probability must lie in (0, 1], got 1.5"),
+        (("rates", "--set", "rates.length_max_km=50"),
+         "[rates] length_min_km must be below length_max_km, got 100.0 >= 50.0")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
@@ -314,6 +349,16 @@ class TestReportWrite:
             assert r.returncode == 0
             assert sorted(os.listdir(run_dir)) == sorted(
                 [table, "notes.json", "resolved_config.ini", "summary.json"])
+
+    def test_summary_records_the_blas_threads(self, out_dir, monkeypatch):
+        # the written numbers can depend on the thread count, so the summary
+        # says which one the run saw
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        r = run_cli("mc", "--trials", "10000", "--out", out_dir,
+                    env_extra={"OPENBLAS_NUM_THREADS": "2"})
+        assert r.returncode == 0, r.stderr
+        summary = json.load(open(os.path.join(out_dir, "mc", "summary.json")))
+        assert summary["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}
 
     def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         target = tmp_path / "summary.json"

@@ -1,6 +1,11 @@
 """The resolved configuration: its snapshot reads back, and every key
 reaches the code that it documents."""
 
+import contextlib
+import io
+import os
+import string
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -8,6 +13,9 @@ from catlink import cli
 from catlink import scenarios as sn
 from catlink.config import CONFIG_SCHEMA, ConfigError, RunConfig, load_config
 
+ALL_KEYS = [(section, key, spec) for section, keys in CONFIG_SCHEMA.items()
+            for key, spec in keys.items()]
+KEY_IDS = [f"{section}-{key}" for section, key, _ in ALL_KEYS]
 ALL_COMMANDS = frozenset(cli.COMMANDS)
 # CHAIN commands run the simulated budget; every LINK command reads the
 # derived operation time
@@ -30,25 +38,19 @@ KEY_READERS = {
     **{("device", key): {"device"} for key in CONFIG_SCHEMA["device"]},
     **{("transducer", key): {"transduce"} for key in CONFIG_SCHEMA["transducer"]},
     **{("link", key): LINK for key in CONFIG_SCHEMA["link"]},
-    ("chain", "loss_ratio"): LINK,
-    ("chain", "drive_method"): LINK,
-    ("chain", "nesting_level"): LINK,
-    ("chain", "swap_probability"): LINK,
-    ("chain", "multiplexing"): CHAIN,
-    ("chain", "storage_policy"): CHAIN,
-    ("chain", "transfer_lifetime_s"): CHAIN,
+    **{("chain", key): LINK
+       for key in ("loss_ratio", "drive_method", "nesting_level", "swap_probability")},
+    **{("chain", key): CHAIN
+       for key in ("multiplexing", "storage_policy", "transfer_lifetime_s")},
     ("comparators", "source_rate_hz"): {"crossover", "figure6"},
     **{("comparators", key): {"figure6"}
        for key in ("dlcz_generation_probability", "dlcz_memory_efficiency",
                    "dlcz_detection_efficiency", "re_operation_time_s")},
     **{("rates", key): {"rates", "figure6"}
        for key in ("length_min_km", "length_max_km", "length_steps")},
-    ("rates", "bracket_min_km"): {"crossover"},
-    ("rates", "bracket_max_km"): {"crossover"},
-    ("mc", "trials"): {"mc"},
-    ("mc", "seed"): {"mc"},
-    ("output", "directory"): ALL_COMMANDS,
-    ("output", "format"): ALL_COMMANDS,
+    **{("rates", key): {"crossover"} for key in ("bracket_min_km", "bracket_max_km")},
+    **{("mc", key): {"mc"} for key in CONFIG_SCHEMA["mc"]},
+    **{("output", key): ALL_COMMANDS for key in CONFIG_SCHEMA["output"]},
 }
 
 # A valid value other than the default for every key read by a command
@@ -101,6 +103,41 @@ PERTURBATION_COMMANDS = ("rates", "crossover", "figure6", "mc")
 MC_TRIALS = "mc.trials=20000"
 
 
+WORDS = st.text(alphabet=string.ascii_letters, min_size=1)
+BOOL_WORDS = {"true", "false", "yes", "no", "on", "off"}
+
+
+def domain_strategies(spec, size=1):
+    """(Values in, raw text out of) a key's domain.  Out of it lie text outside
+    an enum, NaN and numbers past either end or, under an odd rule, even ones,
+    and blank where it is refused.  A list key draws ``size`` values, and its
+    bad text puts the bad value after its defaults."""
+    d, probe = spec.domain, spec.parse("1")  # the parser's type
+    kind = type(probe[0] if isinstance(probe, tuple) else probe)
+    if d.choices and d.low is None or kind is str:
+        refused = BOOL_WORDS | set(map(str, d.choices))
+        item = st.sampled_from(d.choices) if d.choices else WORDS
+        bad = WORDS.filter(lambda t: t.lower() not in refused) if d.choices else st.nothing()
+    elif kind is int:
+        even = st.integers(min_value=(d.low + 1) // 2).map(lambda k: str(2 * k))
+        item = st.integers(min_value=d.low).filter(lambda n: n % 2 or not d.odd)
+        bad = st.just("nan") | st.integers(max_value=d.low - 1).map(str) | (
+            even if d.odd else st.nothing())
+    else:
+        item = st.one_of(st.floats(d.low, d.high, exclude_min=d.low_open),
+                         *map(st.just, d.choices))  # auto beside the interval
+        bad = st.floats(max_value=d.low).filter(lambda x: x < d.low or d.low_open)
+        if d.high is not None:
+            bad |= st.floats(min_value=d.high, exclude_min=True)
+        bad = bad.map(repr) | st.just("nan")
+    if isinstance(spec.default, tuple):
+        item = st.lists(item, min_size=size, max_size=size).map(tuple)
+        bad = bad.map(lambda v: ", ".join([*map(str, spec.default), v]))
+    elif d.blank:
+        item = st.none() | item
+    return item, (bad if d.blank else bad | st.just(""))
+
+
 class TestRoundTrip:
     @staticmethod
     def reread(config, tmp_path):
@@ -112,87 +149,32 @@ class TestRoundTrip:
         config = load_config()
         assert self.reread(config, tmp_path).values == config.values
 
+    def test_every_default_lies_in_its_domain(self):
+        defaults = load_config()  # with_overrides checks every key, even unchanged
+        assert defaults.with_overrides({}).values == defaults.values
+
     def test_blank_list_is_empty(self):
         config = load_config().with_overrides({("catqubit", "kerr_hz"): ""})
         assert config.get("catqubit", "kerr_hz") == ()
-
-    def test_every_list_key_perturbed(self, tmp_path):
-        lists = {
-            ("catqubit", "loss_ratios"): "1e4, 1e5",
-            ("catqubit", "kerr_hz"): "3.1e5, 2.7e5",
-            ("catqubit", "drive_ratios"): "20.5, 0.1",
-            ("catqubit", "coupling_ratios"): "25, 55",
-            ("device", "anharmonicity_hz"): "2.5e8, 3e8",
-            ("device", "coupling_hz"): "7.5e7, 1e8",
-            ("device", "cavity_decay_hz"): "0.3, 0.7",
-            ("device", "qubit_decay_hz"): "1600, 3200",
-            ("transducer", "natural_linewidth_hz"): "1e7, 2e7",
-            ("chain", "multiplexing"): "1, 20, 200",
-            ("chain", "storage_policy"): "cat, fock, transfer",
-        }
-        assert set(lists) == {(section, key) for section, keys in CONFIG_SCHEMA.items()
-                              for key, (_, default, _) in keys.items()
-                              if isinstance(default, tuple)}
-        config = load_config().with_overrides(lists)
-        assert self.reread(config, tmp_path).values == config.values
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_generated_values(self, tmp_path, data):
-        floats = st.floats(allow_nan=False)
-        values = load_config().values
-        for section, keys in CONFIG_SCHEMA.items():
-            for key, (_, default, _) in keys.items():
-                if isinstance(default, bool):
-                    values[section][key] = data.draw(st.booleans())
-                elif isinstance(default, float):
-                    values[section][key] = data.draw(floats)
-                elif isinstance(default, int):
-                    values[section][key] = data.draw(st.integers(min_value=1))
-        # Fock truncations that hold a ladder operator and the device's Kerr fit
-        for section, key, least in (("catqubit", "dim", 2), ("catqubit", "two_qubit_dim", 2),
-                                    ("device", "cavity_levels", 6),
-                                    ("device", "qubit_levels", 2)):
-            values[section][key] = data.draw(st.integers(min_value=least))
-        rows = data.draw(st.integers(min_value=1, max_value=3))
-        for key in ("loss_ratios", "drive_ratios", "coupling_ratios", "kerr_hz"):
-            values["catqubit"][key] = tuple(data.draw(st.lists(floats, min_size=rows,
-                                                               max_size=rows)))
-        for key in ("anharmonicity_hz", "coupling_hz", "cavity_decay_hz", "qubit_decay_hz"):
-            values["device"][key] = tuple(data.draw(st.lists(floats, max_size=3)))
-        # nonnegative linewidths, a positive grid span and transfer lifetime
-        values["transducer"]["natural_linewidth_hz"] = tuple(
-            data.draw(st.lists(st.floats(min_value=0.0))))
-        positive = st.floats(min_value=0.0, exclude_min=True)
-        values["transducer"]["span_fwhm"] = data.draw(positive)
-        values["chain"]["transfer_lifetime_s"] = data.draw(positive)
-        # positive fiber speed, attenuation length and rate-curve lengths
-        for section, key in (("link", "fiber_speed_km_s"), ("link", "attenuation_km"),
-                             ("rates", "length_min_km"), ("rates", "length_max_km"),
-                             ("rates", "bracket_min_km"), ("rates", "bracket_max_km")):
-            values[section][key] = data.draw(positive)
-        chain = data.draw(st.lists(st.tuples(st.integers(min_value=1),
-                                             st.sampled_from(("cat", "fock", "transfer"))),
-                                   max_size=3))
-        values["chain"]["multiplexing"] = tuple(m for m, _ in chain)
-        values["chain"]["storage_policy"] = tuple(policy for _, policy in chain)
-        lo, hi = sorted((values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"]))
-        assume(lo < hi)
-        values["rates"]["bracket_min_km"], values["rates"]["bracket_max_km"] = lo, hi
-        values["grape"]["seed"] = data.draw(st.sampled_from(("", "0", "-7")))
-        values["link"]["operation_time_s"] = data.draw(st.sampled_from(("auto", "0.0",
-                                                                        "2.5e-05")))
-        unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
-        for key in ("emission_probability", "detection_efficiency"):
-            values["link"][key] = data.draw(unit)
-        comparators = values["comparators"]
-        for key in ("dlcz_generation_probability", "dlcz_memory_efficiency",
-                    "dlcz_detection_efficiency"):
-            comparators[key] = data.draw(unit)
-        comparators["source_rate_hz"] = data.draw(positive)
-        comparators["re_operation_time_s"] = data.draw(st.floats(min_value=0.0))
-        values["mc"]["trials"] = data.draw(st.integers(min_value=10_000))
+        # one row count per section; a [device] list holds 1 value or one per
+        # row, and a blank list (kerr_hz) reads the calibrated defaults
+        rows = {section: data.draw(st.integers(min_value=1, max_value=3))
+                for section in CONFIG_SCHEMA}
+        values = {}
+        for section, key, spec in ALL_KEYS:
+            least = 0 if spec.domain.blank else 1 if section == "device" else rows[section]
+            size = data.draw(st.sampled_from((least, rows[section])))
+            values.setdefault(section, {})[key] = data.draw(domain_strategies(spec, size)[0])
+        ra = values["rates"]
+        for low, high in (("length_min_km", "length_max_km"),
+                          ("bracket_min_km", "bracket_max_km")):
+            ra[low], ra[high] = sorted((ra[low], ra[high]))
+            assume(ra[low] < ra[high])
         config = RunConfig(values=values)
         assert self.reread(config, tmp_path).values == config.values
 
@@ -227,9 +209,25 @@ class TestErrors:
         assert str(from_flag.value) == str(from_file.value) == "unknown config section [nosuch]"
 
 
+@pytest.mark.parametrize("section, key, spec", ALL_KEYS, ids=KEY_IDS)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_value_outside_its_domain_is_refused_by_name(tmp_path, section, key, spec, data):
+    raw = data.draw(domain_strategies(spec)[1])
+    path, out = tmp_path / "bad.ini", tmp_path / "out"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"\\[{section}\\] {key}\\b"):
+        load_config(str(path))
+    # the command exits 2 and writes nothing
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        assert cli.main(["mc", "--out", str(out), "--set", f"{section}.{key}={raw}"]) == 2
+    assert f"[{section}] {key}" in err.getvalue() and not os.path.exists(out)
+
+
 def test_every_key_has_readers():
-    assert set(KEY_READERS) == {(section, key) for section, keys in CONFIG_SCHEMA.items()
-                                for key in keys}
+    assert set(KEY_READERS) == {(section, key) for section, key, _ in ALL_KEYS}
     assert all(readers <= ALL_COMMANDS for readers in KEY_READERS.values())
 
 
