@@ -8,5 +8,5 @@ entanglement-distribution rates, fidelities, and crossover distances.
 
 __version__ = "0.1.0"
 
-from . import (qcore, dynamics, pulses, catqubit, pulseopt, device,  # noqa: F401
+from . import (qcore, dynamics, catqubit, pulseopt, device,  # noqa: F401
                transducer, repeater, scenarios, config)

@@ -10,22 +10,25 @@ adiabatically onto the even and odd cats used as logical |0>, |1>.  Gates are
 generated by an added single-photon drive (X rotations), free Kerr evolution
 with the two-photon drive off (Z rotations), and a linear cavity-cavity
 coupling (entangling G rotations); a seven-stage sequence of these composes a
-CNOT.
+CNOT.  A ``PulseSchedule`` maps the drive channels of ``_CHANNEL_OPS`` to
+amplitudes, each a function of time or its array of values on equal segments
+(a GRAPE pulse); ``time_reversed`` runs a schedule backwards.
 
 All gate stages have piecewise-constant Hamiltonians, so every gate runs
 through ``dynamics.PiecewiseConstantPropagator``: lossless evolution is exact
-through per-stage eigendecompositions.  The two-cavity builders state the
-structure they know: each CNOT stage that leaves the cavities uncoupled and
-each cavity's photon-loss jump is a ``dynamics.KroneckerSum`` of one-cavity
-parts, factored per cavity, and only the coupling stage G is a full array,
-factored over its two parity blocks.  Lossy gate fidelities use a
-no-jump + one-jump expansion of the master equation, with all of a gate's
-input states propagated together as columns and the one-jump term integrated
-by an n-vs-2n checked Gauss-Legendre rule per stage (the probability of two
-photon-loss events over a gate is negligible at the loss ratios of interest;
-the test suite cross-checks the truncation against exact master-equation
-propagation for a single X rotation, a four-stage X/Z sequence and the
-CNOT).
+through per-stage eigendecompositions, and one sweep gives both the lossless
+outputs and the no-jump term of the lossy fidelities.  The two-cavity
+builders state the structure they know: each CNOT stage that leaves the
+cavities uncoupled and each cavity's photon-loss jump is a
+``dynamics.KroneckerSum`` of one-cavity parts, factored per cavity, and only
+the coupling stage G is a full array, factored over its two parity blocks.
+Lossy gate fidelities use a no-jump + one-jump expansion of the master
+equation, with all of a gate's input states propagated together as columns
+and the one-jump term integrated by an n-vs-2n checked Gauss-Legendre rule
+per stage (the probability of two photon-loss events over a gate is
+negligible at the loss ratios of interest; the test suite cross-checks the
+truncation against exact master-equation propagation for a single X
+rotation, a four-stage X/Z sequence and the CNOT).
 Driving, with its smooth time-dependent pulse, goes through the adaptive
 master-equation integrator.  The cats at the end of a ramp, the drive's
 target and the undrive's input and basis, are the eigenstates of the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -48,9 +51,9 @@ import scipy
 from . import qcore as qc
 from .dynamics import IntegrationError, KroneckerSum, PiecewiseConstantPropagator, \
     TimeDependentHamiltonian, _blockwise_eig, evolve
-from .pulses import PulseSchedule
 
 __all__ = [
+    "PulseSchedule",
     "CatQubitParams",
     "GateResult",
     "DriveResult",
@@ -150,6 +153,25 @@ class DriveResult:
     @property
     def duration_s(self) -> float:
         return self.pulse.duration
+
+
+# -- pulse schedules ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PulseSchedule:
+    """Named drive amplitudes over [0, duration], keyed by ``_CHANNEL_OPS``
+    name.  Each channel is a function of time or a complex array of its
+    values on equal-length segments (a GRAPE pulse), which
+    ``dynamics.evolve`` integrates one segment at a time."""
+
+    duration: float
+    channels: Mapping[str, Callable[[float], complex] | np.ndarray]
+
+    def __post_init__(self):
+        if self.duration <= 0:
+            raise ValueError("pulse duration must be positive")
+        object.__setattr__(self, "channels", dict(self.channels))
 
 
 # -- logical basis ----------------------------------------------------------
@@ -278,7 +300,7 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, 
     """
     dim = params.dim
     h = _kerr_op(dim, params.kerr) + params.kerr * alpha**2 * _two_photon_op(dim)
-    lam, v = _blockwise_eig(h, hermitian=True)
+    lam, v, _ = _blockwise_eig(h, hermitian=True)
     v = v.toarray()
     cats = []
     for first, parity in ((0, "even"), (1, "odd")):
@@ -425,8 +447,9 @@ def _run_gate(params: CatQubitParams, operation: str,
     psi0 = basis @ np.stack([c_in for c_in, _ in cases.values()], axis=1)
     targets = basis @ np.stack([c_out for _, c_out in cases.values()], axis=1)
     targets /= np.linalg.norm(targets, axis=0)
-    fids = dict(zip(cases, map(float, prop.lossy_fidelity(psi0, targets))))
-    psi_f = prop.propagate_pure(psi0)
+    fids, quadrature_gap, clip_excess = prop.lossy_fidelity(psi0, targets)
+    fids = dict(zip(cases, map(float, fids)))
+    psi_f = prop.forward(psi0)[-1]
     psi_f /= np.linalg.norm(psi_f, axis=0)
     finals = dict(zip(cases, psi_f.T))
     leakage = max(0.0, float(np.max(1.0 - np.sum(np.abs(basis.conj().T @ psi_f) ** 2,
@@ -435,7 +458,7 @@ def _run_gate(params: CatQubitParams, operation: str,
     fid = float(np.mean(list(fids.values())))
     return GateResult(operation=operation, duration_s=prop.duration, fidelity=fid,
                       state_fidelities=fids, leakage=leakage,
-                      quadrature_gap=prop.quadrature_gap, clip_excess=prop.clip_excess,
+                      quadrature_gap=quadrature_gap, clip_excess=clip_excess,
                       final_states=finals)
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
+from .device import DISPERSIVE_LIMIT
+
 __all__ = ["ConfigError", "RunConfig", "load_config", "CONFIG_SCHEMA",
            "describe_schema"]
 
@@ -304,6 +306,14 @@ def _cross_validate(values: dict[str, dict[str, Any]]) -> None:
     for key, vals in device.items():
         if len(vals) not in (1, n_devices):
             raise ConfigError(f"[device] {key}: expected 1 or {n_devices} values")
+    # every device row must be dispersive, as ``DeviceParams.check_dispersive`` asks
+    qubit, cavity = values["device"]["qubit_freq_hz"], values["device"]["cavity_freq_hz"]
+    for g in device["coupling_hz"]:
+        if not abs(g) < DISPERSIVE_LIMIT * abs(qubit - cavity):
+            raise ConfigError(
+                f"[device] coupling_hz must be below {DISPERSIVE_LIMIT} |qubit_freq_hz - "
+                f"cavity_freq_hz| (the dispersive regime), got {g:g} >= {DISPERSIVE_LIMIT} * "
+                f"|{qubit:g} - {cavity:g}|")
     for low, high in (("length_min_km", "length_max_km"), ("bracket_min_km", "bracket_max_km")):
         if ra[low] >= ra[high]:
             raise ConfigError(

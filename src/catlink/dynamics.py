@@ -24,7 +24,11 @@ Unitary problems with pure initial states are propagated as state vectors.
 list of stages (the cat-qubit gates): it propagates exactly through one
 eigendecomposition per distinct stage Hamiltonian and scores lossy evolution
 with a no-jump + one-jump expansion, integrating the one-jump term over each
-stage with an n-vs-2n checked Gauss-Legendre rule.  A two-cavity stage in
+stage with an n-vs-2n checked Gauss-Legendre rule.  One routine,
+``_stage_factors``, turns a stage into the record (lam, V, V^-1, jumps in
+the eigenbasis): of H by ``eigh``, with V^-1 = V^dag and no jumps, for the
+lossless pass, and of H_eff = H - i/2 sum rate L^dag L for the lossy one;
+one sweep over the records serves both passes.  A two-cavity stage in
 which no term moves both cavities is passed as a ``KroneckerSum`` A x 1 +
 1 x B and factored per cavity, with eigenvalues alpha_i + beta_j and
 eigenvectors V_A x V_B; V, V^-1 and each one-cavity jump in the eigenbasis,
@@ -413,11 +417,11 @@ class _BlockSparse:
 
 
 def _blockwise_eig(m: np.ndarray, hermitian: bool):
-    """Eigendecomposition of ``m`` one ``coupled_blocks`` block at a time:
-    (lam, V) from ``eigh`` when ``hermitian``, else (lam, V, V^-1) from
-    ``eig`` and ``inv``, with V and V^-1 kept as ``_BlockSparse`` operators
-    over the blocks.  Eigenvalue j belongs to column j of V, which is zero
-    outside the block of index j."""
+    """Eigendecomposition (lam, V, V^-1) of ``m`` one ``coupled_blocks`` block
+    at a time, with V and V^-1 kept as ``_BlockSparse`` operators over the
+    blocks: from ``eigh`` with V^-1 = V^dag when ``hermitian``, else from
+    ``eig`` and ``inv``.  Eigenvalue j belongs to column j of V, which is
+    zero outside the block of index j."""
     d = m.shape[0]
     lam = np.empty(d, dtype=float if hermitian else complex)
     v, w = [], []
@@ -429,7 +433,7 @@ def _blockwise_eig(m: np.ndarray, hermitian: bool):
             w.append((idx, idx, np.linalg.inv(vb)))
         v.append((idx, idx, vb))
     v = _BlockSparse(v, d)
-    return (lam, v) if hermitian else (lam, v, _BlockSparse(w, d))
+    return lam, v, v.H if hermitian else _BlockSparse(w, d)
 
 
 class _KroneckerProduct:
@@ -487,8 +491,8 @@ def _coupled_eig(m: np.ndarray, hermitian: bool):
 
 
 def _factor(m, hermitian: bool):
-    """(lam, V) or, unless ``hermitian``, (lam, V, V^-1) of ``m``, with V and
-    V^-1 as operators that are never assembled into full matrices.
+    """(lam, V, V^-1) of ``m``, with V^-1 = V^dag when ``hermitian``, and V
+    and V^-1 as operators that are never assembled into full matrices.
 
     A ``KroneckerSum`` A x 1 + 1 x B is factored per subsystem: A = V_A
     diag(alpha) V_A^-1 and B likewise give eigenvalues alpha_i + beta_j, in
@@ -500,8 +504,9 @@ def _factor(m, hermitian: bool):
         return _coupled_eig(m, hermitian)
     a, b = (_blockwise_eig(m.part(k), hermitian) for k in (0, 1))
     lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
-    return (lam, *(_KroneckerProduct(x.toarray(), y.toarray(), m.dims)
-                   for x, y in zip(a[1:], b[1:])))
+    v = _KroneckerProduct(a[1].toarray(), b[1].toarray(), m.dims)
+    return lam, v, v.H if hermitian else _KroneckerProduct(a[2].toarray(), b[2].toarray(),
+                                                           m.dims)
 
 
 def _dense(m) -> np.ndarray:
@@ -523,20 +528,51 @@ def _block_pairs(w: _BlockSparse, op: np.ndarray, v: _BlockSparse) -> _BlockSpar
     return _BlockSparse(pairs, v.dim)
 
 
+def _stage_factors(h, jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]]):
+    """The record (lam, V, V^-1, jumps) of one stage: the eigendecomposition
+    of H_eff = H - i/2 sum rate L^dag L over the (L, rate) ``jump_ops`` and
+    each L in its eigenbasis, V^-1 L V.  Without jumps H_eff is H, factored
+    by ``eigh`` with V^-1 = V^dag.  A ``KroneckerSum`` stage whose jumps are
+    all one-sided ``KroneckerSum``s is damped and factored per cavity, and a
+    jump A x 1 becomes (W_A A V_A) x 1; any other stage and its jumps go
+    through ``toarray`` to the block route, with each jump formed only on the
+    parity-block pairs it connects."""
+    hermitian = not jump_ops
+    if isinstance(h, KroneckerSum) and all(
+            isinstance(op, KroneckerSum) and (op.a is None) != (op.b is None)
+            for op, _ in jump_ops):
+        parts = [h.part(0), h.part(1)]
+        for op, rate in jump_ops:
+            for k, x in enumerate((op.a, op.b)):
+                if x is not None:
+                    parts[k] = parts[k] - 0.5j * rate * (x.conj().T @ x)
+        lam, v, w = _factor(KroneckerSum(*parts, h.dims), hermitian)
+        # each jump's part maps through its own cavity's factors
+        jumps = [_KroneckerProduct(*(None if x is None else wk @ x @ vk
+                                     for x, wk, vk in zip((op.a, op.b), w.parts, v.parts)),
+                                   h.dims) for op, _ in jump_ops]
+        return lam, v, w, jumps
+    ops = [_dense(op) for op, _ in jump_ops]
+    damp = sum(0.5j * rate * (x.conj().T @ x).toarray()
+               for x, (_, rate) in zip(map(scipy.sparse.csr_array, ops), jump_ops))
+    lam, v, w = _factor(_dense(h) - damp, hermitian)
+    return lam, v, w, [_block_pairs(w, op, v) for op in ops]
+
+
 class PiecewiseConstantPropagator:
     """Exact lossless propagation and one-jump lossy fidelities over a fixed
     list of (H, duration) stages.
 
-    Each distinct stage H (by identity) is eigendecomposed once, and the
-    stage durations are applied afterwards, so a stage list that repeats an
-    H pays for it once; factors are cached across input states.  A stage H
-    is a ``KroneckerSum``, factored and applied per subsystem, or an array,
-    factored one coupled block at a time through ``_factor``'s memo.  States
-    are vectors of length d or (d, c) stacks of c column vectors.
-    ``jump_ops`` are (L, rate) pairs, each L an array or a ``KroneckerSum``;
-    rate-0 operators are dropped, and without jumps ``lossy_fidelity`` is the
-    lossless overlap.  ``kerr`` (rad/s) sets the one-jump quadrature's node
-    count.
+    Each distinct stage H (by identity) is factored once per pass by
+    ``_stage_factors``, and the stage durations are applied afterwards, so a
+    stage list that repeats an H pays for it once; the records are cached
+    across input states.  A stage H is a ``KroneckerSum``, factored and
+    applied per subsystem, or an array, factored one coupled block at a time
+    through ``_factor``'s memo.  States are vectors of length d or (d, c)
+    stacks of c column vectors.  ``jump_ops`` are (L, rate) pairs, each L an
+    array or a ``KroneckerSum``; rate-0 operators are dropped, and without
+    jumps ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets
+    the one-jump quadrature's node count.
     """
 
     # one-jump quadrature: Gauss-Legendre on n = max(MIN_NODES,
@@ -556,104 +592,56 @@ class PiecewiseConstantPropagator:
         self.stages = [(h, float(t)) for h, t in stages]
         self.jump_ops = [(op, float(rate)) for op, rate in jump_ops if rate != 0]
         self.kerr = kerr
-        # largest |I_n - I_2n| over the stages and cases of the last lossy_fidelity
-        self.quadrature_gap = 0.0
-        # largest amount by which the last lossy_fidelity exceeded 1 before
-        # it was clipped there
-        self.clip_excess = 0.0
-        self._herm = None
-        self._eff = None
+        self._factors = {}  # per-stage records, keyed by "has jumps"
 
     @property
     def duration(self) -> float:
         return sum(t for _, t in self.stages)
 
-    def _per_distinct_h(self, factorize):
-        cache = {}
-        for h, _ in self.stages:
-            if id(h) not in cache:
-                cache[id(h)] = factorize(h)
-        return [cache[id(h)] for h, _ in self.stages]
+    def factors(self, lossy: bool) -> list:
+        """Per stage, the ``_stage_factors`` record of H, or with ``lossy`` of
+        H_eff; without jumps both passes share the record of H."""
+        jump_ops = self.jump_ops if lossy else []
+        key = bool(jump_ops)
+        if key not in self._factors:
+            distinct = {id(h): h for h, _ in self.stages}
+            records = {i: _stage_factors(h, jump_ops) for i, h in distinct.items()}
+            self._factors[key] = [records[id(h)] for h, _ in self.stages]
+        return self._factors[key]
 
-    def hermitian_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(eigenvalues, eigenvectors) of each stage's H."""
-        if self._herm is None:
-            self._herm = self._per_distinct_h(lambda h: _factor(h, True))
-        return self._herm
-
-    def _effective_factors(self):
-        """Per stage: eigenpairs (lam, V, V^-1) of H_eff = H - i/2 sum rate L^dag L
-        and each jump operator in that eigenbasis, V^-1 L V.  A ``KroneckerSum``
-        stage whose jumps are all one-sided ``KroneckerSum``s is damped and
-        factored per cavity, and a jump A x 1 becomes (W_A A V_A) x 1; any
-        other stage and its jumps go through ``toarray`` to the block route,
-        with each jump formed only on the parity-block pairs it connects."""
-        if self._eff is None:
-            per_cavity = all(isinstance(op, KroneckerSum) and (op.a is None) != (op.b is None)
-                             for op, _ in self.jump_ops)
-            ops = [_dense(op) for op, _ in self.jump_ops]
-            damp = sum(0.5j * rate * (x.conj().T @ x).toarray()
-                       for x, (_, rate) in zip(map(scipy.sparse.csr_array, ops), self.jump_ops))
-
-            def factorize(h):
-                if not (per_cavity and isinstance(h, KroneckerSum)):
-                    lam, v, w = _factor(_dense(h) - damp, False)
-                    return lam, v, w, [_block_pairs(w, op, v) for op in ops]
-                parts = [h.part(0), h.part(1)]
-                for op, rate in self.jump_ops:
-                    for k, x in enumerate((op.a, op.b)):
-                        if x is not None:
-                            parts[k] = parts[k] - 0.5j * rate * (x.conj().T @ x)
-                lam, v, w = _factor(KroneckerSum(*parts, h.dims), False)
-                # each jump's part maps through its own cavity's factors
-                jumps = [[None if x is None else wk @ x @ vk
-                          for x, wk, vk in zip((op.a, op.b), w.parts, v.parts)]
-                         for op, _ in self.jump_ops]
-                return lam, v, w, [_KroneckerProduct(*jump, h.dims) for jump in jumps]
-
-            self._eff = self._per_distinct_h(factorize)
-        return self._eff
-
-    def forward(self, psi0: np.ndarray) -> list[np.ndarray]:
-        """Lossless state at every stage boundary, ``psi0`` first."""
+    def forward(self, psi0: np.ndarray, lossy: bool = False) -> list[np.ndarray]:
+        """State at every stage boundary, ``psi0`` first: lossless, or with
+        ``lossy`` the unnormalized no-jump state under H_eff."""
         psis = [np.asarray(psi0, dtype=complex)]
-        for (lam, v), (_, t) in zip(self.hermitian_factors(), self.stages):
-            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), v.H @ psis[-1]))
+        for (lam, v, w, _), (_, t) in zip(self.factors(lossy), self.stages):
+            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), w @ psis[-1]))
         return psis
 
-    def propagate_pure(self, psi0: np.ndarray) -> np.ndarray:
-        return self.forward(psi0)[-1]
-
     def lossy_fidelity(self, psi0: np.ndarray, target: np.ndarray):
-        """<t|rho(T)|t> to first order in the jump number: a float for state
-        vectors, one value per column for (d, c) stacks.
+        """(fidelity, quadrature_gap, clip_excess): <t|rho(T)|t> to first
+        order in the jump number, a float for state vectors and one value per
+        column for (d, c) stacks.
 
         The no-jump term propagates under H_eff; each one-jump term integrates
         |<t| U_eff(T, s) L U_eff(s, 0) |psi0>|^2 over the jump time s in each
         stage with Gauss-Legendre rules on n and 2n nodes, and keeps the 2n
-        value.  ``quadrature_gap`` records the largest accepted |I_n - I_2n|;
-        a stage whose gap still exceeds ``QUADRATURE_GAP_TOL`` after
+        value.  ``quadrature_gap`` is the largest accepted |I_n - I_2n|; a
+        stage whose gap still exceeds ``QUADRATURE_GAP_TOL`` after
         ``MAX_DOUBLINGS`` doublings of n raises ``IntegrationError``.  The
         expansion can overshoot 1 by its rounding; such values are clipped
-        to 1, and ``clip_excess`` records the largest excess removed.
+        to 1, and ``clip_excess`` is the largest excess removed.
         """
-        self.quadrature_gap = 0.0
-        self.clip_excess = 0.0
         target = np.asarray(target, dtype=complex)
-        if not self.jump_ops:
-            fid = np.abs(np.sum(target.conj() * self.propagate_pure(psi0), axis=0)) ** 2
-            return fid if fid.ndim else float(fid)
-        eff = self._effective_factors()
-        psis = [np.asarray(psi0, dtype=complex)]
-        for (lam, v, w, _), (_, t) in zip(eff, self.stages):
-            psis.append(v @ _scale_rows(np.exp(-1j * lam * t), w @ psis[-1]))
+        psis = self.forward(psi0, lossy=True)
         fid = np.abs(np.sum(target.conj() * psis[-1], axis=0)) ** 2
-
+        # without jumps there is no one-jump term to integrate
+        eff = self.factors(lossy=True) if self.jump_ops else []
         phis = [target]
         for (lam, v, w, _), (_, t) in zip(reversed(eff), reversed(self.stages)):
             phis.append(w.H @ _scale_rows(np.exp(1j * lam.conj() * t), v.H @ phis[-1]))
         phis = phis[::-1]
 
+        quadrature_gap = 0.0
         for k, ((lam, v, w, jumps), (_, t)) in enumerate(zip(eff, self.stages)):
             d = lam.size
             # eigen-coefficients of psi_k and of <phi_k+1|, cases along axis 1
@@ -685,11 +673,11 @@ class PiecewiseConstantPropagator:
                         f" = {gap:.3e} > {self.QUADRATURE_GAP_TOL:.1e}",
                         sum(dt for _, dt in self.stages[:k]))
                 n, coarse = 2 * n, fine
-            self.quadrature_gap = max(self.quadrature_gap, gap)
+            quadrature_gap = max(quadrature_gap, gap)
             fid = fid + fine.reshape(fid.shape)
-        self.clip_excess = max(0.0, float(np.max(fid - 1.0)))
+        clip_excess = max(0.0, float(np.max(fid - 1.0)))
         fid = np.minimum(fid, 1.0)
-        return fid if fid.ndim else float(fid)
+        return (fid if fid.ndim else float(fid)), quadrature_gap, clip_excess
 
 
 # -- exponential decay fitting ----------------------------------------------

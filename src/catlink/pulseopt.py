@@ -30,10 +30,9 @@ import numpy as np
 import scipy
 
 from . import qcore as qc
-from .catqubit import _CHANNEL_OPS, CatQubitParams, _check_truncation, _kerr_op, \
-    _pulse_hamiltonian, adiabatic_drive_pulse
+from .catqubit import _CHANNEL_OPS, CatQubitParams, PulseSchedule, _check_truncation, \
+    _kerr_op, _pulse_hamiltonian, adiabatic_drive_pulse
 from .dynamics import coupled_blocks, evolve
-from .pulses import PulseSchedule, piecewise_constant
 
 __all__ = [
     "GrapeProblem",
@@ -195,14 +194,13 @@ def _initial_guess(problem: GrapeProblem, seed: Optional[int]) -> np.ndarray:
 
 
 def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
-                   initial_guess: Optional[np.ndarray] = None,
                    seed: Optional[int] = None) -> GrapeResult:
     """Box-constrained quasi-Newton GRAPE: scipy's L-BFGS-B on 1 - F.
 
     The gradient is the exact adjoint gradient and every amplitude is bounded
     by ``problem.amplitude_bound``, so the returned schedule respects it.
-    The default initial guess is the adiabatic up-ramp, which suits a drive
-    from |0>; an undrive optimization passes ``initial_guess``.
+    The initial guess is the adiabatic up-ramp (``_initial_guess``), which
+    suits a drive from |0>.
     ``max_iters`` caps the L-BFGS-B iterations; ``converged`` says whether
     L-BFGS-B stopped on its own rule and ``stop_reason`` carries its message.
     ``max_iters <= 0`` returns the clipped initial guess unoptimized
@@ -210,10 +208,7 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
     """
     prop = _Propagation(problem)
     bound = problem.amplitude_bound
-    u = _initial_guess(problem, seed) if initial_guess is None else \
-        np.clip(np.array(initial_guess, dtype=float), -bound, bound)
-    if u.shape != (2, problem.n_segments):
-        raise ValueError(f"initial guess shape {u.shape} != (2, {problem.n_segments})")
+    u = _initial_guess(problem, seed)
 
     if max_iters <= 0:
         fidelity, converged = prop.overlap_and_gradient(u)[0], False
@@ -237,7 +232,8 @@ def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
         evaluations = int(res.nfev)
 
     # the rows of u are the channels, in the order of the control operators
-    schedule = piecewise_constant(problem.total_time, dict(zip(_CHANNEL_OPS, u)))
+    schedule = PulseSchedule(problem.total_time,
+                             {name: row.astype(complex) for name, row in zip(_CHANNEL_OPS, u)})
     return GrapeResult(schedule=schedule, fidelity=float(fidelity),
                        iterations=np.asarray(trace), converged=converged,
                        stop_reason=stop_reason, evaluations=evaluations)

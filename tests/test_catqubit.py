@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from catlink import catqubit as cq
@@ -10,7 +11,7 @@ from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               coupled_blocks, evolve_constant, liouvillian)
 from catlink.config import load_config
-from catlink.pulses import PulseSchedule, piecewise_constant
+from catlink.catqubit import PulseSchedule
 
 ALPHA = math.sqrt(2)
 
@@ -28,6 +29,18 @@ def ratio_1e3():
 def test_params_need_two_fock_levels():
     with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
         cq.CatQubitParams(kerr=1.0, dim=1)
+
+
+class TestPulseSchedule:
+    def test_duration_must_be_positive(self):
+        with pytest.raises(ValueError, match="pulse duration must be positive"):
+            PulseSchedule(0.0, {"two_photon": lambda t: 0.0})
+
+    def test_unequal_segment_counts_refused(self, lossless):
+        sched = PulseSchedule(1.0, {"two_photon": np.ones(4, dtype=complex),
+                                    "two_photon_orthogonal": np.ones(3, dtype=complex)})
+        with pytest.raises(ValueError, match="same number of segments"):
+            cq._pulse_hamiltonian(lossless, sched)
 
 
 class TestAdiabaticPulse:
@@ -53,7 +66,7 @@ class TestDriveUndrive:
         ramp = cq.adiabatic_drive_pulse(ratio_1e3)
         n, dt = 16, ramp.duration / 16
         values = np.array([ramp.channels["two_photon"]((k + 1) * dt) for k in range(n)])
-        segmented = piecewise_constant(ramp.duration, {"two_photon": values})
+        segmented = PulseSchedule(ramp.duration, {"two_photon": values.astype(complex)})
         step = PulseSchedule(ramp.duration,
                              {"two_photon": lambda t: values[min(int(t / dt), n - 1)]})
         for operation in (cq.drive, cq.undrive):
@@ -117,8 +130,8 @@ class TestTimeReversal:
         assert np.array_equal(op.conj(), sign * op)
 
     def test_array_channels_reverse_and_imaginary_ones_negate(self):
-        sched = piecewise_constant(1.0, {"two_photon": [1.0, 2.0, 5.0],
-                                         "two_photon_orthogonal": [0.5, -3.0, 4.0]})
+        sched = PulseSchedule(1.0, {"two_photon": np.array([1.0, 2.0, 5.0]),
+                                    "two_photon_orthogonal": np.array([0.5, -3.0, 4.0])})
         rev = cq.time_reversed(sched)
         assert rev.duration == 1.0
         assert np.array_equal(rev.channels["two_photon"], [5.0, 2.0, 1.0])
@@ -136,7 +149,7 @@ class TestTimeReversal:
         rng = np.random.default_rng(4)
         values = {name: rng.standard_normal(16) + 1j * rng.standard_normal(16)
                   for name in cq._CHANNEL_OPS}
-        sched = piecewise_constant(0.5, values)
+        sched = PulseSchedule(0.5, values)
         twice = cq.time_reversed(cq.time_reversed(sched))
         assert twice.duration == sched.duration
         for name, channel in sched.channels.items():
@@ -197,7 +210,7 @@ class TestGateX:
         state = quarter.final_states["zero"]
         stages = [(cq._stabilized_h(lossless) + e_x * cq._single_photon_op(lossless.dim),
                    quarter.duration_s)]
-        twice = PiecewiseConstantPropagator(stages).propagate_pure(state)
+        twice = PiecewiseConstantPropagator(stages).forward(state)[-1]
         full = cq.gate_x(lossless, math.pi, e_x).final_states["zero"]
         assert abs(np.vdot(full, twice)) ** 2 >= 0.99
 
@@ -237,7 +250,7 @@ class TestPiecewiseConstantPropagator:
         zero, one = cq.logical_states(ratio_1e3)
         for c0, c1 in ((1, 0), (0, 1), (1, 1j)):
             psi0 = (c0 * zero + c1 * one) / np.linalg.norm([c0, c1])
-            target = prop.propagate_pure(psi0)
+            target = prop.forward(psi0)[-1]
             target /= np.linalg.norm(target)
             rho = np.outer(psi0, psi0.conj())
             for h, t in stages:
@@ -245,7 +258,7 @@ class TestPiecewiseConstantPropagator:
             exact = float(np.real(np.vdot(target, rho @ target)))
             # the one-jump expansion drops two-jump terms, so it may only
             # undershoot, by about (kappa t)^2 / 2
-            assert -1e-6 <= exact - prop.lossy_fidelity(psi0, target) <= 2e-4
+            assert -1e-6 <= exact - prop.lossy_fidelity(psi0, target)[0] <= 2e-4
 
     def test_reused_array_matches_copy(self, ratio_1e3):
         shared = self._sequence(ratio_1e3)
@@ -255,13 +268,14 @@ class TestPiecewiseConstantPropagator:
         a = qc.annihilation(ratio_1e3.dim)
         one_prop = PiecewiseConstantPropagator(shared, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         two_prop = PiecewiseConstantPropagator(copied, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
-        factors = one_prop.hermitian_factors()
-        assert factors[0] is factors[3] and factors[1] is factors[2]
+        for lossy in (False, True):
+            factors = one_prop.factors(lossy)
+            assert factors[0] is factors[3] and factors[1] is factors[2]
         psi0, target = cq.logical_states(ratio_1e3)
         for x, y in zip(one_prop.forward(psi0), two_prop.forward(psi0)):
             assert np.max(np.abs(x - y)) <= 1e-12
-        assert one_prop.lossy_fidelity(psi0, target) == pytest.approx(
-            two_prop.lossy_fidelity(psi0, target), abs=1e-12)
+        assert one_prop.lossy_fidelity(psi0, target)[0] == pytest.approx(
+            two_prop.lossy_fidelity(psi0, target)[0], abs=1e-12)
 
     def test_stacked_cases_match_single_calls(self, ratio_1e3):
         stages = self._sequence(ratio_1e3)
@@ -270,11 +284,11 @@ class TestPiecewiseConstantPropagator:
         zero, one = cq.logical_states(ratio_1e3)
         psi0 = np.stack([zero, one, (zero + 1j * one) / math.sqrt(2)],
                         axis=1)
-        targets = prop.propagate_pure(psi0)
-        stacked = prop.lossy_fidelity(psi0, targets)
+        targets = prop.forward(psi0)[-1]
+        stacked = prop.lossy_fidelity(psi0, targets)[0]
         assert stacked.shape == (3,)
         for i in range(3):
-            single = prop.lossy_fidelity(psi0[:, i], targets[:, i])
+            single = prop.lossy_fidelity(psi0[:, i], targets[:, i])[0]
             assert isinstance(single, float)
             assert abs(stacked[i] - single) <= 1e-14
 
@@ -283,12 +297,17 @@ class TestPiecewiseConstantPropagator:
         a = qc.annihilation(ratio_1e3.dim)
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, _ = cq.logical_states(ratio_1e3)
-        target = prop.propagate_pure(zero)
-        fid = prop.lossy_fidelity(zero, target)
-        assert fid < 1.0 and prop.clip_excess == 0.0
+        target = prop.forward(zero)[-1]
+        fid, _, clip_excess = prop.lossy_fidelity(zero, target)
+        assert fid < 1.0 and clip_excess == 0.0
         # an over-long target lifts the expansion about 3e-2 above 1
-        assert prop.lossy_fidelity(zero, 1.02 * target) == 1.0
-        assert prop.clip_excess == pytest.approx(1.02**2 * fid - 1.0, rel=1e-9)
+        fid_long, _, clip_excess = prop.lossy_fidelity(zero, 1.02 * target)
+        assert fid_long == 1.0
+        assert clip_excess == pytest.approx(1.02**2 * fid - 1.0, rel=1e-9)
+        # without jumps the lossless overlap is clipped and reported alike
+        lossless = PiecewiseConstantPropagator(stages)
+        assert lossless.lossy_fidelity(zero, 1.02 * lossless.forward(zero)[-1]) == \
+            pytest.approx((1.0, 0.0, 1.02**2 - 1.0), rel=1e-9)
 
     def test_unconverged_quadrature_names_the_stage(self, ratio_1e3, monkeypatch):
         monkeypatch.setattr(PiecewiseConstantPropagator, "NODES_PER_KT", 0)
@@ -299,7 +318,7 @@ class TestPiecewiseConstantPropagator:
         prop = PiecewiseConstantPropagator(stages, [(a, ratio_1e3.kappa)], ratio_1e3.kerr)
         zero, one = cq.logical_states(ratio_1e3)
         with pytest.raises(IntegrationError, match=r"stage 0 .*\|I_1 - I_2\| = "):
-            prop.lossy_fidelity(zero, prop.propagate_pure(zero))
+            prop.lossy_fidelity(zero, prop.forward(zero)[-1])
 
 
 def _array(m):
@@ -339,14 +358,14 @@ class TestParityBlocks:
         stages, jumps = self._dense_problem(stages, jumps)
         blocked = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         psi_blocked = blocked.forward(basis)
-        fid_blocked = blocked.lossy_fidelity(basis, psi_blocked[-1])
+        fid_blocked = blocked.lossy_fidelity(basis, psi_blocked[-1])[0]
         # the dense reference: every matrix is one block, factored afresh
         monkeypatch.setattr(dynamics, "coupled_blocks", lambda m: [np.arange(m.shape[0])])
         monkeypatch.setattr(dynamics, "_COUPLED_MEMO", {})
         dense = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         for x, y in zip(psi_blocked, dense.forward(basis)):
             assert np.max(np.abs(x - y)) <= 1e-12
-        assert np.max(np.abs(fid_blocked - dense.lossy_fidelity(basis, psi_blocked[-1]))) \
+        assert np.max(np.abs(fid_blocked - dense.lossy_fidelity(basis, psi_blocked[-1])[0])) \
             <= 1e-12
 
     def test_stages_match_two_cavity_operators(self, cnot_problem, ratio_1e3):
@@ -394,20 +413,20 @@ class TestParityBlocks:
         stages, jumps, basis = cnot_problem
         split = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         psi_split = split.forward(basis)
-        fid_split = split.lossy_fidelity(basis, psi_split[-1])
+        fid_split = split.lossy_fidelity(basis, psi_split[-1])[0]
         # the reference factors every stage over its parity blocks
         dense_stages, dense_jumps = self._dense_problem(stages, jumps)
         blocked = PiecewiseConstantPropagator(dense_stages, dense_jumps, ratio_1e3.kerr)
         for x, y in zip(psi_split, blocked.forward(basis)):
             assert np.max(np.abs(x - y)) <= 1e-12
-        assert np.max(np.abs(fid_split - blocked.lossy_fidelity(basis, psi_split[-1]))) \
+        assert np.max(np.abs(fid_split - blocked.lossy_fidelity(basis, psi_split[-1])[0])) \
             <= 1e-12
         # every stage's lossless and no-jump propagators and eigenbasis jumps
         # agree, each applied to the identity through its own operators
         eye = np.eye(self.DIM**2)
-        for (h, t), (lam_s, v_s), (lam_b, v_b), eff_s, eff_b in zip(
-                stages, split.hermitian_factors(), blocked.hermitian_factors(),
-                split._effective_factors(), blocked._effective_factors()):
+        for (h, t), (lam_s, v_s, _, _), (lam_b, v_b, _, _), eff_s, eff_b in zip(
+                stages, split.factors(lossy=False), blocked.factors(lossy=False),
+                split.factors(lossy=True), blocked.factors(lossy=True)):
             u_s = v_s @ (np.exp(-1j * lam_s * t)[:, None] * (v_s.H @ eye))
             u_b = v_b @ (np.exp(-1j * lam_b * t)[:, None] * (v_b.H @ eye))
             assert np.max(np.abs(u_s - u_b)) <= 1e-12
@@ -427,14 +446,14 @@ class TestParityBlocks:
         # block route, and the two runs must score |01> and |10> apart
         stages, jumps, basis = cnot_problem
         dense_stages, dense_jumps = self._dense_problem(stages, jumps)
-        target = PiecewiseConstantPropagator(stages).propagate_pure(basis)
+        target = PiecewiseConstantPropagator(stages).forward(basis)[-1]
         fids = []
         for k in (0, 1):
             split = PiecewiseConstantPropagator(stages, [jumps[k]], ratio_1e3.kerr)
             blocked = PiecewiseConstantPropagator(dense_stages, [dense_jumps[k]],
                                                   ratio_1e3.kerr)
-            fid = split.lossy_fidelity(basis, target)
-            assert np.max(np.abs(fid - blocked.lossy_fidelity(basis, target))) <= 1e-12
+            fid = split.lossy_fidelity(basis, target)[0]
+            assert np.max(np.abs(fid - blocked.lossy_fidelity(basis, target)[0])) <= 1e-12
             fids.append(fid)
         assert np.all(np.abs(fids[0][1:3] - fids[1][1:3]) > 1e-3)
 
@@ -447,9 +466,9 @@ class TestParityBlocks:
         stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, d)
         jumps, _ = cq._two_qubit_ops(ratio_1e3, d)
         prop = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
-        for (h, _), (_, v), (_, v_eff, w_eff, jumps) in zip(
-                stages, prop.hermitian_factors(), prop._effective_factors()):
-            ops = [v, v_eff, w_eff, *jumps]
+        for (h, _), (_, v, w, _), (_, v_eff, w_eff, jumps) in zip(
+                stages, prop.factors(lossy=False), prop.factors(lossy=True)):
+            ops = [v, w, v_eff, w_eff, *jumps]
             if isinstance(h, KroneckerSum):
                 assert all(isinstance(op, dynamics._KroneckerProduct) for op in ops)
                 assert all(m is None or m.shape == (d, d) for op in ops for m in op.parts)
@@ -610,6 +629,17 @@ class TestGateReport:
         mid = budgets_1e4_1e5[1e4].fidelities
         assert mid["x_half"] > gate_rows_1e3["X_0.5pi"].fidelity
         assert mid["cnot"] > gate_rows_1e3["CNOT"].fidelity
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.floats(1e-2, 1e3))
+    def test_common_rescale_of_kerr_and_kappa_changes_nothing(self, factor):
+        # the gates see K and kappa only as kappa / K and K t, which the GRAPE
+        # problems at K = 1 and scenarios.operation_durations rely on
+        rows = [cq.gate_report(cq.CatQubitParams(kerr=s, kappa=1e-3 * s), 10.0, 15.0,
+                               dim_per_cavity=10) for s in (1.0, factor)]
+        for ref, row in zip(rows[0].values(), rows[1].values()):
+            assert row.fidelity == pytest.approx(ref.fidelity, abs=1e-12)
+            assert row.duration_s * factor == pytest.approx(ref.duration_s, rel=1e-14)
 
     def test_clip_excess_reported(self, gate_rows_1e3):
         for name in ("X_0.5pi", "Z_0.5pi", "G_0.5pi", "CNOT"):

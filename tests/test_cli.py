@@ -126,7 +126,14 @@ class TestValidation:
         (("mc", "--set", "chain.swap_probability=1.5"),
          "[chain] swap_probability must lie in (0, 1], got 1.5"),
         (("rates", "--set", "rates.length_max_km=50"),
-         "[rates] length_min_km must be below length_max_km, got 100.0 >= 50.0")])
+         "[rates] length_min_km must be below length_max_km, got 100.0 >= 50.0"),
+        # these exited 1 from the device model, naming no key
+        (("device", "--set", "device.qubit_freq_hz=5.1e9"),
+         "[device] coupling_hz must be below 0.3 |qubit_freq_hz - cavity_freq_hz| (the "
+         "dispersive regime), got 7.5e+07 >= 0.3 * |5.1e+09 - 5e+09|"),
+        (("device", "--set", "device.qubit_freq_hz=5e9"),
+         "[device] coupling_hz must be below 0.3 |qubit_freq_hz - cavity_freq_hz| (the "
+         "dispersive regime), got 7.5e+07 >= 0.3 * |5e+09 - 5e+09|")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from catlink import cli
 from catlink import scenarios as sn
 from catlink.config import CONFIG_SCHEMA, ConfigError, RunConfig, load_config
+from catlink.device import DISPERSIVE_LIMIT
 
 ALL_KEYS = [(section, key, spec) for section, keys in CONFIG_SCHEMA.items()
             for key, spec in keys.items()]
@@ -175,6 +176,9 @@ class TestRoundTrip:
                           ("bracket_min_km", "bracket_max_km")):
             ra[low], ra[high] = sorted((ra[low], ra[high]))
             assume(ra[low] < ra[high])
+        dev = values["device"]
+        assume(all(abs(g) < DISPERSIVE_LIMIT * abs(dev["qubit_freq_hz"] - dev["cavity_freq_hz"])
+                   for g in dev["coupling_hz"]))
         config = RunConfig(values=values)
         assert self.reread(config, tmp_path).values == config.values
 

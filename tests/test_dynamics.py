@@ -11,7 +11,6 @@ from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               TimeDependentHamiltonian, evolve, evolve_constant,
                               fit_exponential_decay, integrate_rk45, liouvillian)
-from catlink.pulses import piecewise_constant
 
 
 def _zero_h(dim, t1=1.0):
@@ -154,35 +153,34 @@ class TestEvolve:
         monkeypatch.setattr(dynamics, "integrate_rk45", recording)
         rng = np.random.default_rng(11)
         for duration in rng.uniform(0.1, 100.0, 4):
-            values = rng.uniform(-1.0, 1.0, 48)
-            pulse = piecewise_constant(duration, {"u": values[::-1] if reverse else values})
-            h = TimeDependentHamiltonian(np.zeros((1, 1)), ((np.ones((1, 1)),
-                                                             pulse.channels["u"]),),
+            values = rng.uniform(-1.0, 1.0, 48).astype(complex)
+            u = values[::-1] if reverse else values
+            h = TimeDependentHamiltonian(np.zeros((1, 1)), ((np.ones((1, 1)), u),),
                                          (0.0, duration))
             seen.clear()
             evolve(h, [], np.ones(1), n_samples=2)
             dt = duration / 48
             assert [(lo, hi) for lo, hi, _ in seen] == \
                 [(dt * k, dt * (k + 1) if k < 47 else duration) for k in range(48)]
-            assert [values for _, _, values in seen] == [{v} for v in pulse.channels["u"]]
+            assert [values for _, _, values in seen] == [{v} for v in u]
 
     @staticmethod
     def _kerr_segments(n_seg, duration, seed):
         """A random two-quadrature two-photon drive on a dim-20 Kerr
-        oscillator: (h0, channel operators, piecewise-constant pulse)."""
+        oscillator: (h0, channel operators, segment values per channel)."""
         rng = np.random.default_rng(seed)
         a = qc.annihilation(20)
         ad = a.conj().T
         ops = {"x": ad @ ad + a @ a, "y": 1j * (ad @ ad - a @ a)}
-        pulse = piecewise_constant(duration, {k: rng.uniform(-1.0, 1.0, n_seg) for k in ops})
-        return -(ad @ ad @ a @ a), ops, pulse
+        values = {k: rng.uniform(-1.0, 1.0, n_seg).astype(complex) for k in ops}
+        return -(ad @ ad @ a @ a), ops, values
 
     def test_lossy_piecewise_constant_matches_exact_stages(self):
         # a random 64-segment drive with loss at kappa/K = 1e-3, against expm
         # of each segment's Liouvillian
         kappa, n_seg, duration = 1e-3, 64, 2.0
-        h0, ops, pulse = self._kerr_segments(n_seg, duration, seed=7)
-        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in pulse.channels.items()),
+        h0, ops, values = self._kerr_segments(n_seg, duration, seed=7)
+        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in values.items()),
                                      (0.0, duration))
         a = qc.annihilation(20)
         rho0 = qc.to_density_matrix(qc.fock_state(0, 20))
@@ -190,7 +188,7 @@ class TestEvolve:
 
         rho = rho0
         for k in range(n_seg):
-            hk = h0 + sum(pulse.channels[c][k] * ops[c] for c in ops)
+            hk = h0 + sum(values[c][k] * ops[c] for c in ops)
             rho = evolve_constant(hk, [(a, kappa)], rho, [0.0, duration / n_seg])[-1]
         assert np.max(np.abs(traj.final_state - rho)) < 1e-7
 
@@ -198,8 +196,8 @@ class TestEvolve:
         # 4 segments sampled 9 times: every other sample falls on a segment
         # edge, the rest inside a segment
         kappa, n_seg, duration = 1e-3, 4, 2.0
-        h0, ops, pulse = self._kerr_segments(n_seg, duration, seed=3)
-        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in pulse.channels.items()),
+        h0, ops, values = self._kerr_segments(n_seg, duration, seed=3)
+        h = TimeDependentHamiltonian(h0, tuple((ops[k], u) for k, u in values.items()),
                                      (0.0, duration))
         a = qc.annihilation(20)
         rho0 = qc.to_density_matrix(qc.fock_state(0, 20))
@@ -208,7 +206,7 @@ class TestEvolve:
 
         expected = [rho0]
         for k in range(n_seg):
-            hk = h0 + sum(pulse.channels[c][k] * ops[c] for c in ops)
+            hk = h0 + sum(values[c][k] * ops[c] for c in ops)
             step = duration / n_seg / 2
             expected += evolve_constant(hk, [(a, kappa)], expected[-1], [0.0, step, 2 * step])[1:]
         assert len(traj.states) == len(expected) == 9
@@ -258,12 +256,13 @@ class TestPerCavityRoute:
             prop = PiecewiseConstantPropagator(stages, jumps, 1.0)
             states = prop.forward(psi0)
             target = states[-1] / np.linalg.norm(states[-1], axis=0)
-            return prop, states, prop.lossy_fidelity(psi0, target)
+            return prop, states, prop.lossy_fidelity(psi0, target)[0]
 
         split, states, fid = run(stages, jumps)
-        assert all(isinstance(v, dynamics._KroneckerProduct) for _, v in split.hermitian_factors())
+        assert all(isinstance(v, dynamics._KroneckerProduct)
+                   for _, v, _, _ in split.factors(lossy=False))
         route = dynamics._BlockSparse if two_sided else dynamics._KroneckerProduct
-        assert all(isinstance(v_eff, route) for _, v_eff, _, _ in split._effective_factors())
+        assert all(isinstance(v_eff, route) for _, v_eff, _, _ in split.factors(lossy=True))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "coupled_blocks", lambda m: [np.arange(m.shape[0])])
             mp.setattr(dynamics, "_COUPLED_MEMO", {})

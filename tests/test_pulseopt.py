@@ -116,12 +116,10 @@ class TestOptimization:
         prob = po.GrapeProblem(params=params, initial=qc.fock_state(0, 12),
                                target=qc.fock_state(0, 12), total_time=0.5,
                                n_segments=8)
-        res = po.grape_optimize(prob, max_iters=0,
-                                initial_guess=np.zeros((2, 8)))
-        # the Kerr Hamiltonian annihilates the vacuum, so the initial guess
-        # is already perfect
-        assert res.iterations[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.fidelity == pytest.approx(1.0, abs=1e-12)
+        # the Kerr Hamiltonian annihilates the vacuum, so no drive at all
+        # already transfers it perfectly
+        assert po._Propagation(prob).overlap_and_gradient(np.zeros((2, 8)))[0] == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_best_iterate_and_bound(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=40)
@@ -129,6 +127,14 @@ class TestOptimization:
         bound = small_problem.amplitude_bound
         for channel in ("two_photon", "two_photon_orthogonal"):
             assert np.max(np.abs(res.schedule.channels[channel])) <= bound + 1e-12
+
+    def test_schedule_holds_complex_segment_values(self, small_problem):
+        res = po.grape_optimize(small_problem, max_iters=0)
+        u = po._initial_guess(small_problem, seed=None)
+        assert list(res.schedule.channels) == list(cq._CHANNEL_OPS)
+        for channel, row in zip(res.schedule.channels.values(), u):
+            assert channel.dtype == complex
+            assert np.array_equal(channel, row)
 
     def test_objective_nondecreasing_over_accepted_steps(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=40)
@@ -159,9 +165,8 @@ class TestEvaluatePulse:
         prob = po.GrapeProblem(params=params, initial=qc.fock_state(0, 12),
                                target=qc.fock_state(0, 12), total_time=0.5,
                                n_segments=8)
-        from catlink.pulses import piecewise_constant
-        sched = piecewise_constant(0.5, {"two_photon": np.zeros(8),
-                                         "two_photon_orthogonal": np.zeros(8)})
+        sched = cq.PulseSchedule(0.5, {"two_photon": np.zeros(8, dtype=complex),
+                                       "two_photon_orthogonal": np.zeros(8, dtype=complex)})
         assert po.evaluate_pulse(prob, sched, kappa=0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_cross_engine_consistency(self, small_problem):
