@@ -64,12 +64,15 @@ for op in ("drive", "undrive", "x_half", "x_pi", "z_half", "cnot", "transduction
 
 # -- comparators -----------------------------------------------------------------
 print("\nrate comparison at 400 km (n=3):")
-cat = rp.rate_curve(*chains["m=200, cat storage"])
-dlcz = rp.dlcz_rate_curve(nesting_level=3, multiplexing=200)
-re = rp.re_rate_curve(nesting_level=3, multiplexing=200)
-print(f"  cat scheme (m=200) : {cat(400.0):10.3g} pairs/s")
-print(f"  rare-earth (m=200) : {re(400.0):10.3g} pairs/s "
+# the comparators are the same rate model on the cat chain's fiber: a
+# rare-earth ion with a 0.1 ms local time, and DLCZ ensembles
+curves = sn.figure_rate_curves([400.0], *chains["m=200, cat storage"],
+                               source_rate_hz=1e9, dlcz_generation_probability=0.01,
+                               dlcz_memory_efficiency=0.9, dlcz_detection_efficiency=0.9,
+                               re_operation_time_s=1e-4)
+print(f"  cat scheme (m=200) : {curves['cat_m200'][0]:10.3g} pairs/s")
+print(f"  rare-earth (m=200) : {curves['re_m200'][0]:10.3g} pairs/s "
       f"(fidelity ceiling ~{rp.RE_FIDELITY_CEILING})")
-print(f"  DLCZ (m=200)       : {dlcz(400.0):10.3g} pairs/s "
+print(f"  DLCZ (m=200)       : {curves['dlcz_m200'][0]:10.3g} pairs/s "
       f"(fidelity ceiling ~{rp.DLCZ_FIDELITY_CEILING})")
-print(f"  direct 1 GHz       : {rp.direct_transmission_rate(400.0):10.3g} pairs/s")
+print(f"  direct 1 GHz       : {curves['direct'][0]:10.3g} pairs/s")

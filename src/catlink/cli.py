@@ -394,7 +394,9 @@ def cmd_mc(config: RunConfig) -> _Report:
     report = _Report("mc", config)
     sec = config["mc"]
     ch = config["chain"]
-    link = _link_params(config, ChainParams().storage_policy)
+    # auto T_o is the fock policy's: T_o scales the formula and every sampled
+    # time alike, so formula_over_mc does not depend on the policy
+    link = _link_params(config, "fock")
     rows = []
     # deepest level first: one past the sampler's limit fails before any sampling
     for n in range(ch["nesting_level"], -1, -1):

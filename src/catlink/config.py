@@ -152,7 +152,8 @@ CONFIG_SCHEMA: dict[str, dict[str, Key]] = {
         "operation_time_s": Key(lambda text: "auto" if text.strip() == "auto" else float(text),
                                 "auto", Domain(low=0, choices=("auto",)),
                                 "local operation time; auto derives it from the closed-form "
-                                "durations of the [chain] loss_ratio row"),
+                                "durations of the [chain] loss_ratio row, for mc under the "
+                                "fock storage policy"),
         "fiber_speed_km_s": Key(float, 2e5, POSITIVE, "light speed in fiber"),
         "per_round_emission": Key(_parse_bool, False, BOOL,
                                   "square the emission probability (alternative reading)"),

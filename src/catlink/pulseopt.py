@@ -193,7 +193,7 @@ def _initial_guess(problem: GrapeProblem, seed: Optional[int]) -> np.ndarray:
     return np.clip(u, -bound, bound)
 
 
-def grape_optimize(problem: GrapeProblem, max_iters: int = 1000,
+def grape_optimize(problem: GrapeProblem, max_iters: int,
                    seed: Optional[int] = None) -> GrapeResult:
     """Box-constrained quasi-Newton GRAPE: scipy's L-BFGS-B on 1 - F.
 

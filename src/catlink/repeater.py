@@ -43,8 +43,6 @@ __all__ = [
     "final_fidelity",
     "direct_transmission_rate",
     "rate_curve",
-    "dlcz_rate_curve",
-    "re_rate_curve",
     "DLCZ_FIDELITY_CEILING",
     "RE_FIDELITY_CEILING",
     "crossover",
@@ -177,7 +175,7 @@ _MC_BLOCK = 8192                      # trials sampled per block, at most
 _MC_LEAVES = 2**17                    # expected leaf draws per block, at most
 
 
-def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int = 100_000,
+def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
                      seed: int = 0) -> tuple[float, float]:
     """Brute-force oracle for the mean distribution time of one channel set.
 
@@ -288,8 +286,7 @@ def residual_coherence(chain: ChainParams, wait_time_s: float) -> float:
     return math.exp(-t / chain.transfer_lifetime_s)
 
 
-def elementary_fidelity(op_fidelities: dict[str, float],
-                        storage_policy: str = "cat") -> float:
+def elementary_fidelity(op_fidelities: dict[str, float], storage_policy: str) -> float:
     """Product of per-operation fidelities over the link inventory.
 
     ``op_fidelities`` must contain every key of ``OPERATION_INVENTORY``;
@@ -337,49 +334,9 @@ def direct_transmission_rate(length_km: float, source_rate: float = 1e9,
     return source_rate * math.exp(-length_km / attenuation_km)
 
 
-def dlcz_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
-                    generation_probability: float = 0.01,
-                    memory_efficiency: float = 0.9,
-                    detection_efficiency: float = 0.9,
-                    attenuation_km: float = 22.0) -> Callable[[float], float]:
-    """Simplified DLCZ comparator with the linear-optics swap bound.
-
-    Uses the same structural rate formula with P0 built from the single
-    photon generation probability and detection, no local operation time,
-    and P_i = (1/2) eta_m^2 (swapping is capped at one half).  Labeled
-    simplified: the reference
-    protocol's exact prefactors live in its own literature.
-    """
-    # rate_curve sets the elementary length; 1 km is a placeholder
-    link = LinkParams(length_km=1.0, attenuation_km=attenuation_km,
-                      emission_probability=generation_probability,
-                      detection_efficiency=detection_efficiency,
-                      operation_time_s=0.0)
-    chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
-                        swap_probability=0.5 * memory_efficiency**2)
-    return rate_curve(chain, link)
-
-
-def re_rate_curve(nesting_level: int = 3, multiplexing: int = 1,
-                  emission_probability: float = 0.8,
-                  detection_efficiency: float = 0.9,
-                  swap_probability: float = 0.81,
-                  attenuation_km: float = 22.0,
-                  operation_time_s: float = 1e-4) -> Callable[[float], float]:
-    """Single rare-earth-ion comparator: cat-scheme link model with a 0.1 ms
-    local operation time and deterministic-gate swapping."""
-    link = LinkParams(length_km=1.0, attenuation_km=attenuation_km,
-                      emission_probability=emission_probability,
-                      detection_efficiency=detection_efficiency,
-                      operation_time_s=operation_time_s)
-    chain = ChainParams(nesting_level=nesting_level, multiplexing=multiplexing,
-                        swap_probability=swap_probability)
-    return rate_curve(chain, link)
-
-
 def crossover(scheme_rate: Callable[[float], float],
               reference_rate: Callable[[float], float],
-              bracket: tuple[float, float] = (50.0, 1500.0)) -> float:
+              bracket: tuple[float, float]) -> float:
     """Distance where the scheme's rate meets the reference rate (bisection).
 
     Requires the sign of (scheme - reference) to differ at the bracket ends;

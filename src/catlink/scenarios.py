@@ -7,7 +7,8 @@ local-operation time; ``operation_budget`` simulates the inventory's
 fidelities for the rate model.  The command-line front end builds the chains
 and the link from the resolved config and hands them straight to
 ``catlink.repeater``; ``figure_rate_curves`` lays the cat scheme's curves
-next to direct transmission and the DLCZ and rare-earth comparators.
+next to direct transmission and the DLCZ and rare-earth comparators, all
+``rate_curve`` on the configured chain and link.
 
 Absolute Kerr rates per loss ratio are configuration inputs
 (``[catqubit] kerr_hz``).  The defaults below are calibrated anchors: the
@@ -31,8 +32,8 @@ from . import pulseopt as po
 # ``crossover`` is not used here: the benchmark's tracer self-test
 # (perfbench/test_perfbench.py) reaches it as ``scenarios.crossover``.
 from .repeater import crossover  # noqa: F401
-from .repeater import (ChainParams, LinkParams, direct_transmission_rate, dlcz_rate_curve,
-                       operation_counts, rate_curve, re_rate_curve)
+from .repeater import (ChainParams, LinkParams, direct_transmission_rate, operation_counts,
+                       rate_curve)
 
 __all__ = [
     "TABLE_ROW_DEFAULTS",
@@ -174,33 +175,33 @@ def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,
                        dlcz_detection_efficiency: float,
                        re_operation_time_s: float) -> dict[str, np.ndarray]:
     """Seven rate-versus-distance curves: direct transmission from a source
-    at ``source_rate_hz`` (key ``direct``), the cat scheme and the rare-earth
-    comparator (multiplexed and not), and DLCZ (multiplexed and not).
+    at ``source_rate_hz`` (key ``direct``), and at m = 200 and m = 1 the cat
+    scheme, the rare-earth comparator and DLCZ.
 
-    The cat curves store in the cat basis at m = 200 and m = 1 on ``chain``'s
-    nesting level, swap probability and decay rates, over ``link``.  The
-    comparators share the chain's nesting level and the link's fiber; the
-    keyword names are the ``[comparators]`` config keys.
+    All but ``direct`` are ``rate_curve`` on ``chain``'s nesting level over
+    ``link``'s fiber; cat takes ``chain`` and ``link`` as given.  The
+    comparators are simplified (the exact prefactors live in their own
+    literature) and apply the emission probability once per link.  The
+    rare-earth scheme (one ion per node) is the cat link with the local time
+    ``re_operation_time_s``.  DLCZ has the ensemble's generation probability
+    and detection efficiency, no local time, and linear-optics swapping
+    capped at one half, P_i = (1/2) eta_m^2.  The keyword names are the
+    ``[comparators]`` config keys.
     """
     lengths = np.asarray(list(lengths_km), dtype=float)
-    n = chain.nesting_level
     out: dict[str, np.ndarray] = {"L_km": lengths}
     out["direct"] = np.array([direct_transmission_rate(L, source_rate_hz,
                                                        link.attenuation_km)
                               for L in lengths])
+    re_link = replace(link, operation_time_s=re_operation_time_s, per_round_emission=False)
+    dlcz_link = replace(re_link, emission_probability=dlcz_generation_probability,
+                        detection_efficiency=dlcz_detection_efficiency,
+                        operation_time_s=0.0)
     for m, tag in ((200, "m200"), (1, "m1")):
-        cat = rate_curve(replace(chain, multiplexing=m, storage_policy="cat"), link)
-        re = re_rate_curve(nesting_level=n, multiplexing=m,
-                           emission_probability=link.emission_probability,
-                           detection_efficiency=link.detection_efficiency,
-                           swap_probability=chain.swap_probability,
-                           attenuation_km=link.attenuation_km,
-                           operation_time_s=re_operation_time_s)
-        dlcz = dlcz_rate_curve(nesting_level=n, multiplexing=m,
-                               generation_probability=dlcz_generation_probability,
-                               memory_efficiency=dlcz_memory_efficiency,
-                               detection_efficiency=dlcz_detection_efficiency,
-                               attenuation_km=link.attenuation_km)
-        for name, fn in (("cat", cat), ("re", re), ("dlcz", dlcz)):
+        chain_m = replace(chain, multiplexing=m)
+        dlcz_chain = replace(chain_m, swap_probability=0.5 * dlcz_memory_efficiency**2)
+        for name, fn in (("cat", rate_curve(chain_m, link)),
+                         ("re", rate_curve(chain_m, re_link)),
+                         ("dlcz", rate_curve(dlcz_chain, dlcz_link))):
             out[f"{name}_{tag}"] = np.array([fn(L) for L in lengths])
     return out

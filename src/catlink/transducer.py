@@ -226,7 +226,7 @@ def _transfer_density_matrix(params: TransducerParams) -> tuple[float, float, fl
     return float(np.sum(pops[1:-1])), float(pops[0]), float(pops[-1])
 
 
-def spin_transfer_efficiency(params: Optional[TransducerParams] = None,
+def spin_transfer_efficiency(params: TransducerParams,
                              check_convergence: bool = True) -> TransferResult:
     """Total spin population after the resonant swap time.
 
@@ -234,7 +234,6 @@ def spin_transfer_efficiency(params: Optional[TransducerParams] = None,
     efficiency as ``bin_drift`` and flags the result when it exceeds 0.1
     percentage points.
     """
-    params = params or TransducerParams()
     solve = (_transfer_amplitudes if params.gamma2_model == "loss"
              else _transfer_density_matrix)
     spin, cavity, sink = solve(params)
@@ -249,15 +248,11 @@ def spin_transfer_efficiency(params: Optional[TransducerParams] = None,
                           converged=converged, bin_drift=drift)
 
 
-def transduction_budget(params: Optional[TransducerParams] = None,
-                        transfer: Optional[TransferResult] = None) -> float:
+def transduction_budget(params: TransducerParams, transfer: TransferResult) -> float:
     """Overall emission probability p: transfer x echo x fiber coupling.
 
     The echo and coupling factors stand in for the optical read-out stages,
     which are not dynamically modeled here; defaults are chosen so the
     budget lands at the 0.8 used by the rate scenarios.
     """
-    params = params or TransducerParams()
-    if transfer is None:
-        transfer = spin_transfer_efficiency(params, check_convergence=False)
     return transfer.efficiency * params.echo_efficiency * params.coupling_efficiency

@@ -2,6 +2,7 @@
 reaches the code that it documents."""
 
 import contextlib
+import csv
 import io
 import os
 import string
@@ -278,3 +279,48 @@ def observe(tmp_path_factory):
 def test_key_reaches_command(observe, command, section, key):
     baseline, perturbed = observe(command, f"{section}.{key}={PERTURBED[(section, key)]}")
     assert perturbed != baseline
+
+
+_CAT, _RE, _DLCZ = ("cat_m200", "cat_m1"), ("re_m200", "re_m1"), ("dlcz_m200", "dlcz_m1")
+_CURVES = ("direct",) + _CAT + _RE + _DLCZ
+
+# (section, key) -> the figure6.csv columns that its PERTURBED value moves.
+# A key that reaches figure6 only through the derived operation time moves
+# the cat curves alone: the comparators set their own local times.
+FIGURE6_COLUMNS = {
+    **{("catqubit", key): _CAT
+       for key in ("loss_ratios", "kerr_hz", "drive_ratios", "coupling_ratios", "alpha")},
+    ("grape", "duration_kt"): _CAT,
+    ("chain", "loss_ratio"): _CAT,
+    ("chain", "drive_method"): _CAT,
+    ("link", "operation_time_s"): _CAT,
+    ("link", "per_round_emission"): _CAT,
+    ("link", "emission_probability"): _CAT + _RE,
+    ("link", "detection_efficiency"): _CAT + _RE,
+    ("chain", "swap_probability"): _CAT + _RE,
+    ("chain", "nesting_level"): _CAT + _RE + _DLCZ,
+    ("link", "fiber_speed_km_s"): _CAT + _RE + _DLCZ,
+    ("link", "attenuation_km"): _CURVES,
+    ("comparators", "source_rate_hz"): ("direct",),
+    ("comparators", "re_operation_time_s"): _RE,
+    **{("comparators", key): _DLCZ
+       for key in ("dlcz_generation_probability", "dlcz_memory_efficiency",
+                   "dlcz_detection_efficiency")},
+    **{("rates", key): ("L_km",) + _CURVES
+       for key in ("length_min_km", "length_max_km", "length_steps")},
+}
+
+
+def _figure6_columns(files):
+    [text] = [data.decode() for name, data in files.items() if name.endswith("figure6.csv")]
+    header, *rows = csv.reader(io.StringIO(text))
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("section, key", [
+    key for key, readers in KEY_READERS.items() if "figure6" in readers and key[0] != "output"])
+def test_figure6_key_moves_only_its_columns(observe, section, key):
+    baseline, perturbed = observe("figure6", f"{section}.{key}={PERTURBED[(section, key)]}")
+    before, after = _figure6_columns(baseline[0]), _figure6_columns(perturbed[0])
+    assert {name for name in before if before[name] != after[name]} == set(
+        FIGURE6_COLUMNS[(section, key)])

@@ -8,6 +8,8 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from catlink import repeater as rp
+from catlink import scenarios as sn
+from catlink.config import load_config
 
 
 def _link(**kw):
@@ -15,6 +17,13 @@ def _link(**kw):
                     detection_efficiency=0.9, operation_time_s=1e-4)
     defaults.update(kw)
     return rp.LinkParams(**defaults)
+
+
+def _figure_curves(lengths, chain, link, **comparators):
+    """The figure-6 curves under the default ``[comparators]`` values,
+    overridden by keyword."""
+    return sn.figure_rate_curves(lengths, chain, link,
+                                 **{**load_config()["comparators"], **comparators})
 
 
 class TestP0:
@@ -362,27 +371,28 @@ class TestComparators:
 
     def test_dlcz_ideal_limit_reduces_to_half_swaps(self):
         # unit efficiencies: swap probability per level collapses to 1/2
-        fn = rp.dlcz_rate_curve(nesting_level=2, generation_probability=1.0,
-                                memory_efficiency=1.0, detection_efficiency=1.0)
+        curves = _figure_curves([100.0], rp.ChainParams(nesting_level=2), _link(),
+                                dlcz_generation_probability=1.0,
+                                dlcz_memory_efficiency=1.0, dlcz_detection_efficiency=1.0)
         link = rp.LinkParams(length_km=100.0 / 4, emission_probability=1.0,
                              detection_efficiency=1.0, operation_time_s=0.0)
         chain = rp.ChainParams(nesting_level=2, swap_probability=0.5)
-        assert fn(100.0) == pytest.approx(rp.distribution_rate(chain, link), rel=1e-12)
+        assert curves["dlcz_m1"][0] == pytest.approx(rp.distribution_rate(chain, link),
+                                                     rel=1e-12)
 
     def test_re_slower_than_cat_at_equal_parameters(self):
-        re_fn = rp.re_rate_curve(operation_time_s=1e-4)
-        cat_like = rp.re_rate_curve(operation_time_s=2e-5)
-        for L in (300.0, 500.0, 800.0):
-            assert cat_like(L) > re_fn(L)
+        # the same chain and link but for the local time: 2e-5 s for cat, 1e-4 s for RE
+        curves = _figure_curves([300.0, 500.0, 800.0], rp.ChainParams(nesting_level=3),
+                                _link(operation_time_s=2e-5), re_operation_time_s=1e-4)
+        assert (curves["cat_m1"] > curves["re_m1"]).all()
 
     def test_fidelity_ceilings_attached(self):
         assert rp.DLCZ_FIDELITY_CEILING == 0.75
         assert rp.RE_FIDELITY_CEILING == 0.80
 
     def test_re_outrates_dlcz_at_400_km(self):
-        dlcz = rp.dlcz_rate_curve(nesting_level=3, multiplexing=200)
-        re = rp.re_rate_curve(nesting_level=3, multiplexing=200)
-        assert re(400.0) > dlcz(400.0)
+        curves = _figure_curves([400.0], rp.ChainParams(nesting_level=3), _link())
+        assert curves["re_m200"][0] > curves["dlcz_m200"][0]
 
 
 class TestCrossover:

@@ -121,15 +121,13 @@ class TestScenarioTable:
 
     def test_comparator_ordering_over_range(self, budgets_1e4_1e5, chain_and_link):
         # the cat scheme outrates the two comparators between 300 and 800 km
-        budget = budgets_1e4_1e5[1e5]
-        for m in (1, 200):
-            cat = rp.rate_curve(*chain_and_link(budget, nesting_level=3, multiplexing=m,
-                                                storage_policy="cat"))
-            dlcz = rp.dlcz_rate_curve(nesting_level=3, multiplexing=m)
-            re = rp.re_rate_curve(nesting_level=3, multiplexing=m)
-            for L in (300.0, 450.0, 600.0, 800.0):
-                assert cat(L) > dlcz(L)
-                assert cat(L) > re(L)
+        chain, link = chain_and_link(budgets_1e4_1e5[1e5], nesting_level=3,
+                                     storage_policy="cat")
+        curves = sn.figure_rate_curves([300.0, 450.0, 600.0, 800.0], chain, link,
+                                       **load_config()["comparators"])
+        for m in ("m1", "m200"):
+            assert (curves[f"cat_{m}"] > curves[f"dlcz_{m}"]).all()
+            assert (curves[f"cat_{m}"] > curves[f"re_{m}"]).all()
 
 
 class TestFigureCurves:

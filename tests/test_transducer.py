@@ -149,5 +149,5 @@ class TestBudget:
         assert td.transduction_budget(p, transfer) == pytest.approx(0.8468, abs=1e-4)
 
     def test_defaults_land_at_point_eight(self, reference_result):
-        budget = td.transduction_budget(transfer=reference_result)
+        budget = td.transduction_budget(td.TransducerParams(), reference_result)
         assert budget == pytest.approx(0.80, abs=0.005)
