@@ -268,23 +268,6 @@ def _fock_coefficients(state: np.ndarray) -> tuple[complex, complex]:
     return c0, c1
 
 
-def _check_truncation(states: Sequence[np.ndarray], dim: int, operation: str) -> float:
-    """Largest population in the top two Fock levels over ``states``; raises
-    ``TruncationOverflowError``, naming ``operation``, above 1e-6."""
-    worst = 0.0
-    for s in states:
-        if s.ndim == 1:
-            pop = float(np.sum(np.abs(s[dim - 2:]) ** 2))
-        else:
-            pop = float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
-        worst = max(worst, pop)
-    if worst > 1e-6:
-        raise TruncationOverflowError(
-            f"{operation}: population {worst:.2e} in the top two Fock levels at dim = {dim}; "
-            "increase dim")
-    return worst
-
-
 def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(even, odd) cats of the truncated Hamiltonian
     -K a^dag^2 a^2 + K alpha^2 (a^dag^2 + a^2) at ``params.dim``.
@@ -312,30 +295,37 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, 
 
 
 def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
-    """Cat amplitude implied by the two-photon drive value at the pulse end.
+    """Cat amplitude implied by the two-photon drive value at the pulse end
+    (the channel is a function of time, as in ``adiabatic_drive_pulse``).
 
     The smooth ramp only approaches E_p0 asymptotically, so the cat actually
     produced at t = 1.3 tau is slightly smaller than ``params.alpha``; drive
     and undrive fidelities are reported against this achieved amplitude.
     """
-    ep = pulse.channels["two_photon"]  # a function of time or segment values
-    ep_end = abs(complex(ep[-1] if isinstance(ep, np.ndarray) else ep(pulse.duration)))
+    ep_end = abs(complex(pulse.channels["two_photon"](pulse.duration)))
     return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
 
 
 def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
                state: np.ndarray, target: np.ndarray) -> DriveResult:
-    """Evolve ``state`` through ``pulse`` with loss at ``params.kappa``, check
-    the Fock truncation, and score the final state against ``target``;
-    ``operation`` names the ramp in a truncation or integration error."""
+    """Evolve ``state`` through ``pulse`` with loss at ``params.kappa`` and
+    score the final state against ``target``.  A sampled state with more than
+    1e-6 in the top two Fock levels raises ``TruncationOverflowError``;
+    ``operation`` names the pulse in it and in an integration error."""
+    dim = params.dim
     target = target / np.linalg.norm(target)
     h = _pulse_hamiltonian(params, pulse)
-    collapse = [(qc.annihilation(params.dim), params.kappa)] if params.kappa > 0 else []
+    collapse = [(qc.annihilation(dim), params.kappa)] if params.kappa > 0 else []
     try:
         traj = evolve(h, collapse, state, n_samples=9)
     except IntegrationError as exc:
         raise IntegrationError(f"{operation}: {exc}", exc.t) from exc
-    tail = _check_truncation(traj.states, params.dim, operation)
+    tail = max(float(np.sum(np.abs(s[dim - 2:]) ** 2)) if s.ndim == 1
+               else float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1])) for s in traj.states)
+    if tail > 1e-6:
+        raise TruncationOverflowError(
+            f"{operation}: population {tail:.2e} in the top two Fock levels at dim = {dim}; "
+            "increase dim")
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
                        target=target, pulse=pulse, rhs_evals=traj.rhs_evals,

@@ -497,7 +497,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_root = args.out or config.get("output", "directory")
-    out_dir = report.write(out_root, config.get("output", "format"))
+    try:
+        out_dir = report.write(out_root, config.get("output", "format"))
+    except OSError as exc:  # say, a root that is a regular file or read-only
+        print(f"error: cannot write output under {out_root}: {exc}", file=sys.stderr)
+        return 1
     summary = {k: v for k, v in report.summary.items() if k != "resolved_config"}
     print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
     print(f"wrote {out_dir}", file=sys.stderr)

@@ -380,6 +380,18 @@ class TestReportWrite:
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["summary.json"]
 
+    def test_unwritable_root_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
+        # an output root that is a regular file cannot hold the run directory
+        root = tmp_path / "taken"
+        root.write_text("not a directory\n")
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        assert cli.main(["mc", "--trials", "10000", "--out", str(root)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write output under {root}: ")
+        assert "Not a directory" in err[0]
+        assert root.read_text() == "not a directory\n"
+
 
 class TestDeviceCommand:
     def test_table_schema(self, out_dir):
@@ -431,6 +443,19 @@ class TestGrapeCommand:
         for fwd, rev in zip(drive, reversed(undrive)):
             assert rev["E_p_over_K"] == fwd["E_p_over_K"]
             assert float(rev["E_p_perp_over_K"]) == -float(fwd["E_p_perp_over_K"])
+
+    def test_integration_error_names_the_operation(self, out_dir, monkeypatch, capsys):
+        # the optimizer propagates exactly; only the lossy re-score integrates
+        def failing(rhs, y0, output_times, **kwargs):
+            raise dynamics.IntegrationError("step size underflow (t=2.500000e-07)", 2.5e-7)
+
+        monkeypatch.setattr(dynamics, "integrate_rk45", failing)
+        monkeypatch.delenv("CATLINK_CONFIG", raising=False)
+        assert cli.main(["grape", "--iters", "3", "--set", "grape.n_segments=16",
+                         "--out", out_dir]) == 1
+        assert capsys.readouterr().err == \
+            "error: GRAPE pulse evaluation: step size underflow (t=2.500000e-07)\n"
+        assert not os.path.exists(out_dir)
 
     def test_bad_seed_rejected(self, out_dir):
         r = run_cli("grape", "--out", out_dir, "--set", "grape.seed=abc")
