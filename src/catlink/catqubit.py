@@ -29,14 +29,18 @@ per stage (the probability of two photon-loss events over a gate is
 negligible at the loss ratios of interest; the test suite cross-checks the
 truncation against exact master-equation propagation for a single X
 rotation, a four-stage X/Z sequence and the CNOT).
-Driving, with its smooth time-dependent pulse, goes through the adaptive
-master-equation integrator.  The cats at the end of a ramp, the drive's
-target and the undrive's input and basis, are the eigenstates of the
-*truncated* two-photon-driven Kerr Hamiltonian (``_stationary_cats``): the
-analytic cats are its eigenstates only in the untruncated space, and an
-undrive started from one spends most of its integrator steps on the fast
-oscillation of the truncation residual.  The gate bases stay analytic: gates
-are propagated exactly, so the residual costs them nothing.
+Driving goes through the adaptive master-equation integrator.  ``drive`` and
+``undrive`` take only the length K T of the adiabatic ramp
+(``adiabatic_drive_pulse``); a GRAPE schedule is scored by
+``pulseopt.evaluate_pulse`` through the same loss scorer, ``_run_pulse``.
+One helper, ``_ramp``, builds the ramp and the cats at the amplitude it
+reaches (the drive's target and the undrive's input and basis).  They are
+the eigenstates of the *truncated* two-photon-driven Kerr Hamiltonian
+(``_stationary_cats``): the analytic cats are its eigenstates only in the
+untruncated space, and an undrive started from one spends most of its
+integrator steps on the fast oscillation of the truncation residual.  The
+gate bases stay analytic: gates are propagated exactly, so the residual
+costs them nothing.
 """
 
 from __future__ import annotations
@@ -146,13 +150,9 @@ class DriveResult:
     state: np.ndarray
     fidelity: float
     target: np.ndarray
-    pulse: PulseSchedule
+    duration_s: float
     rhs_evals: int
     tail_population: float
-
-    @property
-    def duration_s(self) -> float:
-        return self.pulse.duration
 
 
 # -- pulse schedules ----------------------------------------------------------
@@ -294,16 +294,20 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, 
     return cats[0], cats[1]
 
 
-def _schedule_end_alpha(params: CatQubitParams, pulse: PulseSchedule) -> float:
-    """Cat amplitude implied by the two-photon drive value at the pulse end
-    (the channel is a function of time, as in ``adiabatic_drive_pulse``).
+def _ramp(params: CatQubitParams,
+          duration_kt: float) -> tuple[PulseSchedule, float, np.ndarray, np.ndarray]:
+    """(schedule, alpha, even cat, odd cat) of the adiabatic ramp of
+    ``duration_kt``: the cats are ``_stationary_cats`` at the amplitude alpha
+    that the ramp's two-photon drive reaches at its end.
 
     The smooth ramp only approaches E_p0 asymptotically, so the cat actually
     produced at t = 1.3 tau is slightly smaller than ``params.alpha``; drive
     and undrive fidelities are reported against this achieved amplitude.
     """
+    pulse = adiabatic_drive_pulse(params, duration_kt)
     ep_end = abs(complex(pulse.channels["two_photon"](pulse.duration)))
-    return math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
+    alpha = math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
+    return (pulse, alpha, *_stationary_cats(params, alpha))
 
 
 def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
@@ -328,46 +332,42 @@ def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
             "increase dim")
     final = traj.final_state
     return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                       target=target, pulse=pulse, rhs_evals=traj.rhs_evals,
+                       target=target, duration_s=pulse.duration, rhs_evals=traj.rhs_evals,
                        tail_population=tail)
 
 
-def drive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
+def drive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
           state: Optional[np.ndarray] = None) -> DriveResult:
-    """Map Fock-basis input onto the parity-matched cat superposition.
+    """Map Fock-basis input onto the parity-matched cat superposition along
+    the adiabatic ramp of ``duration_kt`` (``adiabatic_drive_pulse``).
 
     With input c0 |0> + c1 |1>, the target is c0 |C+> + c1 |C-> (the two cat
     branches stay exactly degenerate along the ramp, so no relative phase
     accumulates).  Evolution includes single-photon loss at ``params.kappa``.
-    The target amplitude follows the final value of the two-photon channel,
-    and the cats are those of the truncated Hamiltonian at that amplitude
-    (``_stationary_cats``), the same pair that ``undrive`` starts from.
+    The cats are those of the truncated Hamiltonian at the amplitude the ramp
+    reaches (``_ramp``), the same pair that ``undrive`` starts from.
     """
-    if pulse is None:
-        pulse = adiabatic_drive_pulse(params)
     if state is None:
         state = qc.fock_state(0, params.dim)
     qc.check_pure(state, "drive input")
     c0, c1 = _fock_coefficients(state)
-    zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
+    pulse, _, zero, one = _ramp(params, duration_kt)
     return _run_pulse(params, "drive", pulse, state, c0 * zero + c1 * one)
 
 
-def undrive(params: CatQubitParams, pulse: Optional[PulseSchedule] = None,
+def undrive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
             state: Optional[np.ndarray] = None) -> DriveResult:
-    """Time-reversed drive: cat superposition back to the Fock basis.
+    """Time-reversed drive: cat superposition back to the Fock basis, along
+    the ramp of ``duration_kt`` run through ``time_reversed``.
 
-    The input is decomposed in the cat basis at the amplitude where the
-    reversed schedule starts (the forward schedule's end value); by default
-    the even cat at that amplitude is undriven to |0>.  The cats are those of
-    the truncated Hamiltonian (``_stationary_cats``): the default input is
-    then stationary under the starting Hamiltonian, so the integrator does
-    not have to follow the fast oscillation that the analytic cat's
-    truncation residual would drive.
+    The input is decomposed in the cat basis at the amplitude the forward
+    ramp reaches; by default the even cat at that amplitude is undriven to
+    |0>.  The cats are those of the truncated Hamiltonian
+    (``_stationary_cats``): the default input is then stationary under the
+    starting Hamiltonian, so the integrator does not have to follow the fast
+    oscillation that the analytic cat's truncation residual would drive.
     """
-    if pulse is None:
-        pulse = adiabatic_drive_pulse(params)
-    zero, one = _stationary_cats(params, _schedule_end_alpha(params, pulse))
+    pulse, _, zero, one = _ramp(params, duration_kt)
     if state is None:
         state = zero
     qc.check_pure(state, "undrive input")
@@ -617,9 +617,9 @@ def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: floa
     e_x = ep0 / drive_ratio
     e_c = ep0 / coupling_ratio
 
-    pulse = adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
     table: dict[str, DriveResult | GateResult] = {
-        "drive": drive(params, pulse), "undrive": undrive(params, pulse)}
+        "drive": drive(params, drive_duration_kt),
+        "undrive": undrive(params, drive_duration_kt)}
     for result in (gate_x(params, math.pi / 2, e_x),
                    gate_z(params, math.pi / 2),
                    gate_g(params, math.pi / 2, e_c, dim_per_cavity),

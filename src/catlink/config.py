@@ -262,7 +262,11 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         return defaults
 
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     overrides = {}
     for section in parser.sections():

@@ -490,25 +490,6 @@ def _coupled_eig(m: np.ndarray, hermitian: bool):
     return factors
 
 
-def _factor(m, hermitian: bool):
-    """(lam, V, V^-1) of ``m``, with V^-1 = V^dag when ``hermitian``, and V
-    and V^-1 as operators that are never assembled into full matrices.
-
-    A ``KroneckerSum`` A x 1 + 1 x B is factored per subsystem: A = V_A
-    diag(alpha) V_A^-1 and B likewise give eigenvalues alpha_i + beta_j, in
-    the order of ``np.kron``, and V = V_A x V_B and V^-1 = W_A x W_B are kept
-    as ``_KroneckerProduct`` operators applied one subsystem at a time.  An
-    array is factored over its ``coupled_blocks`` into ``_BlockSparse``
-    operators, through ``_coupled_eig``'s memo."""
-    if not isinstance(m, KroneckerSum):
-        return _coupled_eig(m, hermitian)
-    a, b = (_blockwise_eig(m.part(k), hermitian) for k in (0, 1))
-    lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
-    v = _KroneckerProduct(a[1].toarray(), b[1].toarray(), m.dims)
-    return lam, v, v.H if hermitian else _KroneckerProduct(a[2].toarray(), b[2].toarray(),
-                                                           m.dims)
-
-
 def _dense(m) -> np.ndarray:
     return m.toarray() if isinstance(m, KroneckerSum) else m
 
@@ -546,7 +527,11 @@ def _stage_factors(h, jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]
             for k, x in enumerate((op.a, op.b)):
                 if x is not None:
                     parts[k] = parts[k] - 0.5j * rate * (x.conj().T @ x)
-        lam, v, w = _factor(KroneckerSum(*parts, h.dims), hermitian)
+        # eigenvalues alpha_i + beta_j in ``np.kron`` order, V = V_A x V_B
+        a, b = (_blockwise_eig(part, hermitian) for part in parts)
+        lam = (a[0][:, None] + b[0][None, :]).reshape(-1)
+        v = _KroneckerProduct(a[1].toarray(), b[1].toarray(), h.dims)
+        w = v.H if hermitian else _KroneckerProduct(a[2].toarray(), b[2].toarray(), h.dims)
         # each jump's part maps through its own cavity's factors
         jumps = [_KroneckerProduct(*(None if x is None else wk @ x @ vk
                                      for x, wk, vk in zip((op.a, op.b), w.parts, v.parts)),
@@ -555,7 +540,7 @@ def _stage_factors(h, jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]
     ops = [_dense(op) for op, _ in jump_ops]
     damp = sum(0.5j * rate * (x.conj().T @ x).toarray()
                for x, (_, rate) in zip(map(scipy.sparse.csr_array, ops), jump_ops))
-    lam, v, w = _factor(_dense(h) - damp, hermitian)
+    lam, v, w = _coupled_eig(_dense(h) - damp, hermitian)
     return lam, v, w, [_block_pairs(w, op, v) for op in ops]
 
 
@@ -568,7 +553,7 @@ class PiecewiseConstantPropagator:
     stage list that repeats an H pays for it once; the records are cached
     across input states.  A stage H is a ``KroneckerSum``, factored and
     applied per subsystem, or an array, factored one coupled block at a time
-    through ``_factor``'s memo.  States are vectors of length d or (d, c)
+    through ``_coupled_eig``'s memo.  States are vectors of length d or (d, c)
     stacks of c column vectors.  ``jump_ops`` are (L, rate) pairs, each L an
     array or a ``KroneckerSum``; rate-0 operators are dropped, and without
     jumps ``lossy_fidelity`` is the lossless overlap.  ``kerr`` (rad/s) sets

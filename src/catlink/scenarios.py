@@ -152,10 +152,8 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
         for op, (problem, schedule) in zip(("drive", "undrive"), pulses):
             fids[op] = po.evaluate_pulse(problem, schedule, kappa=scaled_kappa)
     elif drive_method == "adiabatic":
-        pulse = cq.adiabatic_drive_pulse(params, duration_kt=drive_duration_kt)
-        d = cq.drive(params, pulse)
-        u = cq.undrive(params, pulse)
-        fids["drive"], fids["undrive"] = d.fidelity, u.fidelity
+        fids["drive"] = cq.drive(params, drive_duration_kt).fidelity
+        fids["undrive"] = cq.undrive(params, drive_duration_kt).fidelity
     else:
         raise ValueError("drive_method must be 'grape' or 'adiabatic'")
 

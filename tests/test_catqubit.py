@@ -62,25 +62,27 @@ class TestAdiabaticPulse:
 class TestDriveUndrive:
     def test_segmented_pulse_drives_like_its_step_function(self, ratio_1e3):
         # evolve integrates array segments one at a time, as the GRAPE
-        # re-score runs them through the ramps' scorer; drive and undrive
-        # take the step function, whose end value is the last segment's
-        ramp = cq.adiabatic_drive_pulse(ratio_1e3)
+        # re-score runs them through the ramps' scorer; both pulses drive to
+        # and undrive from the default ramp's cats
+        ramp, _, zero, _ = cq._ramp(ratio_1e3, cq.DRIVE_RAMP_KT)
         n, dt = 16, ramp.duration / 16
         values = np.array([ramp.channels["two_photon"]((k + 1) * dt) for k in range(n)])
         segmented = PulseSchedule(ramp.duration, {"two_photon": values.astype(complex)})
         step = PulseSchedule(ramp.duration,
                              {"two_photon": lambda t: values[min(int(t / dt), n - 1)]})
-        zero = cq._stationary_cats(ratio_1e3, cq._schedule_end_alpha(ratio_1e3, step))[0]
         vacuum = qc.fock_state(0, ratio_1e3.dim)
-        drive = cq._run_pulse(ratio_1e3, "drive", segmented, vacuum, zero)
-        undrive = cq._run_pulse(ratio_1e3, "undrive", cq.time_reversed(segmented), zero, vacuum)
-        assert drive.fidelity == pytest.approx(cq.drive(ratio_1e3, step).fidelity, abs=1e-6)
-        assert undrive.fidelity == pytest.approx(cq.undrive(ratio_1e3, step).fidelity, abs=1e-6)
+
+        def fidelities(pulse):
+            drive = cq._run_pulse(ratio_1e3, "drive", pulse, vacuum, zero)
+            undrive = cq._run_pulse(ratio_1e3, "undrive", cq.time_reversed(pulse), zero, vacuum)
+            return drive.fidelity, undrive.fidelity
+
+        assert fidelities(segmented) == pytest.approx(fidelities(step), abs=1e-6)
 
     def test_slow_pulse_lossless_fidelity(self, lossless):
-        pulse = cq.adiabatic_drive_pulse(lossless, duration_kt=40.0)
-        result = cq.drive(lossless, pulse)
+        result = cq.drive(lossless, 40.0)
         assert result.fidelity >= 0.999
+        assert result.duration_s == pytest.approx(40.0 / lossless.kerr)
 
     def test_default_lossless_fidelity(self, lossless):
         assert cq.drive(lossless).fidelity >= 0.999
@@ -100,8 +102,7 @@ class TestDriveUndrive:
         assert u.fidelity >= d.fidelity**2 - 1e-3
 
     def test_undrive_odd_cat_gives_single_photon(self, lossless):
-        pulse = cq.adiabatic_drive_pulse(lossless)
-        alpha_eff = cq._schedule_end_alpha(lossless, pulse)
+        _, alpha_eff, _, _ = cq._ramp(lossless, cq.DRIVE_RAMP_KT)
         result = cq.undrive(lossless,
                             state=qc.cat_state(alpha_eff, "odd", lossless.dim))
         assert int(np.argmax(np.abs(result.target))) == 1
@@ -172,8 +173,7 @@ class TestStationaryCats:
     @pytest.mark.parametrize("ramp_end", [False, True])
     def test_eigenstates_of_the_truncated_hamiltonian(self, dim, ramp_end):
         params = cq.CatQubitParams(kerr=self.KERR, dim=dim)
-        alpha = (cq._schedule_end_alpha(params, cq.adiabatic_drive_pulse(params))
-                 if ramp_end else ALPHA)
+        alpha = cq._ramp(params, cq.DRIVE_RAMP_KT)[1] if ramp_end else ALPHA
         h = cq._kerr_op(dim, self.KERR) + self.KERR * alpha**2 * cq._two_photon_op(dim)
         # the analytic cat's own truncation error bounds the overlap: 1.3e-11
         # below 1 for the even cat at dim 16
@@ -188,10 +188,9 @@ class TestStationaryCats:
 
     def test_undrive_default_matches_analytic_input(self):
         params = cq.CatQubitParams(kerr=1.8e5, kappa=180.0)  # the 1e3 row
-        pulse = cq.adiabatic_drive_pulse(params)
-        alpha = cq._schedule_end_alpha(params, pulse)
-        default = cq.undrive(params, pulse)
-        analytic = cq.undrive(params, pulse, state=qc.cat_state(alpha, "even", params.dim))
+        _, alpha, _, _ = cq._ramp(params, cq.DRIVE_RAMP_KT)
+        default = cq.undrive(params)
+        analytic = cq.undrive(params, state=qc.cat_state(alpha, "even", params.dim))
         assert default.fidelity == pytest.approx(analytic.fidelity, abs=1e-10)
         # the stationary input spares the integrator the truncation residual
         assert default.rhs_evals < analytic.rhs_evals
@@ -400,18 +399,26 @@ class TestParityBlocks:
             assert np.array_equal(_array(op), ref) and rate == ratio_1e3.kappa
 
     def test_cnot_takes_the_per_cavity_route(self, ratio_1e3, monkeypatch):
-        per_cavity = []
-        original = dynamics._factor
+        routes = []
 
-        def recording(m, hermitian):
-            per_cavity.append(isinstance(m, KroneckerSum))
-            return original(m, hermitian)
+        def recording(name):
+            original = getattr(dynamics, name)
 
-        monkeypatch.setattr(dynamics, "_factor", recording)
+            def record(m, hermitian):
+                routes.append((name, m.shape[0]))
+                return original(m, hermitian)
+            return record
+
+        for name in ("_blockwise_eig", "_coupled_eig"):
+            monkeypatch.setattr(dynamics, name, recording(name))
         e = ratio_1e3.two_photon_amplitude
         cq.cnot(ratio_1e3, e / 10, e / 15, dim_per_cavity=self.DIM)
-        # five distinct stages, each factored as H and as H_eff
-        assert sorted(per_cavity) == [False] * 2 + [True] * 8
+        # five distinct stages, each factored as H and as H_eff: the four
+        # uncoupled ones per cavity, two one-cavity parts each, and G whole
+        # (a memo miss factors it through _blockwise_eig at the full size)
+        per_stage = [r for r in routes if r != ("_blockwise_eig", self.DIM**2)]
+        assert sorted(per_stage) == [("_blockwise_eig", self.DIM)] * 16 + \
+            [("_coupled_eig", self.DIM**2)] * 2
 
     def test_kronecker_route_matches_blockwise(self, cnot_problem, ratio_1e3):
         stages, jumps, basis = cnot_problem

@@ -184,6 +184,22 @@ class TestValidation:
         assert r.returncode == 2
         assert "trials" in r.stderr
 
+    @pytest.mark.parametrize("text", [
+        b"catqubit]\nalpha = 1.5\n",
+        b"[catqubit]\nalpha = 1.5\nalpha = 2\n",
+        b"[catqubit]\nalpha\n",
+        b"[catqubit]\nalpha = 1.5\n[catqubit]\ndim = 20\n",
+        b"[catqubit]\nalpha = 1.5\xff\n",
+    ], ids=["no-section-header", "repeated-key", "no-equals", "repeated-section", "not-utf8"])
+    def test_malformed_file_names_it_and_writes_nothing(self, tmp_path, out_dir, monkeypatch,
+                                                        capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text)
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        assert cli.main(["mc", "--trials", "10000", "--config", str(cfg), "--out", out_dir]) == 2
+        assert f"config error: cannot read config file {cfg}: " in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
     @pytest.mark.parametrize("argv", [("device", "--seed", "3"),
                                       ("crossover", "--trials", "5")])
     def test_flag_the_command_does_not_read_is_rejected(self, out_dir, argv):

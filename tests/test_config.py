@@ -213,6 +213,26 @@ class TestErrors:
             load_config().with_overrides({("nosuch", "x"): "1"})
         assert str(from_flag.value) == str(from_file.value) == "unknown config section [nosuch]"
 
+    # lines a config file is made of, well formed or not: headers, keys,
+    # repeats of both, a header without '[', a key without '=', a
+    # continuation line, and any other text
+    LINES = st.one_of(st.sampled_from(["[catqubit]", "[mc]", "[DEFAULT]", "catqubit]",
+                                       "alpha = 1.5", "alpha = 2", "dim = 12", "alpha",
+                                       "trials = 20000", "= 1", "  continued", ""]),
+                      st.text(max_size=12))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=st.one_of(st.lists(LINES, max_size=8).map("\n".join).map(str.encode),
+                             st.binary(max_size=40)))
+    def test_any_file_loads_or_is_a_config_error(self, tmp_path, content):
+        path = tmp_path / "any.ini"
+        path.write_bytes(content)
+        try:
+            assert isinstance(load_config(str(path)), RunConfig)
+        except ConfigError:
+            pass
+
 
 @pytest.mark.parametrize("section, key, spec", ALL_KEYS, ids=KEY_IDS)
 @settings(max_examples=15, deadline=None,
