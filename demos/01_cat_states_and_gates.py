@@ -51,5 +51,5 @@ print("        per-basis-state:",
 
 # -- the full gate table --------------------------------------------------------
 print("\ngate report at K/kappa = 1e3:")
-for name, r in cq.gate_report(params, 10.0, 15.0).items():
+for name, r in cq.gate_report([(params, 10.0, 15.0)])[0].items():
     print(f"  {name:8s}  K*t = {r.duration_s * params.kerr:8.4f}   F = {r.fidelity:.5f}")

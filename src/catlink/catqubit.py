@@ -33,6 +33,10 @@ Driving goes through the adaptive master-equation integrator.  ``drive`` and
 ``undrive`` take only the length K T of the adiabatic ramp
 (``adiabatic_drive_pulse``); a GRAPE schedule is scored by
 ``pulseopt.evaluate_pulse`` through the same loss scorer, ``_run_pulse``.
+The ramps are solved in units of 1/K, where cavities of one amplitude and
+truncation differ only in kappa / K, so ``drive`` and ``undrive`` take a
+sequence of cavities as well as one and run them as the columns of one
+solve; ``gate_report`` makes one such call for every row of the gate table.
 One helper, ``_ramp``, builds the ramp and the cats at the amplitude it
 reaches (the drive's target and the undrive's input and basis).  They are
 the eigenstates of the *truncated* two-photon-driven Kerr Hamiltonian
@@ -46,7 +50,7 @@ costs them nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -310,34 +314,81 @@ def _ramp(params: CatQubitParams,
     return (pulse, alpha, *_stationary_cats(params, alpha))
 
 
-def _run_pulse(params: CatQubitParams, operation: str, pulse: PulseSchedule,
-               state: np.ndarray, target: np.ndarray) -> DriveResult:
+def _rows(params: CatQubitParams | Sequence[CatQubitParams]) -> tuple[list[CatQubitParams], bool]:
+    """(rows, single): ``params`` as a list of rows, and whether it was one
+    ``CatQubitParams``, a row of one whose result is returned unlisted."""
+    single = isinstance(params, CatQubitParams)
+    rows = [params] if single else list(params)
+    if not rows:
+        raise ValueError("need at least one row of CatQubitParams")
+    return rows, single
+
+
+def _row_names(rows: Sequence[CatQubitParams]) -> str:
+    """'K/kappa = 1000 row', or 'K/kappa = 1000, 100000 rows' for several."""
+    ratios = ", ".join(f"{p.kerr / p.kappa if p.kappa else math.inf:g}" for p in rows)
+    return f"K/kappa = {ratios} row{'s' if len(rows) > 1 else ''}"
+
+
+def _run_pulse(params: CatQubitParams | Sequence[CatQubitParams], operation: str,
+               pulse: PulseSchedule, state: np.ndarray,
+               target: np.ndarray) -> DriveResult | list[DriveResult]:
     """Evolve ``state`` through ``pulse`` with loss at ``params.kappa`` and
-    score the final state against ``target``.  A sampled state with more than
-    1e-6 in the top two Fock levels raises ``TruncationOverflowError``;
-    ``operation`` names the pulse in it and in an integration error."""
-    dim = params.dim
+    score the final state against ``target``.  A sequence of params, which
+    must share ``kerr`` and ``dim``, runs as the columns of one solve, one
+    loss rate each, and returns one result per row.  A sampled state with
+    more than 1e-6 in the top two Fock levels raises
+    ``TruncationOverflowError``; ``operation`` names the pulse in it and in
+    an integration error.  With a sequence, an overflow also names its row
+    (``_row_names``), and a failed solve every row and the failure time K t.
+    """
+    rows, single = _rows(params)
+    dim = rows[0].dim
     target = target / np.linalg.norm(target)
-    h = _pulse_hamiltonian(params, pulse)
-    collapse = [(qc.annihilation(dim), params.kappa)] if params.kappa > 0 else []
+    h = _pulse_hamiltonian(rows[0], pulse)
+    collapse = [(qc.annihilation(dim), [p.kappa for p in rows])]
     try:
-        traj = evolve(h, collapse, state, n_samples=9)
+        trajs = evolve(h, collapse, [state] * len(rows), n_samples=9)
     except IntegrationError as exc:
-        raise IntegrationError(f"{operation}: {exc}", exc.t) from exc
-    tail = max(float(np.sum(np.abs(s[dim - 2:]) ** 2)) if s.ndim == 1
-               else float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1])) for s in traj.states)
-    if tail > 1e-6:
-        raise TruncationOverflowError(
-            f"{operation}: population {tail:.2e} in the top two Fock levels at dim = {dim}; "
-            "increase dim")
-    final = traj.final_state
-    return DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                       target=target, duration_s=pulse.duration, rhs_evals=traj.rhs_evals,
-                       tail_population=tail)
+        where = operation if single else \
+            f"{_row_names(rows)}, {operation} at K t = {exc.t * rows[0].kerr:.6e}"
+        raise IntegrationError(f"{where}: {exc}", exc.t) from exc
+    results = []
+    for p, traj in zip(rows, trajs):
+        tail = max(float(np.sum(np.abs(s[dim - 2:]) ** 2)) if s.ndim == 1
+                   else float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
+                   for s in traj.states)
+        if tail > 1e-6:
+            where = operation if single else f"{_row_names([p])}, {operation}"
+            raise TruncationOverflowError(
+                f"{where}: population {tail:.2e} in the top two Fock levels at dim = {dim}; "
+                "increase dim")
+        final = traj.final_state
+        results.append(DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
+                                   target=target, duration_s=pulse.duration,
+                                   rhs_evals=traj.rhs_evals, tail_population=tail))
+    return results[0] if single else results
 
 
-def drive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
-          state: Optional[np.ndarray] = None) -> DriveResult:
+def _unit_rows(rows: Sequence[CatQubitParams]) -> list[CatQubitParams]:
+    """``rows`` at K = 1, each with its own kappa / K; they must share
+    ``alpha`` and ``dim``, so one ramp and one pair of cats serve them all."""
+    if len({(p.alpha, p.dim) for p in rows}) > 1:
+        raise ValueError("the rows of one drive must share alpha and dim")
+    return [replace(p, kerr=1.0, kappa=p.kappa / p.kerr) for p in rows]
+
+
+def _ramp_results(results: list[DriveResult], rows: Sequence[CatQubitParams], single: bool,
+                  duration_kt: float) -> DriveResult | list[DriveResult]:
+    """The K = 1 ramp ``results`` with each row's own ``duration_kt / kerr``
+    in seconds, unlisted for a ``single`` params."""
+    results = [replace(r, duration_s=duration_kt / p.kerr) for r, p in zip(results, rows)]
+    return results[0] if single else results
+
+
+def drive(params: CatQubitParams | Sequence[CatQubitParams],
+          duration_kt: float = DRIVE_RAMP_KT,
+          state: Optional[np.ndarray] = None) -> DriveResult | list[DriveResult]:
     """Map Fock-basis input onto the parity-matched cat superposition along
     the adiabatic ramp of ``duration_kt`` (``adiabatic_drive_pulse``).
 
@@ -346,17 +397,26 @@ def drive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
     accumulates).  Evolution includes single-photon loss at ``params.kappa``.
     The cats are those of the truncated Hamiltonian at the amplitude the ramp
     reaches (``_ramp``), the same pair that ``undrive`` starts from.
+
+    The ramp is solved in units of 1/K, where cavities differ only in
+    kappa / K: a sequence of params sharing ``alpha`` and ``dim`` runs as
+    the columns of one solve from the same ``state`` and returns one result
+    per row, and one params is a row of one.  Errors name the row.
     """
+    rows, single = _rows(params)
+    unit = _unit_rows(rows)
     if state is None:
-        state = qc.fock_state(0, params.dim)
+        state = qc.fock_state(0, unit[0].dim)
     qc.check_pure(state, "drive input")
     c0, c1 = _fock_coefficients(state)
-    pulse, _, zero, one = _ramp(params, duration_kt)
-    return _run_pulse(params, "drive", pulse, state, c0 * zero + c1 * one)
+    pulse, _, zero, one = _ramp(unit[0], duration_kt)
+    results = _run_pulse(unit, "drive", pulse, state, c0 * zero + c1 * one)
+    return _ramp_results(results, rows, single, duration_kt)
 
 
-def undrive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
-            state: Optional[np.ndarray] = None) -> DriveResult:
+def undrive(params: CatQubitParams | Sequence[CatQubitParams],
+            duration_kt: float = DRIVE_RAMP_KT,
+            state: Optional[np.ndarray] = None) -> DriveResult | list[DriveResult]:
     """Time-reversed drive: cat superposition back to the Fock basis, along
     the ramp of ``duration_kt`` run through ``time_reversed``.
 
@@ -366,8 +426,11 @@ def undrive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
     (``_stationary_cats``): the default input is then stationary under the
     starting Hamiltonian, so the integrator does not have to follow the fast
     oscillation that the analytic cat's truncation residual would drive.
+    Rows are solved and batched as in ``drive``.
     """
-    pulse, _, zero, one = _ramp(params, duration_kt)
+    rows, single = _rows(params)
+    unit = _unit_rows(rows)
+    pulse, _, zero, one = _ramp(unit[0], duration_kt)
     if state is None:
         state = zero
     qc.check_pure(state, "undrive input")
@@ -377,8 +440,9 @@ def undrive(params: CatQubitParams, duration_kt: float = DRIVE_RAMP_KT,
     if weight < 0.98:
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
-    tvec = c0 * qc.fock_state(0, params.dim) + c1 * qc.fock_state(1, params.dim)
-    return _run_pulse(params, "undrive", time_reversed(pulse), state, tvec)
+    tvec = c0 * qc.fock_state(0, unit[0].dim) + c1 * qc.fock_state(1, unit[0].dim)
+    results = _run_pulse(unit, "undrive", time_reversed(pulse), state, tvec)
+    return _ramp_results(results, rows, single, duration_kt)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -601,31 +665,38 @@ def cnot(params: CatQubitParams, drive_amplitude: float, coupling: float,
                      jumps, _two_qubit_logical_basis(params, dim), cases)
 
 
-def gate_report(params: CatQubitParams, drive_ratio: float, coupling_ratio: float,
+def gate_report(rows: Sequence[tuple[CatQubitParams, float, float]],
                 drive_duration_kt: float = DRIVE_RAMP_KT,
-                dim_per_cavity: int = TWO_QUBIT_DIM) -> dict[str, DriveResult | GateResult]:
-    """The gate table's records for one cavity configuration, keyed by
-    operation in table order: drive, undrive, X_0.5pi, Z_0.5pi, G_0.5pi,
-    CNOT.
+                dim_per_cavity: int = TWO_QUBIT_DIM) -> list[dict[str, DriveResult | GateResult]]:
+    """The gate table's records, one dict per row of (params, drive_ratio,
+    coupling_ratio), keyed by operation in table order: drive, undrive,
+    X_0.5pi, Z_0.5pi, G_0.5pi, CNOT.
 
     ``drive_ratio`` and ``coupling_ratio`` divide the two-photon amplitude
     E_p0 to produce the single-photon drive and the cavity coupling; the
     ``[catqubit] drive_ratios`` and ``coupling_ratios`` config keys hold the
-    conventional choices per loss ratio.
+    conventional choices per loss ratio.  The rows must share ``alpha`` and
+    ``dim``: all drives run as one batched solve, and so do all undrives, so
+    each ramp's ``rhs_evals`` counts its whole batch.  Errors name the row.
     """
-    ep0 = params.two_photon_amplitude
-    e_x = ep0 / drive_ratio
-    e_c = ep0 / coupling_ratio
-
-    table: dict[str, DriveResult | GateResult] = {
-        "drive": drive(params, drive_duration_kt),
-        "undrive": undrive(params, drive_duration_kt)}
-    for result in (gate_x(params, math.pi / 2, e_x),
-                   gate_z(params, math.pi / 2),
-                   gate_g(params, math.pi / 2, e_c, dim_per_cavity),
-                   cnot(params, e_x, e_c, dim_per_cavity)):
-        table[result.operation] = result
-    return table
+    cavities = [params for params, _, _ in rows]
+    drives = drive(cavities, drive_duration_kt)
+    undrives = undrive(cavities, drive_duration_kt)
+    tables = []
+    for (params, drive_ratio, coupling_ratio), d, u in zip(rows, drives, undrives):
+        e_x = params.two_photon_amplitude / drive_ratio
+        e_c = params.two_photon_amplitude / coupling_ratio
+        table: dict[str, DriveResult | GateResult] = {"drive": d, "undrive": u}
+        try:
+            for result in (gate_x(params, math.pi / 2, e_x),
+                           gate_z(params, math.pi / 2),
+                           gate_g(params, math.pi / 2, e_c, dim_per_cavity),
+                           cnot(params, e_x, e_c, dim_per_cavity)):
+                table[result.operation] = result
+        except IntegrationError as exc:
+            raise IntegrationError(f"{_row_names([params])}, {exc}", exc.t) from exc
+        tables.append(table)
+    return tables
 
 
 # -- heralded elementary-link protocol ----------------------------------------

@@ -212,11 +212,20 @@ def _grape_stats(result: po.GrapeResult) -> dict[str, Any]:
             "stop_reason": result.stop_reason, "converged": result.converged}
 
 
-def _grape_diagnostics(report: _Report, budget: sn.OperationBudget) -> None:
-    """With ``[chain] drive_method = grape``, put the statistics of the budget's
-    one GRAPE run, the drive's, into the summary's ``diagnostics`` block."""
+def _ramp_stats(result: cq.DriveResult) -> dict[str, Any]:
+    return {"rhs_evals": result.rhs_evals, "tail_population": result.tail_population}
+
+
+def _budget_diagnostics(report: _Report, budget: sn.OperationBudget) -> None:
+    """Put the budget's drive statistics into the summary's ``diagnostics``
+    block: with ``[chain] drive_method = grape`` those of its one GRAPE run,
+    the drive's, and with ``adiabatic`` the drive's and undrive's
+    right-hand-side calls and tail populations, as ``gates`` writes them."""
     if budget.grape is not None:
         report.summary["diagnostics"] = {"grape": _grape_stats(budget.grape)}
+    elif budget.ramps is not None:
+        report.summary["diagnostics"] = {name: _ramp_stats(r)
+                                         for name, r in budget.ramps.items()}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -226,21 +235,17 @@ def cmd_gates(config: RunConfig) -> _Report:
     report = _Report("gates", config)
     header = ["operation", "K_rad_per_s", "kappa_per_s", "duration_s",
               "duration_Kt", "fidelity"]
+    table_rows = _row_params(config)
+    tables = cq.gate_report([(params, drive_ratio, coupling_ratio)
+                             for _, params, drive_ratio, coupling_ratio in table_rows],
+                            drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
+                            dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
     rows, diagnostics = [], []
-    for ratio, params, drive_ratio, coupling_ratio in _row_params(config):
-        try:
-            table = cq.gate_report(
-                params, drive_ratio, coupling_ratio,
-                drive_duration_kt=config.get("catqubit", "drive_duration_kt"),
-                dim_per_cavity=config.get("catqubit", "two_qubit_dim"))
-        except cq.TruncationOverflowError as exc:
-            raise cq.TruncationOverflowError(f"K/kappa = {ratio:g} row, {exc}") from exc
-        except IntegrationError as exc:
-            raise IntegrationError(f"K/kappa = {ratio:g} row, {exc}", exc.t) from exc
+    for (ratio, params, _, _), table in zip(table_rows, tables):
         rows.extend([name, params.kerr, params.kappa, r.duration_s,
                      r.duration_s * params.kerr, r.fidelity] for name, r in table.items())
         row = {"K_over_kappa": ratio}
-        row.update((name, {"rhs_evals": r.rhs_evals, "tail_population": r.tail_population})
+        row.update((name, _ramp_stats(r))
                    for name, r in table.items() if isinstance(r, cq.DriveResult))
         row["gates"] = {
             name: {"leakage": r.leakage, "quadrature_gap": r.quadrature_gap,
@@ -364,7 +369,7 @@ def cmd_rates(config: RunConfig) -> _Report:
         for chain, link in runs for L in lengths])
     report.summary["scenarios"] = [f"m{chain.multiplexing}" for chain, _ in runs]
     report.summary["lengths_km"] = [float(lengths[0]), float(lengths[-1])]
-    _grape_diagnostics(report, budget)
+    _budget_diagnostics(report, budget)
     return report
 
 
@@ -386,7 +391,7 @@ def cmd_crossover(config: RunConfig) -> _Report:
                                       for rep in reports}
     report.summary["final_fidelity"] = {f"m{rep.multiplexing}": rep.final_fidelity
                                         for rep in reports}
-    _grape_diagnostics(report, budget)
+    _budget_diagnostics(report, budget)
     return report
 
 

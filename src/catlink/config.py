@@ -261,7 +261,10 @@ def load_config(path: Optional[str] = None) -> RunConfig:
     if path is None:
         return defaults
 
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can spell an empty name, so a [DEFAULT] section is an
+    # ordinary one, refused as unknown, rather than keys copied into every
+    # section unchecked
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         found = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:

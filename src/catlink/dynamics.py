@@ -8,15 +8,22 @@
 on the column-stacked density matrix with ``integrate_rk45``, which runs
 scipy's adaptive Dormand-Prince 8(5,3) solver (``scipy.integrate.DOP853``):
 on the smooth drive ramps at these tolerances its eighth-order steps need
-about 30 % fewer right-hand-side calls than a 5(4) pair.  The right-hand
-side is one sparse product with a generator built by ``liouvillian``, the one
-place the Lindblad form is written, with every drive term stacked under the
-static one; ``evolve_constant`` densifies the same Liouvillian for exact
-expm propagation of small constant problems.  A drive coefficient is a
-function of time or an array of values on equal segments (a GRAPE pulse):
-``evolve`` then runs the integrator once per segment with that segment's
-values bound into the right-hand side, so no step straddles a jump and the
-integrator itself knows nothing of pulses.
+about 30 % fewer right-hand-side calls than a 5(4) pair.  Several initial
+states, each with its own collapse rates, run as the columns of one solve:
+the right-hand side is one sparse product of all columns with generators
+built by ``liouvillian``, the one place the Lindblad form is written: the
+static one with the jumps whose rate every column shares, the unit-rate
+dissipator of each other jump, and each drive term, stacked in one matrix
+whose slices are then weighted per column and per time.  A
+solve keeps only the connected components of the generators' joint
+sparsity pattern (``coupled_blocks``) that some initial state touches, the
+parity sector for the cat ramps; every other entry is exactly 0.
+``evolve_constant`` densifies the same Liouvillian for exact expm
+propagation of small constant problems.  A drive coefficient is a function
+of time or an array of values on equal segments (a GRAPE pulse): ``evolve``
+then runs the integrator once per segment with that segment's values bound
+into the right-hand side, so no step straddles a jump and the integrator
+itself knows nothing of pulses.
 
 Unitary problems with pure initial states are propagated as state vectors.
 
@@ -191,55 +198,98 @@ def integrate_rk45(
 
 def evolve(
     hamiltonian: TimeDependentHamiltonian,
-    collapse_ops: Sequence[tuple[np.ndarray, float]],
-    rho0: np.ndarray,
+    collapse_ops: Sequence[tuple[np.ndarray, float | Sequence[float]]],
+    rho0: np.ndarray | Sequence[np.ndarray],
     n_samples: int = 2,
     rel_tol: float = 1e-8,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Integrate the master equation and return uniformly sampled states.
 
+    ``rho0`` is one initial state, a state vector or a density matrix, or a
+    sequence of them; a sequence is integrated as the columns of one solve
+    and returns one ``Trajectory`` per state, each with the shared
+    ``rhs_evals``, and one state is a batch of one that returns its own.
     Collapse operators are passed as (array, rate) pairs; the rate
-    multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op.
-    Every operator must have the Hamiltonian's shape and ``rho0``, a state
-    vector or a density matrix, its dimension.  The returned states are
-    vectors where the state vector is integrated (see below) and C-ordered
-    density matrices otherwise.
-    The right-hand side is the sparse generator G(t) = G0 + sum_k f_k(t) G_k
-    applied to the column-stacked density matrix, with G0 the Liouvillian of
-    the static part and the jumps and G_k that of each drive operator alone
-    (the commutator is linear in H, so the split is exact).  G0 and every
-    G_k are stacked into one CSR matrix, so each call is one sparse product
-    whose slices are then weighted and summed.  With no collapse operators
-    and a pure initial state the Schrodinger equation is integrated on the
-    state vector instead, with G = -iH.
+    multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op,
+    and is one float for every state or one rate per state.  Every operator
+    must have the Hamiltonian's shape and every state its dimension.  The
+    returned states are vectors where state vectors are integrated (see
+    below) and C-ordered density matrices otherwise.
+    The right-hand side is the sparse generator G(t) = G0 + sum_j r_j D_j +
+    sum_k f_k(t) G_k applied to the column-stacked density matrices, with
+    G0 the Liouvillian of the static part and of the jumps whose rate every
+    state shares, D_j the dissipator of another jump j at unit rate,
+    weighted by each column's own rate r_j, and G_k that of each drive
+    operator alone (the commutator is linear in H, so the split is exact).
+    G0, every D_j and every G_k are stacked into one CSR matrix, so each
+    call is one sparse product with all columns, whose slices are then
+    weighted and summed.  Only the connected components of the
+    generators' joint sparsity pattern (``coupled_blocks``) that some
+    initial state touches are integrated; no generator connects two
+    components, so every other entry stays exactly 0 (for a parity-
+    conserving Hamiltonian with photon loss, the sector of one parity
+    difference, half the space).  When every rate is 0 and every initial
+    state is a vector, the Schrodinger equation is integrated on the state
+    vectors instead, with G = -iH, and every sampled state is normalized.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    single = isinstance(rho0, np.ndarray)
+    states = [rho0] if single else list(rho0)
+    if not states:
+        raise ValueError("need at least one initial state")
     shape = hamiltonian.static_part.shape
-    for op, _ in collapse_ops:
+    # a rate that every state shares goes into G0 (a shared rate of 0 does
+    # nothing); each other jump's dissipator is weighted per column
+    shared, varying = [], []
+    for op, rate in collapse_ops:
         if op.shape != shape:
             raise ValueError(f"collapse operator shape {op.shape} != Hamiltonian's {shape}")
-    if np.shape(rho0) not in (shape[:1], shape):
-        raise ValueError(f"initial state shape {np.shape(rho0)} does not fit Hamiltonian "
-                         f"shape {shape}")
+        rates = np.asarray(rate, dtype=float)
+        if rates.ndim == 0:
+            rates = np.full(len(states), rates)
+        elif rates.shape != (len(states),):
+            raise ValueError(f"a collapse rate is one float or one per state ({len(states)}), "
+                             f"got shape {rates.shape}")
+        if np.any(rates < 0):
+            raise ValueError("collapse rates must be nonnegative")
+        if np.any(rates != rates[0]):
+            varying.append((op, rates))
+        elif rates[0]:
+            shared.append((op, rates[0]))
+    for state in states:
+        if np.shape(state) not in (shape[:1], shape):
+            raise ValueError(f"initial state shape {np.shape(state)} does not fit Hamiltonian "
+                             f"shape {shape}")
+        if not np.any(state):
+            raise ValueError("an initial state is zero")
     t0, t1 = hamiltonian.t_span
     times = np.linspace(t0, t1, n_samples)
 
-    pure_path = (not collapse_ops) and np.ndim(rho0) == 1
+    pure_path = not (shared or varying) and all(np.ndim(state) == 1 for state in states)
     if pure_path:
-        g0 = scipy.sparse.csr_matrix(-1j * hamiltonian.static_part)
-        gk = [scipy.sparse.csr_matrix(-1j * op) for op, _ in hamiltonian.drive_terms]
-        y0 = rho0
+        generators = [scipy.sparse.csr_matrix(-1j * op) for op in
+                      (hamiltonian.static_part, *(op for op, _ in hamiltonian.drive_terms))]
+        y0 = np.stack(states, axis=1)
     else:
-        g0 = liouvillian(hamiltonian.static_part, collapse_ops)
-        gk = [liouvillian(op, ()) for op, _ in hamiltonian.drive_terms]
-        y0 = to_density_matrix(rho0).reshape(-1, order="F")
-    # rows [k n, (k + 1) n) of the stack hold G_k, with G0 as block 0; CSR
-    # keeps each row's entries in order, so every slice equals its own G @ y
-    stacked = scipy.sparse.vstack([g0, *gk], format="csr")
-    n = y0.size
-    coefficients = [(slice(k * n, (k + 1) * n), fn)
-                    for k, (_, fn) in enumerate(hamiltonian.drive_terms, start=1)]
+        zero = np.zeros(shape)
+        generators = [liouvillian(hamiltonian.static_part, shared),
+                      *(liouvillian(zero, [(op, 1.0)]) for op, _ in varying),
+                      *(liouvillian(op, ()) for op, _ in hamiltonian.drive_terms)]
+        y0 = np.stack([to_density_matrix(state).reshape(-1, order="F") for state in states],
+                      axis=1)
+    # integrate only the components that some column starts in
+    keep = np.sort(np.concatenate([idx for idx in coupled_blocks(*generators)
+                                   if np.any(y0[idx])]))
+    # rows [k m, (k + 1) m) of the stack hold generator k on the kept
+    # entries, G0 first; CSR keeps each row's entries in order, so every
+    # slice equals its own G @ y
+    stacked = scipy.sparse.vstack([g[keep][:, keep] for g in generators], format="csr")
+    m = keep.size
+    blocks = [slice(k * m, (k + 1) * m) for k in range(1, len(generators))]
+    weights = [(rows, rates) for rows, (_, rates) in zip(blocks, varying)]
+    coefficients = [(rows, fn) for rows, (_, fn) in zip(blocks[len(varying):],
+                                                         hamiltonian.drive_terms)]
 
     rhs_evals = 0
 
@@ -251,11 +301,13 @@ def evolve(
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
             nonlocal rhs_evals
             rhs_evals += 1
-            products = stacked @ y
-            out = products[:n]
+            products = stacked @ y.reshape(m, -1)
+            out = products[:m]
+            for rows, rates in weights:
+                out += rates * products[rows]
             for rows, fn in terms:
                 out += complex(fn(t)) * products[rows]
-            return out
+            return out.reshape(-1)
         return rhs
 
     # one integration per segment, so no solver step straddles a jump of an
@@ -264,7 +316,7 @@ def evolve(
     dt = (t1 - t0) / n_seg
     edges = [t0, *(t0 + k * dt for k in range(1, n_seg)), t1]
     samples = times.tolist()
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0[keep], dtype=complex).reshape(-1)
     ys = [y]
     for segment, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
         stops = [start, *(s for s in samples if start < s < stop), stop]
@@ -273,13 +325,18 @@ def evolve(
         y = out[-1]
         ys.extend(out[1:] if stop in samples else out[1:-1])
 
+    full = np.zeros((len(ys),) + y0.shape, dtype=complex)
+    full[:, keep] = np.reshape(ys, (len(ys), m, -1))
     if pure_path:
-        states = tuple(y / np.linalg.norm(y) for y in ys)
+        columns = [tuple(y / np.linalg.norm(y) for y in full[:, :, j])
+                   for j in range(len(states))]
     else:
         # C order: BLAS rounds rho @ psi differently on a Fortran-ordered
         # matrix, which moves the last digits of the written fidelities
-        states = tuple(np.ascontiguousarray(y.reshape(shape, order="F")) for y in ys)
-    return Trajectory(times, states, rhs_evals)
+        columns = [tuple(np.ascontiguousarray(y.reshape(shape, order="F"))
+                         for y in full[:, :, j]) for j in range(len(states))]
+    trajectories = [Trajectory(times, column, rhs_evals) for column in columns]
+    return trajectories[0] if single else trajectories
 
 
 def liouvillian(h_matrix: np.ndarray,
@@ -352,18 +409,20 @@ def _scale_rows(vec: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (vec * x.T).T
 
 
-def coupled_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
+def coupled_blocks(*matrices: np.ndarray | scipy.sparse.sparray) -> list[np.ndarray]:
     """Index sets of the connected components of the matrices' joint sparsity
-    pattern, each sorted, ordered by their smallest index.
+    pattern, each sorted, ordered by their smallest index.  The matrices are
+    square arrays or scipy sparse matrices (such as Liouvillians) of one
+    shape.
 
     No matrix has an entry between two blocks, so any sum of them is block
-    diagonal over these index sets and can be factored one block at a time.
+    diagonal over these index sets and can be factored, or integrated, one
+    block at a time.
     """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for m in matrices:
-        pattern |= np.asarray(m) != 0
-    n, labels = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(pattern),
-                                                          directed=False)
+    # a sum of absolute values has an entry wherever some matrix has one
+    pattern = sum(abs(scipy.sparse.csr_array(m)) for m in matrices)
+    pattern.eliminate_zeros()
+    n, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
     return [np.flatnonzero(labels == k) for k in range(n)]
 
 

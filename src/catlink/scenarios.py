@@ -80,12 +80,15 @@ class OperationBudget:
     """Simulated per-operation fidelities for one cavity configuration.
 
     ``grape`` holds the optimizer result of the drive pulse, whose time
-    reverse is the undrive, None when the ramps are adiabatic.
+    reverse is the undrive, None when the ramps are adiabatic; ``ramps``
+    holds the adiabatic drive's and undrive's records by operation, None
+    with GRAPE.
     """
 
     params: cq.CatQubitParams
     fidelities: dict[str, float]
     grape: Optional[po.GrapeResult] = None
+    ramps: Optional[dict[str, cq.DriveResult]] = None
 
 
 def operation_durations(params: cq.CatQubitParams, drive_ratio: float,
@@ -144,7 +147,7 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
     e_x, e_c = ep0 / drive_ratio, ep0 / coupling_ratio
 
     fids: dict[str, float] = {}
-    grape_result = None
+    grape_result = ramps = None
 
     if drive_method == "grape":
         grape_result, pulses = grape_pair(params.alpha, grape)
@@ -152,8 +155,9 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
         for op, (problem, schedule) in zip(("drive", "undrive"), pulses):
             fids[op] = po.evaluate_pulse(problem, schedule, kappa=scaled_kappa)
     elif drive_method == "adiabatic":
-        fids["drive"] = cq.drive(params, drive_duration_kt).fidelity
-        fids["undrive"] = cq.undrive(params, drive_duration_kt).fidelity
+        ramps = {"drive": cq.drive(params, drive_duration_kt),
+                 "undrive": cq.undrive(params, drive_duration_kt)}
+        fids.update((op, r.fidelity) for op, r in ramps.items())
     else:
         raise ValueError("drive_method must be 'grape' or 'adiabatic'")
 
@@ -163,7 +167,7 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
                        ("cnot", cq.cnot(params, e_x, e_c, two_qubit_dim))):
         fids[op] = result.fidelity
     fids["transduction"] = TRANSDUCTION_FIDELITY
-    return OperationBudget(params=params, fidelities=fids, grape=grape_result)
+    return OperationBudget(params=params, fidelities=fids, grape=grape_result, ramps=ramps)
 
 
 def figure_rate_curves(lengths_km: Sequence[float], chain: ChainParams,

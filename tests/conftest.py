@@ -56,4 +56,4 @@ def gate_rows_1e3():
     cheapest full table)."""
     kerr = sn.TABLE_ROW_DEFAULTS[1e3]
     params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
-    return cq.gate_report(params, 10.0, 15.0)
+    return cq.gate_report([(params, 10.0, 15.0)])[0]

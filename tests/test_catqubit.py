@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,50 @@ class TestDriveUndrive:
         # the two-photon Hamiltonian commutes with parity
         result = cq.drive(lossless)
         assert abs(qc.parity_expectation(result.state) - 1.0) < 1e-6
+
+
+class TestBatchedRamps:
+    @staticmethod
+    def default_rows():
+        return [params for _, params, _, _ in cli._row_params(load_config())]
+
+    @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
+    def test_batch_matches_one_row_calls(self, operation):
+        rows = self.default_rows()
+        batch = operation(rows)
+        assert len(batch) == len(rows) == 3
+        assert len({r.rhs_evals for r in batch}) == 1  # one shared solve
+        for params, result in zip(rows, batch):
+            alone = operation(params)
+            assert result.duration_s == alone.duration_s == cq.DRIVE_RAMP_KT / params.kerr
+            assert abs(result.fidelity - alone.fidelity) <= 1e-12
+            # the columns share the step sizes, so the states agree to the
+            # integrator's own accuracy rather than to rounding
+            assert np.max(np.abs(result.state - alone.state)) <= 1e-10
+            assert np.array_equal(result.target, alone.target)
+
+    @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
+    def test_one_row_is_a_batch_of_one(self, ratio_1e3, operation):
+        single, [listed] = operation(ratio_1e3), operation([ratio_1e3])
+        assert single.fidelity == listed.fidelity
+        assert single.duration_s == listed.duration_s
+        assert single.rhs_evals == listed.rhs_evals
+        assert single.tail_population == listed.tail_population
+        assert np.array_equal(single.state, listed.state)
+        assert np.array_equal(single.target, listed.target)
+
+    @pytest.mark.parametrize("other", [{"alpha": 1.5}, {"dim": 16}])
+    def test_rows_must_share_alpha_and_dim(self, ratio_1e3, other):
+        with pytest.raises(ValueError, match="share alpha and dim"):
+            cq.drive([ratio_1e3, replace(ratio_1e3, **other)])
+
+    def test_overflow_names_its_row(self):
+        # at dim 8 the ramp overflows the truncation, and more so with less loss
+        rows = [cq.CatQubitParams(kerr=1.8e5, kappa=180.0, dim=8),
+                cq.CatQubitParams(kerr=2.46e6, kappa=24.6, dim=8)]
+        with pytest.raises(cq.TruncationOverflowError,
+                           match=r"^K/kappa = 1000 row, drive: population .* at dim = 8"):
+            cq.drive(rows)
 
 
 class TestTimeReversal:
@@ -502,7 +547,7 @@ class TestCoupledStageMemo:
 
         monkeypatch.setattr(dynamics, "_COUPLED_MEMO", {})
         monkeypatch.setattr(dynamics, "_blockwise_eig", recording)
-        cq.gate_report(cq.CatQubitParams(kerr=1.8e5, kappa=180.0), 10.0, 15.0)
+        cq.gate_report([(cq.CatQubitParams(kerr=1.8e5, kappa=180.0), 10.0, 15.0)])
         assert sizes.count(128) == 2
 
     def test_memo_leaves_results_bitwise_equal(self, ratio_1e3, monkeypatch):
@@ -646,8 +691,8 @@ class TestGateReport:
     def test_common_rescale_of_kerr_and_kappa_changes_nothing(self, factor):
         # the gates see K and kappa only as kappa / K and K t, which the GRAPE
         # problems at K = 1 and scenarios.operation_durations rely on
-        rows = [cq.gate_report(cq.CatQubitParams(kerr=s, kappa=1e-3 * s), 10.0, 15.0,
-                               dim_per_cavity=10) for s in (1.0, factor)]
+        rows = [cq.gate_report([(cq.CatQubitParams(kerr=s, kappa=1e-3 * s), 10.0, 15.0)],
+                               dim_per_cavity=10)[0] for s in (1.0, factor)]
         for ref, row in zip(rows[0].values(), rows[1].values()):
             assert row.fidelity == pytest.approx(ref.fidelity, abs=1e-12)
             assert row.duration_s * factor == pytest.approx(ref.duration_s, rel=1e-14)

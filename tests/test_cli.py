@@ -154,17 +154,19 @@ class TestValidation:
         assert not os.path.exists(out_dir)
 
     def test_integration_error_names_row_and_operation(self, out_dir, monkeypatch, capsys):
-        # a failed ramp integration names the row and the operation and keeps
-        # the failure time, as a truncation overflow names them
+        # the drives of all rows are one solve in units of 1/K, so a failed
+        # ramp integration names the operation, every row of the batch and
+        # the failure time K t, and keeps that time
         def failing(rhs, y0, output_times, **kwargs):
             raise dynamics.IntegrationError("step size underflow (t=2.500000e-07)", 2.5e-7)
 
         monkeypatch.setattr(dynamics, "integrate_rk45", failing)
         monkeypatch.delenv("CATLINK_CONFIG", raising=False)
-        # the default table's first row is K/kappa = 1e3, and drive runs first
+        # the default table has three rows, and the drives run first
         assert cli.main(["gates", "--out", out_dir]) == 1
-        assert capsys.readouterr().err == \
-            "error: K/kappa = 1000 row, drive: step size underflow (t=2.500000e-07)\n"
+        assert capsys.readouterr().err == (
+            "error: K/kappa = 1000, 10000, 100000 rows, drive at K t = 2.500000e-07: "
+            "step size underflow (t=2.500000e-07)\n")
         assert not os.path.exists(out_dir)
         with pytest.raises(dynamics.IntegrationError) as info:
             cli.cmd_gates(load_config())
@@ -184,20 +186,23 @@ class TestValidation:
         assert r.returncode == 2
         assert "trials" in r.stderr
 
-    @pytest.mark.parametrize("text", [
-        b"catqubit]\nalpha = 1.5\n",
-        b"[catqubit]\nalpha = 1.5\nalpha = 2\n",
-        b"[catqubit]\nalpha\n",
-        b"[catqubit]\nalpha = 1.5\n[catqubit]\ndim = 20\n",
-        b"[catqubit]\nalpha = 1.5\xff\n",
-    ], ids=["no-section-header", "repeated-key", "no-equals", "repeated-section", "not-utf8"])
+    @pytest.mark.parametrize("text, says", [
+        (b"catqubit]\nalpha = 1.5\n", "cannot read config file {cfg}: "),
+        (b"[catqubit]\nalpha = 1.5\nalpha = 2\n", "cannot read config file {cfg}: "),
+        (b"[catqubit]\nalpha\n", "cannot read config file {cfg}: "),
+        (b"[catqubit]\nalpha = 1.5\n[catqubit]\ndim = 20\n", "cannot read config file {cfg}: "),
+        (b"[catqubit]\nalpha = 1.5\xff\n", "cannot read config file {cfg}: "),
+        # configparser would copy these keys into every section unchecked
+        (b"[DEFAULT]\nbogus = 1\n", "unknown config section [DEFAULT]"),
+    ], ids=["no-section-header", "repeated-key", "no-equals", "repeated-section", "not-utf8",
+            "default-section"])
     def test_malformed_file_names_it_and_writes_nothing(self, tmp_path, out_dir, monkeypatch,
-                                                        capsys, text):
+                                                        capsys, text, says):
         cfg = tmp_path / "bad.ini"
         cfg.write_bytes(text)
         monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
         assert cli.main(["mc", "--trials", "10000", "--config", str(cfg), "--out", out_dir]) == 2
-        assert f"config error: cannot read config file {cfg}: " in capsys.readouterr().err
+        assert f"config error: {says.format(cfg=cfg)}" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize("argv", [("device", "--seed", "3"),
@@ -498,12 +503,26 @@ class TestCrossoverCommand:
                     "--set", "chain.storage_policy=cat")
         assert r.returncode == 0
         summary = json.loads(r.stdout)
-        assert "diagnostics" not in summary  # the block reports GRAPE only
+        assert sorted(summary["diagnostics"]) == ["drive", "undrive"]  # the ramps' block
         cross = summary["crossover_km"]["m200"]
         assert 200.0 < cross < 320.0
         assert 0.8 < summary["final_fidelity"]["m200"] < 1.0
         lines = open(os.path.join(out_dir, "crossover", "crossover.csv")).read().splitlines()
         assert lines[0].startswith("scenario,L_km,n,m,P0,")
+
+    @pytest.mark.parametrize("command", ["rates", "crossover"])
+    def test_adiabatic_diagnostics_block(self, out_dir, command):
+        # the budget's drive and undrive report what gates reports for them
+        r = run_cli(command, "--out", out_dir, "--set", "chain.drive_method=adiabatic",
+                    "--set", "catqubit.two_qubit_dim=8", "--set", "rates.length_steps=2")
+        assert r.returncode == 0, r.stderr
+        summary = json.load(open(os.path.join(out_dir, command, "summary.json")))
+        diagnostics = summary["diagnostics"]
+        assert sorted(diagnostics) == ["drive", "undrive"]
+        for ramp in diagnostics.values():
+            assert sorted(ramp) == ["rhs_evals", "tail_population"]
+            assert ramp["rhs_evals"] > 0
+            assert 0.0 <= ramp["tail_population"] <= 1e-6
 
     @pytest.mark.parametrize("command", ["rates", "crossover"])
     def test_grape_diagnostics_block(self, out_dir, command):
@@ -642,7 +661,8 @@ class TestGatesCommand:
                 assert d[ramp]["rhs_evals"] > 0
                 assert 0.0 <= d[ramp]["tail_population"] <= 1e-6
             # the undrive starts from the truncated Hamiltonian's own cat, so it
-            # costs about as much as the drive (5,608 against 4,780 at 1e3)
+            # costs about as much as the drive (5,428 against 4,696 for the
+            # batches of the three default rows)
             assert d["undrive"]["rhs_evals"] <= 1.25 * d["drive"]["rhs_evals"]
             assert sorted(d["gates"]) == ["CNOT", "G_0.5pi", "X_0.5pi", "Z_0.5pi"]
             for gate in d["gates"].values():

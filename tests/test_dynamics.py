@@ -226,6 +226,109 @@ class TestEvolve:
                                      (0.0, 1.0))
 
 
+def _ramp_problem(dim, t1=2.0, single_photon=0.0):
+    """The two-photon ramp -a^dag^2 a^2 + (t / t1) (a^dag^2 + a^2), which
+    conserves photon-number parity, plus an optional constant single-photon
+    drive (a + a^dag), which connects both parities."""
+    a = qc.annihilation(dim)
+    ad = a.conj().T
+    static = -(ad @ ad @ a @ a) + single_photon * (a + ad)
+    return TimeDependentHamiltonian(static, ((ad @ ad + a @ a, lambda t: t / t1),), (0.0, t1))
+
+
+def _recording_sizes(monkeypatch) -> list[int]:
+    """The length of every y0 that ``evolve`` hands ``integrate_rk45``."""
+    sizes, original = [], dynamics.integrate_rk45
+
+    def recording(rhs, y0, *args, **kwargs):
+        sizes.append(y0.size)
+        return original(rhs, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_rk45", recording)
+    return sizes
+
+
+class TestBatchAndSector:
+    DIM = 10
+
+    def test_parity_sector_matches_full_space_and_drops_stay_zero(self, monkeypatch):
+        d = self.DIM
+        h, a = _ramp_problem(d), qc.annihilation(d)
+        rho0 = qc.to_density_matrix(qc.fock_state(0, d))
+        sizes = _recording_sizes(monkeypatch)
+        sector = evolve(h, [(a, 0.05)], rho0, n_samples=3)
+        # photon loss keeps m - n even: half of the d^2 entries
+        assert sizes == [d * d // 2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "coupled_blocks", lambda *ms: [np.arange(ms[0].shape[0])])
+            full = evolve(h, [(a, 0.05)], rho0, n_samples=3)
+        assert sizes == [d * d // 2, d * d]
+        odd = (np.arange(d)[:, None] + np.arange(d)[None, :]) % 2 == 1
+        for x, y in zip(sector.states, full.states):
+            assert not np.any(x[odd])
+            assert np.max(np.abs(x - y)) <= 1e-12
+        assert np.any(full.final_state)
+
+    def test_pure_states_keep_their_parity_sector(self, monkeypatch):
+        d = self.DIM
+        sizes = _recording_sizes(monkeypatch)
+        traj = evolve(_ramp_problem(d), [], qc.fock_state(1, d), n_samples=2)
+        assert sizes == [d // 2]
+        assert not np.any(traj.final_state[0::2])
+
+    def test_single_photon_drive_integrates_the_whole_space(self, monkeypatch):
+        d = self.DIM
+        h, a = _ramp_problem(d, single_photon=0.3), qc.annihilation(d)
+        sizes = _recording_sizes(monkeypatch)
+        traj = evolve(h, [(a, 0.05)], qc.fock_state(0, d), n_samples=2)
+        assert sizes == [d * d]
+        odd = (np.arange(d)[:, None] + np.arange(d)[None, :]) % 2 == 1
+        assert np.max(np.abs(traj.final_state[odd])) > 1e-3
+
+    def test_batch_matches_separate_solves(self, monkeypatch):
+        d = self.DIM
+        h, a = _ramp_problem(d), qc.annihilation(d)
+        states = [qc.fock_state(0, d), qc.to_density_matrix(qc.fock_state(1, d)),
+                  qc.fock_state(0, d)]
+        rates = [0.0, 0.02, 0.1]
+        sizes = _recording_sizes(monkeypatch)
+        batch = evolve(h, [(a, rates)], states, n_samples=4, rel_tol=1e-11)
+        # one solve of three columns on the m - n even sector of each
+        assert sizes == [3 * d * d // 2]
+        assert len(batch) == 3 and len({traj.rhs_evals for traj in batch}) == 1
+        for state, rate, traj in zip(states, rates, batch):
+            alone = evolve(h, [(a, rate)], qc.to_density_matrix(state), n_samples=4,
+                           rel_tol=1e-11)
+            for x, y in zip(traj.states, alone.states):
+                assert x.shape == (d, d)  # lossy columns: no state vectors
+                assert np.max(np.abs(x - y)) <= 1e-9
+
+    def test_lossless_vectors_run_as_vectors(self):
+        d = self.DIM
+        h, a = _ramp_problem(d), qc.annihilation(d)
+        single = evolve(h, [(a, 0.0)], qc.fock_state(0, d))
+        batch = evolve(h, [(a, [0.0, 0.0])], [qc.fock_state(0, d), qc.fock_state(1, d)])
+        assert single.final_state.shape == (d,)
+        assert [traj.final_state.shape for traj in batch] == [(d,), (d,)]
+        assert np.array_equal(single.final_state, evolve(h, [], [qc.fock_state(0, d)])[0]
+                              .final_state)
+
+    @pytest.mark.parametrize("rate, message", [([0.1, 0.2, 0.3], "one per state"),
+                                               ([0.1, -0.2], "nonnegative")])
+    def test_bad_rates_rejected(self, rate, message):
+        d = self.DIM
+        with pytest.raises(ValueError, match=message):
+            evolve(_ramp_problem(d), [(qc.annihilation(d), rate)],
+                   [qc.fock_state(0, d), qc.fock_state(1, d)])
+
+    def test_empty_batch_and_zero_state_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            evolve(_ramp_problem(self.DIM), [], [])
+        with pytest.raises(ValueError, match="is zero"):
+            evolve(_ramp_problem(self.DIM), [], [qc.fock_state(0, self.DIM),
+                                                 np.zeros(self.DIM)])
+
+
 def _random_op(rng, d, hermitian):
     x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / 4
     return x + x.conj().T if hermitian else x
