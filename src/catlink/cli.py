@@ -302,8 +302,7 @@ def cmd_device(config: RunConfig) -> _Report:
         )
         derived = dv.derive_device(dp, cavity_levels=sec["cavity_levels"],
                                    qubit_levels=sec["qubit_levels"],
-                                   alpha=config.get("catqubit", "alpha"),
-                                   fit_kappa_eff=sec["fit_kappa_eff"])
+                                   alpha=config.get("catqubit", "alpha"))
         rows.append([pick["cavity_decay_hz"], pick["qubit_decay_hz"],
                      pick["coupling_hz"], derived.detuning / TWO_PI,
                      pick["anharmonicity_hz"], derived.kerr / TWO_PI,

@@ -126,8 +126,6 @@ CONFIG_SCHEMA: dict[str, dict[str, Key]] = {
         # the Kerr fit reads |5, 0> (device.N_FIT_LEVELS)
         "cavity_levels": Key(int, 12, Domain(low=6), "cavity truncation in the two-mode fit"),
         "qubit_levels": Key(int, 5, Domain(low=2), "ancilla truncation in the two-mode fit"),
-        "fit_kappa_eff": Key(_parse_bool, True, BOOL,
-                             "fit kappa_eff dynamically instead of 2 kappa alpha^2"),
     },
     "transducer": {
         "ensemble_coupling_hz": Key(float, 34e6, POSITIVE, "g' sqrt(N)"),

@@ -8,8 +8,9 @@ numerically diagonalizing the two-mode Hamiltonian
     H = w_c a^dag a + w_q b^dag b - K_q b^dag^2 b^2 + g (a^dag b + a b^dag)
 
 and fitting the spacing of consecutive dressed cavity levels, evaluates the
-inverse-Purcell formula, and extracts the effective decoherence rate of a
-stored cat superposition by fitting the decay of its logical coherence.
+inverse-Purcell formula, and takes the effective decoherence rate of a
+stored cat superposition as the decay rate of the one Liouvillian eigenmode
+that holds its logical coherence.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ import scipy
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _stabilized_h
-from .dynamics import evolve_constant, fit_exponential_decay
+from .dynamics import coupled_blocks, liouvillian
 
 __all__ = [
     "DeviceParams",
     "DispersiveFit",
-    "KappaEffFit",
     "dispersive_kerr",
     "purcell_kappa",
     "kappa_eff",
@@ -37,6 +37,7 @@ __all__ = [
 
 DISPERSIVE_LIMIT = 0.3
 N_FIT_LEVELS = 5              # spacings of |0,0> .. |5,0> enter the Kerr fit
+MODE_LEFTOVER_LIMIT = 1e-3    # cat coherence the non-dominant Liouvillian modes may carry
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,6 @@ class DispersiveFit:
     kerr: float
     residual: float               # RMS of spacing fit, same units as kerr
     spacings: np.ndarray
-
-
-@dataclass(frozen=True)
-class KappaEffFit:
-    kappa_eff: float
-    residual: float               # relative RMS residual of the log-linear fit
-    flagged: bool                 # residual above 5 percent
 
 
 def _two_mode_hamiltonian(params: DeviceParams, cavity_levels: int,
@@ -149,57 +143,61 @@ def purcell_kappa(cavity_decay: float, qubit_decay: float, coupling: float,
     return (1.0 - ratio2) * cavity_decay + ratio2 * qubit_decay
 
 
-def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> KappaEffFit:
+def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> float:
     """Effective decoherence rate of cat-encoded coherence under loss.
 
-    Evolves the logical superposition (|C+> + i |C->)/sqrt(2) under the
-    stabilized Hamiltonian with single-photon loss and fits the exponential
-    decay of the antisymmetric cat-basis coherence
-    |<C+|rho|C-> - <C-|rho|C+>|/2; approximately 2 kappa alpha^2.  (Each
-    photon jump swaps the two cat components, so only the antisymmetric part
-    of the coherence decays; the symmetric part belongs to the loss-immune
-    coherent-state pointer basis.)  The fit samples 40 times over 0.35 of
-    the expected coherence lifetime at a Fock truncation of 20.
+    The antisymmetric cat-basis coherence (|C+><C-| - |C-><C+|)/2 decays
+    under the stabilized Hamiltonian with single-photon loss at about
+    2 kappa alpha^2.  (Each photon jump swaps the two cat components, so only
+    the antisymmetric part of the coherence decays; the symmetric part
+    belongs to the loss-immune coherent-state pointer basis.)  The
+    coherence lies in the parity-odd block of the Liouvillian at a Fock
+    truncation of 20; expanded in that block's eigenmodes, it is carried by
+    one mode, and the rate is -Re of that mode's eigenvalue.  Raises when
+    K <= 0, or when the other modes together carry more than
+    ``MODE_LEFTOVER_LIMIT`` of the initial coherence, so that the coherence
+    is no single exponential (a cat the Kerr barely stabilizes, or one too
+    large for the truncation).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    where = f"kappa_eff at K = {kerr:.6g}, kappa = {kappa:.6g}, alpha = {alpha:.6g}"
+    if kerr <= 0:
+        raise ValueError(f"{where}: K must be positive to stabilize the cat")
     if kappa == 0:
-        return KappaEffFit(kappa_eff=0.0, residual=0.0, flagged=False)
+        return 0.0
     dim = 20
-    cavity = CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha, dim=dim)
-    h = _stabilized_h(cavity)
+    h = _stabilized_h(CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha, dim=dim))
+    lv = liouvillian(h, [(qc.annihilation(dim), kappa)])
     plus = qc.cat_state(alpha, "even", dim)
     minus = qc.cat_state(alpha, "odd", dim)
-    psi0 = (plus + 1j * minus) / math.sqrt(2.0)
-    rho0 = np.outer(psi0, psi0.conj())
-
-    expected = 2.0 * kappa * alpha**2
-    t_end = 0.35 / expected
-    times = np.linspace(0.0, t_end, 40)
-    rhos = evolve_constant(h, [(qc.annihilation(dim), kappa)], rho0, times)
-    coherence = np.array([0.5 * abs(np.vdot(plus, r @ minus)
-                                    - np.vdot(minus, r @ plus)) for r in rhos])
-    coherence = coherence / coherence[0]
-    fit = fit_exponential_decay(times, coherence)
-    rel_residual = fit.residual / max(abs(fit.rate) * t_end, 1e-30)
-    return KappaEffFit(kappa_eff=float(fit.rate), residual=float(rel_residual),
-                       flagged=rel_residual > 0.05)
+    rho = 0.5 * (np.outer(plus, minus.conj()) - np.outer(minus, plus.conj()))
+    vec = rho.reshape(-1, order="F")
+    block = next(b for b in coupled_blocks(lv) if vec[b].any())
+    vec = vec[block]
+    lam, modes = np.linalg.eig(lv[block][:, block].toarray())
+    # share of the coherence <rho0, rho(t)> / <rho0, rho0> = sum_k w_k e^(lam_k t)
+    # that each mode carries
+    weights = np.linalg.solve(modes, vec) * (vec.conj() @ modes) / np.vdot(vec, vec)
+    k = int(np.argmax(np.abs(weights)))
+    leftover = float(np.sum(np.abs(weights)) - abs(weights[k]))
+    if leftover > MODE_LEFTOVER_LIMIT:
+        raise ValueError(f"{where}: no single Liouvillian mode holds the cat coherence; "
+                         f"the other modes carry {leftover:.3g} of it "
+                         f"(limit {MODE_LEFTOVER_LIMIT:g})")
+    return float(-lam[k].real)
 
 
 def derive_device(params: DeviceParams, cavity_levels: int = 12,
-                  qubit_levels: int = 5, alpha: float = math.sqrt(2.0),
-                  fit_kappa_eff: bool = True) -> DeviceParams:
+                  qubit_levels: int = 5, alpha: float = math.sqrt(2.0)) -> DeviceParams:
     """Fill the derived (kerr, kappa, kappa_eff) fields from physical inputs.
 
-    ``fit_kappa_eff=False`` uses the closed-form 2 kappa alpha^2 instead of
-    the dynamical fit (useful in wide sweeps).
+    A row whose K stabilizes no cat (an uncoupled or linear ancilla leaves
+    K at rounding noise) is refused by ``kappa_eff``, naming K, kappa and
+    alpha.
     """
     fit = dispersive_kerr(params, cavity_levels, qubit_levels)
     kap = purcell_kappa(params.cavity_decay, params.qubit_decay,
                         params.coupling, params.detuning)
-    if fit_kappa_eff and fit.kerr > 0 and kap > 0:
-        keff = kappa_eff(fit.kerr, kap, alpha).kappa_eff
-    else:
-        keff = 2.0 * kap * alpha**2
-    return replace(params, kerr=fit.kerr, kappa=kap, kappa_eff=keff)
-
+    return replace(params, kerr=fit.kerr, kappa=kap,
+                   kappa_eff=kappa_eff(fit.kerr, kap, alpha))

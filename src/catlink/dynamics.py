@@ -1,4 +1,4 @@
-"""Open-system time evolution and decay-rate fitting.
+"""Open-system time evolution.
 
 ``evolve`` integrates the Lindblad master equation
 
@@ -72,12 +72,10 @@ from .qcore import to_density_matrix
 __all__ = [
     "TimeDependentHamiltonian",
     "Trajectory",
-    "DecayFit",
     "IntegrationError",
     "evolve",
     "liouvillian",
     "evolve_constant",
-    "fit_exponential_decay",
     "integrate_rk45",
     "coupled_blocks",
     "KroneckerSum",
@@ -350,7 +348,8 @@ def liouvillian(h_matrix: np.ndarray,
             + sum_j (L_j^* x L_j - 1/2 (1 x L_j^dag L_j + (L_j^dag L_j)^T x 1))
 
     with L_j = sqrt(rate_j) * op_j.  This is the only place the Lindblad form
-    is written; ``evolve`` and ``evolve_constant`` both build on it.
+    is written; ``evolve``, ``evolve_constant`` and the spectral
+    ``device.kappa_eff`` all build on it.
     """
     h = scipy.sparse.csr_matrix(np.asarray(h_matrix, dtype=complex))
     eye = scipy.sparse.identity(h.shape[0], dtype=complex, format="csr")
@@ -376,7 +375,9 @@ def evolve_constant(
     ``times`` must be an increasing grid starting at 0; returns the density
     matrix at each time.  Uses a single expm of the step Liouvillian when the
     grid is uniform, otherwise one expm per distinct step.  The Liouvillian
-    is densified, so this suits small Hilbert dimensions (d <= ~40).
+    is densified, so this suits small Hilbert dimensions (d <= ~40).  No
+    package code calls it: it is the test suite's exact Lindblad oracle for
+    ``evolve``, the gate propagator and ``device.kappa_eff``.
     """
     times = np.asarray(times, dtype=float)
     lv = liouvillian(h_matrix, collapse_ops).toarray()
@@ -722,33 +723,3 @@ class PiecewiseConstantPropagator:
         clip_excess = max(0.0, float(np.max(fid - 1.0)))
         fid = np.minimum(fid, 1.0)
         return (fid if fid.ndim else float(fid)), quadrature_gap, clip_excess
-
-
-# -- exponential decay fitting ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    rate: float
-    amplitude: float
-    residual: float
-
-
-def fit_exponential_decay(times: Sequence[float], values: Sequence[float]) -> DecayFit:
-    """Least-squares fit of log(values) vs time; returns the decay rate.
-
-    ``values`` must be positive and at least 8 samples long.  ``residual``
-    is the RMS deviation of log(values) from the fitted line.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.size < 8:
-        raise ValueError("need at least 8 samples to fit a decay rate")
-    if np.any(v <= 0):
-        raise ValueError("values must be strictly positive for a log fit")
-    logv = np.log(v)
-    coeffs = np.polyfit(t, logv, 1)
-    fit = np.polyval(coeffs, t)
-    residual = float(np.sqrt(np.mean((logv - fit) ** 2)))
-    return DecayFit(rate=float(-coeffs[0]), amplitude=float(np.exp(coeffs[1])),
-                    residual=residual)

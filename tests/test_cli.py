@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -423,7 +424,7 @@ class TestDeviceCommand:
                           "K_hz,kappa_hz,kappa_eff_hz")
 
     def test_kappa_eff_follows_alpha(self, tmp_path):
-        # kappa_eff is fitted at [catqubit] alpha, near 2 kappa alpha^2
+        # kappa_eff is taken at [catqubit] alpha, near 2 kappa alpha^2
         def kappa_eff(alpha):
             out = str(tmp_path / alpha)
             r = run_cli("device", "--out", out, "--set", f"catqubit.alpha={alpha}")
@@ -433,6 +434,18 @@ class TestDeviceCommand:
 
         for root2, wider in zip(kappa_eff(repr(math.sqrt(2.0))), kappa_eff("1.5")):
             assert wider / root2 == pytest.approx(1.5**2 / 2.0, rel=0.05)
+
+    @pytest.mark.parametrize("key", ["coupling_hz", "anharmonicity_hz"])
+    def test_row_without_kerr_is_refused_by_name(self, out_dir, key):
+        # no coupling or a linear ancilla leaves K at rounding noise (or
+        # below 0), which stabilizes no cat and so has no kappa_eff
+        r = run_cli("device", "--out", out_dir, "--set", f"device.{key}=0")
+        assert r.returncode == 1
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1
+        assert re.match(r"error: kappa_eff at K = \S+, kappa = \S+, alpha = 1.41421: ",
+                        lines[0]), lines[0]
+        assert not os.path.exists(out_dir)
 
 
 class TestGrapeCommand:

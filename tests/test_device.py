@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from catlink import device as dv
+from catlink import qcore as qc
+from catlink.catqubit import CatQubitParams, _stabilized_h
+from catlink.dynamics import evolve_constant
 
 TP = 2 * math.pi
 
@@ -98,17 +101,48 @@ class TestPurcellKappa:
 
 class TestKappaEff:
     def test_cat_decoherence_rate(self):
-        fit = dv.kappa_eff(kerr=1.0, kappa=1e-3, alpha=math.sqrt(2))
-        assert fit.kappa_eff / 1e-3 == pytest.approx(4.0, rel=0.10)
-        assert not fit.flagged
+        rate = dv.kappa_eff(kerr=1.0, kappa=1e-3, alpha=math.sqrt(2))
+        assert rate / 1e-3 == pytest.approx(4.0, rel=0.10)
+
+    def test_matches_exact_propagation(self):
+        # the antisymmetric coherence propagated by expm decays at the mode's
+        # rate between every pair of samples
+        kerr, kappa, alpha, dim = 1.0, 1e-3, math.sqrt(2), 20
+        rate = dv.kappa_eff(kerr, kappa, alpha)
+        h = _stabilized_h(CatQubitParams(kerr=kerr, kappa=kappa, alpha=alpha, dim=dim))
+        plus = qc.cat_state(alpha, "even", dim)
+        minus = qc.cat_state(alpha, "odd", dim)
+        rho0 = 0.5 * (np.outer(plus, minus.conj()) - np.outer(minus, plus.conj()))
+        times = np.array([0.0, 0.5, 1.0, 1.5]) / rate
+        rhos = evolve_constant(h, [(qc.annihilation(dim), kappa)], rho0, times)
+        coherence = np.array([0.5 * (np.vdot(plus, r @ minus) - np.vdot(minus, r @ plus))
+                              for r in rhos])
+        rates = -np.log(np.abs(coherence[1:] / coherence[:-1])) / np.diff(times)
+        assert rates == pytest.approx(np.full(3, rate), rel=1e-6)
+
+    def test_default_row_is_one_mode_to_1e_6(self, monkeypatch):
+        # the [device] defaults: g = 75 MHz, gamma = 1.6 kHz, alpha = sqrt(2)
+        monkeypatch.setattr(dv, "MODE_LEFTOVER_LIMIT", 1e-6)
+        d = dv.derive_device(dv.DeviceParams(coupling=TP * 75e6, **BASE))
+        assert d.kappa_eff / d.kappa == pytest.approx(4.0, rel=1e-3)
+
+    def test_cat_too_large_for_truncation_refused(self):
+        # at alpha = 2.5 a Fock truncation of 20 spreads the coherence over
+        # several modes (6 %), and the rate would be 1 % off
+        with pytest.raises(ValueError, match="K = 1, kappa = 0.001, alpha = 2.5: no single"):
+            dv.kappa_eff(kerr=1.0, kappa=1e-3, alpha=2.5)
+
+    def test_zero_kerr_refused_by_name(self):
+        with pytest.raises(ValueError, match="K = 0, kappa = 0.001, alpha = 1.41421: K must"):
+            dv.kappa_eff(kerr=0.0, kappa=1e-3)
 
     def test_monotone_in_alpha(self):
         small = dv.kappa_eff(kerr=1.0, kappa=1e-3, alpha=0.5)
         large = dv.kappa_eff(kerr=1.0, kappa=1e-3, alpha=math.sqrt(2))
-        assert small.kappa_eff < large.kappa_eff
+        assert small < large
 
     def test_lossless_limit(self):
-        assert dv.kappa_eff(kerr=1.0, kappa=0.0).kappa_eff == 0.0
+        assert dv.kappa_eff(kerr=1.0, kappa=0.0) == 0.0
 
 
 class TestDeviceTable:
@@ -116,10 +150,10 @@ class TestDeviceTable:
         detuning = TP * 1.5e9
         rows = [dv.DeviceParams(coupling=f * detuning, **BASE)
                 for f in (0.05, 0.1, 0.15)]
-        out = [dv.derive_device(r, fit_kappa_eff=False) for r in rows]
+        out = [dv.derive_device(r) for r in rows]
         assert len(out) == 3
         for d in out:
-            assert d.kerr is not None and d.kappa is not None
+            assert d.kerr is not None and d.kappa is not None and d.kappa_eff is not None
 
     def test_ratio_span_reaches_1e3_to_1e5(self):
         # sweep over the cited parameter ranges: coupling fractions and
@@ -129,8 +163,7 @@ class TestDeviceTable:
         for frac in (0.05, 0.1, 0.2):
             for gamma in (TP * 1.6e4, TP * 1.6e3, TP * 1.6e2, TP * 50.0):
                 p = dict(BASE, qubit_decay=gamma)
-                d = dv.derive_device(dv.DeviceParams(coupling=frac * detuning, **p),
-                                     fit_kappa_eff=False)
+                d = dv.derive_device(dv.DeviceParams(coupling=frac * detuning, **p))
                 ratios.append(d.kerr / d.kappa)
         assert min(ratios) < 1e3
         assert max(ratios) > 1e5
@@ -141,6 +174,5 @@ class TestDeviceTable:
         # coupling
         detuning = TP * 1.5e9
         p = dict(BASE, qubit_decay=BASE["cavity_decay"])
-        d = dv.derive_device(dv.DeviceParams(coupling=0.2 * detuning, **p),
-                             fit_kappa_eff=False)
+        d = dv.derive_device(dv.DeviceParams(coupling=0.2 * detuning, **p))
         assert d.kerr / d.kappa > 1e6

@@ -10,7 +10,7 @@ from catlink import dynamics
 from catlink import qcore as qc
 from catlink.dynamics import (IntegrationError, KroneckerSum, PiecewiseConstantPropagator,
                               TimeDependentHamiltonian, evolve, evolve_constant,
-                              fit_exponential_decay, integrate_rk45, liouvillian)
+                              integrate_rk45, liouvillian)
 
 
 def _zero_h(dim, t1=1.0):
@@ -420,33 +420,3 @@ class TestConstantLiouvillian:
         assert sp.issparse(lv) and lv.format == "csr"
         drho = (lv @ rho.reshape(-1, order="F")).reshape(dim, dim, order="F")
         assert np.max(np.abs(drho - expected)) < 1e-12
-
-
-class TestDecayFit:
-    def test_exact_exponential(self):
-        t = np.linspace(0, 2, 40)
-        fit = fit_exponential_decay(t, np.exp(-3.0 * t))
-        assert fit.rate == pytest.approx(3.0, abs=1e-6)
-
-    def test_constant_series(self):
-        t = np.linspace(0, 2, 20)
-        fit = fit_exponential_decay(t, np.full(20, 0.7))
-        assert abs(fit.rate) < 1e-9
-
-    def test_noisy_recovery_within_three_percent(self):
-        rng = np.random.default_rng(42)
-        kappa = 1.7
-        t = np.linspace(0, 1.5 / kappa, 60)
-        clean = np.exp(-kappa * t)
-        noisy = clean * (1.0 + 0.01 * rng.standard_normal(t.size))
-        fit = fit_exponential_decay(t, noisy)
-        assert fit.rate == pytest.approx(kappa, rel=0.03)
-
-    def test_rejects_nonpositive_values(self):
-        t = np.linspace(0, 1, 10)
-        with pytest.raises(ValueError):
-            fit_exponential_decay(t, np.linspace(1, -0.1, 10))
-
-    def test_rejects_short_series(self):
-        with pytest.raises(ValueError):
-            fit_exponential_decay([0, 1, 2], [1.0, 0.5, 0.25])
