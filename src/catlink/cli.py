@@ -300,9 +300,17 @@ def cmd_device(config: RunConfig) -> _Report:
             cavity_decay=TWO_PI * pick["cavity_decay_hz"],
             qubit_decay=TWO_PI * pick["qubit_decay_hz"],
         )
-        derived = dv.derive_device(dp, cavity_levels=sec["cavity_levels"],
-                                   qubit_levels=sec["qubit_levels"],
-                                   alpha=config.get("catqubit", "alpha"))
+        try:
+            derived = dv.derive_device(dp, cavity_levels=sec["cavity_levels"],
+                                       qubit_levels=sec["qubit_levels"],
+                                       alpha=config.get("catqubit", "alpha"))
+        except dv.KappaEffError as exc:
+            # K and kappa in Hz, as [device] and the table give rates, and
+            # the failing row when there are several
+            row = f"[device] row {i + 1} of {n_rows}: " if n_rows > 1 else ""
+            raise ValueError(row + str(dv.KappaEffError(
+                exc.kerr / TWO_PI, exc.kappa / TWO_PI, exc.alpha, exc.reason,
+                unit=" Hz"))) from None
         rows.append([pick["cavity_decay_hz"], pick["qubit_decay_hz"],
                      pick["coupling_hz"], derived.detuning / TWO_PI,
                      pick["anharmonicity_hz"], derived.kerr / TWO_PI,
@@ -401,14 +409,15 @@ def cmd_mc(config: RunConfig) -> _Report:
     # auto T_o is the fock policy's: T_o scales the formula and every sampled
     # time alike, so formula_over_mc does not depend on the policy
     link = _link_params(config, "fock")
+    # one tree gives the row of every level 0..n; a level past the sampler's
+    # limit fails before any sampling
+    swap = ch["swap_probability"]
+    chain = ChainParams(nesting_level=ch["nesting_level"], swap_probability=swap)
+    estimates = monte_carlo_time(chain, link, trials=sec["trials"], seed=sec["seed"])
     rows = []
-    # deepest level first: one past the sampler's limit fails before any sampling
-    for n in range(ch["nesting_level"], -1, -1):
-        chain = ChainParams(nesting_level=n, swap_probability=ch["swap_probability"])
-        mean, stderr = monte_carlo_time(chain, link, trials=sec["trials"],
-                                        seed=sec["seed"])
-        formula = mean_time(chain, link)
-        rows.insert(0, [n, mean, stderr, formula, formula / mean])
+    for n, (mean, stderr) in enumerate(estimates):
+        formula = mean_time(ChainParams(nesting_level=n, swap_probability=swap), link)
+        rows.append([n, mean, stderr, formula, formula / mean])
     report.add_table("mc", ["n", "mc_mean_s", "mc_stderr_s", "formula_s",
                             "formula_over_mc"], rows)
     report.summary["trials"] = sec["trials"]

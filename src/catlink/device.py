@@ -32,6 +32,7 @@ __all__ = [
     "dispersive_kerr",
     "purcell_kappa",
     "kappa_eff",
+    "KappaEffError",
     "derive_device",
 ]
 
@@ -143,6 +144,20 @@ def purcell_kappa(cavity_decay: float, qubit_decay: float, coupling: float,
     return (1.0 - ratio2) * cavity_decay + ratio2 * qubit_decay
 
 
+class KappaEffError(ValueError):
+    """``kappa_eff`` has no rate at (K, kappa, alpha); ``reason`` says why.
+
+    The message gives K and kappa in the caller's units, followed by
+    ``unit``; a caller that knows the units can restate it from the fields.
+    """
+
+    def __init__(self, kerr: float, kappa: float, alpha: float, reason: str,
+                 unit: str = ""):
+        super().__init__(f"kappa_eff at K = {kerr:.6g}{unit}, kappa = {kappa:.6g}{unit}, "
+                         f"alpha = {alpha:.6g}: {reason}")
+        self.kerr, self.kappa, self.alpha, self.reason = kerr, kappa, alpha, reason
+
+
 def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> float:
     """Effective decoherence rate of cat-encoded coherence under loss.
 
@@ -157,13 +172,12 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> float
     K <= 0, or when the other modes together carry more than
     ``MODE_LEFTOVER_LIMIT`` of the initial coherence, so that the coherence
     is no single exponential (a cat the Kerr barely stabilizes, or one too
-    large for the truncation).
+    large for the truncation); either raises ``KappaEffError``.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    where = f"kappa_eff at K = {kerr:.6g}, kappa = {kappa:.6g}, alpha = {alpha:.6g}"
     if kerr <= 0:
-        raise ValueError(f"{where}: K must be positive to stabilize the cat")
+        raise KappaEffError(kerr, kappa, alpha, "K must be positive to stabilize the cat")
     if kappa == 0:
         return 0.0
     dim = 20
@@ -182,9 +196,10 @@ def kappa_eff(kerr: float, kappa: float, alpha: float = math.sqrt(2.0)) -> float
     k = int(np.argmax(np.abs(weights)))
     leftover = float(np.sum(np.abs(weights)) - abs(weights[k]))
     if leftover > MODE_LEFTOVER_LIMIT:
-        raise ValueError(f"{where}: no single Liouvillian mode holds the cat coherence; "
-                         f"the other modes carry {leftover:.3g} of it "
-                         f"(limit {MODE_LEFTOVER_LIMIT:g})")
+        raise KappaEffError(kerr, kappa, alpha,
+                            f"no single Liouvillian mode holds the cat coherence; "
+                            f"the other modes carry {leftover:.3g} of it "
+                            f"(limit {MODE_LEFTOVER_LIMIT:g})")
     return float(-lam[k].real)
 
 
@@ -193,8 +208,8 @@ def derive_device(params: DeviceParams, cavity_levels: int = 12,
     """Fill the derived (kerr, kappa, kappa_eff) fields from physical inputs.
 
     A row whose K stabilizes no cat (an uncoupled or linear ancilla leaves
-    K at rounding noise) is refused by ``kappa_eff``, naming K, kappa and
-    alpha.
+    K at rounding noise) is refused by ``kappa_eff`` with a
+    ``KappaEffError`` naming K, kappa (both angular, as here) and alpha.
     """
     fit = dispersive_kerr(params, cavity_levels, qubit_levels)
     kap = purcell_kappa(params.cavity_decay, params.qubit_decay,

@@ -176,29 +176,48 @@ _MC_LEAVES = 2**17                    # expected leaf draws per block, at most
 
 
 def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
-                     seed: int = 0) -> tuple[float, float]:
+                     seed: int = 0) -> list[tuple[float, float]]:
     """Brute-force oracle for the mean distribution time of one channel set.
 
     Per attempt slot (duration L0/c + T_o) a link succeeds with probability
     P0; a swap at level i waits for both children, then succeeds with
     probability P_i, a failure discarding and regenerating both child pairs.
-    Returns (sample mean, standard error) over seeded trials.
+    Returns one (sample mean, standard error) row per level 0..n, each over
+    ``trials`` seeded samples; callers that want level n alone take ``[-1]``.
+
+    All rows come from one tree of ``trials`` level-n trials.  A level-i
+    node draws its number of swap tries, geometric(P_i), before its
+    children, and swap outcomes do not depend on child times, so a level-i
+    node's children are iid level-(i - 1) nodes whatever its number of
+    tries.  Row i < n is therefore the estimate over the first ``trials``
+    level-i nodes the tree generates, in generation order: which nodes come
+    first is set by the swap tries above them, never by their times.  Each
+    level-n trial holds at least 2^(n - i) level-i nodes, so every row has
+    exactly ``trials`` samples.  Row 0 draws its own ``trials`` leaves from
+    the same generator before the tree (for n = 0 they are the tree).  The
+    rows of one call are correlated, but each is unbiased and its standard
+    error is valid on its own.
+
+    A leaf's slot count is geometric(P0), drawn by exponential inversion,
+    ceil(E / r) with r = -log(1 - P0), numpy's own method for P0 < 1/3.  A
+    level-1 try only uses the larger of its two leaves, and ceil is
+    monotone, so it draws that one directly: the larger of two Exp(1) has
+    CDF (1 - e^(-x))^2, giving ceil(-log(1 - sqrt(U)) / r) for uniform U,
+    clamped to at least 1 (the generalized inverse at U = 0).  This law is
+    exact.  A level-i node then sums max(left, right) over the children of
+    all its tries.
 
     Trials run in blocks, counted in attempt slots: at most ``_MC_BLOCK``
-    trials and ``_MC_LEAVES`` expected leaves, (2 / P)^n per level-n trial; a
-    level whose one trial is past that budget raises before sampling.
-    A leaf's slot count is geometric(P0), drawn by exponential inversion,
-    ceil(E / -log(1 - P0)), numpy's own method for P0 < 1/3.  A level-i node first draws its number of swap
-    tries, geometric(P_i) (swap outcomes do not depend on child times), then
-    sums max(left, right) over the children of all its tries.
-
-    Memory is set by the leaf budget, not by ``trials`` or n: each block adds its
-    slot sum S1 and sum of squares S2 to Python integers and is dropped.
-    The mean is t_a S1 / N, rounded once from exact integers, and the
-    standard error t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a
-    the attempt time and the numerator in exact integer arithmetic.  A block's float64
-    sums are exact while its S2 stays below 2^53, that is for slot counts
-    up to about 1e6; above that S2 rounds at 1e-16 relative.
+    trials and ``_MC_LEAVES`` expected leaves, (2 / P)^n per level-n trial,
+    counting the two leaves each level-1 pair stands for; a level whose one
+    trial is past that budget raises before sampling.  Memory is set by the
+    leaf budget, not by ``trials`` or n: each block adds each row's slot sum
+    S1 and sum of squares S2 to Python integers and is dropped.  A row's
+    mean is t_a S1 / N, rounded once from exact integers, and its standard
+    error t_a sqrt((N S2 - S1^2) / (N (N - 1))) / sqrt(N), with t_a the
+    attempt time and the numerator in exact integer arithmetic.  An array's
+    float64 sums are exact while its S2 stays below 2^53, that is for slot
+    counts up to about 1e6; above that S2 rounds at 1e-16 relative.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable mean")
@@ -213,6 +232,14 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
     block = min(_MC_BLOCK, int(_MC_LEAVES / growth**n))
     rng = np.random.default_rng(seed)
     leaf_rate = -math.log1p(-prob0)
+    trials = int(trials)
+    counts, s1, s2 = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+
+    def tally(level: int, k: np.ndarray) -> None:
+        k = k[:trials - counts[level]]
+        counts[level] += k.size
+        s1[level] += int(k.sum())
+        s2[level] += int(k @ k)
 
     def slots(level: int, size: int) -> np.ndarray:
         if level == 0:
@@ -225,20 +252,34 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
         n_tries = int(starts[-1])
         starts[1:] = starts[:-1]
         starts[0] = 0
-        children = slots(level - 1, 2 * n_tries)
-        pairs = np.maximum(children[0::2], children[1::2], out=children[0::2])
+        if level == 1:
+            # ceil(-log1p(-sqrt(U)) / r), the larger leaf of each pair
+            pairs = rng.random(n_tries)
+            np.sqrt(pairs, out=pairs)
+            np.negative(pairs, out=pairs)
+            np.log1p(pairs, out=pairs)
+            pairs /= -leaf_rate
+            np.ceil(pairs, out=pairs)
+            np.maximum(pairs, 1.0, out=pairs)
+        else:
+            children = slots(level - 1, 2 * n_tries)
+            tally(level - 1, children)
+            pairs = np.maximum(children[0::2], children[1::2], out=children[0::2])
         return np.add.reduceat(pairs, starts)
 
-    trials = int(trials)
-    s1 = s2 = 0
-    for start in range(0, trials, block):
-        k = slots(n, min(block, trials - start))
-        s1 += int(k.sum())
-        s2 += int(k @ k)
+    for start in range(0, trials, _MC_BLOCK):
+        tally(0, slots(0, min(_MC_BLOCK, trials - start)))
+    if n:
+        for start in range(0, trials, block):
+            tally(n, slots(n, min(block, trials - start)))
     t_a = attempt_time(link)
     num, den = t_a.as_integer_ratio()
-    variance = (trials * s2 - s1 * s1) / (trials * (trials - 1))
-    return num * s1 / (den * trials), t_a * math.sqrt(variance) / math.sqrt(trials)
+    rows = []
+    for total, squares in zip(s1, s2):
+        variance = (trials * squares - total * total) / (trials * (trials - 1))
+        rows.append((num * total / (den * trials),
+                     t_a * math.sqrt(variance) / math.sqrt(trials)))
+    return rows
 
 
 # -- fidelity budget ----------------------------------------------------------

@@ -218,7 +218,7 @@ def test_criterion_8_monte_carlo_oracle():
     expected = rp.mean_time(chain0, link)
     worst = 0.0
     for seed in range(10):
-        mean, stderr = rp.monte_carlo_time(chain0, link, trials=20_000, seed=seed)
+        mean, stderr = rp.monte_carlo_time(chain0, link, trials=20_000, seed=seed)[-1]
         worst = max(worst, abs(mean - expected) / (3 * stderr))
     results.append(check("8", "n=0 geometric closed form (10 seeds)", worst < 1.0,
                          f"worst deviation {worst:.2f} of 3 sigma"))
@@ -226,7 +226,7 @@ def test_criterion_8_monte_carlo_oracle():
     small_p0 = rp.LinkParams(length_km=120.0, operation_time_s=1e-4)
     for n in (1, 2, 3):
         chain = rp.ChainParams(nesting_level=n, swap_probability=0.81)
-        mean, _ = rp.monte_carlo_time(chain, small_p0, trials=100_000, seed=n)
+        mean, _ = rp.monte_carlo_time(chain, small_p0, trials=100_000, seed=n)[-1]
         formula = rp.mean_time(chain, small_p0)
         rel = abs(formula - mean) / mean
         results.append(check("8", f"(3/2)^n approximation n={n}", rel <= 0.25,

@@ -268,7 +268,7 @@ class TestMonteCarloCommand:
 
     def test_level_past_the_sampler_limit_is_named_before_sampling(self, out_dir,
                                                                    monkeypatch, capsys):
-        # the deepest level runs first, so no shallower level is sampled
+        # the sampler refuses the level before it draws any sample, of any row
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
 
@@ -443,8 +443,15 @@ class TestDeviceCommand:
         assert r.returncode == 1
         lines = r.stderr.splitlines()
         assert len(lines) == 1
-        assert re.match(r"error: kappa_eff at K = \S+, kappa = \S+, alpha = 1.41421: ",
+        assert re.match(r"error: kappa_eff at K = \S+ Hz, kappa = \S+ Hz, alpha = 1.41421: ",
                         lines[0]), lines[0]
+        assert not os.path.exists(out_dir)
+
+    def test_failing_row_of_several_is_named(self, out_dir):
+        r = run_cli("device", "--out", out_dir, "--set", "device.coupling_hz=75e6,0,75e6")
+        assert r.returncode == 1
+        assert re.match(r"error: \[device\] row 2 of 3: kappa_eff at K = \S+ Hz, "
+                        r"kappa = 0.32 Hz, alpha = 1.41421: ", r.stderr), r.stderr
         assert not os.path.exists(out_dir)
 
 

@@ -116,14 +116,14 @@ class TestMonteCarlo:
         chain = rp.ChainParams(nesting_level=0)
         expected = rp.mean_time(chain, link)
         for seed in range(10):
-            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_000, seed=seed)
+            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_000, seed=seed)[-1]
             assert abs(mean - expected) < 3 * stderr
 
     def test_single_swap_ratio_window(self):
         # small P0 regime where the 3/2 approximation is good
         link = _link(length_km=150.0)
         chain = rp.ChainParams(nesting_level=1, swap_probability=1.0)
-        mean, stderr = rp.monte_carlo_time(chain, link, trials=60_000, seed=3)
+        mean, stderr = rp.monte_carlo_time(chain, link, trials=60_000, seed=3)[-1]
         ratio = rp.mean_time(chain, link) / mean
         assert 0.9 < ratio < 1.15
 
@@ -162,7 +162,7 @@ class TestMonteCarlo:
         chain = rp.ChainParams(nesting_level=1, swap_probability=swap_probability)
         expected = self.single_swap_mean(link, swap_probability)
         for seed in range(5):
-            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)
+            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)[-1]
             assert abs(mean - expected) < 4.5 * stderr
 
     # 20,001 trials leave a partial last block; 2 blocks fill exactly
@@ -170,7 +170,7 @@ class TestMonteCarlo:
     def test_no_swap_matches_numpy_geometric_bitwise(self, seed, trials):
         link = _link()
         assert (rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
-                                    trials=trials, seed=seed)
+                                    trials=trials, seed=seed)[-1]
                 == self.numpy_geometric_estimate(link, trials, seed))
 
     def test_no_swap_mean_is_correctly_rounded_over_seeds(self):
@@ -179,7 +179,7 @@ class TestMonteCarlo:
         link = _link()
         for seed in range(50):
             mean, _ = rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
-                                          trials=100_000, seed=seed)
+                                          trials=100_000, seed=seed)[-1]
             assert mean == self.numpy_geometric_estimate(link, 100_000, seed)[0], seed
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -195,7 +195,7 @@ class TestMonteCarlo:
         ref_mean = np.mean(times)
         ref_stderr = np.std(times, ddof=1) / math.sqrt(trials)
         mean, stderr = rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
-                                           trials=trials, seed=seed)
+                                           trials=trials, seed=seed)[-1]
         assert abs(mean - ref_mean) <= 1e-12 * ref_mean
         assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
@@ -220,11 +220,46 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("nesting_level", [2, 3])
     def test_agrees_with_retry_loop_reference(self, nesting_level):
+        # every row of the tree, each against the reference at its own level
         link = _link()
         chain = rp.ChainParams(nesting_level=nesting_level, swap_probability=0.7)
-        mean, stderr = rp.monte_carlo_time(chain, link, trials=40_000, seed=8)
-        ref_mean, ref_stderr = self.retry_loop_estimate(chain, link, 40_000, seed=9)
-        assert abs(mean - ref_mean) < 4.5 * math.hypot(stderr, ref_stderr)
+        rows = rp.monte_carlo_time(chain, link, trials=40_000, seed=8)
+        assert len(rows) == nesting_level + 1
+        for level in range(1, nesting_level + 1):
+            mean, stderr = rows[level]
+            ref_mean, ref_stderr = self.retry_loop_estimate(
+                rp.ChainParams(nesting_level=level, swap_probability=0.7), link, 40_000,
+                seed=9)
+            assert abs(mean - ref_mean) < 4.5 * math.hypot(stderr, ref_stderr), level
+
+    def test_lower_rows_of_a_deep_tree_match_closed_forms_over_seeds(self):
+        # rows 0 and 1 of an n = 3 tree against the geometric mean and the
+        # exact single-swap mean
+        link = _link()
+        chain = rp.ChainParams(nesting_level=3, swap_probability=0.81)
+        expected = [rp.mean_time(rp.ChainParams(nesting_level=0), link),
+                    self.single_swap_mean(link, 0.81)]
+        for seed in range(5):
+            rows = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)
+            for (mean, stderr), want in zip(rows, expected):
+                assert abs(mean - want) < 4.5 * stderr, (seed, mean, want)
+
+    def test_certain_swap_node_follows_the_larger_leaf_law(self):
+        # at swap probability 1 a level-1 node is one pair's larger leaf M,
+        # P(M <= k) = (1 - q^k)^2 with q = 1 - P0; its mean and second moment
+        # are sums of P(M > k) and (2k + 1) P(M > k) over k >= 0
+        link = _link()
+        q = 1.0 - rp.p0(link)
+        k = np.arange(int(40 / -math.log(q)))
+        tail = 1.0 - (1.0 - q**k) ** 2
+        assert tail[-1] < 1e-15
+        mean_slots, square_slots = tail.sum(), ((2 * k + 1) * tail).sum()
+        t_a, trials = rp.attempt_time(link), 400_000
+        chain = rp.ChainParams(nesting_level=1, swap_probability=1.0)
+        mean, stderr = rp.monte_carlo_time(chain, link, trials=trials, seed=4)[-1]
+        assert abs(mean - t_a * mean_slots) < 4.5 * stderr
+        exact_std = t_a * math.sqrt(square_slots - mean_slots**2)
+        assert stderr * math.sqrt(trials) == pytest.approx(exact_std, rel=0.01)
 
     def test_zero_success_probability_named(self):
         with pytest.raises(ValueError, match="p0 = 0.0"):
