@@ -5,9 +5,14 @@
     drho/dt = -i [H(t), rho] + sum_j kappa_j (L_j rho L_j^dag
                                               - 1/2 {L_j^dag L_j, rho})
 
-on the column-stacked density matrix with ``integrate_rk45``, which runs
-scipy's adaptive Dormand-Prince 8(5,3) solver (``scipy.integrate.DOP853``):
-on the smooth drive ramps at these tolerances its eighth-order steps need
+on the column-stacked density matrix with ``integrate_rk45``, the adaptive
+Dormand-Prince 8(5,3) method of Hairer's DOP853 code (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, Sec. II.10), written
+here in numpy: it takes exactly the steps of ``scipy.integrate.DOP853``
+without importing ``scipy.integrate``, whose package import alone outlasts
+the transducer solve.  The name ``integrate_rk45`` predates DOP853 and
+stays because the benchmark's layer tracer looks the function up by it.
+On the smooth drive ramps at these tolerances the eighth-order steps need
 about 30 % fewer right-hand-side calls than a 5(4) pair.  Several initial
 states, each with its own collapse rates, run as the columns of one solve:
 the right-hand side is one sparse product of all columns with generators
@@ -150,6 +155,93 @@ class Trajectory:
 
 # -- ODE integration ---------------------------------------------------------
 
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, Sec. II.10), as the coefficients of Hairer's
+# DOP853 code: the nodes, the lower triangle of A row by row with its zeros
+# (each row is one dot product with the earlier stages), the weights, and
+# the fifth- and third-order error weights over the twelve stages and the
+# derivative at the new point
+_DOP853_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+_DOP853_A = [np.array(row) for row in (
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+    [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1],
+    [3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1],
+    [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2],
+    [3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3],
+    [6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1],
+    [4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2],
+    [-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022],
+    [2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1])]
+_DOP853_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
+_DOP853_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0.0])
+# the embedded third-order weights are B minus these, entry by entry
+_DOP853_E3 = np.append(_DOP853_B, 0.0) - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1, 0.0])
+
+# step-size control: safety factor, bounds on the change of one step, and
+# the exponent -1 / (q + 1) of the seventh-order error estimate
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t_bound: float,
+                  rel_tol: float, abs_tol: float) -> float:
+    """First trial step from the size of y0, f0 and one probe derivative
+    (Hairer, Norsett & Wanner, Sec. II.4), capped at the interval."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = abs_tol + np.abs(y0) * rel_tol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
 
 def integrate_rk45(
     rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -160,34 +252,70 @@ def integrate_rk45(
 ) -> list[np.ndarray]:
     """Adaptive Dormand-Prince 8(5,3) integration of a complex ODE system.
 
-    Runs ``scipy.integrate.DOP853`` through the increasing ``output_times``,
-    restarting the solver at each one so that each is hit exactly, and
-    returns the solution at every output time, ``y0`` first.  Raises
-    ``IntegrationError`` when the solver fails, reporting the failure time.
+    Integrates dy/dt = rhs(t, y) through the increasing ``output_times``
+    with the explicit Runge-Kutta pair of Hairer's DOP853 code (Hairer,
+    Norsett & Wanner, Solving Ordinary Differential Equations I, Sec. II.10):
+    eighth-order steps whose error is estimated from the embedded fifth- and
+    third-order solutions in the weighted RMS norm with scale abs_tol +
+    rel_tol max(|y|, |y_new|).  A step is accepted when that norm is below 1;
+    the next step is the last one times 0.9 err^(-1/8), within [0.2, 10],
+    and never larger after a rejection.  The integration restarts at each
+    output time, with a fresh derivative and initial-step estimate, so each
+    is hit exactly.  Each step and each choice of step size is the one that
+    ``scipy.integrate.DOP853`` makes, restarted the same way (the test suite
+    checks the two bit for bit), so the right-hand side is called as often.
+    Returns the solution at every output time, ``y0`` first.  Raises
+    ``IntegrationError`` with the failure time when the step size falls
+    below ten times the spacing of floating-point numbers at t.
 
     The name predates the switch from RK45 to DOP853; the benchmark's layer
-    tracer looks the function up by it, so it stays until the benchmark
-    itself is revised.
+    tracer looks the function up by it and binds ``rhs`` by name, so both
+    stay until the benchmark itself is revised.
     """
     output_times = np.asarray(output_times, dtype=float).tolist()
+    if np.any(np.diff(output_times) < 0):
+        raise ValueError("output_times must be increasing")
     t = output_times[0]
     y = np.array(y0, dtype=complex)
-    results = [y.copy()]
+    # stage derivatives, one row each, and the derivative at the new point
+    k = np.empty((_DOP853_C.size + 1, y.size), dtype=complex)
+    # no state is changed in place, so the list can hold them uncopied
+    results = [y]
     for stop in output_times[1:]:
-        solver = scipy.integrate.DOP853(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
-        while solver.status == "running":
-            message = solver.step()
-        failed, t, y = solver.status == "failed", solver.t, solver.y
-        # an OdeSolver holds closures that refer back to it, so only the cycle
-        # collector would free its arrays, and a collection of generation 0
-        # misses a solver that lived through an automatic collection;
-        # dropping its attributes breaks the cycle and frees it here, and
-        # dropping the name keeps a raised error's frame from holding it
-        vars(solver).clear()
-        del solver
-        if failed:
-            raise IntegrationError(f"{message} (t={t:.6e})", t)
-        results.append(y.copy())
+        fy = rhs(t, y)
+        h_abs = _initial_step(rhs, t, y, fy, stop, rel_tol, abs_tol)
+        while t < stop:
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError("Required step size is less than spacing between "
+                                           f"numbers. (t={t:.6e})", t)
+                t_new = min(t + h_abs, stop)
+                h = t_new - t
+                h_abs = abs(h)
+                k[0] = fy
+                for s, (a, c) in enumerate(zip(_DOP853_A, _DOP853_C[1:]), start=1):
+                    k[s] = rhs(t + c * h, y + np.dot(k[:s].T, a) * h)
+                y_new = y + h * np.dot(k[:-1].T, _DOP853_B)
+                k[-1] = f_new = rhs(t + h, y_new)
+                scale = abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * rel_tol
+                err5 = np.linalg.norm(np.dot(k.T, _DOP853_E5) / scale) ** 2
+                err3 = np.linalg.norm(np.dot(k.T, _DOP853_E3) / scale) ** 2
+                if err5 == 0 and err3 == 0:
+                    error_norm = 0.0
+                else:
+                    error_norm = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
+                if error_norm < 1:
+                    factor = (_MAX_FACTOR if error_norm == 0 else
+                              min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected = True
+            t, y, fy = t_new, y_new, f_new
+        results.append(y)
     return results
 
 

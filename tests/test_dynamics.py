@@ -17,6 +17,11 @@ def _zero_h(dim, t1=1.0):
     return TimeDependentHamiltonian(np.zeros((dim, dim), dtype=complex), (), (0.0, t1))
 
 
+def _exploding_rhs(t, y):
+    # a discontinuous, rapidly exploding coefficient starves the step size
+    return y / max(1.0 - t, 0.0) ** 2 if t < 1.0 else y * np.inf
+
+
 class TestEvolve:
     def test_free_evolution_is_stationary(self):
         rho0 = qc.to_density_matrix(qc.coherent_state(0.7, 8))
@@ -116,25 +121,24 @@ class TestEvolve:
             evolve(_zero_h(4), [], qc.fock_state(0, 5))
 
     def test_step_underflow_reports_time(self):
-        # a discontinuous, rapidly exploding coefficient starves the step size
-        def rhs(t, y):
-            return y / max(1.0 - t, 0.0) ** 2 if t < 1.0 else y * np.inf
-
         with pytest.raises(IntegrationError) as err:
-            integrate_rk45(rhs, np.ones(1, dtype=complex), [0.0, 2.0],
+            integrate_rk45(_exploding_rhs, np.ones(1, dtype=complex), [0.0, 2.0],
                            rel_tol=1e-10)
         assert err.value.t >= 0.0
 
     def test_no_solver_outlives_the_call(self):
-        # each stop gets its own scipy solver; none may be left for a later
-        # full collection to find
-        from scipy.integrate import OdeSolver
-
-        ys = integrate_rk45(lambda t, y: -1j * y, np.ones(3, dtype=complex),
-                            np.linspace(0.0, 1.0, 17))
+        # the integrator keeps its state in local arrays that form no
+        # reference cycle, so nothing is left for the cycle collector
+        gc.collect()
+        gc.disable()
+        try:
+            ys = integrate_rk45(lambda t, y: -1j * y, np.ones(3, dtype=complex),
+                                np.linspace(0.0, 1.0, 17))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
         assert len(ys) == 17
         assert np.allclose(ys[-1], np.exp(-1j), atol=1e-8)
-        assert not [o for o in gc.get_objects() if isinstance(o, OdeSolver)]
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_rhs_sees_one_coefficient_per_interval(self, reverse, monkeypatch):
@@ -224,6 +228,111 @@ class TestEvolve:
         with pytest.raises(ValueError, match="segment"):
             TimeDependentHamiltonian(np.zeros((2, 2)), tuple((op, c) for c in coefficients),
                                      (0.0, 1.0))
+
+
+def _scipy_dop853(rhs, y0, output_times, rel_tol, abs_tol):
+    """The reference: ``scipy.integrate.DOP853`` restarted at each output
+    time.  Returns (states, summed nfev, accepted steps), or the failure
+    time in place of the states."""
+    import scipy.integrate
+
+    t, y = output_times[0], np.array(y0, dtype=complex)
+    ys, nfev, steps = [y.copy()], 0, 0
+    for stop in output_times[1:]:
+        solver = scipy.integrate.DOP853(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
+        while solver.status == "running":
+            solver.step()
+            steps += 1
+        nfev += solver.nfev
+        t, y = solver.t, solver.y
+        if solver.status == "failed":
+            return t, nfev, steps
+        ys.append(y.copy())
+    return ys, nfev, steps
+
+
+class TestDop853:
+    """``integrate_rk45`` takes scipy's DOP853 steps, bit for bit."""
+
+    @staticmethod
+    def _counted(rhs):
+        calls = []
+        return calls, lambda t, y: calls.append(t) or rhs(t, y)
+
+    def _assert_matches_scipy(self, rhs, y0, output_times, rel_tol=1e-8, abs_tol=1e-12):
+        # same states, and the right-hand side called as often at the same times
+        calls, counted = self._counted(rhs)
+        ys = integrate_rk45(counted, y0, output_times, rel_tol=rel_tol, abs_tol=abs_tol)
+        ref_calls, ref_counted = self._counted(rhs)
+        ref, nfev, steps = _scipy_dop853(ref_counted, y0, output_times, rel_tol, abs_tol)
+        assert len(ys) == len(ref) == len(output_times)
+        assert all(np.array_equal(a, b) for a, b in zip(ys, ref))
+        assert len(calls) == nfev
+        assert calls == ref_calls
+        return nfev, steps
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_linear_systems(self, seed):
+        # dy/dt = (1 + u sin(w t)) M y with a random complex M shifted to be
+        # stable: the time dependence makes every stage time count
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m -= 0.5 * np.max(np.abs(np.linalg.eigvals(m))) * np.eye(n)
+        u, w = rng.uniform(0.0, 0.5), rng.uniform(1.0, 10.0)
+        y0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        output_times = [0.0, *np.sort(rng.uniform(0.0, 3.0, 5)).tolist()]
+        rel_tol = float(10.0 ** rng.uniform(-11, -5))
+        self._assert_matches_scipy(lambda t, y: (1.0 + u * np.sin(w * t)) * (m @ y),
+                                   y0, output_times, rel_tol, rel_tol * 1e-4)
+
+    def test_rejected_steps(self):
+        # a narrow kick at t = 1 that the growing steps overrun: each try
+        # costs 12 calls and each interval 2 more, so the surplus over the
+        # accepted steps counts the rejections
+        def rhs(t, y):
+            return -1j * (1.0 + 200.0 * math.exp(-((t - 1.0) / 0.01) ** 2)) * y
+
+        nfev, steps = self._assert_matches_scipy(rhs, np.ones(2, dtype=complex),
+                                                 [0.0, 0.5, 2.0, 3.0])
+        assert (nfev - 2 * 3) // 12 > steps
+
+    def test_last_step_time_is_t_plus_h(self):
+        # y' = 0 grows each step tenfold, so the last step of [0.7, 76.3]
+        # starts below 76.3 / 2 and t + (76.3 - t) rounds below 76.3: the
+        # derivative at the new point is taken at t + h, as scipy takes it
+        calls, counted = self._counted(lambda t, y: 0 * y)
+        integrate_rk45(counted, np.ones(2, dtype=complex), [0.7, 76.3])
+        assert calls[-1] != 76.3
+        self._assert_matches_scipy(lambda t, y: 0 * y, np.ones(2, dtype=complex),
+                                   [0.0, 0.7, 76.3])
+
+    def test_step_underflow_at_scipys_time(self):
+        with pytest.raises(IntegrationError,
+                           match="Required step size is less than spacing between numbers") as err:
+            integrate_rk45(_exploding_rhs, np.ones(1, dtype=complex), [0.0, 2.0],
+                           rel_tol=1e-10)
+        t, _, _ = _scipy_dop853(_exploding_rhs, np.ones(1, dtype=complex), [0.0, 2.0],
+                                1e-10, 1e-12)
+        assert err.value.t == t
+        assert f"(t={t:.6e})" in str(err.value)
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        n = ref.N_STAGES
+        assert np.array_equal(dynamics._DOP853_C, ref.C[:n])
+        assert len(dynamics._DOP853_A) == n - 1
+        assert all(np.array_equal(row, ref.A[s, :s])
+                   for s, row in enumerate(dynamics._DOP853_A, start=1))
+        assert not np.any(np.triu(ref.A[:n, :n]))
+        assert np.array_equal(dynamics._DOP853_B, ref.B)
+        assert np.array_equal(dynamics._DOP853_E5, ref.E5)
+        assert np.array_equal(dynamics._DOP853_E3, ref.E3)
+
+    def test_decreasing_output_times_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_rk45(lambda t, y: y, np.ones(1, dtype=complex), [0.0, 1.0, 0.5])
 
 
 def _ramp_problem(dim, t1=2.0, single_photon=0.0):

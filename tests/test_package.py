@@ -125,24 +125,44 @@ def test_unused_import_is_reported(tmp_path):
 
 HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.integrate")
 
-_LOADED_AFTER_MC = """
+_LOADED_AFTER = """
 import sys
 import catlink.cli
 loaded = [m for m in {heavy!r} if m in sys.modules]
-assert catlink.cli.main(["mc", "--trials", "10000", "--out", sys.argv[1]]) == 0
-print(loaded, [m for m in {heavy!r} if m in sys.modules])
+assert catlink.cli.main({args!r} + ["--out", sys.argv[1]]) == 0
+print([loaded, [m for m in {heavy!r} if m in sys.modules]])
 """
+
+
+def _heavy_loaded(args: list[str], out: pathlib.Path) -> list[list[str]]:
+    """[before, after]: the ``HEAVY_SCIPY`` modules loaded after importing
+    the CLI and after running ``catlink <args>`` with the default config."""
+    env = dict(os.environ)
+    env.pop("CATLINK_CONFIG", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(catlink.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    script = _LOADED_AFTER.format(heavy=HEAVY_SCIPY, args=args)
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_scipy_submodules_load_on_first_use(tmp_path):
     # catlink reaches scipy's submodules by attribute at the call site, so
     # the import and the Monte-Carlo command, which needs numpy only, never
     # load them
-    env = dict(os.environ)
-    env.pop("CATLINK_CONFIG", None)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(pathlib.Path(catlink.__file__).parent.parent), env.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_MC.format(heavy=HEAVY_SCIPY),
-                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] []"
+    assert _heavy_loaded(["mc", "--trials", "10000"], tmp_path) == [[], []]
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("transduce", HEAVY_SCIPY),
+    ("gates", ("scipy.optimize", "scipy.integrate")),
+])
+def test_integrating_commands_load_no_scipy_integrator(tmp_path, command, unused):
+    # the ODE integrator is catlink's own, so a command that integrates but
+    # never optimizes loads neither scipy.integrate nor scipy.optimize (which
+    # scipy.integrate's package import would pull in); transduce needs no
+    # sparse or linear-algebra submodule either
+    _, after = _heavy_loaded([command], tmp_path)
+    assert [m for m in unused if m in after] == []
