@@ -25,13 +25,14 @@ print("odd  cat parity             :", qc.parity_expectation(odd))
 # Ramping the two-photon drive maps |0> and |1> onto the cats.  With loss at
 # K/kappa = 1e3 the default ramp reaches the anchored ~99.6% fidelity.
 params = cq.CatQubitParams(kerr=1.0, kappa=1e-3)
-result = cq.drive(params)
+[result] = cq.drive([params])  # one result per cavity in the list
 print(f"\ndrive |0> -> |C+>  fidelity = {result.fidelity:.5f} "
       f"(duration {result.duration_s:.2f}/K)")
 
 # undriving is the time-reversed pulse; composed losslessly it undoes driving
 ideal = cq.CatQubitParams(kerr=1.0, kappa=0.0)
-roundtrip = cq.undrive(ideal, state=cq.drive(ideal).state)
+[driven] = cq.drive([ideal])
+[roundtrip] = cq.undrive([ideal], state=driven.state)
 print(f"lossless drive-undrive roundtrip fidelity = {roundtrip.fidelity:.5f}")
 
 # -- single- and two-qubit gates ----------------------------------------------

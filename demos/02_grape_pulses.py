@@ -16,17 +16,19 @@ from catlink import pulseopt as po
 from catlink.catqubit import CatQubitParams, time_reversed
 
 params = CatQubitParams(kerr=1.0, kappa=1e-3)
+# the [grape] defaults: 0.5/K, 64 segments, amplitudes within 10 K
+pulse = dict(total_time=0.5, n_segments=64, amplitude_bound=10.0)
 
-drive = po.drive_problem(params)  # |0> -> |C+> in 0.5/K, 64 segments, dim 30
+drive = po.drive_problem(params, **pulse)  # |0> -> |C+> at dim 30
 result = po.grape_optimize(drive, max_iters=400)
 print(f"drive optimized: fidelity {result.fidelity:.5f} "
       f"({result.n_iterations} iterations, converged={result.converged})")
 
 for direction, problem, schedule in (
         ("drive", drive, result.schedule),
-        ("undrive", po.undrive_problem(params), time_reversed(result.schedule))):
+        ("undrive", po.undrive_problem(params, **pulse), time_reversed(result.schedule))):
     lossless = po.evaluate_pulse(problem, schedule, kappa=0.0)
-    lossy = po.evaluate_pulse(problem, schedule)
+    lossy = po.evaluate_pulse(problem, schedule, kappa=params.kappa)
     print(f"{direction}: lossless {lossless:.5f}, with loss at K/kappa=1e3: {lossy:.5f}")
 
     amps = schedule.channels

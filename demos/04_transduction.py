@@ -28,11 +28,11 @@ print(f"  lost           : {result.lost_population:.5f}")
 print("\nbroadening sweep (FWHM of the natural spin line):")
 for mhz in (2, 5, 10, 20, 40):
     p = td.TransducerParams(natural_linewidth=TP * mhz * 1e6)
-    eta = td.spin_transfer_efficiency(p, check_convergence=False).efficiency
+    eta = td.spin_transfer_efficiency(p).efficiency
     print(f"  {mhz:>3d} MHz: eta = {eta:.5f}")
 
 gauss = td.TransducerParams(lineshape="gaussian")
-eta_g = td.spin_transfer_efficiency(gauss, check_convergence=False).efficiency
+eta_g = td.spin_transfer_efficiency(gauss).efficiency
 print(f"\nlineshape sensitivity: gaussian gives {eta_g:.5f} "
       f"({eta_g - result.efficiency:+.5f} vs lorentzian)")
 

@@ -35,8 +35,9 @@ Driving goes through the adaptive master-equation integrator.  ``drive`` and
 ``pulseopt.evaluate_pulse`` through the same loss scorer, ``_run_pulse``.
 The ramps are solved in units of 1/K, where cavities of one amplitude and
 truncation differ only in kappa / K, so ``drive`` and ``undrive`` take a
-sequence of cavities as well as one and run them as the columns of one
-solve; ``gate_report`` makes one such call for every row of the gate table.
+sequence of cavities, a list of one for a single cavity, and run them as the
+columns of one solve; ``gate_report`` makes one such call for every row of
+the gate table.
 One helper, ``_ramp``, builds the ramp and the cats at the amplitude it
 reaches (the drive's target and the undrive's input and basis).  They are
 the eigenstates of the *truncated* two-photon-driven Kerr Hamiltonian
@@ -314,35 +315,22 @@ def _ramp(params: CatQubitParams,
     return (pulse, alpha, *_stationary_cats(params, alpha))
 
 
-def _rows(params: CatQubitParams | Sequence[CatQubitParams]) -> tuple[list[CatQubitParams], bool]:
-    """(rows, single): ``params`` as a list of rows, and whether it was one
-    ``CatQubitParams``, a row of one whose result is returned unlisted."""
-    single = isinstance(params, CatQubitParams)
-    rows = [params] if single else list(params)
-    if not rows:
-        raise ValueError("need at least one row of CatQubitParams")
-    return rows, single
-
-
 def _row_names(rows: Sequence[CatQubitParams]) -> str:
     """'K/kappa = 1000 row', or 'K/kappa = 1000, 100000 rows' for several."""
     ratios = ", ".join(f"{p.kerr / p.kappa if p.kappa else math.inf:g}" for p in rows)
     return f"K/kappa = {ratios} row{'s' if len(rows) > 1 else ''}"
 
 
-def _run_pulse(params: CatQubitParams | Sequence[CatQubitParams], operation: str,
-               pulse: PulseSchedule, state: np.ndarray,
-               target: np.ndarray) -> DriveResult | list[DriveResult]:
-    """Evolve ``state`` through ``pulse`` with loss at ``params.kappa`` and
-    score the final state against ``target``.  A sequence of params, which
-    must share ``kerr`` and ``dim``, runs as the columns of one solve, one
-    loss rate each, and returns one result per row.  A sampled state with
-    more than 1e-6 in the top two Fock levels raises
-    ``TruncationOverflowError``; ``operation`` names the pulse in it and in
-    an integration error.  With a sequence, an overflow also names its row
-    (``_row_names``), and a failed solve every row and the failure time K t.
+def _run_pulse(rows: Sequence[CatQubitParams], operation: str, pulse: PulseSchedule,
+               state: np.ndarray, target: np.ndarray) -> list[DriveResult]:
+    """Evolve ``state`` through ``pulse`` with loss at each row's ``kappa``
+    and score each final state against ``target``.  The rows, which must
+    share ``kerr`` and ``dim``, run as the columns of one solve and return
+    one result each.  A sampled state with more than 1e-6 in the top two
+    Fock levels raises ``TruncationOverflowError`` naming its row
+    (``_row_names``) and ``operation``; a failed solve names every row,
+    ``operation`` and the failure time K t.
     """
-    rows, single = _rows(params)
     dim = rows[0].dim
     target = target / np.linalg.norm(target)
     h = _pulse_hamiltonian(rows[0], pulse)
@@ -350,60 +338,56 @@ def _run_pulse(params: CatQubitParams | Sequence[CatQubitParams], operation: str
     try:
         trajs = evolve(h, collapse, [state] * len(rows), n_samples=9)
     except IntegrationError as exc:
-        where = operation if single else \
-            f"{_row_names(rows)}, {operation} at K t = {exc.t * rows[0].kerr:.6e}"
-        raise IntegrationError(f"{where}: {exc}", exc.t) from exc
+        raise IntegrationError(f"{_row_names(rows)}, {operation} at K t = "
+                               f"{exc.t * rows[0].kerr:.6e}: {exc}", exc.t) from exc
     results = []
     for p, traj in zip(rows, trajs):
         tail = max(float(np.sum(np.abs(s[dim - 2:]) ** 2)) if s.ndim == 1
                    else float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
                    for s in traj.states)
         if tail > 1e-6:
-            where = operation if single else f"{_row_names([p])}, {operation}"
             raise TruncationOverflowError(
-                f"{where}: population {tail:.2e} in the top two Fock levels at dim = {dim}; "
-                "increase dim")
+                f"{_row_names([p])}, {operation}: population {tail:.2e} in the top two Fock "
+                f"levels at dim = {dim}; increase dim")
         final = traj.final_state
         results.append(DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
                                    target=target, duration_s=pulse.duration,
                                    rhs_evals=traj.rhs_evals, tail_population=tail))
-    return results[0] if single else results
+    return results
 
 
 def _unit_rows(rows: Sequence[CatQubitParams]) -> list[CatQubitParams]:
     """``rows`` at K = 1, each with its own kappa / K; they must share
     ``alpha`` and ``dim``, so one ramp and one pair of cats serve them all."""
-    if len({(p.alpha, p.dim) for p in rows}) > 1:
-        raise ValueError("the rows of one drive must share alpha and dim")
+    if len({(p.alpha, p.dim) for p in rows}) != 1:
+        raise ValueError("a drive needs one or more rows, and they must share alpha and dim")
     return [replace(p, kerr=1.0, kappa=p.kappa / p.kerr) for p in rows]
 
 
-def _ramp_results(results: list[DriveResult], rows: Sequence[CatQubitParams], single: bool,
-                  duration_kt: float) -> DriveResult | list[DriveResult]:
+def _ramp_results(results: list[DriveResult], rows: Sequence[CatQubitParams],
+                  duration_kt: float) -> list[DriveResult]:
     """The K = 1 ramp ``results`` with each row's own ``duration_kt / kerr``
-    in seconds, unlisted for a ``single`` params."""
-    results = [replace(r, duration_s=duration_kt / p.kerr) for r, p in zip(results, rows)]
-    return results[0] if single else results
+    in seconds."""
+    return [replace(r, duration_s=duration_kt / p.kerr) for r, p in zip(results, rows)]
 
 
-def drive(params: CatQubitParams | Sequence[CatQubitParams],
-          duration_kt: float = DRIVE_RAMP_KT,
-          state: Optional[np.ndarray] = None) -> DriveResult | list[DriveResult]:
+def drive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
+          state: Optional[np.ndarray] = None) -> list[DriveResult]:
     """Map Fock-basis input onto the parity-matched cat superposition along
     the adiabatic ramp of ``duration_kt`` (``adiabatic_drive_pulse``).
 
     With input c0 |0> + c1 |1>, the target is c0 |C+> + c1 |C-> (the two cat
     branches stay exactly degenerate along the ramp, so no relative phase
-    accumulates).  Evolution includes single-photon loss at ``params.kappa``.
+    accumulates).  Evolution includes single-photon loss at each row's
+    ``kappa``.
     The cats are those of the truncated Hamiltonian at the amplitude the ramp
     reaches (``_ramp``), the same pair that ``undrive`` starts from.
 
     The ramp is solved in units of 1/K, where cavities differ only in
-    kappa / K: a sequence of params sharing ``alpha`` and ``dim`` runs as
-    the columns of one solve from the same ``state`` and returns one result
-    per row, and one params is a row of one.  Errors name the row.
+    kappa / K: the rows, which must share ``alpha`` and ``dim``, run as the
+    columns of one solve from the same ``state`` and return one result each.
+    Errors name the row.
     """
-    rows, single = _rows(params)
     unit = _unit_rows(rows)
     if state is None:
         state = qc.fock_state(0, unit[0].dim)
@@ -411,12 +395,11 @@ def drive(params: CatQubitParams | Sequence[CatQubitParams],
     c0, c1 = _fock_coefficients(state)
     pulse, _, zero, one = _ramp(unit[0], duration_kt)
     results = _run_pulse(unit, "drive", pulse, state, c0 * zero + c1 * one)
-    return _ramp_results(results, rows, single, duration_kt)
+    return _ramp_results(results, rows, duration_kt)
 
 
-def undrive(params: CatQubitParams | Sequence[CatQubitParams],
-            duration_kt: float = DRIVE_RAMP_KT,
-            state: Optional[np.ndarray] = None) -> DriveResult | list[DriveResult]:
+def undrive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
+            state: Optional[np.ndarray] = None) -> list[DriveResult]:
     """Time-reversed drive: cat superposition back to the Fock basis, along
     the ramp of ``duration_kt`` run through ``time_reversed``.
 
@@ -428,7 +411,6 @@ def undrive(params: CatQubitParams | Sequence[CatQubitParams],
     oscillation that the analytic cat's truncation residual would drive.
     Rows are solved and batched as in ``drive``.
     """
-    rows, single = _rows(params)
     unit = _unit_rows(rows)
     pulse, _, zero, one = _ramp(unit[0], duration_kt)
     if state is None:
@@ -442,7 +424,7 @@ def undrive(params: CatQubitParams | Sequence[CatQubitParams],
             f"undrive input has only {weight:.3f} weight in the cat manifold")
     tvec = c0 * qc.fock_state(0, unit[0].dim) + c1 * qc.fock_state(1, unit[0].dim)
     results = _run_pulse(unit, "undrive", time_reversed(pulse), state, tvec)
-    return _ramp_results(results, rows, single, duration_kt)
+    return _ramp_results(results, rows, duration_kt)
 
 
 # -- gate constructions -------------------------------------------------------

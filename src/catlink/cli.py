@@ -43,8 +43,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 def _fmt(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -86,8 +84,7 @@ class _Report:
                 files[f"{name}.json"] = json.dumps(payload, indent=2,
                                                    sort_keys=True) + "\n"
         self.summary["resolved_config"] = self.config.resolved_ini()
-        files["summary.json"] = json.dumps(self.summary, indent=2, sort_keys=True,
-                                           default=_json_default) + "\n"
+        files["summary.json"] = json.dumps(self.summary, indent=2, sort_keys=True) + "\n"
         files["resolved_config.ini"] = self.config.resolved_ini()
 
         out_dir = os.path.join(out_root, self.command)
@@ -100,14 +97,6 @@ class _Report:
             if os.path.exists(stale):
                 os.remove(stale)
         return out_dir
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -516,7 +505,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: cannot write output under {out_root}: {exc}", file=sys.stderr)
         return 1
     summary = {k: v for k, v in report.summary.items() if k != "resolved_config"}
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {out_dir}", file=sys.stderr)
     return 0
 

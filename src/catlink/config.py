@@ -49,8 +49,8 @@ _texts = _parse_list(str)
 
 @dataclass(frozen=True)
 class Domain:
-    """The values a key accepts, each value of a list key: numbers from ``low``
-    (open with ``low_open``) to ``high`` (closed), odd with ``odd``, never NaN;
+    """The values a key accepts, each value of a list key: finite numbers from
+    ``low`` (open with ``low_open``) to ``high`` (closed), odd with ``odd``;
     text from ``choices`` if any (an enum, or ``auto`` beside an interval); a
     blank (), '' or None only with ``blank``."""
 
@@ -64,7 +64,8 @@ class Domain:
     def admits(self, value: Any) -> bool:
         if value in self.choices or isinstance(value, str):
             return value in self.choices or not self.choices
-        return ((self.low is None or (value > self.low if self.low_open else value >= self.low))
+        return (math.isfinite(value)
+                and (self.low is None or (value > self.low if self.low_open else value >= self.low))
                 and (self.high is None or value <= self.high)
                 and not (self.odd and value % 2 == 0))
 
@@ -288,13 +289,16 @@ def _check_domains(values: dict[str, dict[str, Any]]) -> None:
     for section, keys in CONFIG_SCHEMA.items():
         for key, spec in keys.items():
             value, domain = values[section][key], spec.domain
+            items = value if isinstance(value, tuple) else (value,)
             if value in ((), "", None):
                 if not domain.blank:
                     raise ConfigError(f"[{section}] {key} must not be empty")
-            elif not all(map(domain.admits, value if isinstance(value, tuple) else (value,))):
+            elif not all(map(domain.admits, items)):
                 each = "values " if isinstance(value, tuple) else ""
-                raise ConfigError(
-                    f"[{section}] {key} {each}must {domain.phrase()}, got {value!r}")
+                # an infinity lies inside every bound that it is not beyond
+                rule = ("be finite" if any(isinstance(v, float) and math.isinf(v) for v in items)
+                        else domain.phrase())
+                raise ConfigError(f"[{section}] {key} {each}must {rule}, got {value!r}")
 
 
 def _cross_validate(values: dict[str, dict[str, Any]]) -> None:

@@ -81,7 +81,6 @@ class DeviceParams:
 class DispersiveFit:
     kerr: float
     residual: float               # RMS of spacing fit, same units as kerr
-    spacings: np.ndarray
 
 
 def _two_mode_hamiltonian(params: DeviceParams, cavity_levels: int,
@@ -132,7 +131,7 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
     coeffs = np.polyfit(idx, spacings, 1)
     kerr = -coeffs[0] / 2.0
     residual = float(np.sqrt(np.mean((np.polyval(coeffs, idx) - spacings) ** 2)))
-    return DispersiveFit(kerr=float(kerr), residual=residual, spacings=spacings)
+    return DispersiveFit(kerr=float(kerr), residual=residual)
 
 
 def purcell_kappa(cavity_decay: float, qubit_decay: float, coupling: float,

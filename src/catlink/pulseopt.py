@@ -57,20 +57,16 @@ class GrapeProblem:
     initial: np.ndarray
     target: np.ndarray
     total_time: float
-    n_segments: int = 64
-    amplitude_bound: Optional[float] = None  # rad/s; default 10 K
+    n_segments: int
+    amplitude_bound: float  # rad/s
 
     def __post_init__(self):
         if self.n_segments < 4:
             raise ValueError("need at least 4 segments")
         if self.total_time <= 0:
             raise ValueError("total_time must be positive")
-        bound = self.amplitude_bound
-        if bound is None:
-            bound = 10.0 * self.params.kerr
-        if bound <= 0:
+        if self.amplitude_bound <= 0:
             raise ValueError("amplitude_bound must be positive")
-        object.__setattr__(self, "amplitude_bound", float(bound))
         qc.check_pure(self.initial, "GRAPE initial state")
         qc.check_pure(self.target, "GRAPE target state")
         if len(self.initial) != len(self.target):
@@ -96,23 +92,19 @@ class GrapeResult:
         return len(self.iterations) - 1
 
 
-def drive_problem(params: CatQubitParams, total_time: Optional[float] = None,
-                  n_segments: int = 64, dim: int = GRAPE_DIM,
-                  amplitude_bound: Optional[float] = None) -> GrapeProblem:
-    """|0> -> even cat in ``total_time`` (default 0.5 / K)."""
-    t = total_time if total_time is not None else 0.5 / params.kerr
-    p = replace(params, dim=dim)
-    return GrapeProblem(params=p, initial=qc.fock_state(0, dim),
+def drive_problem(params: CatQubitParams, total_time: float, n_segments: int,
+                  amplitude_bound: float, dim: int = GRAPE_DIM) -> GrapeProblem:
+    """|0> -> even cat in ``total_time``."""
+    return GrapeProblem(params=replace(params, dim=dim), initial=qc.fock_state(0, dim),
                         target=qc.cat_state(params.alpha, "even", dim),
-                        total_time=t, n_segments=n_segments,
+                        total_time=total_time, n_segments=n_segments,
                         amplitude_bound=amplitude_bound)
 
 
-def undrive_problem(params: CatQubitParams, total_time: Optional[float] = None,
-                    n_segments: int = 64, dim: int = GRAPE_DIM,
-                    amplitude_bound: Optional[float] = None) -> GrapeProblem:
-    """Even cat -> |0> in ``total_time`` (default 0.5 / K): the drive reversed."""
-    drive = drive_problem(params, total_time, n_segments, dim, amplitude_bound)
+def undrive_problem(params: CatQubitParams, total_time: float, n_segments: int,
+                    amplitude_bound: float, dim: int = GRAPE_DIM) -> GrapeProblem:
+    """Even cat -> |0> in ``total_time``: the drive reversed."""
+    drive = drive_problem(params, total_time, n_segments, amplitude_bound, dim)
     return replace(drive, initial=drive.target, target=drive.initial)
 
 
@@ -241,15 +233,13 @@ def grape_optimize(problem: GrapeProblem, max_iters: int,
                        stop_reason=stop_reason, evaluations=evaluations)
 
 
-def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule,
-                   kappa: Optional[float] = None) -> float:
-    """Re-score a schedule with loss through ``catqubit._run_pulse``.
-
-    ``kappa`` defaults to the problem's loss rate; pass 0 for the unitary
-    cross-check against the optimizer's internal propagation.  Errors name
+def evaluate_pulse(problem: GrapeProblem, schedule: PulseSchedule, kappa: float) -> float:
+    """Re-score a schedule with loss at ``kappa`` through
+    ``catqubit._run_pulse``; kappa = 0 is the unitary cross-check against the
+    optimizer's internal propagation.  Errors name the K/kappa row and
     "GRAPE pulse evaluation"; ``TruncationOverflowError`` means a sampled
     state holds more than 1e-6 in the top two Fock levels.
     """
-    k = problem.params.kappa if kappa is None else float(kappa)
-    return _run_pulse(replace(problem.params, kappa=k, dim=problem.dim), "GRAPE pulse evaluation",
-                      schedule, problem.initial, problem.target).fidelity
+    row = replace(problem.params, kappa=kappa, dim=problem.dim)
+    return _run_pulse([row], "GRAPE pulse evaluation", schedule, problem.initial,
+                      problem.target)[0].fidelity

@@ -155,8 +155,8 @@ def operation_budget(params: cq.CatQubitParams, drive_ratio: float,
         for op, (problem, schedule) in zip(("drive", "undrive"), pulses):
             fids[op] = po.evaluate_pulse(problem, schedule, kappa=scaled_kappa)
     elif drive_method == "adiabatic":
-        ramps = {"drive": cq.drive(params, drive_duration_kt),
-                 "undrive": cq.undrive(params, drive_duration_kt)}
+        ramps = {"drive": cq.drive([params], drive_duration_kt)[0],
+                 "undrive": cq.undrive([params], drive_duration_kt)[0]}
         fids.update((op, r.fidelity) for op, r in ramps.items())
     else:
         raise ValueError("drive_method must be 'grape' or 'adiabatic'")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -104,10 +104,8 @@ class TransferResult:
     efficiency: float
     cavity_population: float
     lost_population: float
-    transfer_time_s: float
     converged: bool          # doubling n_bins moves efficiency < 0.1 pp
-    # |eta(2 n_bins + 1) - eta(n_bins)|; None when convergence is not checked
-    bin_drift: Optional[float] = None
+    bin_drift: float         # |eta(2 n_bins + 1) - eta(n_bins)|
 
 
 def _detuning_grid(params: TransducerParams) -> np.ndarray:
@@ -226,26 +224,20 @@ def _transfer_density_matrix(params: TransducerParams) -> tuple[float, float, fl
     return float(np.sum(pops[1:-1])), float(pops[0]), float(pops[-1])
 
 
-def spin_transfer_efficiency(params: TransducerParams,
-                             check_convergence: bool = True) -> TransferResult:
+def spin_transfer_efficiency(params: TransducerParams) -> TransferResult:
     """Total spin population after the resonant swap time.
 
-    ``check_convergence`` re-runs with doubled bin count, reports the move in
-    efficiency as ``bin_drift`` and flags the result when it exceeds 0.1
-    percentage points.
+    The solve is repeated with doubled bin count; the move in efficiency is
+    reported as ``bin_drift``, and the result is flagged unconverged when it
+    exceeds 0.1 percentage points.
     """
     solve = (_transfer_amplitudes if params.gamma2_model == "loss"
              else _transfer_density_matrix)
     spin, cavity, sink = solve(params)
-    converged, drift = True, None
-    if check_convergence:
-        spin2, _, _ = solve(replace(params, n_bins=2 * params.n_bins + 1))
-        drift = abs(spin2 - spin)
-        converged = drift < 1e-3
-    return TransferResult(efficiency=spin, cavity_population=cavity,
-                          lost_population=sink,
-                          transfer_time_s=params.transfer_time,
-                          converged=converged, bin_drift=drift)
+    spin2, _, _ = solve(replace(params, n_bins=2 * params.n_bins + 1))
+    drift = abs(spin2 - spin)
+    return TransferResult(efficiency=spin, cavity_population=cavity, lost_population=sink,
+                          converged=drift < 1e-3, bin_drift=drift)
 
 
 def transduction_budget(params: TransducerParams, transfer: TransferResult) -> float:

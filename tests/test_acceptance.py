@@ -149,7 +149,7 @@ def test_criterion_5_gate_dynamics_anchors(grape_pair):
     results = []
     kerr = sn.TABLE_ROW_DEFAULTS[1e3]
     params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
-    drive_fid = cq.drive(params).fidelity
+    drive_fid = cq.drive([params])[0].fidelity
     results.append(check("5", "adiabatic drive at 1e3",
                          abs(drive_fid - 0.9962) <= 0.002,
                          f"{drive_fid:.5f} vs 0.9962 +/- 0.002"))
@@ -295,7 +295,8 @@ def test_criterion_10_property_suites(tmp_path):
 
     # GRAPE gradient against central finite differences
     params = cq.CatQubitParams(kerr=1.0, kappa=1e-3)
-    problem = po.drive_problem(params, n_segments=8, dim=12)
+    problem = po.drive_problem(params, total_time=0.5, n_segments=8, amplitude_bound=10.0,
+                               dim=12)
     prop = po._Propagation(problem)
     u = po._initial_guess(problem, seed=2)
     _, grad = prop.overlap_and_gradient(u)

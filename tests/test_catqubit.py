@@ -74,56 +74,56 @@ class TestDriveUndrive:
         vacuum = qc.fock_state(0, ratio_1e3.dim)
 
         def fidelities(pulse):
-            drive = cq._run_pulse(ratio_1e3, "drive", pulse, vacuum, zero)
-            undrive = cq._run_pulse(ratio_1e3, "undrive", cq.time_reversed(pulse), zero, vacuum)
+            [drive] = cq._run_pulse([ratio_1e3], "drive", pulse, vacuum, zero)
+            [undrive] = cq._run_pulse([ratio_1e3], "undrive", cq.time_reversed(pulse), zero,
+                                      vacuum)
             return drive.fidelity, undrive.fidelity
 
         assert fidelities(segmented) == pytest.approx(fidelities(step), abs=1e-6)
 
     def test_slow_pulse_lossless_fidelity(self, lossless):
-        result = cq.drive(lossless, 40.0)
+        [result] = cq.drive([lossless], 40.0)
         assert result.fidelity >= 0.999
         assert result.duration_s == pytest.approx(40.0 / lossless.kerr)
 
     def test_default_lossless_fidelity(self, lossless):
-        assert cq.drive(lossless).fidelity >= 0.999
+        assert cq.drive([lossless])[0].fidelity >= 0.999
 
     def test_anchor_fidelity_at_1e3(self, ratio_1e3):
-        result = cq.drive(ratio_1e3)
+        [result] = cq.drive([ratio_1e3])
         assert result.fidelity == pytest.approx(0.9962, abs=0.002)
 
     def test_parity_conservation_odd_input(self, lossless):
-        result = cq.drive(lossless, state=qc.fock_state(1, lossless.dim))
+        [result] = cq.drive([lossless], state=qc.fock_state(1, lossless.dim))
         assert qc.parity_expectation(result.state) < -0.99
         assert result.fidelity >= 0.999
 
     def test_undrive_reverses_drive(self, lossless):
-        d = cq.drive(lossless)
-        u = cq.undrive(lossless, state=d.state)
+        [d] = cq.drive([lossless])
+        [u] = cq.undrive([lossless], state=d.state)
         assert u.fidelity >= d.fidelity**2 - 1e-3
 
     def test_undrive_odd_cat_gives_single_photon(self, lossless):
         _, alpha_eff, _, _ = cq._ramp(lossless, cq.DRIVE_RAMP_KT)
-        result = cq.undrive(lossless,
-                            state=qc.cat_state(alpha_eff, "odd", lossless.dim))
+        [result] = cq.undrive([lossless], state=qc.cat_state(alpha_eff, "odd", lossless.dim))
         assert int(np.argmax(np.abs(result.target))) == 1
         assert result.fidelity >= 0.999
 
     def test_drive_rejects_leaked_input(self, lossless):
         with pytest.raises(ValueError):
-            cq.drive(lossless, state=qc.fock_state(3, lossless.dim))
+            cq.drive([lossless], state=qc.fock_state(3, lossless.dim))
 
     @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
     def test_input_must_be_a_normalized_vector(self, lossless, operation):
         vacuum = qc.fock_state(0, lossless.dim)
         with pytest.raises(ValueError, match="pure state vector"):
-            operation(lossless, state=qc.to_density_matrix(vacuum))
+            operation([lossless], state=qc.to_density_matrix(vacuum))
         with pytest.raises(ValueError, match="norm"):
-            operation(lossless, state=1.01 * vacuum)
+            operation([lossless], state=1.01 * vacuum)
 
     def test_parity_conserved_during_drive(self, lossless):
         # the two-photon Hamiltonian commutes with parity
-        result = cq.drive(lossless)
+        [result] = cq.drive([lossless])
         assert abs(qc.parity_expectation(result.state) - 1.0) < 1e-6
 
 
@@ -139,7 +139,7 @@ class TestBatchedRamps:
         assert len(batch) == len(rows) == 3
         assert len({r.rhs_evals for r in batch}) == 1  # one shared solve
         for params, result in zip(rows, batch):
-            alone = operation(params)
+            [alone] = operation([params])
             assert result.duration_s == alone.duration_s == cq.DRIVE_RAMP_KT / params.kerr
             assert abs(result.fidelity - alone.fidelity) <= 1e-12
             # the columns share the step sizes, so the states agree to the
@@ -147,20 +147,15 @@ class TestBatchedRamps:
             assert np.max(np.abs(result.state - alone.state)) <= 1e-10
             assert np.array_equal(result.target, alone.target)
 
-    @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
-    def test_one_row_is_a_batch_of_one(self, ratio_1e3, operation):
-        single, [listed] = operation(ratio_1e3), operation([ratio_1e3])
-        assert single.fidelity == listed.fidelity
-        assert single.duration_s == listed.duration_s
-        assert single.rhs_evals == listed.rhs_evals
-        assert single.tail_population == listed.tail_population
-        assert np.array_equal(single.state, listed.state)
-        assert np.array_equal(single.target, listed.target)
-
     @pytest.mark.parametrize("other", [{"alpha": 1.5}, {"dim": 16}])
     def test_rows_must_share_alpha_and_dim(self, ratio_1e3, other):
         with pytest.raises(ValueError, match="share alpha and dim"):
             cq.drive([ratio_1e3, replace(ratio_1e3, **other)])
+
+    @pytest.mark.parametrize("operation", [cq.drive, cq.undrive])
+    def test_no_rows_refused(self, operation):
+        with pytest.raises(ValueError, match="one or more rows"):
+            operation([])
 
     def test_overflow_names_its_row(self):
         # at dim 8 the ramp overflows the truncation, and more so with less loss
@@ -234,8 +229,8 @@ class TestStationaryCats:
     def test_undrive_default_matches_analytic_input(self):
         params = cq.CatQubitParams(kerr=1.8e5, kappa=180.0)  # the 1e3 row
         _, alpha, _, _ = cq._ramp(params, cq.DRIVE_RAMP_KT)
-        default = cq.undrive(params)
-        analytic = cq.undrive(params, state=qc.cat_state(alpha, "even", params.dim))
+        [default] = cq.undrive([params])
+        [analytic] = cq.undrive([params], state=qc.cat_state(alpha, "even", params.dim))
         assert default.fidelity == pytest.approx(analytic.fidelity, abs=1e-10)
         # the stationary input spares the integrator the truncation residual
         assert default.rhs_evals < analytic.rhs_evals

@@ -134,7 +134,18 @@ class TestValidation:
          "dispersive regime), got 7.5e+07 >= 0.3 * |5.1e+09 - 5e+09|"),
         (("device", "--set", "device.qubit_freq_hz=5e9"),
          "[device] coupling_hz must be below 0.3 |qubit_freq_hz - cavity_freq_hz| (the "
-         "dispersive regime), got 7.5e+07 >= 0.3 * |5e+09 - 5e+09|")])
+         "dispersive regime), got 7.5e+07 >= 0.3 * |5e+09 - 5e+09|"),
+        # an infinity lies inside every bound it is not beyond: these exited 0
+        # with a row of nan, or 1 naming no key
+        (("figure6", "--set", "rates.length_max_km=inf"),
+         "[rates] length_max_km must be finite, got inf"),
+        (("transduce", "--set", "transducer.ensemble_coupling_hz=inf"),
+         "[transducer] ensemble_coupling_hz must be finite, got inf"),
+        (("device", "--set", "catqubit.alpha=inf"), "[catqubit] alpha must be finite, got inf"),
+        (("grape", "--set", "grape.duration_kt=inf"),
+         "[grape] duration_kt must be finite, got inf"),
+        (("device", "--set", "device.coupling_hz=1e6,-inf"),
+         "[device] coupling_hz values must be finite, got (1000000.0, -inf)")])
     def test_value_out_of_range_named_before_any_run(self, out_dir, argv, message):
         r = run_cli(*argv, "--out", out_dir)
         assert r.returncode == 2
@@ -486,7 +497,8 @@ class TestGrapeCommand:
             assert float(rev["E_p_perp_over_K"]) == -float(fwd["E_p_perp_over_K"])
 
     def test_integration_error_names_the_operation(self, out_dir, monkeypatch, capsys):
-        # the optimizer propagates exactly; only the lossy re-score integrates
+        # the optimizer propagates exactly; only the lossy re-score integrates,
+        # at K = 1 and kappa = 1 / [grape] loss_ratio, and its error names that row
         def failing(rhs, y0, output_times, **kwargs):
             raise dynamics.IntegrationError("step size underflow (t=2.500000e-07)", 2.5e-7)
 
@@ -494,8 +506,9 @@ class TestGrapeCommand:
         monkeypatch.delenv("CATLINK_CONFIG", raising=False)
         assert cli.main(["grape", "--iters", "3", "--set", "grape.n_segments=16",
                          "--out", out_dir]) == 1
-        assert capsys.readouterr().err == \
-            "error: GRAPE pulse evaluation: step size underflow (t=2.500000e-07)\n"
+        assert capsys.readouterr().err == (
+            "error: K/kappa = 1000 row, GRAPE pulse evaluation at K t = 2.500000e-07: "
+            "step size underflow (t=2.500000e-07)\n")
         assert not os.path.exists(out_dir)
 
     def test_bad_seed_rejected(self, out_dir):

@@ -107,12 +107,13 @@ MC_TRIALS = "mc.trials=20000"
 
 WORDS = st.text(alphabet=string.ascii_letters, min_size=1)
 BOOL_WORDS = {"true", "false", "yes", "no", "on", "off"}
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
 
 
 def domain_strategies(spec, size=1):
     """(Values in, raw text out of) a key's domain.  Out of it lie text outside
-    an enum, NaN and numbers past either end or, under an odd rule, even ones,
-    and blank where it is refused.  A list key draws ``size`` values, and its
+    an enum, NaN, either infinity and numbers past either end or, under an odd
+    rule, even ones, and blank where it is refused.  A list key draws ``size`` values, and its
     bad text puts the bad value after its defaults."""
     d, probe = spec.domain, spec.parse("1")  # the parser's type
     kind = type(probe[0] if isinstance(probe, tuple) else probe)
@@ -123,15 +124,15 @@ def domain_strategies(spec, size=1):
     elif kind is int:
         even = st.integers(min_value=(d.low + 1) // 2).map(lambda k: str(2 * k))
         item = st.integers(min_value=d.low).filter(lambda n: n % 2 or not d.odd)
-        bad = st.just("nan") | st.integers(max_value=d.low - 1).map(str) | (
+        bad = NON_FINITE | st.integers(max_value=d.low - 1).map(str) | (
             even if d.odd else st.nothing())
     else:
-        item = st.one_of(st.floats(d.low, d.high, exclude_min=d.low_open),
+        item = st.one_of(st.floats(d.low, d.high, exclude_min=d.low_open, allow_infinity=False),
                          *map(st.just, d.choices))  # auto beside the interval
         bad = st.floats(max_value=d.low).filter(lambda x: x < d.low or d.low_open)
         if d.high is not None:
             bad |= st.floats(min_value=d.high, exclude_min=True)
-        bad = bad.map(repr) | st.just("nan")
+        bad = bad.map(repr) | NON_FINITE
     if isinstance(spec.default, tuple):
         item = st.lists(item, min_size=size, max_size=size).map(tuple)
         bad = bad.map(lambda v: ", ".join([*map(str, spec.default), v]))

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ class TestEvolve:
                            rel_tol=1e-10)
         assert err.value.t >= 0.0
 
+    def test_step_underflow_warns_nothing(self):
+        # the blow-up overflows on its way to the step-size failure; it still
+        # fails at the same time with every warning raised as an error
+        def failure_time():
+            with pytest.raises(IntegrationError) as err:
+                integrate_rk45(_exploding_rhs, np.ones(1, dtype=complex), [0.0, 2.0],
+                               rel_tol=1e-10)
+            return err.value.t
+
+        t = failure_time()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert failure_time() == t
+
     def test_no_solver_outlives_the_call(self):
         # the integrator keeps its state in local arrays that form no
         # reference cycle, so nothing is left for the cycle collector
@@ -241,7 +256,9 @@ def _scipy_dop853(rhs, y0, output_times, rel_tol, abs_tol):
     for stop in output_times[1:]:
         solver = scipy.integrate.DOP853(rhs, t, y, stop, rtol=rel_tol, atol=abs_tol)
         while solver.status == "running":
-            solver.step()
+            # quiet as integrate_rk45 is where a solution blows up
+            with np.errstate(over="ignore", invalid="ignore"):
+                solver.step()
             steps += 1
         nfev += solver.nfev
         t, y = solver.t, solver.y

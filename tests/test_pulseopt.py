@@ -17,7 +17,7 @@ def small_problem():
     leave below 1e-9 in the top two Fock levels; at dim 12 they leave 1e-4,
     which the re-score's truncation check rejects."""
     params = CatQubitParams(kerr=1.0, kappa=1e-3)
-    return po.drive_problem(params, n_segments=8, dim=20)
+    return po.drive_problem(params, total_time=0.5, n_segments=8, amplitude_bound=10.0, dim=20)
 
 
 class TestProblemSetup:
@@ -26,7 +26,7 @@ class TestProblemSetup:
         with pytest.raises(ValueError):
             po.GrapeProblem(params=params, initial=qc.fock_state(0, 12),
                             target=qc.fock_state(1, 12), total_time=1.0,
-                            n_segments=2)
+                            n_segments=2, amplitude_bound=10.0)
 
     def test_states_must_be_normalized_vectors_of_one_length(self):
         params = CatQubitParams(kerr=1.0)
@@ -36,12 +36,7 @@ class TestProblemSetup:
                                        (vacuum, qc.to_density_matrix(vacuum), "pure state")]:
             with pytest.raises(ValueError, match=match):
                 po.GrapeProblem(params=params, initial=initial, target=target,
-                                total_time=1.0)
-
-    def test_default_bound_tracks_kerr(self):
-        params = CatQubitParams(kerr=3.0)
-        prob = po.drive_problem(params)
-        assert prob.amplitude_bound == pytest.approx(30.0)
+                                total_time=1.0, n_segments=8, amplitude_bound=10.0)
 
 
 class TestGradient:
@@ -89,7 +84,8 @@ class TestParitySector:
 
     @pytest.mark.parametrize("maker", [po.drive_problem, po.undrive_problem])
     def test_matches_full_space(self, maker):
-        problem = maker(CatQubitParams(kerr=1.0), n_segments=8, dim=16)
+        problem = maker(CatQubitParams(kerr=1.0), total_time=0.5, n_segments=8,
+                        amplitude_bound=10.0, dim=16)
         prop = po._Propagation(problem)
         assert prop.psi0.size == 8  # the even sector
         rng = np.random.default_rng(5)
@@ -106,7 +102,7 @@ class TestParitySector:
         problem = po.GrapeProblem(params=CatQubitParams(kerr=1.0),
                                   initial=qc.fock_state(0, dim),
                                   target=target, total_time=0.5,
-                                  n_segments=8)
+                                  n_segments=8, amplitude_bound=10.0)
         assert po._Propagation(problem).psi0.size == dim
 
 
@@ -115,7 +111,7 @@ class TestOptimization:
         params = CatQubitParams(kerr=1.0)
         prob = po.GrapeProblem(params=params, initial=qc.fock_state(0, 12),
                                target=qc.fock_state(0, 12), total_time=0.5,
-                               n_segments=8)
+                               n_segments=8, amplitude_bound=10.0)
         # the Kerr Hamiltonian annihilates the vacuum, so no drive at all
         # already transfers it perfectly
         assert po._Propagation(prob).overlap_and_gradient(np.zeros((2, 8)))[0] == \
@@ -164,7 +160,7 @@ class TestEvaluatePulse:
         params = CatQubitParams(kerr=1.0)
         prob = po.GrapeProblem(params=params, initial=qc.fock_state(0, 12),
                                target=qc.fock_state(0, 12), total_time=0.5,
-                               n_segments=8)
+                               n_segments=8, amplitude_bound=10.0)
         sched = cq.PulseSchedule(0.5, {"two_photon": np.zeros(8, dtype=complex),
                                        "two_photon_orthogonal": np.zeros(8, dtype=complex)})
         assert po.evaluate_pulse(prob, sched, kappa=0.0) == pytest.approx(1.0, abs=1e-9)
@@ -176,10 +172,11 @@ class TestEvaluatePulse:
 
     def test_truncation_overflow_raises(self):
         # the dim-8 cat holds 2.4e-2 in its top two Fock levels
-        problem = po.undrive_problem(CatQubitParams(kerr=1.0), n_segments=8, dim=8)
+        problem = po.undrive_problem(CatQubitParams(kerr=1.0), total_time=0.5, n_segments=8,
+                                     amplitude_bound=10.0, dim=8)
         res = po.grape_optimize(problem, max_iters=0)
         with pytest.raises(cq.TruncationOverflowError, match="top two Fock levels"):
-            po.evaluate_pulse(problem, res.schedule)
+            po.evaluate_pulse(problem, res.schedule, kappa=0.0)
 
     def test_fidelity_decreases_with_loss(self, small_problem):
         res = po.grape_optimize(small_problem, max_iters=60)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -48,6 +49,14 @@ class TestOperationBudget:
         budget = sn.operation_budget(params, 10.0, 15.0, "adiabatic",
                                      cli._grape_settings(load_config()))
         assert budget.fidelities["drive"] == pytest.approx(0.9962, abs=0.002)
+
+    def test_adiabatic_overflow_names_its_row(self):
+        # the budget's ramps are batches of one row, whose errors name it
+        params = replace(_default_row(1e5), dim=8)
+        with pytest.raises(cq.TruncationOverflowError,
+                           match=r"^K/kappa = 100000 row, drive: population "):
+            sn.operation_budget(params, 45.0, 55.0, "adiabatic",
+                                cli._grape_settings(load_config()))
 
 
 def _default_row(ratio):
