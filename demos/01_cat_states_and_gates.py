@@ -32,7 +32,8 @@ print(f"\ndrive |0> -> |C+>  fidelity = {result.fidelity:.5f} "
 # undriving is the time-reversed pulse; composed losslessly it undoes driving
 ideal = cq.CatQubitParams(kerr=1.0, kappa=0.0)
 [driven] = cq.drive([ideal])
-[roundtrip] = cq.undrive([ideal], state=driven.state)
+# the drive returns a density matrix; its top eigenvector is the pure state
+[roundtrip] = cq.undrive([ideal], state=np.linalg.eigh(driven.state)[1][:, -1])
 print(f"lossless drive-undrive roundtrip fidelity = {roundtrip.fidelity:.5f}")
 
 # -- single- and two-qubit gates ----------------------------------------------

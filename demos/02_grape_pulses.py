@@ -27,6 +27,7 @@ print(f"drive optimized: fidelity {result.fidelity:.5f} "
 for direction, problem, schedule in (
         ("drive", drive, result.schedule),
         ("undrive", po.undrive_problem(params, **pulse), time_reversed(result.schedule))):
+    # both scores solve the master equation; at kappa = 0 it has no jump term
     lossless = po.evaluate_pulse(problem, schedule, kappa=0.0)
     lossy = po.evaluate_pulse(problem, schedule, kappa=params.kappa)
     print(f"{direction}: lossless {lossless:.5f}, with loss at K/kappa=1e3: {lossy:.5f}")

@@ -148,9 +148,10 @@ class GateResult:
 
 @dataclass(frozen=True)
 class DriveResult:
-    """Outcome of a drive or undrive ramp.  ``rhs_evals`` counts the
-    integrator's right-hand-side calls and ``tail_population`` is the largest
-    population in the top two Fock levels over the sampled states."""
+    """Outcome of a drive or undrive ramp.  ``state`` is the final density
+    matrix, lossless ramps included; ``rhs_evals`` counts the integrator's
+    right-hand-side calls and ``tail_population`` is the largest population
+    in the top two Fock levels over the sampled states."""
 
     state: np.ndarray
     fidelity: float
@@ -342,8 +343,7 @@ def _run_pulse(rows: Sequence[CatQubitParams], operation: str, pulse: PulseSched
                                f"{exc.t * rows[0].kerr:.6e}: {exc}", exc.t) from exc
     results = []
     for p, traj in zip(rows, trajs):
-        tail = max(float(np.sum(np.abs(s[dim - 2:]) ** 2)) if s.ndim == 1
-                   else float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
+        tail = max(float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
                    for s in traj.states)
         if tail > 1e-6:
             raise TruncationOverflowError(

@@ -306,7 +306,8 @@ def cmd_device(config: RunConfig) -> _Report:
                      derived.kappa / TWO_PI, derived.kappa_eff / TWO_PI])
     report.add_table("device", header, rows)
     report.summary["rows"] = n_rows
-    report.summary["K_over_kappa"] = [r[5] / r[6] for r in rows]
+    # a lossless row has no finite ratio, and JSON no infinity
+    report.summary["K_over_kappa"] = [r[5] / r[6] if r[6] else None for r in rows]
     return report
 
 

@@ -295,8 +295,10 @@ def _check_domains(values: dict[str, dict[str, Any]]) -> None:
                     raise ConfigError(f"[{section}] {key} must not be empty")
             elif not all(map(domain.admits, items)):
                 each = "values " if isinstance(value, tuple) else ""
-                # an infinity lies inside every bound that it is not beyond
-                rule = ("be finite" if any(isinstance(v, float) and math.isinf(v) for v in items)
+                # an infinity lies inside every bound that it is not beyond,
+                # and NaN breaks no bound, only finiteness
+                rule = ("be finite" if any(isinstance(v, float) and not math.isfinite(v)
+                                           for v in items)
                         else domain.phrase())
                 raise ConfigError(f"[{section}] {key} {each}must {rule}, got {value!r}")
 

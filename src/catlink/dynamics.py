@@ -30,8 +30,6 @@ then runs the integrator once per segment with that segment's values bound
 into the right-hand side, so no step straddles a jump and the integrator
 itself knows nothing of pulses.
 
-Unitary problems with pure initial states are propagated as state vectors.
-
 ``PiecewiseConstantPropagator`` serves Hamiltonians that are constant over a
 list of stages (the cat-qubit gates): it propagates exactly through one
 eigendecomposition per distinct stage Hamiltonian and scores lossy evolution
@@ -109,14 +107,17 @@ class TimeDependentHamiltonian:
     or a 1-D array of n values, constant on n equal-length segments of
     ``t_span``; every array of one Hamiltonian has the same n.  ``evolve``
     multiplies each coefficient into the slice of one stacked sparse product
-    that belongs to its operator.
+    that belongs to its operator.  ``t_span`` (t0, t1) must have t1 > t0.
     """
 
     static_part: np.ndarray
-    drive_terms: tuple[tuple[np.ndarray, Callable[[float], complex] | np.ndarray], ...] = ()
-    t_span: tuple[float, float] = (0.0, 0.0)
+    drive_terms: tuple[tuple[np.ndarray, Callable[[float], complex] | np.ndarray], ...]
+    t_span: tuple[float, float]
 
     def __post_init__(self):
+        t0, t1 = (float(t) for t in self.t_span)
+        if not t1 > t0:
+            raise ValueError(f"t_span {(t0, t1)} must end after it starts")
         terms = tuple((op, fn) for op, fn in self.drive_terms)
         shape = self.static_part.shape
         for op, fn in terms:
@@ -129,24 +130,17 @@ class TimeDependentHamiltonian:
         if len({fn.size for _, fn in terms if not callable(fn)}) > 1:
             raise ValueError("all array coefficients need the same number of segments")
         object.__setattr__(self, "drive_terms", terms)
-        object.__setattr__(self, "t_span", (float(self.t_span[0]), float(self.t_span[1])))
+        object.__setattr__(self, "t_span", (t0, t1))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time evolution, as state vectors or density matrices
-    (see ``evolve``); ``rhs_evals`` counts the right-hand-side calls the
-    integrator made."""
+    """Density matrices sampled at the uniform ``times`` (see ``evolve``);
+    ``rhs_evals`` counts the right-hand-side calls the integrator made."""
 
     times: np.ndarray
     states: tuple[np.ndarray, ...]
     rhs_evals: int = 0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0) and len(t) > 1:
-            raise ValueError("time grid must be strictly increasing")
-        object.__setattr__(self, "times", t)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -343,8 +337,7 @@ def evolve(
     multiplies the dissipator, i.e. the jump operator is sqrt(rate) * op,
     and is one float for every state or one rate per state.  Every operator
     must have the Hamiltonian's shape and every state its dimension.  The
-    returned states are vectors where state vectors are integrated (see
-    below) and C-ordered density matrices otherwise.
+    returned states are C-ordered density matrices, lossless ones included.
     The right-hand side is the sparse generator G(t) = G0 + sum_j r_j D_j +
     sum_k f_k(t) G_k applied to the column-stacked density matrices, with
     G0 the Liouvillian of the static part and of the jumps whose rate every
@@ -358,9 +351,7 @@ def evolve(
     initial state touches are integrated; no generator connects two
     components, so every other entry stays exactly 0 (for a parity-
     conserving Hamiltonian with photon loss, the sector of one parity
-    difference, half the space).  When every rate is 0 and every initial
-    state is a vector, the Schrodinger equation is integrated on the state
-    vectors instead, with G = -iH, and every sampled state is normalized.
+    difference, half the space).
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -396,18 +387,12 @@ def evolve(
     t0, t1 = hamiltonian.t_span
     times = np.linspace(t0, t1, n_samples)
 
-    pure_path = not (shared or varying) and all(np.ndim(state) == 1 for state in states)
-    if pure_path:
-        generators = [scipy.sparse.csr_matrix(-1j * op) for op in
-                      (hamiltonian.static_part, *(op for op, _ in hamiltonian.drive_terms))]
-        y0 = np.stack(states, axis=1)
-    else:
-        zero = np.zeros(shape)
-        generators = [liouvillian(hamiltonian.static_part, shared),
-                      *(liouvillian(zero, [(op, 1.0)]) for op, _ in varying),
-                      *(liouvillian(op, ()) for op, _ in hamiltonian.drive_terms)]
-        y0 = np.stack([to_density_matrix(state).reshape(-1, order="F") for state in states],
-                      axis=1)
+    zero = np.zeros(shape)
+    generators = [liouvillian(hamiltonian.static_part, shared),
+                  *(liouvillian(zero, [(op, 1.0)]) for op, _ in varying),
+                  *(liouvillian(op, ()) for op, _ in hamiltonian.drive_terms)]
+    y0 = np.stack([to_density_matrix(state).reshape(-1, order="F") for state in states],
+                  axis=1)
     # integrate only the components that some column starts in
     keep = np.sort(np.concatenate([idx for idx in coupled_blocks(*generators)
                                    if np.any(y0[idx])]))
@@ -457,14 +442,10 @@ def evolve(
 
     full = np.zeros((len(ys),) + y0.shape, dtype=complex)
     full[:, keep] = np.reshape(ys, (len(ys), m, -1))
-    if pure_path:
-        columns = [tuple(y / np.linalg.norm(y) for y in full[:, :, j])
-                   for j in range(len(states))]
-    else:
-        # C order: BLAS rounds rho @ psi differently on a Fortran-ordered
-        # matrix, which moves the last digits of the written fidelities
-        columns = [tuple(np.ascontiguousarray(y.reshape(shape, order="F"))
-                         for y in full[:, :, j]) for j in range(len(states))]
+    # C order: BLAS rounds rho @ psi differently on a Fortran-ordered
+    # matrix, which moves the last digits of the written fidelities
+    columns = [tuple(np.ascontiguousarray(y.reshape(shape, order="F"))
+                     for y in full[:, :, j]) for j in range(len(states))]
     trajectories = [Trajectory(times, column, rhs_evals) for column in columns]
     return trajectories[0] if single else trajectories
 
@@ -755,10 +736,14 @@ class PiecewiseConstantPropagator:
     # one-jump quadrature: Gauss-Legendre on n = max(MIN_NODES,
     # ceil(NODES_PER_KT K t)) nodes per stage, checked against 2n nodes; a
     # stage that misses the tolerance doubles n, at most MAX_DOUBLINGS times
-    # (states far off the gate's cat manifold carry fast eigenfrequencies)
+    # (states far off the gate's cat manifold carry fast eigenfrequencies);
+    # a rule of more than MAX_NODES nodes is refused before it is built, as
+    # ``leggauss`` forms a dense n x n matrix (the default gate table asks
+    # for at most 52)
     NODES_PER_KT = 8
     MIN_NODES = 8
     MAX_DOUBLINGS = 5
+    MAX_NODES = 8192
     # largest |I_n - I_2n| a stage may show; the default gate table stays
     # about 4x below it
     QUADRATURE_GAP_TOL = 1e-7
@@ -804,7 +789,8 @@ class PiecewiseConstantPropagator:
         stage with Gauss-Legendre rules on n and 2n nodes, and keeps the 2n
         value.  ``quadrature_gap`` is the largest accepted |I_n - I_2n|; a
         stage whose gap still exceeds ``QUADRATURE_GAP_TOL`` after
-        ``MAX_DOUBLINGS`` doublings of n raises ``IntegrationError``.  The
+        ``MAX_DOUBLINGS`` doublings of n, or that needs a rule of more than
+        ``MAX_NODES`` nodes, raises ``IntegrationError``.  The
         expansion can overshoot 1 by its rounding; such values are clipped
         to 1, and ``clip_excess`` is the largest excess removed.
         """
@@ -818,7 +804,7 @@ class PiecewiseConstantPropagator:
             phis.append(w.H @ _scale_rows(np.exp(1j * lam.conj() * t), v.H @ phis[-1]))
         phis = phis[::-1]
 
-        quadrature_gap = 0.0
+        quadrature_gap, start = 0.0, 0.0
         for k, ((lam, v, w, jumps), (_, t)) in enumerate(zip(eff, self.stages)):
             d = lam.size
             # eigen-coefficients of psi_k and of <phi_k+1|, cases along axis 1
@@ -826,6 +812,10 @@ class PiecewiseConstantPropagator:
             bra0 = (v.H @ phis[k + 1]).conj().reshape(d, 1, -1)
 
             def one_jump(n):
+                if n > self.MAX_NODES:
+                    raise IntegrationError(
+                        f"one-jump quadrature of stage {k} at K t = {self.kerr * t:.6e} needs "
+                        f"{n} nodes, more than {self.MAX_NODES}", start)
                 x, wts = _gauss_legendre(n)
                 s = t * x
                 # U_eff(s) psi_k and <phi_k+1| U_eff(t - s) at every node
@@ -847,10 +837,10 @@ class PiecewiseConstantPropagator:
                 if doubling == self.MAX_DOUBLINGS:
                     raise IntegrationError(
                         f"one-jump quadrature of stage {k} not converged: |I_{n} - I_{2 * n}|"
-                        f" = {gap:.3e} > {self.QUADRATURE_GAP_TOL:.1e}",
-                        sum(dt for _, dt in self.stages[:k]))
+                        f" = {gap:.3e} > {self.QUADRATURE_GAP_TOL:.1e}", start)
                 n, coarse = 2 * n, fine
             quadrature_gap = max(quadrature_gap, gap)
+            start += t
             fid = fid + fine.reshape(fid.shape)
         clip_excess = max(0.0, float(np.max(fid - 1.0)))
         fid = np.minimum(fid, 1.0)

@@ -23,6 +23,16 @@ def lossless():
 
 
 @pytest.fixture(scope="module")
+def lossless_round_trip(lossless):
+    """(drive, eigenvalues of its final density matrix, undrive of that
+    matrix's top eigenvector) of the default ramp at kappa = 0."""
+    [d] = cq.drive([lossless])
+    lam, vecs = np.linalg.eigh(d.state)
+    [u] = cq.undrive([lossless], state=vecs[:, -1])
+    return d, lam, u
+
+
+@pytest.fixture(scope="module")
 def ratio_1e3():
     return cq.CatQubitParams(kerr=1.0, kappa=1e-3)
 
@@ -98,10 +108,18 @@ class TestDriveUndrive:
         assert qc.parity_expectation(result.state) < -0.99
         assert result.fidelity >= 0.999
 
-    def test_undrive_reverses_drive(self, lossless):
-        [d] = cq.drive([lossless])
-        [u] = cq.undrive([lossless], state=d.state)
+    def test_undrive_reverses_drive(self, lossless_round_trip):
+        d, _, u = lossless_round_trip
         assert u.fidelity >= d.fidelity**2 - 1e-3
+
+    def test_lossless_round_trip_matches_the_state_vector_solve(self, lossless_round_trip):
+        # a lossless ramp keeps rho rank one, and its fidelities are those of
+        # a Schrodinger solve on the state vector (the values below)
+        d, lam, u = lossless_round_trip
+        assert d.state.shape == (20, 20)
+        assert abs(lam[-2]) < 1e-10 and lam[-1] == pytest.approx(1.0, abs=1e-10)
+        assert d.fidelity == pytest.approx(0.9997201914421346, abs=1e-12)
+        assert u.fidelity == pytest.approx(0.999048853427219, abs=1e-12)
 
     def test_undrive_odd_cat_gives_single_photon(self, lossless):
         _, alpha_eff, _, _ = cq._ramp(lossless, cq.DRIVE_RAMP_KT)
@@ -351,6 +369,17 @@ class TestPiecewiseConstantPropagator:
         lossless = PiecewiseConstantPropagator(stages)
         assert lossless.lossy_fidelity(zero, 1.02 * lossless.forward(zero)[-1]) == \
             pytest.approx((1.0, 0.0, 1.02**2 - 1.0), rel=1e-9)
+
+    def test_oversized_quadrature_refused_before_any_node(self, monkeypatch):
+        # one stage at K t = 1e9 asks for 8e9 nodes, which ``leggauss`` would
+        # form as a dense n x n matrix; the refusal builds no rule at all
+        monkeypatch.setattr(dynamics, "_gauss_legendre", lambda n: pytest.fail(f"{n} nodes"))
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        prop = PiecewiseConstantPropagator([(sigma_x, 1e9)], [(np.diag([0.0, 1.0]), 1e-3)], 1.0)
+        with pytest.raises(IntegrationError, match=r"stage 0 at K t = 1\.000000e\+09 needs "
+                                                   r"8000000000 nodes, more than 8192") as err:
+            prop.lossy_fidelity(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        assert err.value.t == 0.0
 
     def test_unconverged_quadrature_names_the_stage(self, ratio_1e3, monkeypatch):
         monkeypatch.setattr(PiecewiseConstantPropagator, "NODES_PER_KT", 0)

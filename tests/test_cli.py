@@ -61,11 +61,11 @@ class TestValidation:
         (("mc", "--set", "link.attenuation_km=0"),
          "[link] attenuation_km must be positive, got 0.0"),
         (("mc", "--set", "link.attenuation_km=nan"),
-         "[link] attenuation_km must be positive, got nan"),
+         "[link] attenuation_km must be finite, got nan"),
         (("mc", "--set", "link.operation_time_s=-1e-5"),
          "[link] operation_time_s must be >= 0, got -1e-05"),
         (("mc", "--set", "link.operation_time_s=nan"),
-         "[link] operation_time_s must be >= 0, got nan"),
+         "[link] operation_time_s must be finite, got nan"),
         (("rates", "--set", "rates.length_min_km=0"),
          "[rates] length_min_km must be positive, got 0.0"),
         (("figure6", "--set", "rates.length_max_km=-100"),
@@ -82,17 +82,17 @@ class TestValidation:
         (("figure6", "--set", "comparators.source_rate_hz=-1"),
          "[comparators] source_rate_hz must be positive, got -1.0"),
         (("figure6", "--set", "comparators.source_rate_hz=nan"),
-         "[comparators] source_rate_hz must be positive, got nan"),
+         "[comparators] source_rate_hz must be finite, got nan"),
         (("figure6", "--set", "comparators.dlcz_detection_efficiency=0"),
          "[comparators] dlcz_detection_efficiency must lie in (0, 1], got 0.0"),
         (("figure6", "--set", "comparators.dlcz_memory_efficiency=1.5"),
          "[comparators] dlcz_memory_efficiency must lie in (0, 1], got 1.5"),
         (("figure6", "--set", "comparators.dlcz_generation_probability=nan"),
-         "[comparators] dlcz_generation_probability must lie in (0, 1], got nan"),
+         "[comparators] dlcz_generation_probability must be finite, got nan"),
         (("figure6", "--set", "comparators.re_operation_time_s=-1"),
          "[comparators] re_operation_time_s must be >= 0, got -1.0"),
         (("figure6", "--set", "comparators.re_operation_time_s=nan"),
-         "[comparators] re_operation_time_s must be >= 0, got nan"),
+         "[comparators] re_operation_time_s must be finite, got nan"),
         # these exited 1 naming a library parameter, raised a traceback, or
         # exited 0 and wrote results before every key had a domain
         (("grape", "--set", "grape.n_segments=2"), "[grape] n_segments must be >= 4, got 2"),
@@ -445,6 +445,18 @@ class TestDeviceCommand:
 
         for root2, wider in zip(kappa_eff(repr(math.sqrt(2.0))), kappa_eff("1.5")):
             assert wider / root2 == pytest.approx(1.5**2 / 2.0, rel=0.05)
+
+    def test_lossless_row_has_no_ratio(self, out_dir):
+        # kappa_eff is 0 without loss; K / kappa has no finite value, and
+        # JSON no infinity, so the summary holds null
+        r = run_cli("device", "--out", out_dir, "--set", "device.cavity_decay_hz=0",
+                    "--set", "device.qubit_decay_hz=0")
+        assert r.returncode == 0, r.stderr
+        with open(os.path.join(out_dir, "device", "device.csv")) as fh:
+            [row] = list(csv.DictReader(fh))
+        assert float(row["kappa_hz"]) == float(row["kappa_eff_hz"]) == 0.0
+        summary = json.load(open(os.path.join(out_dir, "device", "summary.json")))
+        assert summary["K_over_kappa"] == [None]
 
     @pytest.mark.parametrize("key", ["coupling_hz", "anharmonicity_hz"])
     def test_row_without_kerr_is_refused_by_name(self, out_dir, key):

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,7 @@ class TestEvolve:
         h0 = -kerr * (ad @ ad @ a @ a) + kerr * alpha**2 * (ad @ ad + a @ a)
         h = TimeDependentHamiltonian(h0, (), (0.0, 5.0 / kerr))
         traj = evolve(h, [], qc.coherent_state(alpha, dim), n_samples=3)
+        assert traj.final_state.shape == (dim, dim)
         fid = qc.state_fidelity(traj.final_state, qc.coherent_state(alpha, dim))
         assert fid >= 1.0 - 1e-6
 
@@ -107,6 +109,11 @@ class TestEvolve:
             evolve(_zero_h(4), [(qc.annihilation(4), -1.0)],
                    qc.to_density_matrix(qc.fock_state(0, 4)))
 
+    @pytest.mark.parametrize("t_span", [(0.0, 0.0), (1.0, 0.5)])
+    def test_empty_or_reversed_span_rejected(self, t_span):
+        with pytest.raises(ValueError, match=re.escape(f"t_span {t_span}")):
+            TimeDependentHamiltonian(np.zeros((2, 2)), (), t_span)
+
     def test_drive_operator_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             TimeDependentHamiltonian(np.zeros((4, 4), dtype=complex),
@@ -159,25 +166,28 @@ class TestEvolve:
     def test_rhs_sees_one_coefficient_per_interval(self, reverse, monkeypatch):
         # evolve integrates segment k of a piecewise-constant pulse over
         # [k dt, (k + 1) dt] alone, with that segment's value bound into the
-        # right-hand side; on the 1x1 problem dy/dt = -i u(t) y, i rhs(t, 1)
-        # reads the coefficient back.  48 segments, not a power of two, so
-        # k (T / n) and k T / n round differently
+        # right-hand side.  On the 2x2 problem H = u(t) sigma_x from |0><0|,
+        # whose one coupled block is the whole vec(rho) in column order,
+        # drho/dt = -i u [sigma_x, rho] has rho_10 entry -i u at rho = |0><0|,
+        # so i rhs(t, |0><0|)[1] reads the coefficient back.  48 segments,
+        # not a power of two, so k (T / n) and k T / n round differently
         seen = []
+        ground = np.array([1.0, 0.0, 0.0, 0.0])
 
         def recording(rhs, y0, output_times, **kwargs):
             seen.append((output_times[0], output_times[-1],
-                         {complex(1j * rhs(t, np.ones(1))[0]) for t in output_times}))
+                         {complex(1j * rhs(t, ground)[1]) for t in output_times}))
             return integrate_rk45(rhs, y0, output_times, **kwargs)
 
         monkeypatch.setattr(dynamics, "integrate_rk45", recording)
         rng = np.random.default_rng(11)
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         for duration in rng.uniform(0.1, 100.0, 4):
             values = rng.uniform(-1.0, 1.0, 48).astype(complex)
             u = values[::-1] if reverse else values
-            h = TimeDependentHamiltonian(np.zeros((1, 1)), ((np.ones((1, 1)), u),),
-                                         (0.0, duration))
+            h = TimeDependentHamiltonian(np.zeros((2, 2)), ((sigma_x, u),), (0.0, duration))
             seen.clear()
-            evolve(h, [], np.ones(1), n_samples=2)
+            evolve(h, [], np.array([1.0, 0.0]), n_samples=2)
             dt = duration / 48
             assert [(lo, hi) for lo, hi, _ in seen] == \
                 [(dt * k, dt * (k + 1) if k < 47 else duration) for k in range(48)]
@@ -396,11 +406,13 @@ class TestBatchAndSector:
         assert np.any(full.final_state)
 
     def test_pure_states_keep_their_parity_sector(self, monkeypatch):
+        # without loss the ramp keeps the parity of m and of n apart: |1><1|
+        # stays on the odd-odd entries, a quarter of the d^2
         d = self.DIM
         sizes = _recording_sizes(monkeypatch)
         traj = evolve(_ramp_problem(d), [], qc.fock_state(1, d), n_samples=2)
-        assert sizes == [d // 2]
-        assert not np.any(traj.final_state[0::2])
+        assert sizes == [d * d // 4]
+        assert not np.any(traj.final_state[0::2]) and not np.any(traj.final_state[:, 0::2])
 
     def test_single_photon_drive_integrates_the_whole_space(self, monkeypatch):
         d = self.DIM
@@ -426,18 +438,18 @@ class TestBatchAndSector:
             alone = evolve(h, [(a, rate)], qc.to_density_matrix(state), n_samples=4,
                            rel_tol=1e-11)
             for x, y in zip(traj.states, alone.states):
-                assert x.shape == (d, d)  # lossy columns: no state vectors
+                assert x.shape == (d, d)  # vector inputs come back as matrices
                 assert np.max(np.abs(x - y)) <= 1e-9
 
-    def test_lossless_vectors_run_as_vectors(self):
+    def test_rate_zero_jump_is_no_jump(self):
         d = self.DIM
         h, a = _ramp_problem(d), qc.annihilation(d)
         single = evolve(h, [(a, 0.0)], qc.fock_state(0, d))
-        batch = evolve(h, [(a, [0.0, 0.0])], [qc.fock_state(0, d), qc.fock_state(1, d)])
-        assert single.final_state.shape == (d,)
-        assert [traj.final_state.shape for traj in batch] == [(d,), (d,)]
         assert np.array_equal(single.final_state, evolve(h, [], [qc.fock_state(0, d)])[0]
                               .final_state)
+        pair = [qc.fock_state(0, d), qc.fock_state(1, d)]
+        for x, y in zip(evolve(h, [(a, [0.0, 0.0])], pair), evolve(h, [], pair)):
+            assert np.array_equal(x.final_state, y.final_state)
 
     @pytest.mark.parametrize("rate, message", [([0.1, 0.2, 0.3], "one per state"),
                                                ([0.1, -0.2], "nonnegative")])
