@@ -483,7 +483,10 @@ def _run_gate(params: CatQubitParams, operation: str,
     psi0 = basis @ np.stack([c_in for c_in, _ in cases.values()], axis=1)
     targets = basis @ np.stack([c_out for _, c_out in cases.values()], axis=1)
     targets /= np.linalg.norm(targets, axis=0)
-    fids, quadrature_gap, clip_excess = prop.lossy_fidelity(psi0, targets)
+    try:
+        fids, quadrature_gap, clip_excess = prop.lossy_fidelity(psi0, targets)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{operation}, {exc}", exc.t) from exc
     fids = dict(zip(cases, map(float, fids)))
     psi_f = prop.forward(psi0)[-1]
     psi_f /= np.linalg.norm(psi_f, axis=0)

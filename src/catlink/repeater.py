@@ -185,9 +185,13 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
     Returns one (sample mean, standard error) row per level 0..n, each over
     ``trials`` seeded samples; callers that want level n alone take ``[-1]``.
 
-    All rows come from one tree of ``trials`` level-n trials.  A level-i
-    node draws its number of swap tries, geometric(P_i), before its
-    children, and swap outcomes do not depend on child times, so a level-i
+    All rows come from one tree of ``trials`` level-n trials.  A block of
+    level-i nodes draws its swap tries before its children: every node makes
+    a first try, succeeding with probability P_i, and only the nodes whose
+    first try failed draw geometric(P_i) more, so a node's try count is 1
+    with probability P_i and else 1 + geometric(P_i), the exact law.  The
+    children of all first tries come first, node by node, then those of the
+    retries.  Swap outcomes do not depend on child times, so a level-i
     node's children are iid level-(i - 1) nodes whatever its number of
     tries.  Row i < n is therefore the estimate over the first ``trials``
     level-i nodes the tree generates, in generation order: which nodes come
@@ -246,12 +250,13 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
             leaves = rng.standard_exponential(size)
             leaves /= leaf_rate
             return np.ceil(leaves, out=leaves)
-        # running total of each node's swap tries, shifted one place to the
-        # right: starts[k] is the index of node k's first child pair
-        starts = np.cumsum(rng.geometric(chain.swap_probability, size=size))
-        n_tries = int(starts[-1])
-        starts[1:] = starts[:-1]
-        starts[0] = 0
+        # pair k < size is node k's first try; a node whose first try failed
+        # retries geometric(P) more times, its pairs after all the first ones,
+        # and starts[j] indexes failed node j's first retry among them
+        failed = np.flatnonzero(rng.random(size) >= chain.swap_probability)
+        retries = rng.geometric(chain.swap_probability, size=failed.size)
+        n_tries = size + int(retries.sum())
+        starts = np.cumsum(retries) - retries
         if level == 1:
             # ceil(-log1p(-sqrt(U)) / r), the larger leaf of each pair
             pairs = rng.random(n_tries)
@@ -265,7 +270,9 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
             children = slots(level - 1, 2 * n_tries)
             tally(level - 1, children)
             pairs = np.maximum(children[0::2], children[1::2], out=children[0::2])
-        return np.add.reduceat(pairs, starts)
+        nodes = pairs[:size]
+        nodes[failed] += np.add.reduceat(pairs[size:], starts)
+        return nodes
 
     for start in range(0, trials, _MC_BLOCK):
         tally(0, slots(0, min(_MC_BLOCK, trials - start)))

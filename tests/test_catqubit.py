@@ -725,6 +725,25 @@ class TestGateReport:
         for name in ("X_0.5pi", "Z_0.5pi", "G_0.5pi", "CNOT"):
             assert gate_rows_1e3[name].clip_excess >= 0.0
 
+    def test_oversized_quadrature_names_row_and_gate(self):
+        # stage 0 exists in every gate, so the refusal names the gate too
+        small = cq.CatQubitParams(kerr=1.0, kappa=1e-3, alpha=1e-3)
+        with pytest.raises(IntegrationError, match=r"^K/kappa = 1000 row, X_0\.5pi, one-jump "
+                                                   r"quadrature of stage 0 at K t = "
+                                                   r"3\.926991e\+09 needs ") as err:
+            cq.gate_report([(small, 10.0, 15.0)], dim_per_cavity=10)
+        assert err.value.t == 0.0
+
+    def test_unconverged_quadrature_names_the_gate(self, ratio_1e3, monkeypatch):
+        monkeypatch.setattr(PiecewiseConstantPropagator, "NODES_PER_KT", 0)
+        monkeypatch.setattr(PiecewiseConstantPropagator, "MIN_NODES", 1)
+        monkeypatch.setattr(PiecewiseConstantPropagator, "MAX_DOUBLINGS", 0)
+        e = ratio_1e3.two_photon_amplitude
+        with pytest.raises(IntegrationError, match=r"^CNOT, one-jump quadrature of stage 0 "
+                                                   r"not converged: ") as err:
+            cq.cnot(ratio_1e3, e / 10, e / 15, 10)
+        assert err.value.t == 0.0
+
     def test_gates_trace_and_purity_preserving_lossless(self, lossless):
         e = lossless.two_photon_amplitude
         res = cq.gate_x(lossless, math.pi / 2, e / 10)

@@ -156,7 +156,8 @@ class TestMonteCarlo:
         return (float(Fraction(t_a) * s1 / trials),
                 t_a * math.sqrt(variance) / math.sqrt(trials))
 
-    @pytest.mark.parametrize("swap_probability", [0.81, 1.0])
+    # 0.3 is the retry-heavy path: 70 % of first tries fail and resample
+    @pytest.mark.parametrize("swap_probability", [0.81, 1.0, 0.3])
     def test_single_swap_exact_mean_over_seeds(self, swap_probability):
         link = _link()
         chain = rp.ChainParams(nesting_level=1, swap_probability=swap_probability)
@@ -164,6 +165,51 @@ class TestMonteCarlo:
         for seed in range(5):
             mean, stderr = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)[-1]
             assert abs(mean - expected) < 4.5 * stderr
+
+    def test_certain_swaps_never_retry_in_a_deep_tree(self):
+        # at P = 1 no first try fails, so no node draws a retry
+        link = _link()
+        chain = rp.ChainParams(nesting_level=3, swap_probability=1.0)
+        rows = rp.monte_carlo_time(chain, link, trials=20_001, seed=6)
+        assert all(math.isfinite(mean) and math.isfinite(stderr) for mean, stderr in rows)
+        mean, stderr = rows[1]
+        assert abs(mean - self.single_swap_mean(link, 1.0)) < 4.5 * stderr
+
+    def test_deep_tree_row_zero_is_the_no_swap_call_bitwise(self):
+        # row 0 draws its leaves before the tree, so n does not touch it
+        link = _link()
+        deep = rp.monte_carlo_time(rp.ChainParams(nesting_level=3), link,
+                                   trials=20_001, seed=7)
+        assert deep[0] == rp.monte_carlo_time(rp.ChainParams(nesting_level=0), link,
+                                              trials=20_001, seed=7)[0]
+
+    @staticmethod
+    def two_swap_mean(link, swap_probability):
+        # exact E[T2] on a slot grid.  A level-1 node's slot count T1 is a
+        # geometric(P) sum of iid M, the larger of two geometric(P0) leaves,
+        # so its pmf is f1[t] = P fM[t] + (1 - P) sum_{s >= 1} fM[s] f1[t - s];
+        # summed over the tail that is S1[t] = SM[t] + (1 - P) sum_{s=1..t}
+        # fM[s] S1[t - s] for S1(t) = P(T1 > t), free of 1 - F cancellation.
+        # T2 sums max of two iid T1 over geometric(P) tries, so
+        # E[T2] = sum_{t >= 0} (1 - F1(t)^2) / P
+        q, prob = 1.0 - rp.p0(link), swap_probability
+        t = np.arange(int(60 / (-math.log(q) * prob)))
+        tail_max = 1.0 - (1.0 - q**t) ** 2
+        f_max = -np.diff(tail_max, prepend=1.0)
+        tail = tail_max.copy()
+        for k in range(1, t.size):
+            tail[k] += (1 - prob) * (f_max[1:k + 1] @ tail[k - 1::-1])
+        assert tail[-1] < 1e-15
+        return rp.attempt_time(link) * (tail * (2.0 - tail)).sum() / prob
+
+    @pytest.mark.parametrize("swap_probability", [0.81, 0.3])
+    def test_two_swap_row_matches_exact_law_over_seeds(self, swap_probability):
+        link = _link()
+        chain = rp.ChainParams(nesting_level=2, swap_probability=swap_probability)
+        expected = self.two_swap_mean(link, swap_probability)
+        for seed in range(5):
+            mean, stderr = rp.monte_carlo_time(chain, link, trials=20_001, seed=seed)[2]
+            assert abs(mean - expected) < 4.5 * stderr, (seed, mean, expected)
 
     # 20,001 trials leave a partial last block; 2 blocks fill exactly
     @pytest.mark.parametrize("seed, trials", [(5, 20_001), (0, 2 * rp._MC_BLOCK)])
