@@ -55,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import qcore as qc
 from .dynamics import IntegrationError, KroneckerSum, PiecewiseConstantPropagator, \
@@ -448,13 +447,15 @@ def _g_rotation_duration(params: CatQubitParams, theta: float, coupling: float) 
 
 
 def _ideal_rotation(axis: str, theta: float) -> np.ndarray:
+    """exp(-i theta sigma / 2) = cos(theta/2) 1 - i sin(theta/2) sigma, as
+    sigma^2 = 1 for the Pauli matrix sigma of ``axis``."""
     if axis == "x":
-        gen = np.array([[0, 1], [1, 0]], dtype=complex)
+        sigma = np.array([[0, 1], [1, 0]], dtype=complex)
     elif axis == "z":
-        gen = np.array([[1, 0], [0, -1]], dtype=complex)
+        sigma = np.array([[1, 0], [0, -1]], dtype=complex)
     else:
         raise ValueError(axis)
-    return scipy.linalg.expm(-0.5j * theta * gen)
+    return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * sigma
 
 
 _SINGLE_QUBIT_TEST_STATES = {

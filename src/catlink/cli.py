@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Each subcommand validates the configuration, computes its report entirely in
-memory, renders every file to text, and only then writes, each file through a
-temporary file and ``os.replace``, so neither validation nor rendering
-failures leave partial output.  Every invocation writes into
-``<out>/<command>/`` a primary CSV (or JSON), a ``summary.json`` with the
-headline numbers and the toolkit version, and a ``resolved_config.ini``
-snapshot, and prints the summary to stdout.  Outputs are byte-identical
-across reruns with the same configuration and seed.
+memory, renders every file to text, and only then writes: into a hidden
+temporary directory next to the run directory, which two directory renames
+then swap in, so neither validation nor rendering failures leave partial
+output and a reader sees the old run or the new one, never a mix.  Every
+invocation writes into ``<out>/<command>/`` a primary CSV (or JSON), a
+``summary.json`` with the headline numbers and the toolkit version, and a
+``resolved_config.ini`` snapshot, and prints the summary to stdout.
+Outputs are byte-identical across reruns with the same configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from typing import Any, Optional
 
 import numpy as np
@@ -64,11 +68,17 @@ class _Report:
         self.tables[name] = (header, rows)
 
     def write(self, out_root: str, fmt: str) -> str:
-        """Render every file to a string, then replace each one atomically.
+        """Render every file to a string, then swap the run directory whole.
 
         A rendering error (say, an unserialisable summary value) therefore
-        leaves the previous run's files untouched.  Once the new files are in
-        place, a table left in the other format by an earlier run is removed.
+        leaves the previous run's files untouched.  The files go into a
+        hidden temporary directory beside ``<out_root>/<command>``, which
+        replaces it by two renames: the old directory aside, the new one
+        into its place (and the old one back should that fail), so no file
+        is renamed over another.  Then every entry that catlink did not
+        write moves over from the old directory, which is removed with the
+        old run's files and any table of this run left in the other format.
+        An interruption before that removal deletes nothing.
         """
         files: dict[str, str] = {}
         for name, (header, rows) in self.tables.items():
@@ -89,28 +99,31 @@ class _Report:
 
         out_dir = os.path.join(out_root, self.command)
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in files.items():
-            _write_text(os.path.join(out_dir, name), text)
+        # swap beside the real directory, should out_dir be a symbolic link
+        target = os.path.realpath(out_dir)
+        new = tempfile.mkdtemp(prefix=f".{self.command}.", dir=os.path.dirname(target))
+        old = new + ".old"
+        try:
+            shutil.copymode(target, new)  # mkdtemp makes it private
+            for name, text in files.items():
+                with open(os.path.join(new, name), "w", newline="") as fh:
+                    fh.write(text)
+            os.rename(target, old)
+            try:
+                os.rename(new, target)
+            except BaseException:
+                os.rename(old, target)
+                raise
+        except BaseException:
+            shutil.rmtree(new)
+            raise
         other = "json" if fmt == "csv" else "csv"
-        for name in self.tables:
-            stale = os.path.join(out_dir, f"{name}.{other}")
-            if os.path.exists(stale):
-                os.remove(stale)
+        dropped = set(files) | {f"{name}.{other}" for name in self.tables}
+        for entry in os.listdir(old):
+            if entry not in dropped:
+                os.rename(os.path.join(old, entry), os.path.join(target, entry))
+        shutil.rmtree(old)
         return out_dir
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write through a temporary file in the same directory and os.replace it."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _row_params(config: RunConfig) -> list[tuple[float, cq.CatQubitParams, float, float]]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import qcore as qc
 from .catqubit import CatQubitParams, _stabilized_h
@@ -113,7 +112,7 @@ def dispersive_kerr(params: DeviceParams, cavity_levels: int = 12,
                          f">= {N_FIT_LEVELS + 1}, got {cavity_levels}")
     params.check_dispersive()
     h = _two_mode_hamiltonian(params, cavity_levels, qubit_levels)
-    evals, evecs = scipy.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(h)
 
     # overlap of each eigenvector with each bare |i, 0>
     bare_idx = [i * qubit_levels for i in range(N_FIT_LEVELS + 1)]

@@ -68,7 +68,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .qcore import to_density_matrix
 
@@ -387,6 +386,8 @@ def evolve(
     t0, t1 = hamiltonian.t_span
     times = np.linspace(t0, t1, n_samples)
 
+    import scipy.sparse
+
     zero = np.zeros(shape)
     generators = [liouvillian(hamiltonian.static_part, shared),
                   *(liouvillian(zero, [(op, 1.0)]) for op, _ in varying),
@@ -464,6 +465,8 @@ def liouvillian(h_matrix: np.ndarray,
     is written; ``evolve``, ``evolve_constant`` and the spectral
     ``device.kappa_eff`` all build on it.
     """
+    import scipy.sparse
+
     h = scipy.sparse.csr_matrix(np.asarray(h_matrix, dtype=complex))
     eye = scipy.sparse.identity(h.shape[0], dtype=complex, format="csr")
     lv = -1j * (scipy.sparse.kron(eye, h) - scipy.sparse.kron(h.T, eye))
@@ -492,6 +495,8 @@ def evolve_constant(
     package code calls it: it is the test suite's exact Lindblad oracle for
     ``evolve``, the gate propagator and ``device.kappa_eff``.
     """
+    import scipy.linalg
+
     times = np.asarray(times, dtype=float)
     lv = liouvillian(h_matrix, collapse_ops).toarray()
     d = np.asarray(h_matrix).shape[0]
@@ -527,17 +532,37 @@ def coupled_blocks(*matrices: np.ndarray | scipy.sparse.sparray) -> list[np.ndar
     """Index sets of the connected components of the matrices' joint sparsity
     pattern, each sorted, ordered by their smallest index.  The matrices are
     square arrays or scipy sparse matrices (such as Liouvillians) of one
-    shape.
+    shape; an explicitly stored zero is no entry.
 
     No matrix has an entry between two blocks, so any sum of them is block
     diagonal over these index sets and can be factored, or integrated, one
-    block at a time.
+    block at a time.  The components are labelled in numpy: every index
+    takes the smallest label among its neighbours (``np.minimum.at`` over
+    the entries, both ways), then follows its label's label until nothing
+    changes (pointer jumping), and this repeats until no entry joins two
+    labels; each component is then labelled by its smallest index.
     """
-    # a sum of absolute values has an entry wherever some matrix has one
-    pattern = sum(abs(scipy.sparse.csr_array(m)) for m in matrices)
-    pattern.eliminate_zeros()
-    n, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
-    return [np.flatnonzero(labels == k) for k in range(n)]
+    n = matrices[0].shape[0]
+    if any(m.shape != (n, n) for m in matrices):
+        raise ValueError(f"coupled_blocks needs square matrices of one shape, got "
+                         f"{[m.shape for m in matrices]}")
+    # ``nonzero`` skips a sparse matrix's stored zeros as it does an array's
+    rows, cols = (np.concatenate(ix) for ix in zip(*(m.nonzero() for m in matrices)))
+    labels = np.arange(n)
+    while True:
+        joined = labels.copy()
+        np.minimum.at(joined, rows, labels[cols])
+        np.minimum.at(joined, cols, labels[rows])
+        # a label is an index of the same component, so its label is too
+        while not np.array_equal(jumped := joined[joined], joined):
+            joined = jumped
+        if np.array_equal(joined, labels):
+            break
+        labels = joined
+    # a stable sort keeps each component's indices in order
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(order, starts)
 
 
 @dataclass(frozen=True)
@@ -600,9 +625,9 @@ def _blockwise_eig(m: np.ndarray, hermitian: bool):
     v, w = [], []
     for idx in coupled_blocks(m):
         if hermitian:
-            lam[idx], vb = scipy.linalg.eigh(m[np.ix_(idx, idx)])
+            lam[idx], vb = np.linalg.eigh(m[np.ix_(idx, idx)])
         else:
-            lam[idx], vb = scipy.linalg.eig(m[np.ix_(idx, idx)])
+            lam[idx], vb = np.linalg.eig(m[np.ix_(idx, idx)])
             w.append((idx, idx, np.linalg.inv(vb)))
         v.append((idx, idx, vb))
     v = _BlockSparse(v, d)
@@ -647,7 +672,7 @@ _COUPLED_MEMO_SIZE = 2
 def _coupled_eig(m: np.ndarray, hermitian: bool):
     """``_blockwise_eig`` of ``m`` through ``_COUPLED_MEMO``; the memo's
     arrays are read-only, so no caller can change a later hit."""
-    import hashlib  # loaded on first use, like the scipy submodules
+    import hashlib  # loaded where it runs, as each scipy submodule is
 
     key = (m.shape, m.dtype.str, hermitian,
            hashlib.sha1(np.ascontiguousarray(m)).digest())
@@ -710,6 +735,8 @@ def _stage_factors(h, jump_ops: Sequence[tuple[np.ndarray | KroneckerSum, float]
                                      for x, wk, vk in zip((op.a, op.b), w.parts, v.parts)),
                                    h.dims) for op, _ in jump_ops]
         return lam, v, w, jumps
+    import scipy.sparse
+
     ops = [_dense(op) for op, _ in jump_ops]
     damp = sum(0.5j * rate * (x.conj().T @ x).toarray()
                for x, (_, rate) in zip(map(scipy.sparse.csr_array, ops), jump_ops))

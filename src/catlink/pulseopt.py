@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import qcore as qc
 from .catqubit import _CHANNEL_OPS, CatQubitParams, PulseSchedule, _kerr_op, _run_pulse, \
@@ -209,6 +208,8 @@ def grape_optimize(problem: GrapeProblem, max_iters: int,
         stop_reason = f"max_iters = {max_iters}: not optimized"
         trace, evaluations = [fidelity], 1
     else:
+        import scipy.optimize
+
         trace = []
 
         def objective(x):

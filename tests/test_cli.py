@@ -12,7 +12,7 @@ from catlink import catqubit as cq
 from catlink import cli, dynamics
 from catlink import pulseopt as po
 from catlink import scenarios as sn
-from catlink.cli import _Report, _write_text
+from catlink.cli import _Report
 from catlink.repeater import ChainParams, LinkParams, mean_time
 from catlink.scenarios import TABLE_ROW_DEFAULTS
 from catlink.config import load_config
@@ -400,18 +400,73 @@ class TestReportWrite:
         summary = json.load(open(os.path.join(out_dir, "mc", "summary.json")))
         assert summary["blas_threads"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}
 
-    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch):
-        target = tmp_path / "summary.json"
-        target.write_text("old\n")
+    def test_failed_replace_leaves_no_temporary_file(self, out_dir, monkeypatch):
+        # the swap-in rename fails: the old directory goes back into place
+        # with every file, catlink's or not, and no hidden directory remains
+        report = _Report("transduce", load_config())
+        report.add_table("transduce", ["a", "b"], [[1, 2.5]])
+        run_dir = report.write(out_dir, "csv")
+        with open(os.path.join(run_dir, "notes.txt"), "w") as fh:
+            fh.write("mine\n")
+        before = {name: open(os.path.join(run_dir, name), "rb").read()
+                  for name in os.listdir(run_dir)}
+        rename = os.rename
 
-        def refuse(src, dst):
-            raise OSError("replace refused")
+        def refuse_swap_in(src, dst):
+            if dst == os.path.realpath(run_dir) and ".old" not in src:
+                raise OSError("rename refused")
+            rename(src, dst)
 
-        monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError):
-            _write_text(str(target), "new\n")
-        assert target.read_text() == "old\n"
-        assert os.listdir(tmp_path) == ["summary.json"]
+        monkeypatch.setattr(os, "rename", refuse_swap_in)
+        report.add_table("transduce", ["a", "b"], [[3, 4.5]])
+        with pytest.raises(OSError, match="rename refused"):
+            report.write(out_dir, "csv")
+        after = {name: open(os.path.join(run_dir, name), "rb").read()
+                 for name in os.listdir(run_dir)}
+        assert after == before
+        assert os.listdir(out_dir) == ["transduce"]
+
+    def test_rerun_swaps_the_directory_whole(self, out_dir):
+        report = _Report("transduce", load_config())
+        report.add_table("transduce", ["a", "b"], [[1, 2.5]])
+        run_dir = report.write(out_dir, "csv")
+        os.mkdir(os.path.join(run_dir, "plots"))
+        with open(os.path.join(run_dir, "plots", "eta.txt"), "w") as fh:
+            fh.write("mine\n")
+        os.chmod(run_dir, 0o750)
+        inode = os.stat(run_dir).st_ino
+        report.add_table("transduce", ["a", "b"], [[3, 4.5]])
+        assert report.write(out_dir, "csv") == run_dir
+        # a new directory, with the old one's mode and the entries catlink
+        # did not write, and nothing hidden left beside it
+        assert os.stat(run_dir).st_ino != inode
+        assert os.stat(run_dir).st_mode & 0o777 == 0o750
+        assert open(os.path.join(run_dir, "plots", "eta.txt")).read() == "mine\n"
+        assert open(os.path.join(run_dir, "transduce.csv")).read() == "a,b\n3,4.5\n"
+        assert os.listdir(out_dir) == ["transduce"]
+
+    def test_interrupted_carry_over_deletes_nothing(self, out_dir, monkeypatch):
+        report = _Report("transduce", load_config())
+        report.add_table("transduce", ["a", "b"], [[1, 2.5]])
+        run_dir = report.write(out_dir, "csv")
+        with open(os.path.join(run_dir, "notes.txt"), "w") as fh:
+            fh.write("mine\n")
+        rename = os.rename
+
+        def interrupt_carry_over(src, dst):
+            if src.endswith("notes.txt"):
+                raise KeyboardInterrupt
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", interrupt_carry_over)
+        with pytest.raises(KeyboardInterrupt):
+            report.write(out_dir, "csv")
+        # the new run is in place, and the file waits in the old directory
+        assert sorted(os.listdir(run_dir)) == ["resolved_config.ini", "summary.json",
+                                              "transduce.csv"]
+        kept = [os.path.join(root, name) for root, _, names in os.walk(out_dir)
+                for name in names if name == "notes.txt"]
+        assert len(kept) == 1 and open(kept[0]).read() == "mine\n"
 
     def test_unwritable_root_is_an_error_not_a_traceback(self, tmp_path, monkeypatch, capsys):
         # an output root that is a regular file cannot hold the run directory

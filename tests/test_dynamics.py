@@ -467,6 +467,69 @@ class TestBatchAndSector:
                                                  np.zeros(self.DIM)])
 
 
+def _reference_blocks(matrices):
+    """scipy's connected components of the joint pattern, ordered by their
+    smallest index: the oracle for ``coupled_blocks``."""
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sum(abs(sp.csr_array(m)) for m in matrices)
+    pattern.eliminate_zeros()
+    n, labels = connected_components(pattern, directed=False)
+    return sorted((np.flatnonzero(labels == k) for k in range(n)), key=lambda b: b[0])
+
+
+class TestCoupledBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3), st.booleans(),
+           st.lists(st.sampled_from(["dense", "csr_array", "csr_matrix"]), min_size=1,
+                    max_size=3))
+    def test_matches_scipy_connected_components(self, n, seed, density, symmetric, kinds):
+        rng = np.random.default_rng(seed)
+        matrices = []
+        for kind in kinds:
+            mask = rng.random((n, n)) < density
+            if symmetric:
+                mask |= mask.T
+            values = np.where(mask, rng.choice([-1.5, 1.0, 2j], size=(n, n)), 0)
+            # some indices touch nothing
+            isolated = rng.random(n) < 0.2
+            values[isolated] = 0
+            values[:, isolated] = 0
+            if kind != "dense":
+                # explicitly stored zeros, which join nothing: converting to
+                # CSR sums duplicates but keeps a zero that has no partner
+                rows, cols = np.nonzero(values)
+                zr, zc = np.nonzero(rng.random((n, n)) < density)
+                coo = sp.coo_array((np.concatenate([values[rows, cols], np.zeros(zr.size)]),
+                                    (np.concatenate([rows, zr]), np.concatenate([cols, zc]))),
+                                   shape=(n, n))
+                values = getattr(sp, kind)(coo.tocsr())
+            matrices.append(values)
+        blocks = dynamics.coupled_blocks(*matrices)
+        expected = _reference_blocks(matrices)
+        assert len(blocks) == len(expected)
+        for got, want in zip(blocks, expected):
+            assert np.array_equal(got, want)
+
+    def test_explicit_zero_joins_nothing(self):
+        m = sp.csr_array((np.zeros(1), ([0], [1])), shape=(3, 3))
+        assert m.nnz == 1
+        assert [b.tolist() for b in dynamics.coupled_blocks(m)] == [[0], [1], [2]]
+
+    def test_long_shuffled_path_is_one_block(self):
+        # a path whose labels must travel its whole length, in random order
+        n = 500
+        order = np.random.default_rng(0).permutation(n)
+        m = np.zeros((n, n))
+        m[order[:-1], order[1:]] = 1.0
+        blocks = dynamics.coupled_blocks(m, np.eye(n))
+        assert len(blocks) == 1 and np.array_equal(blocks[0], np.arange(n))
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="one shape"):
+            dynamics.coupled_blocks(np.eye(3), np.eye(4))
+
+
 def _random_op(rng, d, hermitian):
     x = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / 4
     return x + x.conj().T if hermitian else x

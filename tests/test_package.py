@@ -123,25 +123,28 @@ def test_unused_import_is_reported(tmp_path):
     assert _unused_imports(source) == ["sample.py:1: os", "sample.py:3: Optional"]
 
 
-HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.optimize", "scipy.integrate")
+HEAVY_SCIPY = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg", "scipy.optimize",
+               "scipy.integrate")
 
 _LOADED_AFTER = """
 import sys
 import catlink.cli
-loaded = [m for m in {heavy!r} if m in sys.modules]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = scipy_modules()
 assert catlink.cli.main({args!r} + ["--out", sys.argv[1]]) == 0
-print([loaded, [m for m in {heavy!r} if m in sys.modules]])
+print([loaded, scipy_modules()])
 """
 
 
-def _heavy_loaded(args: list[str], out: pathlib.Path) -> list[list[str]]:
-    """[before, after]: the ``HEAVY_SCIPY`` modules loaded after importing
-    the CLI and after running ``catlink <args>`` with the default config."""
+def _scipy_loaded(args: list[str], out: pathlib.Path) -> list[list[str]]:
+    """[before, after]: every scipy module loaded after importing the CLI and
+    after running ``catlink <args>`` with the default config."""
     env = dict(os.environ)
     env.pop("CATLINK_CONFIG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(catlink.__file__).parent.parent), env.get("PYTHONPATH", "")])
-    script = _LOADED_AFTER.format(heavy=HEAVY_SCIPY, args=args)
+    script = _LOADED_AFTER.format(args=args)
     proc = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -149,10 +152,13 @@ def _heavy_loaded(args: list[str], out: pathlib.Path) -> list[list[str]]:
 
 
 def test_scipy_submodules_load_on_first_use(tmp_path):
-    # catlink reaches scipy's submodules by attribute at the call site, so
-    # the import and the Monte-Carlo command, which needs numpy only, never
-    # load them
-    assert _heavy_loaded(["mc", "--trials", "10000"], tmp_path) == [[], []]
+    # each catlink function that computes with scipy imports its submodule
+    # where it runs, so importing the CLI loads no scipy module, and neither
+    # do the commands that need numpy only: the Monte-Carlo oracle, the rate
+    # formulas of figure6, and the default transducer (a numpy grid and
+    # catlink's own integrator)
+    for args in (["mc", "--trials", "10000"], ["figure6"], ["transduce"]):
+        assert _scipy_loaded(args, tmp_path / args[0]) == [[], []], args
 
 
 @pytest.mark.parametrize("command, unused", [
@@ -164,5 +170,19 @@ def test_integrating_commands_load_no_scipy_integrator(tmp_path, command, unused
     # never optimizes loads neither scipy.integrate nor scipy.optimize (which
     # scipy.integrate's package import would pull in); transduce needs no
     # sparse or linear-algebra submodule either
-    _, after = _heavy_loaded([command], tmp_path)
+    _, after = _scipy_loaded([command], tmp_path)
+    assert [m for m in unused if m in after] == []
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("gates", ("scipy.linalg", "scipy.sparse.csgraph")),
+    ("device", ("scipy.linalg", "scipy.sparse.csgraph")),
+    ("crossover", ("scipy.sparse.csgraph",)),
+])
+def test_eigensolvers_and_component_labels_come_from_numpy(tmp_path, command, unused):
+    # the stage factors and the dispersive fit use numpy.linalg, and
+    # coupled_blocks labels components in numpy, so only the sparse
+    # Liouvillians (and crossover's optimizer) reach scipy
+    _, after = _scipy_loaded([command], tmp_path)
+    assert "scipy.sparse" in after
     assert [m for m in unused if m in after] == []
