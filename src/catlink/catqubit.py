@@ -33,18 +33,18 @@ Driving goes through the adaptive master-equation integrator.  ``drive`` and
 ``undrive`` take only the length K T of the adiabatic ramp
 (``adiabatic_drive_pulse``); a GRAPE schedule is scored by
 ``pulseopt.evaluate_pulse`` through the same loss scorer, ``_run_pulse``.
-The ramps are solved in units of 1/K, where cavities of one amplitude and
-truncation differ only in kappa / K, so ``drive`` and ``undrive`` take a
-sequence of cavities, a list of one for a single cavity, and run them as the
-columns of one solve; ``gate_report`` makes one such call for every row of
-the gate table.
-One helper, ``_ramp``, builds the ramp and the cats at the amplitude it
-reaches (the drive's target and the undrive's input and basis).  They are
-the eigenstates of the *truncated* two-photon-driven Kerr Hamiltonian
-(``_stationary_cats``): the analytic cats are its eigenstates only in the
-untruncated space, and an undrive started from one spends most of its
-integrator steps on the fast oscillation of the truncation residual.  The
-gate bases stay analytic: gates are propagated exactly, so the residual
+It solves in units of 1/K, where cavities of one amplitude and truncation
+differ only in kappa / K, so ``drive`` and ``undrive`` take a sequence of
+cavities, a list of one for a single cavity, and run them as the columns of
+one solve; ``gate_report`` makes one such call for every row of the gate
+table.  Every ramp and gate error names its K/kappa row (``_row_names``).
+One helper, ``_ramp``, builds the ramp in units of 1/K and the cats at the
+amplitude it reaches (the drive's target, the undrive's input and basis).
+They are the eigenstates of the *truncated* two-photon-driven Kerr
+Hamiltonian (``_stationary_cats``): the analytic cats are its eigenstates
+only in the untruncated space, and an undrive started from one spends most
+of its integrator steps on the fast oscillation of the truncation residual.
+The gate bases stay analytic: gates are propagated exactly, so the residual
 costs them nothing.
 """
 
@@ -299,60 +299,27 @@ def _stationary_cats(params: CatQubitParams, alpha: float) -> tuple[np.ndarray, 
     return cats[0], cats[1]
 
 
-def _ramp(params: CatQubitParams,
+def _ramp(rows: Sequence[CatQubitParams],
           duration_kt: float) -> tuple[PulseSchedule, float, np.ndarray, np.ndarray]:
     """(schedule, alpha, even cat, odd cat) of the adiabatic ramp of
-    ``duration_kt``: the cats are ``_stationary_cats`` at the amplitude alpha
-    that the ramp's two-photon drive reaches at its end.
+    ``duration_kt`` on ``_unit_rows(rows)[0]``, in units of 1/K: the cats are
+    ``_stationary_cats`` at the amplitude alpha the ramp reaches at its end.
 
     The smooth ramp only approaches E_p0 asymptotically, so the cat actually
-    produced at t = 1.3 tau is slightly smaller than ``params.alpha``; drive
-    and undrive fidelities are reported against this achieved amplitude.
+    produced at t = 1.3 tau is slightly smaller than the rows' ``alpha``;
+    drive and undrive fidelities are reported against this achieved amplitude.
     """
-    pulse = adiabatic_drive_pulse(params, duration_kt)
+    unit = _unit_rows(rows)[0]
+    pulse = adiabatic_drive_pulse(unit, duration_kt)
     ep_end = abs(complex(pulse.channels["two_photon"](pulse.duration)))
-    alpha = math.sqrt(ep_end / params.kerr) if ep_end > 0 else params.alpha
-    return (pulse, alpha, *_stationary_cats(params, alpha))
+    alpha = math.sqrt(ep_end / unit.kerr) if ep_end > 0 else unit.alpha
+    return (pulse, alpha, *_stationary_cats(unit, alpha))
 
 
 def _row_names(rows: Sequence[CatQubitParams]) -> str:
     """'K/kappa = 1000 row', or 'K/kappa = 1000, 100000 rows' for several."""
     ratios = ", ".join(f"{p.kerr / p.kappa if p.kappa else math.inf:g}" for p in rows)
     return f"K/kappa = {ratios} row{'s' if len(rows) > 1 else ''}"
-
-
-def _run_pulse(rows: Sequence[CatQubitParams], operation: str, pulse: PulseSchedule,
-               state: np.ndarray, target: np.ndarray) -> list[DriveResult]:
-    """Evolve ``state`` through ``pulse`` with loss at each row's ``kappa``
-    and score each final state against ``target``.  The rows, which must
-    share ``kerr`` and ``dim``, run as the columns of one solve and return
-    one result each.  A sampled state with more than 1e-6 in the top two
-    Fock levels raises ``TruncationOverflowError`` naming its row
-    (``_row_names``) and ``operation``; a failed solve names every row,
-    ``operation`` and the failure time K t.
-    """
-    dim = rows[0].dim
-    target = target / np.linalg.norm(target)
-    h = _pulse_hamiltonian(rows[0], pulse)
-    collapse = [(qc.annihilation(dim), [p.kappa for p in rows])]
-    try:
-        trajs = evolve(h, collapse, [state] * len(rows), n_samples=9)
-    except IntegrationError as exc:
-        raise IntegrationError(f"{_row_names(rows)}, {operation} at K t = "
-                               f"{exc.t * rows[0].kerr:.6e}: {exc}", exc.t) from exc
-    results = []
-    for p, traj in zip(rows, trajs):
-        tail = max(float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
-                   for s in traj.states)
-        if tail > 1e-6:
-            raise TruncationOverflowError(
-                f"{_row_names([p])}, {operation}: population {tail:.2e} in the top two Fock "
-                f"levels at dim = {dim}; increase dim")
-        final = traj.final_state
-        results.append(DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
-                                   target=target, duration_s=pulse.duration,
-                                   rhs_evals=traj.rhs_evals, tail_population=tail))
-    return results
 
 
 def _unit_rows(rows: Sequence[CatQubitParams]) -> list[CatQubitParams]:
@@ -363,11 +330,40 @@ def _unit_rows(rows: Sequence[CatQubitParams]) -> list[CatQubitParams]:
     return [replace(p, kerr=1.0, kappa=p.kappa / p.kerr) for p in rows]
 
 
-def _ramp_results(results: list[DriveResult], rows: Sequence[CatQubitParams],
-                  duration_kt: float) -> list[DriveResult]:
-    """The K = 1 ramp ``results`` with each row's own ``duration_kt / kerr``
-    in seconds."""
-    return [replace(r, duration_s=duration_kt / p.kerr) for r, p in zip(results, rows)]
+def _run_pulse(rows: Sequence[CatQubitParams], operation: str, pulse: PulseSchedule,
+               state: np.ndarray, target: np.ndarray) -> list[DriveResult]:
+    """Evolve ``state`` through ``pulse``, given in units of 1/K, with loss
+    at each row's kappa / K and score each final state against ``target``.
+    The rows, which must share ``alpha`` and ``dim`` (``_unit_rows``), run at
+    K = 1 as the columns of one solve; each result's ``duration_s`` is K T
+    over the row's ``kerr``.  A sampled state with more than 1e-6 in the top
+    two Fock levels raises ``TruncationOverflowError`` naming its row
+    (``_row_names``) and ``operation``; a failed solve names every row,
+    ``operation`` and the failure time K t.
+    """
+    unit = _unit_rows(rows)
+    dim = unit[0].dim
+    target = target / np.linalg.norm(target)
+    h = _pulse_hamiltonian(unit[0], pulse)
+    collapse = [(qc.annihilation(dim), [p.kappa for p in unit])]
+    try:
+        trajs = evolve(h, collapse, [state] * len(unit), n_samples=9)
+    except IntegrationError as exc:
+        raise IntegrationError(f"{_row_names(rows)}, {operation} at K t = {exc.t:.6e}: {exc}",
+                               exc.t) from exc
+    results = []
+    for p, traj in zip(rows, trajs):
+        tail = max(float(np.real(s[dim - 2, dim - 2] + s[dim - 1, dim - 1]))
+                   for s in traj.states)
+        if tail > 1e-6:
+            raise TruncationOverflowError(
+                f"{_row_names([p])}, {operation}: population {tail:.2e} in the top two Fock "
+                f"levels at dim = {dim}; increase dim")
+        final = traj.final_state
+        results.append(DriveResult(state=final, fidelity=qc.state_fidelity(final, target),
+                                   target=target, duration_s=pulse.duration / p.kerr,
+                                   rhs_evals=traj.rhs_evals, tail_population=tail))
+    return results
 
 
 def drive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
@@ -382,19 +378,16 @@ def drive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
     The cats are those of the truncated Hamiltonian at the amplitude the ramp
     reaches (``_ramp``), the same pair that ``undrive`` starts from.
 
-    The ramp is solved in units of 1/K, where cavities differ only in
-    kappa / K: the rows, which must share ``alpha`` and ``dim``, run as the
-    columns of one solve from the same ``state`` and return one result each.
-    Errors name the row.
+    The rows, which must share ``alpha`` and ``dim``, run as the columns of
+    one solve (``_run_pulse``) from the same ``state`` and return one result
+    each.  Errors name the row.
     """
-    unit = _unit_rows(rows)
+    pulse, _, zero, one = _ramp(rows, duration_kt)
     if state is None:
-        state = qc.fock_state(0, unit[0].dim)
+        state = qc.fock_state(0, rows[0].dim)
     qc.check_pure(state, "drive input")
     c0, c1 = _fock_coefficients(state)
-    pulse, _, zero, one = _ramp(unit[0], duration_kt)
-    results = _run_pulse(unit, "drive", pulse, state, c0 * zero + c1 * one)
-    return _ramp_results(results, rows, duration_kt)
+    return _run_pulse(rows, "drive", pulse, state, c0 * zero + c1 * one)
 
 
 def undrive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
@@ -410,8 +403,7 @@ def undrive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
     oscillation that the analytic cat's truncation residual would drive.
     Rows are solved and batched as in ``drive``.
     """
-    unit = _unit_rows(rows)
-    pulse, _, zero, one = _ramp(unit[0], duration_kt)
+    pulse, _, zero, one = _ramp(rows, duration_kt)
     if state is None:
         state = zero
     qc.check_pure(state, "undrive input")
@@ -421,9 +413,8 @@ def undrive(rows: Sequence[CatQubitParams], duration_kt: float = DRIVE_RAMP_KT,
     if weight < 0.98:
         raise ValueError(
             f"undrive input has only {weight:.3f} weight in the cat manifold")
-    tvec = c0 * qc.fock_state(0, unit[0].dim) + c1 * qc.fock_state(1, unit[0].dim)
-    results = _run_pulse(unit, "undrive", time_reversed(pulse), state, tvec)
-    return _ramp_results(results, rows, duration_kt)
+    tvec = c0 * qc.fock_state(0, rows[0].dim) + c1 * qc.fock_state(1, rows[0].dim)
+    return _run_pulse(rows, "undrive", time_reversed(pulse), state, tvec)
 
 
 # -- gate constructions -------------------------------------------------------
@@ -477,7 +468,7 @@ def _run_gate(params: CatQubitParams, operation: str,
     ``basis`` holds the logical states as columns; ``cases`` maps a name to
     (input, ideal output) coefficient vectors in that basis.  Fidelities use
     the one-jump expansion with ``jump_ops``; final states and manifold
-    leakage come from lossless propagation.
+    leakage come from lossless propagation.  Errors name the row and gate.
     """
     prop = PiecewiseConstantPropagator(stages, jump_ops, params.kerr)
     # one column per case, so every stage contracts all cases at once
@@ -487,7 +478,7 @@ def _run_gate(params: CatQubitParams, operation: str,
     try:
         fids, quadrature_gap, clip_excess = prop.lossy_fidelity(psi0, targets)
     except IntegrationError as exc:
-        raise IntegrationError(f"{operation}, {exc}", exc.t) from exc
+        raise IntegrationError(f"{_row_names([params])}, {operation}, {exc}", exc.t) from exc
     fids = dict(zip(cases, map(float, fids)))
     psi_f = prop.forward(psi0)[-1]
     psi_f /= np.linalg.norm(psi_f, axis=0)
@@ -549,14 +540,12 @@ def gate_z(params: CatQubitParams, theta: float) -> GateResult:
                               _ideal_rotation("z", theta))
 
 
-def _two_qubit_ops(params: CatQubitParams, dim: int):
-    """(jumps, H0) on two cavities of ``dim`` levels: photon loss a x 1 and
-    1 x a at ``params.kappa`` as one-sided ``KroneckerSum``s, and the
-    one-cavity stabilized Hamiltonian H0."""
+def _two_cavity_loss(params: CatQubitParams, dim: int) -> list[tuple[KroneckerSum, float]]:
+    """Photon loss a x 1 and 1 x a at ``params.kappa`` on two cavities of
+    ``dim`` levels, as one-sided ``KroneckerSum``s."""
     a = qc.annihilation(dim)
-    jumps = [(KroneckerSum(a, None, (dim, dim)), params.kappa),
-             (KroneckerSum(None, a, (dim, dim)), params.kappa)]
-    return jumps, _stabilized_h(params, dim)
+    return [(KroneckerSum(a, None, (dim, dim)), params.kappa),
+            (KroneckerSum(None, a, (dim, dim)), params.kappa)]
 
 
 def _coupling_op(dim: int) -> np.ndarray:
@@ -567,9 +556,15 @@ def _coupling_op(dim: int) -> np.ndarray:
     return np.kron(ad, a) + np.kron(a, ad)
 
 
+def _coupling_stage(params: CatQubitParams, coupling: float, dim: int) -> np.ndarray:
+    """H0 x 1 + 1 x H0 + coupling (a^dag x a + a x a^dag), H0 the one-cavity
+    stabilized Hamiltonian: the G gate's stage, and the CNOT's."""
+    h0 = _stabilized_h(params, dim)
+    return KroneckerSum(h0, h0, (dim, dim)).toarray() + coupling * _coupling_op(dim)
+
+
 def _two_qubit_logical_basis(params: CatQubitParams, dim: int) -> np.ndarray:
-    zero = qc.cat_state(params.alpha, "even", dim)
-    one = qc.cat_state(params.alpha, "odd", dim)
+    zero, one = logical_states(replace(params, dim=dim))
     cols = [np.kron(x, y) for x in (zero, one) for y in (zero, one)]
     return np.stack(cols, axis=1)  # (dim^2) x 4, order 00,01,10,11
 
@@ -586,14 +581,13 @@ def gate_g(params: CatQubitParams, theta: float, coupling: float,
     if coupling <= 0:
         raise ValueError("coupling must be positive")
     dim = dim_per_cavity
-    jumps, h0 = _two_qubit_ops(params, dim)
     sign = 1.0 if theta >= 0 else -1.0
-    h = KroneckerSum(h0, h0, (dim, dim)).toarray() + sign * coupling * _coupling_op(dim)
+    h = _coupling_stage(params, sign * coupling, dim)
     dur = _g_rotation_duration(params, theta, coupling)
     tcoef = math.cos(theta / 2) * np.array([1, 0, 0, 0], dtype=complex) \
         - 1j * math.sin(theta / 2) * np.array([0, 0, 0, 1], dtype=complex)
-    return _run_gate(params, f"G_{theta/math.pi:.3g}pi", [(h, dur)], jumps,
-                     _two_qubit_logical_basis(params, dim),
+    return _run_gate(params, f"G_{theta/math.pi:.3g}pi", [(h, dur)],
+                     _two_cavity_loss(params, dim), _two_qubit_logical_basis(params, dim),
                      {"even_even": (np.eye(4)[0], tcoef)})
 
 
@@ -612,8 +606,8 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     """Seven-stage decomposition X2(pi/2) X1(-pi/2) Z1(pi/2) G(pi/2)
     X1(-pi/2) Z1(-pi/2) X1(pi/2), rightmost applied first.  The six stages
     that leave the cavities uncoupled are ``KroneckerSum``s; the coupling
-    stage G is a full array."""
-    _, h0 = _two_qubit_ops(params, dim)
+    stage G is the G gate's array (``_coupling_stage``)."""
+    h0 = _stabilized_h(params, dim)
     n = qc.number_operator(dim)
     x = _single_photon_op(dim)
     dims = (dim, dim)
@@ -622,7 +616,7 @@ def _cnot_stages(params: CatQubitParams, drive_amplitude: float, coupling: float
     h_x1_minus = KroneckerSum(h0 - drive_amplitude * x, h0, dims)
     h_x2_plus = KroneckerSum(h0, h0 + drive_amplitude * x, dims)
     h_z1 = KroneckerSum(-params.kerr * (n @ n), h0, dims)
-    h_g = KroneckerSum(h0, h0, dims).toarray() + coupling * _coupling_op(dim)
+    h_g = _coupling_stage(params, coupling, dim)
 
     return list(zip([h_x1_plus, h_z1, h_x1_minus, h_g, h_z1, h_x1_minus, h_x2_plus],
                     _cnot_stage_durations(params, drive_amplitude, coupling)))
@@ -644,11 +638,11 @@ def cnot(params: CatQubitParams, drive_amplitude: float, coupling: float,
     duration is the sum of the stage durations.
     """
     dim = dim_per_cavity
-    jumps, _ = _two_qubit_ops(params, dim)
     cases = {name: (np.eye(4)[idx], _CNOT_IDEAL[:, idx])
              for idx, name in enumerate(_TWO_QUBIT_BASIS_NAMES)}
     return _run_gate(params, "CNOT", _cnot_stages(params, drive_amplitude, coupling, dim),
-                     jumps, _two_qubit_logical_basis(params, dim), cases)
+                     _two_cavity_loss(params, dim), _two_qubit_logical_basis(params, dim),
+                     cases)
 
 
 def gate_report(rows: Sequence[tuple[CatQubitParams, float, float]],
@@ -673,14 +667,11 @@ def gate_report(rows: Sequence[tuple[CatQubitParams, float, float]],
         e_x = params.two_photon_amplitude / drive_ratio
         e_c = params.two_photon_amplitude / coupling_ratio
         table: dict[str, DriveResult | GateResult] = {"drive": d, "undrive": u}
-        try:
-            for result in (gate_x(params, math.pi / 2, e_x),
-                           gate_z(params, math.pi / 2),
-                           gate_g(params, math.pi / 2, e_c, dim_per_cavity),
-                           cnot(params, e_x, e_c, dim_per_cavity)):
-                table[result.operation] = result
-        except IntegrationError as exc:
-            raise IntegrationError(f"{_row_names([params])}, {exc}", exc.t) from exc
+        for result in (gate_x(params, math.pi / 2, e_x),
+                       gate_z(params, math.pi / 2),
+                       gate_g(params, math.pi / 2, e_c, dim_per_cavity),
+                       cnot(params, e_x, e_c, dim_per_cavity)):
+            table[result.operation] = result
         tables.append(table)
     return tables
 

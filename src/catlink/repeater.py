@@ -173,6 +173,8 @@ def rate_curve(chain: ChainParams, link: LinkParams) -> Callable[[float], float]
 
 _MC_BLOCK = 8192                      # trials sampled per block, at most
 _MC_LEAVES = 2**17                    # expected leaf draws per block, at most
+# smallest P0 whose block sums stay finite in float64; see monte_carlo_time
+_MC_MIN_P0 = 2**10 * _MC_LEAVES * 46 / math.sqrt(np.finfo(np.float64).max)
 
 
 def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
@@ -222,12 +224,19 @@ def monte_carlo_time(chain: ChainParams, link: LinkParams, trials: int,
     attempt time and the numerator in exact integer arithmetic.  An array's
     float64 sums are exact while its S2 stays below 2^53, that is for slot
     counts up to about 1e6; above that S2 rounds at 1e-16 relative.
+
+    P0 below ``_MC_MIN_P0`` = 4.6e-145 raises before sampling.  No float64
+    draw of E exceeds 45 (numpy's ziggurat adds at most 53 ln 2 to its tail
+    start 7.7), so a leaf holds at most 46 / P0 slots and a node at most the
+    sum of its leaves: a block of L leaf draws has S2 <= (46 L / P0)^2, below
+    1.8e308 at every allowed P0 for L up to 2^10 times its ``_MC_LEAVES``.
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials for a stable mean")
     prob0 = p0(link)
-    if prob0 <= 0:
-        raise ValueError(f"link success probability p0 = {prob0} must be positive")
+    if prob0 < _MC_MIN_P0:
+        raise ValueError(f"link success probability p0 = {prob0} is past the Monte-Carlo "
+                         f"limit p0 >= {_MC_MIN_P0:.2g}")
     n, growth = chain.nesting_level, 2.0 / chain.swap_probability
     if growth**n > _MC_LEAVES:
         limit = int(math.log(_MC_LEAVES) / math.log(growth))

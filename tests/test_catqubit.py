@@ -75,7 +75,7 @@ class TestDriveUndrive:
         # evolve integrates array segments one at a time, as the GRAPE
         # re-score runs them through the ramps' scorer; both pulses drive to
         # and undrive from the default ramp's cats
-        ramp, _, zero, _ = cq._ramp(ratio_1e3, cq.DRIVE_RAMP_KT)
+        ramp, _, zero, _ = cq._ramp([ratio_1e3], cq.DRIVE_RAMP_KT)
         n, dt = 16, ramp.duration / 16
         values = np.array([ramp.channels["two_photon"]((k + 1) * dt) for k in range(n)])
         segmented = PulseSchedule(ramp.duration, {"two_photon": values.astype(complex)})
@@ -122,7 +122,7 @@ class TestDriveUndrive:
         assert u.fidelity == pytest.approx(0.999048853427219, abs=1e-12)
 
     def test_undrive_odd_cat_gives_single_photon(self, lossless):
-        _, alpha_eff, _, _ = cq._ramp(lossless, cq.DRIVE_RAMP_KT)
+        _, alpha_eff, _, _ = cq._ramp([lossless], cq.DRIVE_RAMP_KT)
         [result] = cq.undrive([lossless], state=qc.cat_state(alpha_eff, "odd", lossless.dim))
         assert int(np.argmax(np.abs(result.target))) == 1
         assert result.fidelity >= 0.999
@@ -231,7 +231,7 @@ class TestStationaryCats:
     @pytest.mark.parametrize("ramp_end", [False, True])
     def test_eigenstates_of_the_truncated_hamiltonian(self, dim, ramp_end):
         params = cq.CatQubitParams(kerr=self.KERR, dim=dim)
-        alpha = cq._ramp(params, cq.DRIVE_RAMP_KT)[1] if ramp_end else ALPHA
+        alpha = cq._ramp([params], cq.DRIVE_RAMP_KT)[1] if ramp_end else ALPHA
         h = cq._kerr_op(dim, self.KERR) + self.KERR * alpha**2 * cq._two_photon_op(dim)
         # the analytic cat's own truncation error bounds the overlap: 1.3e-11
         # below 1 for the even cat at dim 16
@@ -246,7 +246,7 @@ class TestStationaryCats:
 
     def test_undrive_default_matches_analytic_input(self):
         params = cq.CatQubitParams(kerr=1.8e5, kappa=180.0)  # the 1e3 row
-        _, alpha, _, _ = cq._ramp(params, cq.DRIVE_RAMP_KT)
+        _, alpha, _, _ = cq._ramp([params], cq.DRIVE_RAMP_KT)
         [default] = cq.undrive([params])
         [analytic] = cq.undrive([params], state=qc.cat_state(alpha, "even", params.dim))
         assert default.fidelity == pytest.approx(analytic.fidelity, abs=1e-10)
@@ -405,7 +405,7 @@ class TestParityBlocks:
     def cnot_problem(self, ratio_1e3):
         e = ratio_1e3.two_photon_amplitude
         stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, self.DIM)
-        jumps, _ = cq._two_qubit_ops(ratio_1e3, self.DIM)
+        jumps = cq._two_cavity_loss(ratio_1e3, self.DIM)
         basis = cq._two_qubit_logical_basis(ratio_1e3, self.DIM)
         return stages, jumps, basis
 
@@ -466,6 +466,14 @@ class TestParityBlocks:
             assert np.max(np.abs(_array(h) - ref)) <= 1e-12
         for (op, rate), ref in zip(jumps, (a1, a2)):
             assert np.array_equal(_array(op), ref) and rate == ratio_1e3.kappa
+
+    def test_g_stage_is_the_g_gate_array(self, cnot_problem, ratio_1e3):
+        # one builder makes the G gate's stage and the CNOT's, so the
+        # coupled-stage memo finds the second bit for bit
+        stages, _, _ = cnot_problem
+        e = ratio_1e3.two_photon_amplitude
+        assert stages[3][0].tobytes() == \
+            cq._coupling_stage(ratio_1e3, e / 15, self.DIM).tobytes()
 
     def test_cnot_takes_the_per_cavity_route(self, ratio_1e3, monkeypatch):
         routes = []
@@ -544,7 +552,7 @@ class TestParityBlocks:
         d = cq.TWO_QUBIT_DIM
         e = ratio_1e3.two_photon_amplitude
         stages = cq._cnot_stages(ratio_1e3, e / 10, e / 15, d)
-        jumps, _ = cq._two_qubit_ops(ratio_1e3, d)
+        jumps = cq._two_cavity_loss(ratio_1e3, d)
         prop = PiecewiseConstantPropagator(stages, jumps, ratio_1e3.kerr)
         for (h, _), (_, v, w, _), (_, v_eff, w_eff, jumps) in zip(
                 stages, prop.factors(lossy=False), prop.factors(lossy=True)):
@@ -664,7 +672,7 @@ class TestCnot:
         p = cq.CatQubitParams(kerr=1.0, kappa=1.0 / ratio)
         e = p.two_photon_amplitude
         res = cq.cnot(p, e / drive_ratio, e / coupling_ratio, dim_per_cavity=dim)
-        jumps = [(_array(op), rate) for op, rate in cq._two_qubit_ops(p, dim)[0]]
+        jumps = [(_array(op), rate) for op, rate in cq._two_cavity_loss(p, dim)]
         basis = cq._two_qubit_logical_basis(p, dim)
         names = ("00", "10")
         psi0 = basis[:, [0, 2]]
@@ -739,8 +747,8 @@ class TestGateReport:
         monkeypatch.setattr(PiecewiseConstantPropagator, "MIN_NODES", 1)
         monkeypatch.setattr(PiecewiseConstantPropagator, "MAX_DOUBLINGS", 0)
         e = ratio_1e3.two_photon_amplitude
-        with pytest.raises(IntegrationError, match=r"^CNOT, one-jump quadrature of stage 0 "
-                                                   r"not converged: ") as err:
+        pattern = r"^K/kappa = 1000 row, CNOT, one-jump quadrature of stage 0 not converged: "
+        with pytest.raises(IntegrationError, match=pattern) as err:
             cq.cnot(ratio_1e3, e / 10, e / 15, 10)
         assert err.value.t == 0.0
 

@@ -290,6 +290,17 @@ class TestMonteCarloCommand:
             "error: [chain] nesting_level = 14 is past the Monte-Carlo limit n <= 13")
         assert not os.path.exists(out_dir)
 
+    def test_vanishing_p0_refused_without_traceback(self, out_dir):
+        # p0 = 2.3e-218 is positive, but its slot counts of about 1e219 would
+        # overflow a block's float64 sum of squares
+        r = run_cli("mc", "--out", out_dir, "--trials", "10000",
+                    "--set", "link.attenuation_km=0.1")
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [
+            "error: link success probability p0 = 2.308362755784177e-218 is past the "
+            "Monte-Carlo limit p0 >= 4.6e-145"]
+        assert not os.path.exists(out_dir)
+
     def test_numeric_operation_time_needs_no_row(self, out_dir):
         r = run_cli("mc", "--out", out_dir, "--trials", "10000",
                     "--set", "link.operation_time_s=1e-4", "--set", "chain.loss_ratio=3e4",

@@ -339,6 +339,25 @@ class TestMonteCarlo:
                                              r"0.81"):
             rp.monte_carlo_time(rp.ChainParams(nesting_level=14), _link(), trials=10_000)
 
+    def test_vanishing_p0_named_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValueError, match=r"^link success probability p0 = 2\.3\d*e-218 is "
+                                             r"past the Monte-Carlo limit p0 >= 4\.6e-145$"):
+            rp.monte_carlo_time(rp.ChainParams(), _link(attenuation_km=0.1), trials=10_000)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_smallest_p0_keeps_the_sums_finite(self, monkeypatch, n):
+        # just above the limit a leaf holds about 1e145 slots, and every
+        # level's block sums of squares stay finite
+        monkeypatch.setattr(rp, "p0", lambda link: 1.01 * rp._MC_MIN_P0)
+        rows = rp.monte_carlo_time(rp.ChainParams(nesting_level=n), _link(), trials=10_000)
+        assert all(math.isfinite(mean) and math.isfinite(err) and err > 0 for mean, err in rows)
+        mean, err = rows[0]
+        assert abs(mean - rp.mean_time(rp.ChainParams(nesting_level=0), _link())) < 5 * err
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_peak_memory_independent_of_trials(self, seed):
         # one block's arrays at a time: 2e6 trials must fit where 2e5 do

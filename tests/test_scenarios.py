@@ -8,7 +8,7 @@ from catlink import cli
 from catlink import repeater as rp
 from catlink import scenarios as sn
 from catlink.config import ConfigError, load_config
-from catlink.dynamics import PiecewiseConstantPropagator
+from catlink.dynamics import IntegrationError, PiecewiseConstantPropagator
 
 
 class TestOperationBudget:
@@ -43,18 +43,31 @@ class TestOperationBudget:
         assert sn.operation_time(durations, policy) == \
             sn.operation_time(durations, "cat") + durations["drive"] + durations["undrive"]
 
-    def test_adiabatic_drive_method(self):
+    def test_adiabatic_drive_method(self, gate_rows_1e3):
         kerr = sn.TABLE_ROW_DEFAULTS[1e3]
         params = cq.CatQubitParams(kerr=kerr, kappa=kerr / 1e3)
         budget = sn.operation_budget(params, 10.0, 15.0, "adiabatic",
                                      cli._grape_settings(load_config()))
         assert budget.fidelities["drive"] == pytest.approx(0.9962, abs=0.002)
+        # the budget runs the gate table's operations on the same row, so
+        # neither can drift from the other
+        for op, record in (("drive", "drive"), ("undrive", "undrive"),
+                           ("x_half", "X_0.5pi"), ("z_half", "Z_0.5pi"), ("cnot", "CNOT")):
+            assert budget.fidelities[op] == gate_rows_1e3[record].fidelity, op
 
     def test_adiabatic_overflow_names_its_row(self):
         # the budget's ramps are batches of one row, whose errors name it
         params = replace(_default_row(1e5), dim=8)
         with pytest.raises(cq.TruncationOverflowError,
                            match=r"^K/kappa = 100000 row, drive: population "):
+            sn.operation_budget(params, 45.0, 55.0, "adiabatic",
+                                cli._grape_settings(load_config()))
+
+    def test_gate_failure_names_its_row(self):
+        # a gate of the budget names its row, as the gate table's do
+        params = replace(_default_row(1e5), alpha=1e-3)
+        with pytest.raises(IntegrationError, match=r"^K/kappa = 100000 row, X_0\.5pi, one-jump "
+                                                   r"quadrature"):
             sn.operation_budget(params, 45.0, 55.0, "adiabatic",
                                 cli._grape_settings(load_config()))
 
